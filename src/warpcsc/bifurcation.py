@@ -24,12 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams, derive_constants
-from .period import (
-    BAND_CLAMP,
-    energy_roots,
-    period_table,
-    turning_points,
-)
+from .period import energy_roots, period_table, turning_points
 
 __all__ = [
     "BranchRow",
@@ -41,6 +36,10 @@ __all__ = [
 
 # amplitude below this fraction of x_star counts as a vanished branch
 VANISH_REL = 1e-6
+# quadrature tolerance of the period table and its inversion
+QUAD_RTOL = 1e-9
+# period table resolution behind count_solutions when no table is given
+COUNT_TABLE_SIZE = 192
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,11 @@ class BifurcationDiagram:
     degenerate_isochronous: bool
 
 
+def _classical_wraps(T: float, T0: float) -> range:
+    """Wrap counts k whose per-wrap period T/k lies above the threshold T0."""
+    return range(1, int(T / (T0 * (1.0 + 1e-9))) + 1)
+
+
 def _wrap_candidates(
     T: float, T0: float, band: tuple[float, float]
 ) -> tuple[list[int], set[int]]:
@@ -94,7 +98,7 @@ def _wrap_candidates(
     coming from the classical rule, whose misses are worth recording.
     """
     lo, hi = band
-    classical = set(range(1, int(T / (T0 * (1.0 + 1e-9))) + 1))
+    classical = set(_classical_wraps(T, T0))
     attain: set[int] = set()
     if lo > 0.0:
         k_min = max(1, math.ceil(T / (hi * (1.0 + 1e-9))))
@@ -109,9 +113,7 @@ def scan_branches(
     grid_size: int = 400,
     *,
     table_size: int = 256,
-    quad_rtol: float = 1e-9,
-    clamp: float = BAND_CLAMP,
-    workers: int = 1,
+    quad_rtol: float = QUAD_RTOL,
 ) -> BifurcationDiagram:
     """Scan circle periods in (T0, T_max] and assemble the branch diagram.
 
@@ -126,7 +128,7 @@ def scan_branches(
     if grid_size < 16:
         raise DomainError(f"grid_size must be >= 16, got {grid_size}")
 
-    cs, ts = period_table(params, table_size, rtol=quad_rtol, clamp=clamp, workers=workers)
+    cs, ts = period_table(params, table_size, rtol=quad_rtol)
     band = (float(np.min(ts)), float(np.max(ts)))
     step = (T_max - T0) / grid_size
     t_grid = tuple(T0 + (j + 1) * step for j in range(grid_size))
@@ -158,8 +160,7 @@ def scan_branches(
                                f"[{band[0]}, {band[1]}]")
                     )
                 continue
-            roots = energy_roots(tau, params, (cs, ts), rtol=quad_rtol, clamp=clamp,
-                                 root_rtol=1e-11)
+            roots = energy_roots(tau, params, (cs, ts), rtol=quad_rtol, root_rtol=1e-11)
             if not roots:
                 failures.append(
                     (T, k, f"per-wrap period {tau} inside the attained range "
@@ -167,7 +168,7 @@ def scan_branches(
                 )
                 continue
             for c in roots:
-                a, b = turning_points(c, params, clamp=clamp)
+                a, b = turning_points(c, params)
                 rows.append(
                     BranchRow(
                         T=T,
@@ -246,10 +247,6 @@ def count_solutions(
     params: ModelParams,
     *,
     table: tuple[np.ndarray, np.ndarray] | None = None,
-    table_size: int = 192,
-    quad_rtol: float = 1e-9,
-    clamp: float = BAND_CLAMP,
-    workers: int = 1,
 ) -> int:
     """Number of branch families alive at circle period T.
 
@@ -265,9 +262,9 @@ def count_solutions(
     if T <= consts.T0 * (1.0 + 1e-9):
         return 0
     if table is None:
-        table = period_table(params, table_size, rtol=quad_rtol, clamp=clamp, workers=workers)
+        table = period_table(params, COUNT_TABLE_SIZE, rtol=QUAD_RTOL)
     count = 0
-    for k in range(1, int(T / (consts.T0 * (1.0 + 1e-9))) + 1):
-        if energy_roots(T / k, params, table, rtol=quad_rtol, clamp=clamp, root_rtol=1e-11):
+    for k in _classical_wraps(T, consts.T0):
+        if energy_roots(T / k, params, table, rtol=QUAD_RTOL, root_rtol=1e-11):
             count += 1
     return count

@@ -6,9 +6,8 @@ bifurcate (branch diagram scan), verify (recheck a stored profile).
 
 Output is deterministic byte for byte: floats are rendered with 17
 significant digits, newlines are always "\\n", and scan orders are
-fixed regardless of worker count.  Exit codes: 0 success, 2 usage or
-domain errors, 3 threshold violations and failed verification, 4
-numerical non-convergence.
+fixed.  Exit codes: 0 success, 2 usage or domain errors, 3 threshold
+violations and failed verification, 4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -184,7 +183,7 @@ def cmd_period(args) -> int:
         grid = np.linspace(lo, hi, size)
     else:
         grid = energy_grid(params, size, mode="log")
-    scan = period_scan(grid, params, rtol=args.rtol, workers=args.threads)
+    scan = period_scan(grid, params, rtol=args.rtol)
     for idx, err in scan.failures:
         print(f"# point {idx} at c = {_scalar(grid[idx])} failed: {err}", file=sys.stderr)
     rows = [
@@ -204,7 +203,6 @@ def cmd_solve(args) -> int:
         args.samples,
         table_size=args.table_size,
         quad_rtol=args.rtol,
-        workers=args.threads,
     )
     _emit(_render(profile_to_doc(profile)), args.out)
     return 0
@@ -218,7 +216,6 @@ def cmd_bifurcate(args) -> int:
         args.grid,
         table_size=args.table_size,
         quad_rtol=args.rtol,
-        workers=args.threads,
     )
     rows = [
         (r.T, r.k, r.tau, r.c, r.amplitude, r.f_min, r.f_max) for r in diagram.rows
@@ -329,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_per.add_argument("--band", type=_band, default=None, metavar="LO,HI",
                        help="scan this energy interval linearly instead")
     p_per.add_argument("--rtol", type=float, default=1e-10, help="quadrature relative tolerance")
-    p_per.add_argument("--threads", type=int, default=1, help="parallel scan workers")
     _add_out(p_per)
     p_per.set_defaults(handler=cmd_period)
 
@@ -339,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--samples", type=int, default=512, help="samples per period, >= 16")
     p_sol.add_argument("--table-size", type=int, default=160, help="period table resolution")
     p_sol.add_argument("--rtol", type=float, default=1e-10, help="quadrature relative tolerance")
-    p_sol.add_argument("--threads", type=int, default=1, help="parallel table workers")
     _add_out(p_sol)
     p_sol.set_defaults(handler=cmd_solve)
 
@@ -349,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bif.add_argument("--grid", type=int, default=400, help="number of grid points above T0")
     p_bif.add_argument("--table-size", type=int, default=256, help="period table resolution")
     p_bif.add_argument("--rtol", type=float, default=1e-9, help="quadrature relative tolerance")
-    p_bif.add_argument("--threads", type=int, default=1, help="parallel table workers")
     p_bif.add_argument("--points", default=None, metavar="FILE",
                        help="also write detected branch points as CSV to FILE")
     _add_out(p_bif)

@@ -28,6 +28,7 @@ from .model import (
     ModelParams,
     PhaseState,
     _force_coeffs,
+    _potential_coeffs,
     derive_constants,
     energy,
     force,
@@ -41,6 +42,13 @@ __all__ = [
     "period_return_map",
     "energy_drift",
 ]
+
+# base step of a return-map run is T0 over this many steps
+STEPS_PER_PERIOD = 4096
+# step halvings a return-map measurement may take before giving up
+MAX_RETRIES = 6
+# phase advance per substep at the stiffest point: 48 substeps per local cycle
+_WALL_PHASE = 2.0 * math.pi / 48.0
 
 
 @dataclass(frozen=True)
@@ -96,11 +104,16 @@ def _acc(x: float, k1: float, k2: float, e: float, affine: bool) -> float:
     return k2 * x**e - k1 * x
 
 
-def _force_gradient(x: float, params: ModelParams) -> float:
+def _wall_step(x: float, params: ModelParams) -> float:
+    """Step resolving the local oscillation at x with 48 substeps per cycle.
+
+    The local frequency is sqrt(|force'(x)|); where the gradient vanishes
+    it sets no limit and the step is infinite.
+    """
     k1, k2, e = _force_coeffs(params)
-    if params.n == 4:
-        return k1
-    return k1 - e * k2 * x ** (e - 1.0)
+    grad = k1 if params.n == 4 else k1 - e * k2 * x ** (e - 1.0)
+    local = math.sqrt(abs(grad))
+    return _WALL_PHASE / local if local > 0.0 else math.inf
 
 
 def _refine_crossing(
@@ -204,7 +217,7 @@ def _rough_inner_turning(e_above_min: float, params: ModelParams) -> float:
     return hi
 
 
-def _step_for_energy(e_above_min: float, params: ModelParams, steps_per_period: int) -> float:
+def _step_for_energy(e_above_min: float, params: ModelParams) -> float:
     """Step small enough for both the outer swing and the inner wall.
 
     Low dimensions steepen sharply near x = 0, so orbits close to the
@@ -213,12 +226,8 @@ def _step_for_energy(e_above_min: float, params: ModelParams, steps_per_period: 
     point) with a fixed number of substeps per local cycle.
     """
     consts = derive_constants(params)
-    dt = consts.T0 / steps_per_period
     a_rough = _rough_inner_turning(e_above_min, params)
-    local = math.sqrt(abs(_force_gradient(a_rough, params)))
-    if local > 0.0:
-        dt = min(dt, (2.0 * math.pi / 48.0) / local)
-    return dt
+    return min(consts.T0 / STEPS_PER_PERIOD, _wall_step(a_rough, params))
 
 
 def _measure_half_gap(
@@ -231,7 +240,7 @@ def _measure_half_gap(
     """
     k1, k2, e = _force_coeffs(params)
     affine = params.n == 4
-    A, Bq, q = _pot_coeffs_cached(params)
+    A, Bq, q = _potential_coeffs(params)
     x, v = x0, v0
     acc = _acc(x, k1, k2, e, affine)
     e0 = 0.5 * v0 * v0 + A * x0 * x0 - Bq * x0**q
@@ -259,20 +268,7 @@ def _measure_half_gap(
     raise BudgetExceeded(f"fewer than two downward crossings in {budget} steps")
 
 
-def _pot_coeffs_cached(params: ModelParams) -> tuple[float, float, float]:
-    from .model import _potential_coeffs
-
-    return _potential_coeffs(params)
-
-
-def period_return_map(
-    c: float,
-    params: ModelParams,
-    *,
-    steps_per_period: int = 4096,
-    richardson: bool = True,
-    max_retries: int = 6,
-) -> float:
+def period_return_map(c: float, params: ModelParams, *, richardson: bool = True) -> float:
     """Orbit period measured by timing successive downward v = 0 crossings.
 
     Launches from (x_star, sqrt(2 (c - c_min))), which needs no turning
@@ -289,10 +285,10 @@ def period_return_map(
             f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
         )
     v0 = math.sqrt(2.0 * e_above)
-    dt = _step_for_energy(e_above, params, steps_per_period)
+    dt = _step_for_energy(e_above, params)
     wander_gate = 2e-6 * e_above
     last_err: Exception | None = None
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         budget = int(8.0 * consts.T0 / dt) + 64
         try:
             t1, t2, w1 = _measure_half_gap(consts.x_star, v0, dt, params, budget)
@@ -309,7 +305,7 @@ def period_return_map(
             last_err = err
             dt *= 0.5
     raise BudgetExceeded(
-        f"return-map period did not stabilize after {max_retries} step halvings"
+        f"return-map period did not stabilize after {MAX_RETRIES} step halvings"
     ) from last_err
 
 
@@ -334,7 +330,7 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
         )
     k1, k2, e = _force_coeffs(params)
     affine = params.n == 4
-    A, Bq, q = _pot_coeffs_cached(params)
+    A, Bq, q = _potential_coeffs(params)
     x = consts.x_star
     v = math.sqrt(2.0 * e_above)
     acc = _acc(x, k1, k2, e, affine)

@@ -21,7 +21,6 @@ where the plain difference c - potential(x) would cancel away.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -47,8 +46,12 @@ __all__ = [
     "energy_roots",
 ]
 
-# default clamp keeping solves away from the band edges, relative to |c_min|
+# clamp keeping solves away from the band edges, relative to |c_min|
 BAND_CLAMP = 1e-9
+# relative tolerance of the Brent solve for each turning point
+TURNING_RTOL = 1e-13
+# smallest quadrature panel, as a fraction of the half-circle in theta
+MIN_PANEL_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -85,45 +88,39 @@ class PeriodScan:
         return np.asarray(cs), np.asarray(ts)
 
 
-def _check_band(c: float, params: ModelParams, clamp: float) -> tuple[float, float]:
-    """Validate c against the clamped band; returns (c_min, offset energy)."""
+def _check_band(c: float, params: ModelParams) -> tuple[float, float]:
+    """Validate c against the BAND_CLAMP band; returns (c_min, offset energy)."""
     consts = derive_constants(params)
     depth = abs(consts.c_min)
     e_above = c - consts.c_min
     # the boundary itself is admitted; the absolute slack keeps grid
     # points placed exactly on it from bouncing on subtraction roundoff
-    edge = clamp * depth - 4e-16 * depth
+    edge = BAND_CLAMP * depth - 4e-16 * depth
     if not math.isfinite(c) or e_above < edge or -c < edge:
         raise EnergyOutOfBand(
             f"energy {c} outside the clamped band "
-            f"[{consts.c_min * (1.0 - clamp)}, {-clamp * depth}]"
+            f"[{consts.c_min * (1.0 - BAND_CLAMP)}, {-BAND_CLAMP * depth}]"
         )
     return consts.c_min, e_above
 
 
-def turning_points(
-    c: float,
-    params: ModelParams,
-    *,
-    clamp: float = BAND_CLAMP,
-    rtol: float = 1e-13,
-) -> tuple[float, float]:
+def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
     """Solve potential(x) = c for the two roots bracketing x_star.
 
     The inner bracket comes from repeated halving below x_star, the outer
     from repeated doubling above, then each root is polished by Brent's
-    method on the offset potential.  Energies within clamp * |c_min| of
-    either band edge are rejected rather than solved in noise.
+    method on the offset potential.  Energies within BAND_CLAMP * |c_min|
+    of either band edge are rejected rather than solved in noise.
     """
     consts = derive_constants(params)
-    _, e_above = _check_band(c, params, clamp)
+    _, e_above = _check_band(c, params)
     x_star = consts.x_star
 
     def g(x: float) -> float:
         return potential_above_min(x, params) - e_above
 
     def polish(root: float) -> float:
-        # Brent leaves a relative-in-x error near rtol; two Newton steps
+        # Brent leaves a relative-in-x error near TURNING_RTOL; two Newton steps
         # on the cancellation-free offset (whose derivative is exactly
         # the force) push the potential residue down to roundoff, which
         # the period quadrature needs at its endpoints
@@ -147,7 +144,7 @@ def turning_points(
         raise QuadratureNonConvergence(
             f"inner turning point bracket not found below x_star for c = {c}"
         )
-    a = polish(brentq(g, lo, min(2.0 * lo, x_star), xtol=1e-300, rtol=rtol))
+    a = polish(brentq(g, lo, min(2.0 * lo, x_star), xtol=1e-300, rtol=TURNING_RTOL))
 
     hi = 2.0 * x_star
     for _ in range(2000):
@@ -158,7 +155,7 @@ def turning_points(
         raise QuadratureNonConvergence(
             f"outer turning point bracket not found above x_star for c = {c}"
         )
-    b = polish(brentq(g, max(0.5 * hi, x_star), hi, xtol=1e-300, rtol=rtol))
+    b = polish(brentq(g, max(0.5 * hi, x_star), hi, xtol=1e-300, rtol=TURNING_RTOL))
     return float(a), float(b)
 
 
@@ -173,20 +170,17 @@ def period_quadrature(
     params: ModelParams,
     *,
     rtol: float = 1e-10,
-    clamp: float = BAND_CLAMP,
     max_panels: int = 4096,
-    min_width: float = 1e-13,
 ) -> OrbitSpec:
     """Period of the orbit at energy c by adaptive endpoint-free quadrature.
 
     Each panel is estimated with 24- and 48-node Gauss-Legendre rules;
     a panel is accepted when the two agree to the width-prorated share
     of the requested relative tolerance, otherwise it is bisected.
-    Exhausting the panel budget, or shrinking a panel below min_width of
-    the half-circle, raises QuadratureNonConvergence.
+    Exhausting the panel budget, or shrinking a panel below
+    MIN_PANEL_WIDTH of the half-circle, raises QuadratureNonConvergence.
     """
-    a, b = turning_points(c, params, clamp=clamp)
-    _check_band(c, params, clamp)
+    a, b = turning_points(c, params)
     r = 0.5 * (b - a)
     root2 = math.sqrt(2.0)
     A, B, q = _potential_coeffs(params)
@@ -251,7 +245,7 @@ def period_quadrature(
                 f"period quadrature exceeded {max_panels} panels at c = {c}"
             )
         width = hi - lo
-        if width < min_width * span:
+        if width < MIN_PANEL_WIDTH * span:
             raise QuadratureNonConvergence(
                 f"period quadrature panel collapsed to width {width} at c = {c}"
             )
@@ -265,43 +259,22 @@ def period_quadrature(
     return OrbitSpec(c=float(c), a=a, b=b, T=float(total))
 
 
-def _scan_worker(args: tuple[int, float, ModelParams, float, float]):
-    idx, c, params, rtol, clamp = args
-    try:
-        return idx, period_quadrature(c, params, rtol=rtol, clamp=clamp), None
-    except Exception as err:  # collected, not fatal
-        return idx, None, err
-
-
-def period_scan(
-    c_grid,
-    params: ModelParams,
-    *,
-    rtol: float = 1e-10,
-    clamp: float = BAND_CLAMP,
-    workers: int = 1,
-) -> PeriodScan:
-    """Evaluate period_quadrature over a grid of energies.
+def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodScan:
+    """Evaluate period_quadrature over a grid of energies, in grid order.
 
     Failures are collected per point, so one bad energy does not spoil
-    the scan.  workers > 1 fans the points out over worker processes;
-    the result order always matches the input grid.
+    the scan.  Energies within BAND_CLAMP * |c_min| of either band edge
+    fail with EnergyOutOfBand.
     """
     grid = [float(c) for c in c_grid]
     if not grid:
         raise DomainError("energy grid must be non-empty")
-    jobs = [(i, c, params, rtol, clamp) for i, c in enumerate(grid)]
     results: list[OrbitSpec | None] = [None] * len(grid)
     failures: list[tuple[int, Exception]] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(_scan_worker, jobs, chunksize=8))
-    else:
-        outs = [_scan_worker(job) for job in jobs]
-    for idx, spec, err in outs:
-        if err is None:
-            results[idx] = spec
-        else:
+    for idx, c in enumerate(grid):
+        try:
+            results[idx] = period_quadrature(c, params, rtol=rtol)
+        except Exception as err:  # collected, not fatal
             failures.append((idx, err))
     return PeriodScan(
         c_grid=tuple(grid), entries=tuple(results), failures=tuple(failures)
@@ -348,16 +321,14 @@ def period_table(
     size: int = 192,
     *,
     rtol: float = 1e-10,
-    clamp: float = BAND_CLAMP,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense (c, T) table over the clamped band, edges resolved on both sides.
 
     This is the lookup structure behind period inversion: root brackets
     for T(c) = tau are read off between adjacent table entries.
     """
-    grid = energy_grid(params, size, mode="symlog", s_lo=clamp, s_hi=clamp)
-    scan = period_scan(grid, params, rtol=rtol, clamp=clamp, workers=workers)
+    grid = energy_grid(params, size, mode="symlog")
+    scan = period_scan(grid, params, rtol=rtol)
     cs, ts = scan.table()
     if cs.size < 2:
         raise QuadratureNonConvergence(
@@ -372,7 +343,6 @@ def energy_roots(
     table: tuple[np.ndarray, np.ndarray],
     *,
     rtol: float = 1e-10,
-    clamp: float = BAND_CLAMP,
     root_rtol: float = 1e-12,
 ) -> list[float]:
     """All energies c in the table range with T(c) = tau, ascending in c.
@@ -386,7 +356,7 @@ def energy_roots(
     roots: list[float] = []
 
     def h(c: float) -> float:
-        return period_quadrature(c, params, rtol=rtol, clamp=clamp).T - tau
+        return period_quadrature(c, params, rtol=rtol).T - tau
 
     diffs = ts - tau
     for i in range(len(cs) - 1):

@@ -29,7 +29,7 @@ from .errors import (
     ThresholdViolation,
     TooFewSamples,
 )
-from .integrator import _acc, _force_gradient
+from .integrator import _WALL_PHASE, _acc, _wall_step
 from .model import (
     ModelParams,
     _force_coeffs,
@@ -38,13 +38,7 @@ from .model import (
     potential,
     to_warp_coords,
 )
-from .period import (
-    BAND_CLAMP,
-    energy_roots,
-    period_quadrature,
-    period_table,
-    turning_points,
-)
+from .period import energy_roots, period_quadrature, period_table, turning_points
 
 __all__ = [
     "SolutionProfile",
@@ -55,6 +49,9 @@ __all__ = [
 ]
 
 SAMPLE_COLUMNS = ("t", "x", "v", "f", "fp", "fpp")
+
+# leapfrog steps one profile integration may take
+MAX_PROFILE_STEPS = 20_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +133,6 @@ class ProfileAudit:
         return not self.breaches
 
 
-def _wall_limited_step(a: float, b: float, params: ModelParams, omega: float) -> float:
-    # resolve the stiffest local oscillation on [a, b] with ~48 substeps;
-    # the force gradient is monotone on the orbit range, extremes at a, b
-    grad = max(abs(_force_gradient(a, params)), abs(_force_gradient(b, params)), omega**2)
-    return (2.0 * math.pi / 48.0) / math.sqrt(grad)
-
-
 def profile_from_energy(
     c: float,
     params: ModelParams,
@@ -150,9 +140,7 @@ def profile_from_energy(
     *,
     period: float | None = None,
     quad_rtol: float = 1e-10,
-    clamp: float = BAND_CLAMP,
     energy_target: float = 5e-11,
-    max_total_steps: int = 20_000_000,
     root_count: int = 1,
 ) -> SolutionProfile:
     """Integrate one closed orbit at energy c and sample it uniformly.
@@ -162,7 +150,7 @@ def profile_from_energy(
     sized so the absolute energy wander of the run stays near
     energy_target, which is what keeps the energy-consistency route of
     the audit below its threshold.  Profiles extremely close to the
-    contact energy can demand more steps than max_total_steps allows;
+    contact energy can demand more steps than MAX_PROFILE_STEPS allows;
     that raises BudgetExceeded rather than silently degrading.
     """
     if n_samples < 16:
@@ -170,9 +158,9 @@ def profile_from_energy(
     if not (math.isfinite(energy_target) and energy_target > 0.0):
         raise DomainError(f"energy_target must be positive, got {energy_target}")
     consts = derive_constants(params)
-    a, b = turning_points(c, params, clamp=clamp)
+    a, b = turning_points(c, params)
     if period is None:
-        T = period_quadrature(c, params, rtol=quad_rtol, clamp=clamp).T
+        T = period_quadrature(c, params, rtol=quad_rtol).T
     else:
         T = float(period)
         if not (math.isfinite(T) and T > 0.0):
@@ -185,14 +173,15 @@ def profile_from_energy(
     # the safety factor on the step
     dt_energy = 0.4 * math.sqrt(8.0 * energy_target / e_above) / consts.omega
     dt_shape = consts.T0 / 256.0
-    dt_wall = _wall_limited_step(a, b, params, consts.omega)
+    # the force gradient is monotone on the orbit range, extremes at a, b
+    dt_wall = min(_wall_step(a, params), _wall_step(b, params), _WALL_PHASE / consts.omega)
     dt_need = min(dt_energy, dt_shape, dt_wall)
     substeps = max(1, math.ceil(seg / dt_need))
     total = (n_samples - 1) * substeps
-    if total > max_total_steps:
+    if total > MAX_PROFILE_STEPS:
         raise BudgetExceeded(
             f"profile at c = {c} needs {total} steps, over the budget of "
-            f"{max_total_steps}; this energy sits too close to the band edge"
+            f"{MAX_PROFILE_STEPS}; this energy sits too close to the band edge"
         )
     dt = seg / substeps
 
@@ -253,9 +242,6 @@ def solve_period(
     *,
     table_size: int = 160,
     quad_rtol: float = 1e-10,
-    clamp: float = BAND_CLAMP,
-    workers: int = 1,
-    energy_target: float = 5e-11,
 ) -> SolutionProfile:
     """Profile of a non-constant solution with the prescribed period T.
 
@@ -276,8 +262,8 @@ def solve_period(
         )
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
-    table = period_table(params, table_size, rtol=quad_rtol, clamp=clamp, workers=workers)
-    roots = energy_roots(T, params, table, rtol=quad_rtol, clamp=clamp)
+    table = period_table(params, table_size, rtol=quad_rtol)
+    roots = energy_roots(T, params, table, rtol=quad_rtol)
     if not roots:
         t_min, t_max = float(np.min(table[1])), float(np.max(table[1]))
         raise NoBracket(
@@ -292,8 +278,6 @@ def solve_period(
         n_samples,
         period=T,
         quad_rtol=quad_rtol,
-        clamp=clamp,
-        energy_target=energy_target,
         root_count=len(roots),
     )
     return profile

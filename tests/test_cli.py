@@ -80,11 +80,17 @@ def test_scan_band_option(capsys):
     assert float(rows[-1][0]) == -0.2
 
 
-def test_scan_threads_do_not_change_bytes(capsys):
-    base = ("period", "--n", "6", "--R", "2", "--Rt", "2", "--scan", "6")
-    _, serial, _ = run_cli(capsys, *base, "--threads", "1")
-    _, threaded, _ = run_cli(capsys, *base, "--threads", "2")
-    assert serial == threaded
+def test_scan_reports_failed_point_and_keeps_the_rest(capsys):
+    # the first point lies below c_min = -0.75
+    code, out, err = run_cli(
+        capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
+        "--scan", "5", "--band=-0.8,-0.2",
+    )
+    assert code == 0
+    assert err.startswith("# point 0 at c = -0.80000000000000004 failed: ")
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 4
+    assert float(rows[0].split(",")[0]) == -0.65
 
 
 def test_solve_writes_verifiable_profile(tmp_path, capsys):

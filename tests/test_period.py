@@ -165,14 +165,18 @@ def test_scan_preserves_grid_order_and_reports_failures(p3):
         assert spec.c == pytest.approx(float(c), rel=1e-15)
 
 
-def test_scan_parallel_workers_agree_bitwise(p3):
-    grid = energy_grid(p3, 10, mode="symlog", s_lo=1e-6, s_hi=1e-6)
-    serial = period_scan(grid, p3, workers=1)
-    parallel = period_scan(grid, p3, workers=2)
-    for one, two in zip(serial.entries, parallel.entries):
-        assert one.T == two.T
-        assert one.a == two.a
-        assert one.b == two.b
+def test_scan_continues_past_a_failed_point(p3, k3):
+    grid = list(energy_grid(p3, 6, mode="log", s_lo=1e-4, s_hi=1e-3))
+    grid[2] = k3.c_min - 1.0
+    scan = period_scan(grid, p3)
+    assert scan.entries[2] is None
+    assert len(scan.failures) == 1
+    idx, err = scan.failures[0]
+    assert idx == 2
+    assert isinstance(err, EnergyOutOfBand)
+    for i, (c, spec) in enumerate(zip(grid, scan.entries)):
+        if i != 2:
+            assert spec.c == pytest.approx(float(c), rel=1e-15)
 
 
 def test_table_inversion_recovers_energy(p3, k3):

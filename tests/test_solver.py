@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warpcsc import (
+    BudgetExceeded,
     DomainError,
     EnergyOutOfBand,
     ModelParams,
@@ -153,3 +154,10 @@ def test_profile_energy_target_tightens_conservation(p3, k3):
     drift_loose = np.max(np.abs(0.5 * loose.v**2 + potential(loose.x, p3) - c))
     drift_tight = np.max(np.abs(0.5 * tight.v**2 + potential(tight.x, p3) - c))
     assert drift_tight < drift_loose
+
+
+def test_profile_refuses_step_budget_before_integrating(p3, k3):
+    # about 31M steps are needed here; the check runs before the leapfrog loop
+    c = k3.c_min + (1.0 - 1e-6) * abs(k3.c_min)
+    with pytest.raises(BudgetExceeded, match="over the budget of 20000000"):
+        profile_from_energy(c, p3)
