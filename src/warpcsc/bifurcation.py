@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams, derive_constants
-from .period import energy_roots, period_table, turning_points
+from .period import _energy_orbits, energy_roots, period_table
 
 __all__ = [
     "BranchRow",
@@ -160,24 +160,23 @@ def scan_branches(
                                f"[{band[0]}, {band[1]}]")
                     )
                 continue
-            roots = energy_roots(tau, params, (cs, ts), rtol=quad_rtol, root_rtol=1e-11)
-            if not roots:
+            orbits = _energy_orbits(tau, params, (cs, ts), rtol=quad_rtol, root_rtol=1e-11)
+            if not orbits:
                 failures.append(
                     (T, k, f"per-wrap period {tau} inside the attained range "
                            "but no energy bracket matched")
                 )
                 continue
-            for c in roots:
-                a, b = turning_points(c, params)
+            for orbit in orbits:
                 rows.append(
                     BranchRow(
                         T=T,
                         k=k,
                         tau=tau,
-                        c=c,
-                        amplitude=b - a,
-                        f_min=a**r,
-                        f_max=b**r,
+                        c=orbit.c,
+                        amplitude=orbit.amplitude,
+                        f_min=orbit.a**r,
+                        f_max=orbit.b**r,
                     )
                 )
 

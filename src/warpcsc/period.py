@@ -52,6 +52,8 @@ BAND_CLAMP = 1e-9
 TURNING_RTOL = 1e-13
 # smallest quadrature panel, as a fraction of the half-circle in theta
 MIN_PANEL_WIDTH = 1e-13
+# quadratures one root polish in energy_roots may take
+MAX_POLISH_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -325,8 +327,18 @@ def period_table(
     """Dense (c, T) table over the clamped band, edges resolved on both sides.
 
     This is the lookup structure behind period inversion: root brackets
-    for T(c) = tau are read off between adjacent table entries.
+    for T(c) = tau are read off between adjacent table entries.  Each
+    table is built once per process for its key (params, size, rtol) and
+    kept in a cache of the 128 most recent keys; the returned arrays are
+    shared by every caller and therefore read-only.
     """
+    return _cached_table(params, size, rtol)
+
+
+@lru_cache(maxsize=128)
+def _cached_table(
+    params: ModelParams, size: int, rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
     grid = energy_grid(params, size, mode="symlog")
     scan = period_scan(grid, params, rtol=rtol)
     cs, ts = scan.table()
@@ -334,7 +346,118 @@ def period_table(
         raise QuadratureNonConvergence(
             "period table could not be built: nearly every grid point failed"
         )
+    cs.flags.writeable = False
+    ts.flags.writeable = False
     return cs, ts
+
+
+def _inverse_cubic(tau: float, cs: np.ndarray, ts: np.ndarray, i: int) -> float:
+    """c(tau) by Lagrange interpolation of c over T through the four
+    table nodes nearest the bracket [cs[i], cs[i+1]]; nan when two of
+    those periods coincide."""
+    j0 = max(0, min(i - 1, len(cs) - 4))
+    c4 = [float(c) for c in cs[j0 : j0 + 4]]
+    t4 = [float(t) for t in ts[j0 : j0 + 4]]
+    if len(set(t4)) < len(t4):
+        return math.nan
+    x = 0.0
+    for j, (cj, tj) in enumerate(zip(c4, t4)):
+        w = cj
+        for m, tm in enumerate(t4):
+            if m != j:
+                w *= (tau - tm) / (tj - tm)
+        x += w
+    return x
+
+
+def _polish(
+    tau: float,
+    params: ModelParams,
+    table: tuple[np.ndarray, np.ndarray],
+    i: int,
+    rtol: float,
+    root_rtol: float,
+) -> OrbitSpec:
+    """The orbit with T = tau inside the sign-change bracket [cs[i], cs[i+1]].
+
+    The bracket ends keep their table periods, which come from the same
+    deterministic quadrature, so they are never evaluated again.  The
+    first iterate is the inverse cubic through the nearest table nodes,
+    or regula falsi when that leaves the bracket.  The step after a
+    cubic seed reads the cubic again at the period just computed, which
+    cancels most of its interpolation error; secant steps follow.  A
+    step that leaves the bracket or fails to halve the step before it is
+    replaced by one towards the far bracket end, twice the previous step
+    or half the way there, whichever is shorter: near the root this
+    crosses it, far from it this bisects.  The polish stops once a step
+    is at most root_rtol * |c| and returns the last evaluated orbit.
+    """
+    cs, ts = table
+    lo, hi = float(cs[i]), float(cs[i + 1])
+    f_lo, f_hi = float(ts[i]) - tau, float(ts[i + 1]) - tau
+    x = _inverse_cubic(tau, cs, ts, i)
+    seeded = lo < x < hi
+    if not seeded:
+        x = min(max(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo), hi)
+    # the secant partner is the nearer bracket end, or the far one for a
+    # regula falsi iterate that rounded onto an end
+    if x == hi or (x != lo and x - lo < hi - x):
+        x_prev, f_prev = lo, f_lo
+    else:
+        x_prev, f_prev = hi, f_hi
+    last = hi - lo
+    for _ in range(MAX_POLISH_STEPS):
+        spec = period_quadrature(x, params, rtol=rtol)
+        f = spec.T - tau
+        if f == 0.0:
+            return spec
+        if (f < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f
+        else:
+            hi, f_hi = x, f
+        if seeded:
+            step = x - _inverse_cubic(spec.T, cs, ts, i)
+            seeded = False
+        elif f != f_prev:
+            step = -f * (x - x_prev) / (f - f_prev)
+        else:
+            step = math.inf
+        tol = root_rtol * abs(x)
+        if abs(step) <= tol:
+            return spec
+        if not (lo < x + step < hi and abs(step) <= 0.5 * abs(last)):
+            far = hi if x == lo else lo
+            step = math.copysign(min(2.0 * abs(last), 0.5 * abs(far - x)), far - x)
+            if abs(step) <= tol:
+                return spec
+        x_prev, f_prev, last = x, f, step
+        x += step
+    raise QuadratureNonConvergence(
+        f"period inversion at tau = {tau} did not settle in {MAX_POLISH_STEPS} steps"
+    )
+
+
+def _energy_orbits(
+    tau: float,
+    params: ModelParams,
+    table: tuple[np.ndarray, np.ndarray],
+    *,
+    rtol: float,
+    root_rtol: float,
+) -> list[OrbitSpec]:
+    """The polished orbits behind energy_roots, ascending in c."""
+    cs, ts = table
+    diffs = ts - tau
+    found: dict[float, OrbitSpec] = {}
+    for i in range(len(cs)):
+        if diffs[i] == 0.0:
+            spec = period_quadrature(float(cs[i]), params, rtol=rtol)
+        elif i + 1 < len(cs) and diffs[i] * diffs[i + 1] < 0.0:
+            spec = _polish(tau, params, table, i, rtol, root_rtol)
+        else:
+            continue
+        found.setdefault(spec.c, spec)
+    return [found[c] for c in sorted(found)]
 
 
 def energy_roots(
@@ -348,23 +471,13 @@ def energy_roots(
     """All energies c in the table range with T(c) = tau, ascending in c.
 
     Brackets come from sign changes of T - tau between adjacent table
-    entries; each bracket is polished with Brent's method on the
-    quadrature period.  An empty list means the scanned period range
-    never attains tau.
+    entries.  Each bracket is polished on the quadrature period from a
+    seed interpolated in the table (inverse cubic through the four
+    nearest nodes), then by secant steps safeguarded with bisection; the
+    bracket ends reuse their table periods.  A root is accepted once the
+    next step would be at most root_rtol * |c|, which takes about three
+    quadratures.  An empty list means the scanned period range never
+    attains tau.
     """
-    cs, ts = table
-    roots: list[float] = []
-
-    def h(c: float) -> float:
-        return period_quadrature(c, params, rtol=rtol).T - tau
-
-    diffs = ts - tau
-    for i in range(len(cs) - 1):
-        d0, d1 = diffs[i], diffs[i + 1]
-        if d0 == 0.0:
-            roots.append(float(cs[i]))
-        elif d0 * d1 < 0.0:
-            roots.append(float(brentq(h, cs[i], cs[i + 1], xtol=1e-300, rtol=root_rtol)))
-    if len(diffs) and diffs[-1] == 0.0:
-        roots.append(float(cs[-1]))
-    return sorted(set(roots))
+    orbits = _energy_orbits(tau, params, table, rtol=rtol, root_rtol=root_rtol)
+    return [orbit.c for orbit in orbits]

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import warpcsc.period as period_mod
 from warpcsc import (
     DomainError,
     EnergyOutOfBand,
@@ -196,3 +198,108 @@ def test_table_inversion_outside_band_is_empty(p3, k3):
 def test_quadrature_nonconvergence_surfaces(p3):
     with pytest.raises(QuadratureNonConvergence):
         period_quadrature(-0.225, p3, rtol=1e-16, max_panels=8)
+
+
+def test_period_table_is_built_once_per_key(monkeypatch):
+    scans = []
+    real_scan = period_mod.period_scan
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(period_mod, "period_scan", counting_scan)
+    # a parameter set no other test uses, so its table is not cached yet
+    params = ModelParams(5, 1.3, 0.7)
+    first = period_table(params, 24)
+    second = period_table(params, 24)
+    assert len(scans) == 1
+    assert second[0] is first[0] and second[1] is first[1]
+    for arr in second:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    period_table(params, 32)
+    period_table(params, 24, rtol=1e-9)
+    period_table(ModelParams(5, 1.3, 0.8), 24)
+    assert len(scans) == 4
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 12])
+def test_inversion_matches_brentq_in_about_three_quadratures(n, monkeypatch):
+    params = ModelParams(n, 2.0, 2.0)
+    depth = abs(derive_constants(params).c_min)
+    rtol = 1e-10
+    cs, ts = period_table(params, rtol=rtol)
+    mid = len(ts) // 2
+    taus = list(np.linspace(ts.min(), ts.max(), 17)[1:-1])
+    taus += [ts[mid], np.nextafter(ts[mid], -np.inf), np.nextafter(ts[mid], np.inf)]
+    taus = [float(t) for t in taus]
+
+    def brentq_roots(tau):
+        # the plain inversion: Brent's method on every sign-change bracket
+        def h(c):
+            return period_quadrature(c, params, rtol=rtol).T - tau
+
+        d = ts - tau
+        roots = {float(c) for c, dc in zip(cs, d) if dc == 0.0}
+        roots |= {
+            brentq(h, cs[i], cs[i + 1], xtol=1e-300, rtol=1e-12)
+            for i in range(len(cs) - 1)
+            if d[i] * d[i + 1] < 0.0
+        }
+        return sorted(roots)
+
+    expected = [brentq_roots(tau) for tau in taus]
+
+    calls = []
+    real_quadrature = period_mod.period_quadrature
+
+    def counting_quadrature(*args, **kwargs):
+        calls.append(args)
+        return real_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(period_mod, "period_quadrature", counting_quadrature)
+    found, per_root = [], []
+    for tau in taus:
+        calls.clear()
+        roots = energy_roots(tau, params, (cs, ts), rtol=rtol)
+        found.append(roots)
+        per_root.append(len(calls) / max(len(roots), 1))
+    monkeypatch.undo()
+
+    for tau, roots, ref in zip(taus, found, expected):
+        assert len(roots) == len(ref), f"tau = {tau}"
+        for c, c_ref in zip(roots, ref):
+            assert abs(c - c_ref) <= 1e-9 * depth
+            T = period_quadrature(c, params, rtol=rtol).T
+            assert abs(T / tau - 1.0) <= 10.0 * rtol
+    assert np.median(per_root) <= 3.0
+
+
+@pytest.mark.parametrize("n", [5, 6, 12])
+def test_small_amplitude_slope_matches_closed_form(n):
+    # anharmonic correction T/T0 - 1 = kappa_n * s + O(s^2)
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    kappa = (n - 4) * (n - 1) / (12.0 * n * (n - 2))
+    s = 1e-4
+    T = period_quadrature(k.c_min + s * abs(k.c_min), params).T
+    assert (T / k.T0 - 1.0) / s == pytest.approx(kappa, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 12])
+def test_table_periods_lie_in_closed_form_band(n):
+    # orbit periods run from T0 at the well bottom to sqrt(n)/2 * T0 at contact
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    lo, hi = sorted((T0, math.sqrt(n) / 2.0 * T0))
+    _, ts = period_table(params)
+    assert np.all(ts > lo)
+    assert np.all(ts < hi)
+
+
+def test_polish_that_cannot_settle_raises(monkeypatch, p3):
+    monkeypatch.setattr(period_mod, "MAX_POLISH_STEPS", 1)
+    table = period_table(p3, 96)
+    with pytest.raises(QuadratureNonConvergence, match="did not settle in 1 steps"):
+        energy_roots(FROZEN_ORBITS[0][6], p3, table)
