@@ -14,12 +14,18 @@ pre-crossing state gives
 
 which matches the full step at tau = dt exactly, so the refined time is
 consistent with the trajectory actually computed.
+
+Every run, here and in the profile integration of `solver`, steps through
+one kernel, the generator `_leapfrog`.  It yields the state after each
+step and knows no stopping rule: a section search, a period measurement,
+a drift run or a profile sampler each consume it their own way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from scipy.optimize import brentq
 
@@ -82,26 +88,34 @@ class DriftReport:
     n_steps: int
 
 
+def _leapfrog(x: float, v: float, dt: float, params: ModelParams):
+    """Yield (x, v) after each kick-drift-kick step of size dt from (x, v).
+
+    The acceleration -force(x) = k2 x^e - k1 x is written out so the loop
+    makes no call per step.  For n = 4, e = 0.0 and x**0.0 == 1.0, so the
+    same line gives k2 - k1 x exactly.
+    """
+    k1, k2, e = _force_coeffs(params)
+    half = 0.5 * dt
+    acc = k2 * x**e - k1 * x
+    while True:
+        vh = v + half * acc
+        x = x + dt * vh
+        if x <= 0.0:
+            raise PositivityViolation(
+                f"leapfrog step of size {dt} reached x = {x} <= 0; reduce dt"
+            )
+        acc = k2 * x**e - k1 * x
+        v = vh + half * acc
+        yield x, v
+
+
 def leapfrog_step(state: PhaseState, dt: float, params: ModelParams) -> PhaseState:
     """One kick-drift-kick step.  Negative dt steps backwards in time."""
     if not math.isfinite(dt):
         raise DomainError(f"dt must be finite, got {dt}")
-    half = 0.5 * dt
-    vh = state.v - half * force(state.x, params)
-    x1 = state.x + dt * vh
-    if x1 <= 0.0:
-        raise PositivityViolation(
-            f"step of size {dt} from x = {state.x} left the positive half-line"
-        )
-    v1 = vh - half * force(x1, params)
+    x1, v1 = next(_leapfrog(state.x, state.v, dt, params))
     return PhaseState(t=state.t + dt, x=x1, v=v1)
-
-
-def _acc(x: float, k1: float, k2: float, e: float, affine: bool) -> float:
-    # acceleration -force(x); inlined power for the hot loops
-    if affine:
-        return k2 - k1 * x
-    return k2 * x**e - k1 * x
 
 
 def _wall_step(x: float, params: ModelParams) -> float:
@@ -111,21 +125,22 @@ def _wall_step(x: float, params: ModelParams) -> float:
     it sets no limit and the step is infinite.
     """
     k1, k2, e = _force_coeffs(params)
-    grad = k1 if params.n == 4 else k1 - e * k2 * x ** (e - 1.0)
-    local = math.sqrt(abs(grad))
+    local = math.sqrt(abs(k1 - e * k2 * x ** (e - 1.0)))
     return _WALL_PHASE / local if local > 0.0 else math.inf
 
 
 def _refine_crossing(
-    x0: float, v0: float, a0: float, dt: float, k1: float, k2: float, e: float, affine: bool
+    x0: float, v0: float, dt: float, params: ModelParams
 ) -> tuple[float, float, float]:
-    """Locate v = 0 inside one step; returns (tau, x(tau), v(tau))."""
+    """Locate v = 0 in the step of size dt from (x0, v0); returns (tau, x(tau), v(tau))."""
+    k1, k2, e = _force_coeffs(params)
+    a0 = k2 * x0**e - k1 * x0
 
     def v_of(tau: float) -> float:
         xm = x0 + tau * (v0 + 0.5 * tau * a0)
         if xm <= 0.0:
             raise PositivityViolation("crossing refinement left the positive half-line")
-        return v0 + 0.5 * tau * (a0 + _acc(xm, k1, k2, e, affine))
+        return v0 + 0.5 * tau * (a0 + (k2 * xm**e - k1 * xm))
 
     v_end = v_of(dt)
     if v0 == 0.0:
@@ -165,33 +180,22 @@ def integrate_until_section(
         raise EnergyOutOfBand(
             f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
         )
-    k1, k2, e = _force_coeffs(params)
-    affine = params.n == 4
     dt = config.dt
     x, v = state.x, state.v
-    acc = _acc(x, k1, k2, e, affine)
-    half = 0.5 * dt
-    for step in range(config.max_steps):
-        vh = v + half * acc
-        x1 = x + dt * vh
-        if x1 <= 0.0:
-            raise PositivityViolation(
-                f"section search hit x <= 0 after {step} steps; reduce dt"
-            )
-        acc1 = _acc(x1, k1, k2, e, affine)
-        v1 = vh + half * acc1
+    steps = islice(_leapfrog(x, v, dt, params), config.max_steps)
+    for step, (x1, v1) in enumerate(steps):
         crossed = (v * v1 < 0.0) or (v1 == 0.0 and v != 0.0)
         if crossed:
             sign_after = 1.0 if (v1 > 0.0 or (v1 == 0.0 and v < 0.0)) else -1.0
             if direction == 0 or sign_after == direction:
-                tau, xr, vr = _refine_crossing(x, v, acc, dt, k1, k2, e, affine)
+                tau, xr, vr = _refine_crossing(x, v, dt, params)
                 elapsed = step * dt + tau
                 if abs(vr) > config.tol * scale_v:
                     raise BudgetExceeded(
                         f"crossing refinement stalled at |v| = {abs(vr)}"
                     )
                 return PhaseState(t=state.t + elapsed, x=xr, v=vr), elapsed
-        x, v, acc = x1, v1, acc1
+        x, v = x1, v1
     raise BudgetExceeded(
         f"no section crossing within {config.max_steps} steps of size {dt}"
     )
@@ -238,30 +242,20 @@ def _measure_half_gap(
     Returns (t_first, t_second, energy_wander).  The gap is one full
     period regardless of where on the orbit the launch point sits.
     """
-    k1, k2, e = _force_coeffs(params)
-    affine = params.n == 4
     A, Bq, q = _potential_coeffs(params)
     x, v = x0, v0
-    acc = _acc(x, k1, k2, e, affine)
     e0 = 0.5 * v0 * v0 + A * x0 * x0 - Bq * x0**q
     wander = 0.0
-    half = 0.5 * dt
     times: list[float] = []
-    for step in range(budget):
-        vh = v + half * acc
-        x1 = x + dt * vh
-        if x1 <= 0.0:
-            raise PositivityViolation("period measurement hit x <= 0; reduce dt")
-        acc1 = _acc(x1, k1, k2, e, affine)
-        v1 = vh + half * acc1
-        if (v > 0.0 and v1 <= 0.0) and not (v1 == 0.0 and v == 0.0):
-            tau, _, _ = _refine_crossing(x, v, acc, dt, k1, k2, e, affine)
+    for step, (x1, v1) in enumerate(islice(_leapfrog(x0, v0, dt, params), budget)):
+        if v > 0.0 >= v1:
+            tau, _, _ = _refine_crossing(x, v, dt, params)
             times.append(step * dt + tau)
             if len(times) == 2:
                 e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
                 wander = max(wander, abs(e1 - e0))
                 return times[0], times[1], wander
-        x, v, acc = x1, v1, acc1
+        x, v = x1, v1
         if step % 1024 == 0:
             e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
             wander = max(wander, abs(e1 - e0))
@@ -328,33 +322,24 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
         raise EnergyOutOfBand(
             f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
         )
-    k1, k2, e = _force_coeffs(params)
-    affine = params.n == 4
     A, Bq, q = _potential_coeffs(params)
     x = consts.x_star
     v = math.sqrt(2.0 * e_above)
-    acc = _acc(x, k1, k2, e, affine)
     e0 = 0.5 * v * v + A * x * x - Bq * x**q
-    half = 0.5 * dt
-    max_dev = 0.0
+    steps = _leapfrog(x, v, dt, params)
     halfway = n_steps // 2
-    sum_first = 0.0
-    sum_second = 0.0
-    for step in range(n_steps):
-        vh = v + half * acc
-        x = x + dt * vh
-        if x <= 0.0:
-            raise PositivityViolation("drift run hit x <= 0; reduce dt")
-        acc = _acc(x, k1, k2, e, affine)
-        v = vh + half * acc
-        ei = 0.5 * v * v + A * x * x - Bq * x**q
-        dev = abs(ei - e0)
-        if dev > max_dev:
-            max_dev = dev
-        if step < halfway:
-            sum_first += ei
-        else:
-            sum_second += ei
+    max_dev = 0.0
+    sums = []
+    for count in (halfway, n_steps - halfway):
+        total = 0.0
+        for x, v in islice(steps, count):
+            ei = 0.5 * v * v + A * x * x - Bq * x**q
+            dev = abs(ei - e0)
+            if dev > max_dev:
+                max_dev = dev
+            total += ei
+        sums.append(total)
+    sum_first, sum_second = sums
     scale = max(abs(consts.c_min), abs(c))
     secular = abs(sum_second / (n_steps - halfway) - sum_first / halfway)
     return DriftReport(

@@ -160,17 +160,14 @@ def force(x, params: ModelParams):
     """Restoring force of the reduced oscillator, defined for x > 0.
 
     Scalar in, scalar out; arrays map elementwise.  For n = 4 the
-    exponent 1 - 4/n vanishes and the force is affine, which is why that
-    dimension is isochronous.
+    exponent 1 - 4/n vanishes and the force k1 x - k2 has a constant
+    gradient, which is why that dimension is isochronous.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("force requires x > 0")
     k1, k2, e = _force_coeffs(params)
-    if params.n == 4:
-        out = k1 * arr - k2
-    else:
-        out = k1 * arr - k2 * arr**e
+    out = k1 * arr - k2 * arr**e
     return float(out) if arr.ndim == 0 else out
 
 

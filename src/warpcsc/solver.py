@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -26,13 +27,13 @@ from .errors import (
     BudgetExceeded,
     DomainError,
     NoBracket,
+    PositivityViolation,
     ThresholdViolation,
     TooFewSamples,
 )
-from .integrator import _WALL_PHASE, _acc, _wall_step
+from .integrator import _WALL_PHASE, _leapfrog, _wall_step
 from .model import (
     ModelParams,
-    _force_coeffs,
     curvature_residual,
     derive_constants,
     potential,
@@ -149,9 +150,11 @@ def profile_from_energy(
     origin at a minimum of the warp.  The substep count per sample is
     sized so the absolute energy wander of the run stays near
     energy_target, which is what keeps the energy-consistency route of
-    the audit below its threshold.  Profiles extremely close to the
-    contact energy can demand more steps than MAX_PROFILE_STEPS allows;
-    that raises BudgetExceeded rather than silently degrading.
+    the audit below its threshold.  On shallow wells one part in 1e9 of
+    the well depth is the tighter target, so those orbits still close.
+    Profiles extremely close to the contact energy can demand more steps
+    than MAX_PROFILE_STEPS allows; that raises BudgetExceeded rather than
+    silently degrading.
     """
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
@@ -171,7 +174,8 @@ def profile_from_energy(
     # oscillatory wander of leapfrog is about e * (omega dt)^2 / 8 at
     # leading order; anharmonic terms push it a few times higher, hence
     # the safety factor on the step
-    dt_energy = 0.4 * math.sqrt(8.0 * energy_target / e_above) / consts.omega
+    target = min(energy_target, 1e-9 * abs(consts.c_min))
+    dt_energy = 0.4 * math.sqrt(8.0 * target / e_above) / consts.omega
     dt_shape = consts.T0 / 256.0
     # the force gradient is monotone on the orbit range, extremes at a, b
     dt_wall = min(_wall_step(a, params), _wall_step(b, params), _WALL_PHASE / consts.omega)
@@ -185,26 +189,18 @@ def profile_from_energy(
         )
     dt = seg / substeps
 
-    k1, k2, e = _force_coeffs(params)
-    affine = params.n == 4
-    half = 0.5 * dt
-    x, v = a, 0.0
-    acc = _acc(x, k1, k2, e, affine)
     xs = np.empty(n_samples)
     vs = np.empty(n_samples)
-    xs[0], vs[0] = x, v
-    for i in range(1, n_samples):
-        for _ in range(substeps):
-            vh = v + half * acc
-            x = x + dt * vh
-            if x <= 0.0:
-                raise BudgetExceeded(
-                    f"profile integration at c = {c} lost positivity; "
-                    "energy_target too loose for this orbit"
-                )
-            acc = _acc(x, k1, k2, e, affine)
-            v = vh + half * acc
-        xs[i], vs[i] = x, v
+    xs[0], vs[0] = a, 0.0
+    steps = _leapfrog(a, 0.0, dt, params)
+    try:
+        for i in range(1, n_samples):
+            xs[i], vs[i] = next(islice(steps, substeps - 1, None))
+    except PositivityViolation as err:
+        raise BudgetExceeded(
+            f"profile integration at c = {c} lost positivity; "
+            "energy_target too loose for this orbit"
+        ) from err
 
     ts = np.arange(n_samples, dtype=float) * seg
     f, fp, fpp = to_warp_coords(xs, vs, params)

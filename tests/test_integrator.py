@@ -21,6 +21,7 @@ from warpcsc import (
     leapfrog_step,
     period_return_map,
 )
+from warpcsc.model import _force_coeffs, _potential_coeffs
 
 # mpmath (dps=40) reference period for n=3, R=Rt=2 at c = -0.225
 T_REF_N3 = 5.8985046008834841
@@ -44,6 +45,47 @@ def test_step_is_time_reversible(p5):
     assert back.x == pytest.approx(state.x, abs=1e-15)
     assert back.v == pytest.approx(state.v, abs=1e-15)
     assert back.t == pytest.approx(0.0, abs=1e-18)
+
+
+def test_n4_steps_follow_the_hand_formula_bit_for_bit(p4, k4):
+    """For n = 4 the general force line reduces to k2 - k1 x exactly."""
+    k1, k2, _ = _force_coeffs(p4)
+    dt = k4.T0 / 64.0
+    half = 0.5 * dt
+    x, v = 1.3 * k4.x_star, 0.1
+    state = PhaseState(t=0.0, x=x, v=v)
+    for _ in range(1000):
+        state = leapfrog_step(state, dt, p4)
+        vh = v + half * (k2 - k1 * x)
+        x = x + dt * vh
+        v = vh + half * (k2 - k1 * x)
+        assert (state.x, state.v) == (x, v)
+
+
+def test_drift_of_odd_run_matches_stepwise_reference_bit_for_bit(p3, k3):
+    """The halves of a 7-step run are 3 and 4 steps of the same kernel."""
+    c = k3.c_min + 0.5 * abs(k3.c_min)
+    dt, n_steps = k3.T0 / 100.0, 7
+    rep = energy_drift(c, p3, dt, n_steps)
+
+    A, Bq, q = _potential_coeffs(p3)
+    state = PhaseState(t=0.0, x=k3.x_star, v=math.sqrt(2.0 * (c - k3.c_min)))
+    e0 = 0.5 * state.v * state.v + A * state.x * state.x - Bq * state.x**q
+    energies = []
+    for _ in range(n_steps):
+        state = leapfrog_step(state, dt, p3)
+        energies.append(0.5 * state.v * state.v + A * state.x * state.x - Bq * state.x**q)
+    halfway = n_steps // 2
+    sum_first = sum_second = 0.0
+    for ei in energies[:halfway]:
+        sum_first += ei
+    for ei in energies[halfway:]:
+        sum_second += ei
+    secular = abs(sum_second / (n_steps - halfway) - sum_first / halfway)
+    max_dev = max(abs(ei - e0) for ei in energies)
+    assert rep.max_rel == max_dev / rep.scale
+    assert rep.secular_rel == secular / rep.scale
+    assert rep.n_steps == n_steps
 
 
 def test_energy_wander_scales_quadratically_in_dt(p3, k3):

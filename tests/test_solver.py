@@ -12,6 +12,7 @@ from warpcsc import (
     ThresholdViolation,
     TooFewSamples,
     audit_profile,
+    curvature_audit,
     derive_constants,
     energy,
     potential,
@@ -161,3 +162,14 @@ def test_profile_refuses_step_budget_before_integrating(p3, k3):
     c = k3.c_min + (1.0 - 1e-6) * abs(k3.c_min)
     with pytest.raises(BudgetExceeded, match="over the budget of 20000000"):
         profile_from_energy(c, p3)
+
+
+def test_shallow_well_solves_and_passes_both_audits():
+    # |c_min| = 5.6e-4 here; an absolute 5e-11 energy target alone left
+    # the orbit open by 1.4e-8 at this period
+    p = ModelParams(12, 2.0, 5.0)
+    k = derive_constants(p)
+    prof = solve_period(1.10 * k.T0, p)
+    assert prof.closure_error < 1e-8
+    assert audit_profile(prof).ok
+    assert curvature_audit(prof).passed
