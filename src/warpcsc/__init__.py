@@ -58,9 +58,11 @@ from .model import (
 )
 from .period import (
     OrbitSpec,
+    PeriodCurve,
     PeriodScan,
     energy_grid,
     energy_roots,
+    period_curve,
     period_quadrature,
     period_scan,
     period_table,
@@ -101,6 +103,8 @@ __all__ = [
     "period_quadrature",
     "period_scan",
     "energy_grid",
+    "PeriodCurve",
+    "period_curve",
     "period_table",
     "energy_roots",
     "SolutionProfile",

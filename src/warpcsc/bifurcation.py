@@ -2,12 +2,19 @@
 
 A metric circle of period T hosts a non-constant solution wrapping k
 oscillations exactly when T/k lies in the range the orbit period T(c)
-actually attains over the energy band.  The diagram scan walks a grid
-of circle periods, enumerates the wrap counts worth trying at each, and
-records one row per realized (T, k, energy) combination.  Branch points
-are read off as the grid locations where a branch's amplitude decays to
-zero against an adjacent empty cell; with a 400-point grid they land
-within one cell of the true emergence period of that branch.
+actually attains over the energy band.  Both questions here are asked
+of the period curve of the dimension (`period.period_curve`), which one
+build per n shares across every R and Rt: `count_solutions` tests T/k
+against its range, and the diagram scan walks a grid of circle periods,
+enumerates the wrap counts worth trying at each, and inverts the curve
+for one row per realized (T, k, energy) combination.  Two diagrams of
+one n and different (R, Rt) thus cost one curve, and a scan polishes on
+the quadrature only where the curve's measured error says so.
+
+Branch points are read off as the grid locations where a branch's
+amplitude decays to zero against an adjacent empty cell; with a
+400-point grid they land within one cell of the true emergence period
+of that branch.
 
 For dimension 4 the oscillator is isochronous: every orbit has period
 exactly T0, the period map carries no information about amplitude, and
@@ -24,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams, derive_constants
-from .period import _energy_orbits, energy_roots, period_table
+from .period import period_curve
 
 __all__ = [
     "BranchRow",
@@ -36,10 +43,8 @@ __all__ = [
 
 # amplitude below this fraction of x_star counts as a vanished branch
 VANISH_REL = 1e-6
-# quadrature tolerance of the period table and its inversion
+# quadrature tolerance of the period curve and its polish
 QUAD_RTOL = 1e-9
-# period table resolution behind count_solutions when no table is given
-COUNT_TABLE_SIZE = 192
 
 
 @dataclass(frozen=True)
@@ -112,14 +117,15 @@ def scan_branches(
     params: ModelParams,
     grid_size: int = 400,
     *,
-    table_size: int = 256,
     quad_rtol: float = QUAD_RTOL,
 ) -> BifurcationDiagram:
     """Scan circle periods in (T0, T_max] and assemble the branch diagram.
 
-    Per-point failures (a wrap count whose per-wrap period is not
-    attained) are recorded with their reason, never fatal.  Isochronous
-    parameter sets short-circuit to the degenerate flag.
+    Rows come from the period curve of params.n with nodes at quad_rtol;
+    the band is the curve's range.  Per-point failures (a wrap count
+    whose per-wrap period is not attained) are recorded with their
+    reason, never fatal.  Isochronous parameter sets short-circuit to
+    the degenerate flag.
     """
     consts = derive_constants(params)
     T0 = consts.T0
@@ -128,8 +134,8 @@ def scan_branches(
     if grid_size < 16:
         raise DomainError(f"grid_size must be >= 16, got {grid_size}")
 
-    cs, ts = period_table(params, table_size, rtol=quad_rtol)
-    band = (float(np.min(ts)), float(np.max(ts)))
+    curve = period_curve(params.n, quad_rtol)
+    band = (curve.band[0] * T0, curve.band[1] * T0)
     step = (T_max - T0) / grid_size
     t_grid = tuple(T0 + (j + 1) * step for j in range(grid_size))
 
@@ -160,25 +166,24 @@ def scan_branches(
                                f"[{band[0]}, {band[1]}]")
                     )
                 continue
-            orbits = _energy_orbits(tau, params, (cs, ts), rtol=quad_rtol, root_rtol=1e-11)
-            if not orbits:
+            orbit = curve.orbit(tau, params, root_rtol=1e-11)
+            if orbit is None:
                 failures.append(
                     (T, k, f"per-wrap period {tau} inside the attained range "
-                           "but no energy bracket matched")
+                           "but past the end of the period curve")
                 )
                 continue
-            for orbit in orbits:
-                rows.append(
-                    BranchRow(
-                        T=T,
-                        k=k,
-                        tau=tau,
-                        c=orbit.c,
-                        amplitude=orbit.amplitude,
-                        f_min=orbit.a**r,
-                        f_max=orbit.b**r,
-                    )
+            rows.append(
+                BranchRow(
+                    T=T,
+                    k=k,
+                    tau=tau,
+                    c=orbit.c,
+                    amplitude=orbit.amplitude,
+                    f_min=orbit.a**r,
+                    f_max=orbit.b**r,
                 )
+            )
 
     branch_points = _detect_branch_points(rows, t_grid, consts.x_star)
     return BifurcationDiagram(
@@ -250,20 +255,18 @@ def count_solutions(
     """Number of branch families alive at circle period T.
 
     Counts the wrap counts k for which T/k exceeds the threshold T0 and
-    the period map attains T/k at some bracketed energy.  Returns 0 for
-    any T at or below T0.  Note the threshold filter is one-sided: wrap
-    periods below T0 are not counted even when the attained period range
-    extends below the threshold, as it does for n = 3.
+    lies in the range the period curve attains; the curve is monotone,
+    so that range holds exactly one orbit per k, and no quadrature runs
+    beyond the curve's build.  Returns 0 for any T at or below T0.  Note
+    the threshold filter is one-sided: wrap periods below T0 are not
+    counted even when the attained period range extends below the
+    threshold, as it does for n = 3.  table is accepted for callers of
+    the table-based count and not read.
     """
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")
     consts = derive_constants(params)
     if T <= consts.T0 * (1.0 + 1e-9):
         return 0
-    if table is None:
-        table = period_table(params, COUNT_TABLE_SIZE, rtol=QUAD_RTOL)
-    count = 0
-    for k in _classical_wraps(T, consts.T0):
-        if energy_roots(T / k, params, table, rtol=QUAD_RTOL, root_rtol=1e-11):
-            count += 1
-    return count
+    lo, hi = period_curve(params.n, QUAD_RTOL).band
+    return sum(1 for k in _classical_wraps(T, consts.T0) if lo <= T / k / consts.T0 <= hi)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .geometry import conformal_field_check, curvature_audit
 from .model import ModelParams, derive_constants
-from .period import energy_grid, period_quadrature, period_scan
+from .period import energy_grid, period_curve, period_quadrature, period_scan
 from .solver import SAMPLE_COLUMNS, SolutionProfile, audit_profile, solve_period
 
 __all__ = ["main"]
@@ -201,7 +201,6 @@ def cmd_solve(args) -> int:
         args.period,
         params,
         args.samples,
-        table_size=args.table_size,
         quad_rtol=args.rtol,
     )
     _emit(_render(profile_to_doc(profile)), args.out)
@@ -214,7 +213,6 @@ def cmd_bifurcate(args) -> int:
         args.tmax,
         params,
         args.grid,
-        table_size=args.table_size,
         quad_rtol=args.rtol,
     )
     rows = [
@@ -224,12 +222,15 @@ def cmd_bifurcate(args) -> int:
     if args.points:
         _emit(_csv(["k", "T"], [(bp.k, bp.T) for bp in diagram.branch_points]), args.points)
     lo, hi = diagram.band
+    curve = period_curve(params.n, args.rtol)
     print(
         f"# attained per-wrap periods: [{_scalar(lo)}, {_scalar(hi)}]; "
         f"threshold T0 = {_scalar(diagram.T0)}; "
         f"{len(diagram.rows)} rows, {len(diagram.branch_points)} branch points, "
         f"{len(diagram.failures)} misses"
-        + ("; isochronous degenerate case" if diagram.degenerate_isochronous else ""),
+        + ("; isochronous degenerate case" if diagram.degenerate_isochronous else "")
+        + f"; period curve: {curve.quadratures} quadratures, "
+        f"err_est {_scalar(curve.err_est)}",
         file=sys.stderr,
     )
     return 0
@@ -333,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_sol)
     p_sol.add_argument("--period", type=float, required=True, help="target circle period T")
     p_sol.add_argument("--samples", type=int, default=512, help="samples per period, >= 16")
-    p_sol.add_argument("--table-size", type=int, default=160, help="period table resolution")
     p_sol.add_argument("--rtol", type=float, default=1e-10, help="quadrature relative tolerance")
     _add_out(p_sol)
     p_sol.set_defaults(handler=cmd_solve)
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_bif)
     p_bif.add_argument("--tmax", type=float, required=True, help="largest circle period scanned")
     p_bif.add_argument("--grid", type=int, default=400, help="number of grid points above T0")
-    p_bif.add_argument("--table-size", type=int, default=256, help="period table resolution")
     p_bif.add_argument("--rtol", type=float, default=1e-9, help="quadrature relative tolerance")
     p_bif.add_argument("--points", default=None, metavar="FILE",
                        help="also write detected branch points as CSV to FILE")

@@ -1,9 +1,11 @@
 """Solving for periodic warp profiles of a prescribed period.
 
-The solver inverts the period map: scan T(c) over the energy band, find
-the energies whose orbit period equals the request, then integrate the
-reduced oscillator over one full period and push the samples back to
-warp coordinates.  A profile is stored as a closed loop of samples
+The solver inverts the period map on the period curve of the dimension
+(`period.period_curve`, one per n, shared by every R and Rt): the curve
+gives the energy whose orbit period equals the request and one
+quadrature confirms it.  The solver then integrates the reduced
+oscillator over one full period and pushes the samples back to warp
+coordinates.  A profile is stored as a closed loop of samples
 (t, x, v, f, f', f'') with the endpoint repeated at t = T so consumers
 can treat it as one period of a periodic function without bookkeeping.
 
@@ -39,7 +41,7 @@ from .model import (
     potential,
     to_warp_coords,
 )
-from .period import energy_roots, period_quadrature, period_table, turning_points
+from .period import period_curve, period_quadrature, turning_points
 
 __all__ = [
     "SolutionProfile",
@@ -62,8 +64,8 @@ class SolutionProfile:
     samples has shape (n_samples, 6) with columns t, x, v, f, f', f'';
     rows are uniform in t from 0 to T inclusive, so the last row repeats
     the first up to closure_error.  root_count records how many distinct
-    energies attained the requested period when the profile came from
-    period inversion (1 when solved directly from an energy).
+    energies attain the period; the period map is monotone, so it is 1
+    for every profile solved here, and profile documents carry it.
     """
 
     params: ModelParams
@@ -142,7 +144,6 @@ def profile_from_energy(
     period: float | None = None,
     quad_rtol: float = 1e-10,
     energy_target: float = 5e-11,
-    root_count: int = 1,
 ) -> SolutionProfile:
     """Integrate one closed orbit at energy c and sample it uniformly.
 
@@ -227,7 +228,6 @@ def profile_from_energy(
         samples=samples,
         residual_sup=residual_sup,
         closure_error=float(closure),
-        root_count=root_count,
     )
 
 
@@ -236,17 +236,18 @@ def solve_period(
     params: ModelParams,
     n_samples: int = 512,
     *,
-    table_size: int = 160,
     quad_rtol: float = 1e-10,
 ) -> SolutionProfile:
     """Profile of a non-constant solution with the prescribed period T.
 
     Periods at or below the threshold T0 are rejected outright: the
-    rest point absorbs the whole band there.  When T(c) is attained at
-    several energies the orbit with the smallest energy is returned and
-    root_count reports how many there were.  If the scanned period range
-    never touches T, NoBracket carries that range so the caller can see
-    how far off the request was.
+    rest point absorbs the whole band there.  The energy comes from the
+    period curve of the dimension, which is monotone, so at most one
+    orbit has period T; one quadrature confirms it.  A polish on the
+    quadrature follows where the curve's err_est, or the confirmation's
+    miss of T, exceeds POLISH_FACTOR * quad_rtol.  If the curve's period
+    range never touches T, NoBracket carries that range so the caller
+    can see how far off the request was.
     """
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")
@@ -258,25 +259,17 @@ def solve_period(
         )
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
-    table = period_table(params, table_size, rtol=quad_rtol)
-    roots = energy_roots(T, params, table, rtol=quad_rtol)
-    if not roots:
-        t_min, t_max = float(np.min(table[1])), float(np.max(table[1]))
+    curve = period_curve(params.n, quad_rtol)
+    orbit = curve.orbit(T, params, confirm=True)
+    if orbit is None:
+        t_min, t_max = curve.band[0] * consts.T0, curve.band[1] * consts.T0
         raise NoBracket(
-            f"no orbit of period {T}: scanned periods cover "
+            f"no orbit of period {T}: the period curve covers "
             f"[{t_min}, {t_max}] over the energy band",
             t_min=t_min,
             t_max=t_max,
         )
-    profile = profile_from_energy(
-        roots[0],
-        params,
-        n_samples,
-        period=T,
-        quad_rtol=quad_rtol,
-        root_count=len(roots),
-    )
-    return profile
+    return profile_from_energy(orbit.c, params, n_samples, period=T, quad_rtol=quad_rtol)
 
 
 def audit_profile(

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import warpcsc.period as period_mod
 from warpcsc import (
     BranchPoint,
     DomainError,
@@ -12,9 +15,11 @@ from warpcsc import (
     count_solutions,
     derive_constants,
     energy_roots,
+    period_quadrature,
     period_table,
     scan_branches,
 )
+from warpcsc.bifurcation import QUAD_RTOL
 
 # Counts under the documented contract: wrap k is counted only when
 # T/k exceeds the threshold T0 AND the scan brackets a root there.  For
@@ -147,3 +152,66 @@ def test_scan_validation(p3, k3):
         scan_branches(2.0 * k3.T0, p3, 1)
     # counting never raises; anything at or below the threshold is 0
     assert count_solutions(-1.0, p3) == 0
+
+
+def test_rescaled_scan_reuses_the_period_curve(p3, k3, monkeypatch):
+    first = scan_branches(3.5 * k3.T0, p3, 400)
+    calls = []
+    real_quadrature = period_mod.period_quadrature
+
+    def counting_quadrature(*args, **kwargs):
+        calls.append(args)
+        return real_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(period_mod, "period_quadrature", counting_quadrature)
+    p = ModelParams(3, 8.0, 8.0)
+    k = derive_constants(p)
+    second = scan_branches(3.5 * k.T0, p, 400)
+    assert calls == []
+    assert len(second.rows) == len(first.rows)
+    for r1, r2 in zip(first.rows, second.rows):
+        assert r2.k == r1.k
+        assert r2.T / k.T0 == pytest.approx(r1.T / k3.T0, rel=1e-14)
+        s1 = (r1.c - k3.c_min) / abs(k3.c_min)
+        s2 = (r2.c - k.c_min) / abs(k.c_min)
+        assert abs(s2 - s1) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([3, 5, 6, 8, 12]),
+    R=st.floats(0.1, 30.0),
+    Rt=st.floats(0.1, 30.0),
+    s=st.floats(1e-6, 0.999),
+)
+def test_period_ratio_depends_on_n_and_s_only(n, R, Rt, s):
+    canon = ModelParams(n, n - 1.0, n - 1.0)
+    kc = derive_constants(canon)
+    ref = period_quadrature(kc.c_min + s * abs(kc.c_min), canon).T / kc.T0
+    params = ModelParams(n, R, Rt)
+    k = derive_constants(params)
+    ratio = period_quadrature(k.c_min + s * abs(k.c_min), params).T / k.T0
+    assert abs(ratio / ref - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "triple, rows, wraps",
+    [((3, 2.0, 2.0), 112, [2, 3]), ((6, 1.0, 3.0), 186, [1, 2, 3])],
+    ids=["n3", "n6"],
+)
+def test_diagram_rows_pinned(triple, rows, wraps):
+    params = ModelParams(*triple)
+    k = derive_constants(params)
+    diagram = scan_branches(3.5 * k.T0, params, 400)
+    assert len(diagram.rows) == rows
+    assert [bp.k for bp in diagram.branch_points] == wraps
+    for row in diagram.rows[::10]:
+        T = period_quadrature(row.c, params, rtol=QUAD_RTOL).T
+        assert abs(T / row.tau - 1.0) <= 10.0 * QUAD_RTOL
+
+
+def test_count_solutions_needs_no_quadrature_past_the_curve(p5, k5, monkeypatch):
+    count_solutions(2.1 * k5.T0, p5)  # builds the curve if no test has
+    # any quadrature from here on would raise TypeError
+    monkeypatch.setattr(period_mod, "period_quadrature", None)
+    assert [count_solutions(r * k5.T0, p5) for r in (1.05, 2.1, 2.3, 4.4)] == [1, 1, 0, 1]

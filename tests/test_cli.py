@@ -157,6 +157,9 @@ def test_bifurcate_outputs_rows_and_points(tmp_path, capsys):
     ks = [int(line.split(",")[0]) for line in point_lines[1:]]
     assert 2 in ks
     assert "threshold T0" in err
+    # the curve's counters go to stderr only
+    assert "; period curve: 96 quadratures, err_est " in err
+    assert "quadratures" not in out
 
 
 def test_bifurcate_flags_isochronous_case(capsys):

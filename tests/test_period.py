@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import warpcsc.period as period_mod
+from warpcsc.bifurcation import QUAD_RTOL
 from warpcsc import (
     DomainError,
     EnergyOutOfBand,
@@ -15,6 +16,7 @@ from warpcsc import (
     derive_constants,
     energy_grid,
     energy_roots,
+    period_curve,
     period_quadrature,
     period_scan,
     period_table,
@@ -303,3 +305,105 @@ def test_polish_that_cannot_settle_raises(monkeypatch, p3):
     table = period_table(p3, 96)
     with pytest.raises(QuadratureNonConvergence, match="did not settle in 1 steps"):
         energy_roots(FROZEN_ORBITS[0][6], p3, table)
+
+
+def _held_out(curve, per_piece=13):
+    """u points of every piece that are neither nodes nor the build's checks."""
+    us = []
+    for piece in curve.pieces:
+        for x in np.linspace(-1.0, 1.0, per_piece + 2)[1:-1] + 0.037:
+            v = 0.5 * (piece.lo + piece.hi) + 0.5 * (piece.hi - piece.lo) * x
+            us.append(math.exp(v) if piece.log else v)
+    return [u for u in us if curve.u_lo <= u <= curve.u_hi]
+
+
+def _quadrature_ratio(n, u, rtol):
+    # the orbit at u on the canonical parameters, where T0 = 2 pi
+    params = ModelParams(n, n - 1.0, n - 1.0)
+    k = derive_constants(params)
+    c = k.c_min + potential_above_min(u ** (n / 2.0), params)
+    return period_quadrature(c, params, rtol=rtol).T / k.T0
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_period_curve_matches_quadrature(n):
+    curve = period_curve(n, QUAD_RTOL)
+    assert curve.quadratures == 96
+    assert curve.err_est <= QUAD_RTOL
+    for u in _held_out(curve):
+        ref = _quadrature_ratio(n, u, 1e-11)
+        assert abs(curve.ratio(u) / ref - 1.0) <= QUAD_RTOL, f"u = {u}"
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_period_curve_error_estimate_and_polish_near_contact(n, monkeypatch):
+    rtol = 1e-10
+    curve = period_curve(n, rtol)
+    worst = max(
+        abs(curve.ratio(u) / _quadrature_ratio(n, u, 1e-11) - 1.0) for u in _held_out(curve)
+    )
+    assert worst <= curve.err_est
+
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    energies = []
+    real_quadrature = period_mod.period_quadrature
+
+    def recording_quadrature(c, *args, **kwargs):
+        energies.append(c)
+        return real_quadrature(c, *args, **kwargs)
+
+    monkeypatch.setattr(period_mod, "period_quadrature", recording_quadrature)
+    lo, hi = curve.band
+    for ratio in np.linspace(lo, hi, 14)[1:-1]:
+        tau = float(ratio) * k.T0
+        energies.clear()
+        orbit = curve.orbit(tau, params)
+        # the curve's own orbit is polished exactly where err_est says so,
+        # and a polish starts next to the root
+        assert bool(energies) == (curve.err_est > 10.0 * rtol)
+        assert len(energies) <= 4
+        T = real_quadrature(orbit.c, params, rtol=rtol).T
+        assert abs(T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
+    # towards the contact end the quadrature's noise can stretch a polish,
+    # but it never strays from the curve's energy
+    for ratio in hi - np.linspace(0.0, 1.0, 27)[1:-1] ** 3 * (hi - lo):
+        energies.clear()
+        orbit = curve.orbit(float(ratio) * k.T0, params, confirm=True)
+        assert max(abs(c - orbit.c) for c in energies) <= 1e-12 * abs(k.c_min)
+
+
+def test_period_curve_is_built_once_per_key(monkeypatch):
+    calls = []
+    real_quadrature = period_mod.period_quadrature
+
+    def counting_quadrature(*args, **kwargs):
+        calls.append(args)
+        return real_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(period_mod, "period_quadrature", counting_quadrature)
+    # a key no other test uses, so its curve is not cached yet
+    first = period_curve(7, 3e-10)
+    assert len(calls) == first.quadratures == 96
+    assert period_curve(7.0, 3e-10) is first
+    assert len(calls) == 96
+
+
+def test_period_curve_refuses_non_monotone_nodes(monkeypatch):
+    def wobbly_quadrature(c, params, *, rtol=1e-10, max_panels=4096):
+        a, b = turning_points(c, params)
+        T = 2.0 * math.pi * (1.0 + 0.1 * math.sin(40.0 * a))
+        return period_mod.OrbitSpec(c=c, a=a, b=b, T=T)
+
+    monkeypatch.setattr(period_mod, "period_quadrature", wobbly_quadrature)
+    with pytest.raises(QuadratureNonConvergence, match="not strictly monotone"):
+        period_curve(9, 3e-10)
+
+
+def test_isochronous_period_curve_is_flat_and_free(monkeypatch, p4, k4):
+    # n = 4 takes no quadrature: calling one would raise TypeError
+    monkeypatch.setattr(period_mod, "period_quadrature", None)
+    curve = period_curve(4, 2e-10)
+    assert curve.band == (1.0, 1.0)
+    assert curve.quadratures == 0 and curve.err_est == 0.0
+    assert curve.orbit(1.01 * k4.T0, p4) is None
