@@ -203,6 +203,23 @@ def cmd_solve(args) -> int:
         args.samples,
         quad_rtol=args.rtol,
     )
+    # refuse here what `verify` would reject, so a written profile verifies
+    audit = audit_profile(profile)
+    if "finite_difference" in audit.breaches:
+        raise TooFewSamples(
+            f"{args.samples} samples do not resolve the profile of period {args.period}: "
+            f"fd_sup {_scalar(audit.fd_sup)} exceeds the tolerance "
+            f"{_scalar(audit.fd_tol_abs)}; raise --samples"
+        )
+    if audit.breaches:
+        raise BudgetExceeded(
+            f"solved profile fails the audit on {', '.join(audit.breaches)}"
+        )
+    print(
+        f"# profile: dt {_scalar(profile.dt)}, substeps {profile.substeps}, "
+        f"force evaluations {profile.force_evals}",
+        file=sys.stderr,
+    )
     _emit(_render(profile_to_doc(profile)), args.out)
     return 0
 

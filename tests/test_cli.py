@@ -132,6 +132,42 @@ def test_verify_rejects_tampered_profile(tmp_path, capsys):
     assert report["audit"]["flagged_index"] == 40
 
 
+def test_solve_refuses_a_profile_verify_would_reject(tmp_path, capsys):
+    # 512 uniform samples miss the dip of this orbit (f_min/f_star = 0.002)
+    out_file = tmp_path / "profile.json"
+    code, out, err = run_cli(
+        capsys, "solve", "--n", "5", "--R", "2", "--Rt", "2",
+        "--period", "9.93", "--out", str(out_file),
+    )
+    assert code == 2
+    assert out == ""
+    assert not out_file.exists()
+    assert err.startswith("error: 512 samples do not resolve")
+    assert "fd_sup" in err and "tolerance" in err
+
+
+def test_solve_reports_step_counters_on_stderr_only(tmp_path, capsys):
+    out_file = tmp_path / "profile.json"
+    code, out, err = run_cli(
+        capsys, "solve", "--n", "5", "--R", "2", "--Rt", "2",
+        "--period", repr(1.05 * T0_N5), "--out", str(out_file),
+    )
+    assert code == 0 and out == ""
+    assert err.startswith("# profile: dt ")
+    assert "substeps 1," in err and err.endswith("force evaluations 3577\n")
+    doc = json.loads(out_file.read_text())
+    assert list(doc) == [
+        "params", "T", "c", "root_count", "residual_sup", "closure_error",
+        "columns", "samples",
+    ]
+
+
+def test_profile_doc_does_not_carry_integration_counters(profile3):
+    assert profile3.force_evals > 0
+    back = doc_to_profile(profile_to_doc(profile3))
+    assert (back.dt, back.substeps, back.force_evals) == (0.0, 0, 0)
+
+
 def test_profile_doc_round_trip(profile3):
     doc = profile_to_doc(profile3)
     back = doc_to_profile(doc)

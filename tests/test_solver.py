@@ -173,3 +173,31 @@ def test_shallow_well_solves_and_passes_both_audits():
     assert prof.closure_error < 1e-8
     assert audit_profile(prof).ok
     assert curvature_audit(prof).passed
+
+
+@pytest.mark.parametrize("s", [0.99, 0.999, 0.9999])
+def test_near_contact_n3_profiles_close_and_pass_the_energy_route(p3, k3, s):
+    # leapfrog sampling left s = 0.99 at energy_sup 3.4e-10, and s = 0.999
+    # and 0.9999 open by 3.8e-7 and 1.8e-5
+    prof = profile_from_energy(k3.c_min + s * abs(k3.c_min), p3)
+    assert prof.closure_error < 1e-8
+    audit = audit_profile(prof)
+    assert "energy" not in audit.breaches
+    assert audit.energy_sup <= audit.energy_tol_abs
+
+
+def test_profile_force_evaluations_are_pinned(p3, k3):
+    p8 = ModelParams(8, 3.0, 1.0)
+    far = solve_period(1.10 * derive_constants(p8).T0, p8)
+    assert far.force_evals <= 15_000  # the leapfrog sampler took 1,587,677 steps
+    near = profile_from_energy(k3.c_min + 0.9999 * abs(k3.c_min), p3)
+    assert near.force_evals <= 589_183  # the leapfrog sampler's steps
+
+
+def test_profile_reports_its_steps(profile3):
+    intervals = len(profile3.t) - 1
+    assert profile3.substeps >= 1
+    assert profile3.dt == pytest.approx(profile3.T / intervals / profile3.substeps, rel=1e-15)
+    # seven force evaluations per composite step, at least one step per interval
+    assert profile3.force_evals % 7 == 0
+    assert 7 * intervals <= profile3.force_evals <= 7 * intervals * profile3.substeps
