@@ -7,7 +7,8 @@ what makes the return-map period measurement a trustworthy second route,
 independent of the turning-point quadrature.
 
 Section crossings (v = 0) are refined below grid resolution by root
-finding on the substep map: a partial step of size tau from the stored
+finding on the substep map, with the package's Brent solver
+(`_brent.brentq`): a partial step of size tau from the stored
 pre-crossing state gives
 
     v(tau) = v0 + tau/2 * (a(x0) + a(x0 + tau v0 + tau^2/2 a(x0))),
@@ -35,8 +36,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from scipy.optimize import brentq
-
+from ._brent import brentq
 from .errors import BudgetExceeded, DomainError, EnergyOutOfBand, PositivityViolation
 from .model import (
     ModelParams,

@@ -31,6 +31,10 @@ runs only where the curve's measured error exceeds POLISH_FACTOR * rtol.
 `period_table` and `energy_roots` invert on a dense (c, T) table
 instead; nothing in the package calls them, and they stay as public
 functions.
+
+Turning points and the curve's inversion are solved by `brentq` from
+`_brent`, the package's own port of scipy's Brent solver: it returns
+the same root bits, and importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
 from .model import (
     ModelParams,
