@@ -1,10 +1,12 @@
 """Branch structure of non-constant solutions over the circle period.
 
 Scanning circle periods above the threshold and marking every wrapped
-orbit that realizes them produces the branch diagram.  Branch points,
-where a family's amplitude dies into the constant solution, land on the
-integer comb k*T0.  The n=4 case degenerates: a single vertical branch
-at T0 carries all amplitudes at once.
+orbit that realizes them produces the branch diagram.  Branch k leaves
+the constant solution where its per-wrap period meets the
+small-amplitude limit T0, so its branch point is k*T0 exactly.  Counts
+come from the closed-form band between T0 and sqrt(n)/2*T0.  The n=4
+case degenerates: a single vertical branch at T0 carries all amplitudes
+at once.
 """
 
 import numpy as np
@@ -21,11 +23,9 @@ print(f"  attainable per-orbit periods: [{lo / k.T0:.6f}, {hi / k.T0:.6f}] * T0"
 print(f"  {len(diagram.rows)} realized solutions, "
       f"{len(diagram.failures)} candidate misses recorded")
 
-print("branch points (amplitude dies at the comb):")
-cell = 2.5 * k.T0 / 400
+print("branch points (each wrap leaves the constant solution at k*T0):")
 for bp in diagram.branch_points:
-    print(f"  k = {bp.k}: T = {bp.T:.9f} = {bp.T / k.T0:.6f}*T0, "
-          f"distance to k*T0 = {abs(bp.T - bp.k * k.T0) / cell:.2f} cells")
+    print(f"  k = {bp.k}: T = {bp.T:.9f} = {bp.T / k.T0:.6f}*T0")
 
 print("occupancy along the period axis:")
 for lo_r, hi_r in ((1.0, 1.732), (1.732, 2.0), (2.0, 2.598), (2.598, 3.0), (3.0, 3.464)):

@@ -61,11 +61,9 @@ from .period import (
     PeriodCurve,
     PeriodScan,
     energy_grid,
-    energy_roots,
     period_curve,
     period_quadrature,
     period_scan,
-    period_table,
     turning_points,
 )
 from .solver import (
@@ -105,8 +103,6 @@ __all__ = [
     "energy_grid",
     "PeriodCurve",
     "period_curve",
-    "period_table",
-    "energy_roots",
     "SolutionProfile",
     "ProfileAudit",
     "profile_from_energy",

@@ -2,19 +2,26 @@
 
 A metric circle of period T hosts a non-constant solution wrapping k
 oscillations exactly when T/k lies in the range the orbit period T(c)
-actually attains over the energy band.  Both questions here are asked
-of the period curve of the dimension (`period.period_curve`), which one
-build per n shares across every R and Rt: `count_solutions` tests T/k
-against its range, and the diagram scan walks a grid of circle periods,
-enumerates the wrap counts worth trying at each, and inverts the curve
-for one row per realized (T, k, energy) combination.  Two diagrams of
-one n and different (R, Rt) thus cost one curve, and a scan polishes on
-the quadrature only where the curve's measured error says so.
+attains over the energy band.  T(c) is monotone in the energy,
+decreasing for n = 3 and increasing for n >= 5 (Chicone's criterion:
+G/g^2 is convex there; the tests check its sign exactly per n), so that
+range is the open band between its two limits, T0 at the well bottom
+and sqrt(n)/2 * T0 at contact, and it holds one orbit per k.
+`count_solutions` answers from that band in closed form and runs no
+quadrature.
 
-Branch points are read off as the grid locations where a branch's
-amplitude decays to zero against an adjacent empty cell; with a
-400-point grid they land within one cell of the true emergence period
-of that branch.
+The diagram scan asks the period curve of the dimension
+(`period.period_curve`), which one build per n shares across every R
+and Rt: it walks a grid of circle periods, enumerates the wrap counts
+worth trying at each, and inverts the curve for one row per realized
+(T, k, energy) combination.  Two diagrams of one n and different
+(R, Rt) thus cost one curve, and a scan polishes on the quadrature only
+where the curve's measured error says so.
+
+Branch k leaves the constant solution where its per-wrap period meets
+the small-amplitude limit T0, at circle period k * T0; the diagram
+lists that point for every wrap that has rows and emerges within the
+scan.
 
 For dimension 4 the oscillator is isochronous: every orbit has period
 exactly T0, the period map carries no information about amplitude, and
@@ -26,8 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams, derive_constants
@@ -41,8 +46,6 @@ __all__ = [
     "count_solutions",
 ]
 
-# amplitude below this fraction of x_star counts as a vanished branch
-VANISH_REL = 1e-6
 # quadrature tolerance of the period curve and its polish
 QUAD_RTOL = 1e-9
 
@@ -68,7 +71,7 @@ class BranchRow:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """Grid location where branch k's amplitude vanishes."""
+    """Circle period T = k * T0 where branch k leaves the constant solution."""
 
     k: int
     T: float
@@ -122,10 +125,11 @@ def scan_branches(
     """Scan circle periods in (T0, T_max] and assemble the branch diagram.
 
     Rows come from the period curve of params.n with nodes at quad_rtol;
-    the band is the curve's range.  Per-point failures (a wrap count
-    whose per-wrap period is not attained) are recorded with their
-    reason, never fatal.  Isochronous parameter sets short-circuit to
-    the degenerate flag.
+    the band is the curve's range.  Each wrap k with rows has its
+    branch point at k * T0 when that lies within T_max.  Per-point
+    failures (a wrap count whose per-wrap period is not attained) are
+    recorded with their reason, never fatal.  Isochronous parameter sets
+    short-circuit to the degenerate flag.
     """
     consts = derive_constants(params)
     T0 = consts.T0
@@ -185,88 +189,39 @@ def scan_branches(
                 )
             )
 
-    branch_points = _detect_branch_points(rows, t_grid, consts.x_star)
     return BifurcationDiagram(
         params=params,
         T0=T0,
         t_grid=t_grid,
         rows=tuple(rows),
-        branch_points=tuple(branch_points),
+        branch_points=tuple(
+            BranchPoint(k=k, T=k * T0)
+            for k in sorted({row.k for row in rows})
+            if k * T0 <= T_max
+        ),
         failures=tuple(failures),
         band=band,
         degenerate_isochronous=False,
     )
 
 
-def _detect_branch_points(
-    rows: list[BranchRow], t_grid: tuple[float, ...], x_star: float
-) -> list[BranchPoint]:
-    """Endpoints of branch runs where the amplitude decays to nothing.
-
-    For each wrap count, group its rows into contiguous runs over the
-    grid.  A run endpoint bordering an empty cell (or the grid edge on
-    the low side) is a branch point when the amplitude there is the
-    run's minimum and clearly below the run's peak, or outright below
-    the vanishing cutoff.  This catches branches that open to either
-    side of their emergence period.
-    """
-    index_of = {T: i for i, T in enumerate(t_grid)}
-    by_k: dict[int, dict[int, float]] = {}
-    for row in rows:
-        amp = by_k.setdefault(row.k, {})
-        i = index_of[row.T]
-        amp[i] = min(amp.get(i, math.inf), row.amplitude)
-
-    points: list[BranchPoint] = []
-    seen: set[tuple[int, int]] = set()
-    cutoff = VANISH_REL * x_star
-    last = len(t_grid) - 1
-    for k, amp_by_i in sorted(by_k.items()):
-        idxs = sorted(amp_by_i)
-        runs: list[list[int]] = [[idxs[0]]]
-        for i in idxs[1:]:
-            if i == runs[-1][-1] + 1:
-                runs[-1].append(i)
-            else:
-                runs.append([i])
-        for run in runs:
-            amps = [amp_by_i[i] for i in run]
-            peak = max(amps)
-            low = min(amps)
-            for end in {run[0], run[-1]}:
-                amp_end = amp_by_i[end]
-                # the grid's lower edge sits just above the threshold,
-                # a vanishing locus by construction, so it counts as open
-                open_border = end == run[0] or end < last
-                hard = amp_end <= cutoff
-                trend = open_border and amp_end == low and amp_end < 0.5 * peak
-                if (hard or trend) and (k, end) not in seen:
-                    seen.add((k, end))
-                    points.append(BranchPoint(k=k, T=t_grid[end]))
-    return sorted(points, key=lambda bp: (bp.k, bp.T))
-
-
-def count_solutions(
-    T: float,
-    params: ModelParams,
-    *,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
-) -> int:
+def count_solutions(T: float, params: ModelParams) -> int:
     """Number of branch families alive at circle period T.
 
     Counts the wrap counts k for which T/k exceeds the threshold T0 and
-    lies in the range the period curve attains; the curve is monotone,
-    so that range holds exactly one orbit per k, and no quadrature runs
-    beyond the curve's build.  Returns 0 for any T at or below T0.  Note
-    the threshold filter is one-sided: wrap periods below T0 are not
-    counted even when the attained period range extends below the
-    threshold, as it does for n = 3.  table is accepted for callers of
-    the table-based count and not read.
+    lies strictly inside the band between T0 and sqrt(n)/2 * T0; T(c) is
+    monotone, so that band holds exactly one orbit per k.  The answer is
+    closed form: no period curve is built and no quadrature runs.
+    Returns 0 for any T at or below T0.  Note the threshold filter is
+    one-sided: wrap periods below T0 are not counted even when the
+    attained period range extends below the threshold, as it does for
+    n = 3.  With T/k above T0, only the band's contact end remains to
+    test, and for n <= 4 that end lies at or below T0.
     """
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")
     consts = derive_constants(params)
     if T <= consts.T0 * (1.0 + 1e-9):
         return 0
-    lo, hi = period_curve(params.n, QUAD_RTOL).band
-    return sum(1 for k in _classical_wraps(T, consts.T0) if lo <= T / k / consts.T0 <= hi)
+    contact = math.sqrt(params.n) / 2.0 * consts.T0
+    return sum(1 for k in _classical_wraps(T, consts.T0) if T / k < contact)

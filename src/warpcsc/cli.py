@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bif.add_argument("--grid", type=int, default=400, help="number of grid points above T0")
     p_bif.add_argument("--rtol", type=float, default=1e-9, help="quadrature relative tolerance")
     p_bif.add_argument("--points", default=None, metavar="FILE",
-                       help="also write detected branch points as CSV to FILE")
+                       help="also write the branch points k*T0 as CSV to FILE")
     _add_out(p_bif)
     p_bif.set_defaults(handler=cmd_bifurcate)
 

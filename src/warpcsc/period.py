@@ -21,16 +21,14 @@ Scaling removes R and Rt from the reduced equation, so T/T0 depends on
 n and the orbit alone.  `period_curve(n, rtol)` fits T/T0 against
 u = f_min/f_star with two Chebyshev pieces, once per process for each
 (n, rtol), from 96 quadratures (56 for n >= 10, none for the isochronous
-n = 4) on the canonical parameters ModelParams(n, n - 1, n - 1).  Its
-three callers invert on it: `bifurcation.scan_branches` takes each
-row's orbit from it, `bifurcation.count_solutions` tests whether T/k
-lies in its range, and `solver.solve_period` takes its energy from it
-and confirms it with one quadrature.  A secant polish on the quadrature
-runs only where the curve's measured error exceeds POLISH_FACTOR * rtol.
-
-`period_table` and `energy_roots` invert on a dense (c, T) table
-instead; nothing in the package calls them, and they stay as public
-functions.
+n = 4) on the canonical parameters ModelParams(n, n - 1, n - 1).  It is
+the package's one period inversion: `bifurcation.scan_branches` takes
+each row's orbit from it, and `solver.solve_period` takes its energy
+from it and confirms it with one quadrature.  A secant polish on the
+quadrature runs only where the curve's measured error exceeds
+POLISH_FACTOR * rtol.  Counting solutions needs no inversion: T is
+monotone in the energy, so the band between T0 and sqrt(n)/2 * T0
+answers it in closed form (see `bifurcation`).
 
 Turning points and the curve's inversion are solved by `brentq` from
 `_brent`, the package's own port of scipy's Brent solver: it returns
@@ -63,8 +61,6 @@ __all__ = [
     "energy_grid",
     "PeriodCurve",
     "period_curve",
-    "period_table",
-    "energy_roots",
 ]
 
 # clamp keeping solves away from the band edges, relative to |c_min|
@@ -113,12 +109,6 @@ class PeriodScan:
     c_grid: tuple[float, ...]
     entries: tuple[OrbitSpec | None, ...]
     failures: tuple[tuple[int, Exception], ...] = field(default_factory=tuple)
-
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Energies and periods of the successful entries, in grid order."""
-        cs = [s.c for s in self.entries if s is not None]
-        ts = [s.T for s in self.entries if s is not None]
-        return np.asarray(cs), np.asarray(ts)
 
 
 def _check_band(c: float, params: ModelParams) -> tuple[float, float]:
@@ -583,90 +573,6 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     )
 
 
-def period_table(
-    params: ModelParams,
-    size: int = 192,
-    *,
-    rtol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (c, T) table over the clamped band, edges resolved on both sides.
-
-    This is the lookup structure behind period inversion: root brackets
-    for T(c) = tau are read off between adjacent table entries.  Each
-    table is built once per process for its key (params, size, rtol) and
-    kept in a cache of the 128 most recent keys; the returned arrays are
-    shared by every caller and therefore read-only.
-    """
-    return _cached_table(params, size, rtol)
-
-
-@lru_cache(maxsize=128)
-def _cached_table(
-    params: ModelParams, size: int, rtol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    grid = energy_grid(params, size, mode="symlog")
-    scan = period_scan(grid, params, rtol=rtol)
-    cs, ts = scan.table()
-    if cs.size < 2:
-        raise QuadratureNonConvergence(
-            "period table could not be built: nearly every grid point failed"
-        )
-    cs.flags.writeable = False
-    ts.flags.writeable = False
-    return cs, ts
-
-
-def _inverse_cubic(tau: float, cs: np.ndarray, ts: np.ndarray, i: int) -> float:
-    """c(tau) by Lagrange interpolation of c over T through the four
-    table nodes nearest the bracket [cs[i], cs[i+1]]; nan when two of
-    those periods coincide."""
-    j0 = max(0, min(i - 1, len(cs) - 4))
-    c4 = [float(c) for c in cs[j0 : j0 + 4]]
-    t4 = [float(t) for t in ts[j0 : j0 + 4]]
-    if len(set(t4)) < len(t4):
-        return math.nan
-    x = 0.0
-    for j, (cj, tj) in enumerate(zip(c4, t4)):
-        w = cj
-        for m, tm in enumerate(t4):
-            if m != j:
-                w *= (tau - tm) / (tj - tm)
-        x += w
-    return x
-
-
-def _polish(
-    tau: float,
-    params: ModelParams,
-    table: tuple[np.ndarray, np.ndarray],
-    i: int,
-    rtol: float,
-    root_rtol: float,
-) -> OrbitSpec:
-    """The orbit with T = tau inside the sign-change bracket [cs[i], cs[i+1]].
-
-    The bracket ends keep their table periods, which come from the same
-    deterministic quadrature, so they are never evaluated again.  The
-    first iterate is the inverse cubic through the nearest table nodes,
-    or regula falsi when that leaves the bracket; `_settle` does the rest.
-    """
-    cs, ts = table
-    lo, hi = float(cs[i]), float(cs[i + 1])
-    f_lo, f_hi = float(ts[i]) - tau, float(ts[i + 1]) - tau
-    x = _inverse_cubic(tau, cs, ts, i)
-    seeded = lo < x < hi
-    if not seeded:
-        x = min(max(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo), hi)
-    # the secant partner is the nearer bracket end, or the far one for a
-    # regula falsi iterate that rounded onto an end
-    if x == hi or (x != lo and x - lo < hi - x):
-        partner = (lo, f_lo)
-    else:
-        partner = (hi, f_hi)
-    reseed = (lambda T: _inverse_cubic(T, cs, ts, i)) if seeded else None
-    return _settle(tau, params, x, (lo, f_lo, hi), partner, reseed, rtol, root_rtol)
-
-
 def _settle(
     tau: float,
     params: ModelParams,
@@ -676,29 +582,27 @@ def _settle(
     reseed,
     rtol: float,
     root_rtol: float,
-    accept: float = 0.0,
-    last: float | None = None,
+    *,
+    accept: float,
+    last: float,
 ) -> OrbitSpec:
     """Secant polish on the quadrature period from the energy x to T = tau.
 
     bracket (lo, f_lo, hi) holds the root, T - tau having the sign of
     f_lo at lo; partner (x_prev, f_prev) is the first secant partner.
-    reseed, when given, maps a period back to an energy on the
-    interpolant that proposed x: the step after x reads it again at the
-    period just computed, which cancels most of its interpolation error.
-    Secant steps follow.  A step that leaves the bracket or fails to
-    halve the step before it is replaced by one towards the far bracket
-    end, twice the previous step or half the way there, whichever is
-    shorter: near the root this crosses it, far from it this bisects.
-    last stands in for the step before the first; it defaults to the
-    bracket's width.
+    reseed maps a period back to an energy on the interpolant that
+    proposed x: the step after x reads it again at the period just
+    computed, which cancels most of its interpolation error.  Secant
+    steps follow.  A step that leaves the bracket or fails to halve the
+    step before it is replaced by one towards the far bracket end, twice
+    the previous step or half the way there, whichever is shorter: near
+    the root this crosses it, far from it this bisects.  last stands in
+    for the step before the first.
     The polish stops once |T - tau| <= accept or a step is at most
     root_rtol * |c|, and returns the last evaluated orbit.
     """
     lo, f_lo, hi = bracket
     x_prev, f_prev = partner
-    if last is None:
-        last = hi - lo
     for _ in range(MAX_POLISH_STEPS):
         spec = period_quadrature(x, params, rtol=rtol)
         f = spec.T - tau
@@ -728,33 +632,3 @@ def _settle(
     raise QuadratureNonConvergence(
         f"period inversion at tau = {tau} did not settle in {MAX_POLISH_STEPS} steps"
     )
-
-
-def energy_roots(
-    tau: float,
-    params: ModelParams,
-    table: tuple[np.ndarray, np.ndarray],
-    *,
-    rtol: float = 1e-10,
-    root_rtol: float = 1e-12,
-) -> list[float]:
-    """All energies c in the table range with T(c) = tau, ascending in c.
-
-    Brackets come from sign changes of T - tau between adjacent table
-    entries.  Each bracket is polished on the quadrature period from a
-    seed interpolated in the table (inverse cubic through the four
-    nearest nodes), then by secant steps safeguarded with bisection; the
-    bracket ends reuse their table periods.  A root is accepted once the
-    next step would be at most root_rtol * |c|, which takes about three
-    quadratures.  An empty list means the scanned period range never
-    attains tau.
-    """
-    cs, ts = table
-    diffs = ts - tau
-    found: set[float] = set()
-    for i in range(len(cs)):
-        if diffs[i] == 0.0:
-            found.add(period_quadrature(float(cs[i]), params, rtol=rtol).c)
-        elif i + 1 < len(cs) and diffs[i] * diffs[i + 1] < 0.0:
-            found.add(_polish(tau, params, table, i, rtol, root_rtol).c)
-    return sorted(found)

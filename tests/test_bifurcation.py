@@ -1,4 +1,4 @@
-"""Branch diagrams, branch-point detection and solution counting."""
+"""Branch diagrams, branch points and solution counting."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warpcsc.bifurcation as bifurcation
 import warpcsc.period as period_mod
 from warpcsc import (
     BranchPoint,
@@ -14,9 +15,8 @@ from warpcsc import (
     ModelParams,
     count_solutions,
     derive_constants,
-    energy_roots,
+    period_curve,
     period_quadrature,
-    period_table,
     scan_branches,
 )
 from warpcsc.bifurcation import QUAD_RTOL
@@ -46,9 +46,8 @@ FROZEN_ATTAINABLE_WRAPS = {
 def test_count_solutions_matches_contract_reference(n):
     params = ModelParams(n, 2.0, 2.0)
     k = derive_constants(params)
-    table = period_table(params, 192)
     for ratio, expected in FROZEN_COUNTS[n]:
-        got = count_solutions(ratio * k.T0, params, table=table)
+        got = count_solutions(ratio * k.T0, params)
         assert got == expected, f"n={n}, T={ratio}*T0: {got} != {expected}"
 
 
@@ -59,9 +58,8 @@ def test_count_zero_at_or_below_threshold(p3, p5, k3, k5):
 
 
 def test_isochronous_dimension_counts_nothing_off_the_comb(p4, k4):
-    table = period_table(p4, 64)
     for ratio in (1.3, 2.0, 3.0):
-        assert count_solutions(ratio * k4.T0, p4, table=table) == 0
+        assert count_solutions(ratio * k4.T0, p4) == 0
 
 
 def test_branch_points_sit_one_cell_below_integer_multiples(p3, k3):
@@ -137,12 +135,12 @@ def test_isochronous_diagram_is_flagged_degenerate(p4, k4):
 def test_branches_never_cross(p5, k5):
     """Two wrap families alive at one T keep strictly ordered energies."""
     T = 10.03 * k5.T0
-    table = period_table(p5, 192)
-    roots9 = energy_roots(T / 9.0, p5, table)
-    roots10 = energy_roots(T / 10.0, p5, table)
-    assert len(roots9) == 1 and len(roots10) == 1
+    curve = period_curve(5, QUAD_RTOL)
+    orbit9 = curve.orbit(T / 9.0, p5)
+    orbit10 = curve.orbit(T / 10.0, p5)
+    assert orbit9 is not None and orbit10 is not None
     # T(c) increases with c here, so the slower wrap sits higher in energy
-    assert roots9[0] > roots10[0]
+    assert orbit9.c > orbit10.c
 
 
 def test_scan_validation(p3, k3):
@@ -210,8 +208,34 @@ def test_diagram_rows_pinned(triple, rows, wraps):
         assert abs(T / row.tau - 1.0) <= 10.0 * QUAD_RTOL
 
 
-def test_count_solutions_needs_no_quadrature_past_the_curve(p5, k5, monkeypatch):
-    count_solutions(2.1 * k5.T0, p5)  # builds the curve if no test has
-    # any quadrature from here on would raise TypeError
+def test_count_solutions_needs_no_quadrature_past_the_curve(monkeypatch):
+    # no period curve and no quadrature: calling either raises TypeError
     monkeypatch.setattr(period_mod, "period_quadrature", None)
-    assert [count_solutions(r * k5.T0, p5) for r in (1.05, 2.1, 2.3, 4.4)] == [1, 1, 0, 1]
+    monkeypatch.setattr(bifurcation, "period_curve", None)
+    params = ModelParams(11, 2.0, 2.0)  # a dimension no other test builds
+    T0 = derive_constants(params).T0
+    # band (1, 1.6583): T/k = 1.05; 1.05; 1.15; 1.4667 and 1.1
+    assert [count_solutions(r * T0, params) for r in (1.05, 2.1, 2.3, 4.4)] == [1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8])
+def test_branch_points_are_the_comb(n):
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    diagram = scan_branches(3.5 * T0, params, 120)
+    wraps = [2, 3] if n == 3 else [1, 2, 3]
+    assert [(bp.k, bp.T) for bp in diagram.branch_points] == [(k, k * T0) for k in wraps]
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8, 12, 20])
+def test_count_solutions_is_closed_form_band_membership(n):
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    lo, hi = sorted((1.0, math.sqrt(n) / 2.0))
+    # an offset sweep, so no T/k falls on an end of the band
+    for ratio in 0.5 + 11.5 * (np.arange(1999) + 0.5) / 1999:
+        want = sum(1 for k in range(1, int(ratio) + 1) if 1.0 < ratio / k and lo < ratio / k < hi)
+        assert count_solutions(ratio * T0, params) == want, f"T = {ratio} T0"
+    # past the end of the period curve, which stops at 1.6415 T0 for n = 12
+    if n == 12:
+        assert count_solutions(1.70 * T0, params) == 1

@@ -1,10 +1,11 @@
 """Turning points, the period quadrature and energy scans."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+import sympy as sp
 
 import warpcsc.period as period_mod
 from warpcsc.bifurcation import QUAD_RTOL
@@ -15,11 +16,9 @@ from warpcsc import (
     QuadratureNonConvergence,
     derive_constants,
     energy_grid,
-    energy_roots,
     period_curve,
     period_quadrature,
     period_scan,
-    period_table,
     potential,
     potential_above_min,
     turning_points,
@@ -184,98 +183,20 @@ def test_scan_continues_past_a_failed_point(p3, k3):
 
 
 def test_table_inversion_recovers_energy(p3, k3):
-    table = period_table(p3, 96)
     tau = FROZEN_ORBITS[0][6]
-    roots = energy_roots(tau, p3, table)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(-0.225, abs=1e-9 * abs(k3.c_min))
+    orbit = period_curve(3, 1e-10).orbit(tau, p3, confirm=True)
+    assert orbit.c == pytest.approx(-0.225, abs=1e-9 * abs(k3.c_min))
 
 
 def test_table_inversion_outside_band_is_empty(p3, k3):
-    table = period_table(p3, 96)
-    assert energy_roots(1.5 * k3.T0, p3, table) == []
-    assert energy_roots(0.5 * k3.T0, p3, table) == []
+    curve = period_curve(3, 1e-10)
+    assert curve.orbit(1.5 * k3.T0, p3) is None
+    assert curve.orbit(0.5 * k3.T0, p3) is None
 
 
 def test_quadrature_nonconvergence_surfaces(p3):
     with pytest.raises(QuadratureNonConvergence):
         period_quadrature(-0.225, p3, rtol=1e-16, max_panels=8)
-
-
-def test_period_table_is_built_once_per_key(monkeypatch):
-    scans = []
-    real_scan = period_mod.period_scan
-
-    def counting_scan(*args, **kwargs):
-        scans.append(args)
-        return real_scan(*args, **kwargs)
-
-    monkeypatch.setattr(period_mod, "period_scan", counting_scan)
-    # a parameter set no other test uses, so its table is not cached yet
-    params = ModelParams(5, 1.3, 0.7)
-    first = period_table(params, 24)
-    second = period_table(params, 24)
-    assert len(scans) == 1
-    assert second[0] is first[0] and second[1] is first[1]
-    for arr in second:
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    period_table(params, 32)
-    period_table(params, 24, rtol=1e-9)
-    period_table(ModelParams(5, 1.3, 0.8), 24)
-    assert len(scans) == 4
-
-
-@pytest.mark.parametrize("n", [3, 5, 6, 12])
-def test_inversion_matches_brentq_in_about_three_quadratures(n, monkeypatch):
-    params = ModelParams(n, 2.0, 2.0)
-    depth = abs(derive_constants(params).c_min)
-    rtol = 1e-10
-    cs, ts = period_table(params, rtol=rtol)
-    mid = len(ts) // 2
-    taus = list(np.linspace(ts.min(), ts.max(), 17)[1:-1])
-    taus += [ts[mid], np.nextafter(ts[mid], -np.inf), np.nextafter(ts[mid], np.inf)]
-    taus = [float(t) for t in taus]
-
-    def brentq_roots(tau):
-        # the plain inversion: Brent's method on every sign-change bracket
-        def h(c):
-            return period_quadrature(c, params, rtol=rtol).T - tau
-
-        d = ts - tau
-        roots = {float(c) for c, dc in zip(cs, d) if dc == 0.0}
-        roots |= {
-            brentq(h, cs[i], cs[i + 1], xtol=1e-300, rtol=1e-12)
-            for i in range(len(cs) - 1)
-            if d[i] * d[i + 1] < 0.0
-        }
-        return sorted(roots)
-
-    expected = [brentq_roots(tau) for tau in taus]
-
-    calls = []
-    real_quadrature = period_mod.period_quadrature
-
-    def counting_quadrature(*args, **kwargs):
-        calls.append(args)
-        return real_quadrature(*args, **kwargs)
-
-    monkeypatch.setattr(period_mod, "period_quadrature", counting_quadrature)
-    found, per_root = [], []
-    for tau in taus:
-        calls.clear()
-        roots = energy_roots(tau, params, (cs, ts), rtol=rtol)
-        found.append(roots)
-        per_root.append(len(calls) / max(len(roots), 1))
-    monkeypatch.undo()
-
-    for tau, roots, ref in zip(taus, found, expected):
-        assert len(roots) == len(ref), f"tau = {tau}"
-        for c, c_ref in zip(roots, ref):
-            assert abs(c - c_ref) <= 1e-9 * depth
-            T = period_quadrature(c, params, rtol=rtol).T
-            assert abs(T / tau - 1.0) <= 10.0 * rtol
-    assert np.median(per_root) <= 3.0
 
 
 @pytest.mark.parametrize("n", [5, 6, 12])
@@ -295,16 +216,52 @@ def test_table_periods_lie_in_closed_form_band(n):
     params = ModelParams(n, 2.0, 2.0)
     T0 = derive_constants(params).T0
     lo, hi = sorted((T0, math.sqrt(n) / 2.0 * T0))
-    _, ts = period_table(params)
+    scan = period_scan(energy_grid(params, 192, mode="symlog"), params)
+    assert scan.failures == ()
+    ts = np.array([spec.T for spec in scan.entries])
     assert np.all(ts > lo)
     assert np.all(ts < hi)
 
 
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 10, 12, 20])
+def test_period_monotone_by_chicone_criterion(n):
+    """(G/g^2)'' has one sign on the whole well, exactly.
+
+    Chicone (J. Differential Equations 69, 1987): for x'' + g(x) = 0
+    with G the potential above its minimum, a convex G/g^2 makes the
+    period increase with the energy.  With x_star = 1 and x = y^n, g and
+    G are polynomials in y up to a power, so the second x-derivative is
+    a rational function of y whose numerator and denominator sympy
+    shows to have no positive root: the sign at y = 1 holds for every
+    y > 0.  It is -1 (concave) for n = 3 and +1 (convex) otherwise.
+    """
+    y = sp.symbols("y", positive=True)
+    # force and offset potential for x_star = 1, up to a positive factor
+    g = y**n - y ** (n - 4)
+    G = (y ** (2 * n) / 2 - sp.Rational(n, 2 * (n - 2)) * y ** (2 * n - 4)
+         + sp.Rational(1, n - 2))
+
+    def d_dx(expr):
+        return sp.diff(expr, y) / (n * y ** (n - 1))
+
+    num, den = sp.fraction(sp.cancel(d_dx(d_dx(G / g**2))))
+    for poly in (num, den):
+        assert not [r for r in sp.real_roots(sp.Poly(poly, y)) if r > 0]
+    assert sp.sign(num.subs(y, 1) / den.subs(y, 1)) == (-1 if n == 3 else 1)
+
+
 def test_polish_that_cannot_settle_raises(monkeypatch, p3):
+    curve = period_curve(3, 1e-10)  # built before the quadrature is skewed
+    real_quadrature = period_mod.period_quadrature
+
+    def skewed_quadrature(*args, **kwargs):
+        spec = real_quadrature(*args, **kwargs)
+        return dataclasses.replace(spec, T=spec.T * (1.0 + 1e-6))
+
     monkeypatch.setattr(period_mod, "MAX_POLISH_STEPS", 1)
-    table = period_table(p3, 96)
+    monkeypatch.setattr(period_mod, "period_quadrature", skewed_quadrature)
     with pytest.raises(QuadratureNonConvergence, match="did not settle in 1 steps"):
-        energy_roots(FROZEN_ORBITS[0][6], p3, table)
+        curve.orbit(FROZEN_ORBITS[0][6], p3, confirm=True)
 
 
 def _held_out(curve, per_piece=13):
