@@ -159,15 +159,18 @@ def scan_branches(
     rows: list[BranchRow] = []
     failures: list[tuple[float, int, str]] = []
     r = 2.0 / params.n
+    closed = sorted((T0, math.sqrt(params.n) / 2.0 * T0))
     for T in t_grid:
         candidates, classical = _wrap_candidates(T, T0, band)
         for k in candidates:
             tau = T / k
             if not (band[0] * (1.0 - 1e-9) <= tau <= band[1] * (1.0 + 1e-9)):
                 if k in classical:
+                    where = ("inside the closed-form band but past the end of the "
+                             "period curve" if closed[0] < tau < closed[1]
+                             else "outside attained range")
                     failures.append(
-                        (T, k, f"per-wrap period {tau} outside attained range "
-                               f"[{band[0]}, {band[1]}]")
+                        (T, k, f"per-wrap period {tau} {where} [{band[0]}, {band[1]}]")
                     )
                 continue
             orbit = curve.orbit(tau, params, root_rtol=1e-11)

@@ -6,6 +6,14 @@ of drifting and long runs stay on the right orbit.  That property is
 what makes the return-map period measurement a trustworthy second route,
 independent of the turning-point quadrature.
 
+The return map uses the field's reversibility, (x, v, t) -> (x, -v, -t).
+Symmetric leapfrog keeps it, and so does its modified Hamiltonian
+H + dt^2 H2 + dt^4 H4 + ..., which is even in v and in dt (Hairer,
+Lubich and Wanner, Geometric Numerical Integration, ch. V and IX).  Each
+numerical orbit is thus a mirror image about v = 0: the times from the
+rest point to the two turning points sum to half its period, and expand
+in even powers of dt, so Richardson's step still removes the dt^2 term.
+
 Section crossings (v = 0) are refined below grid resolution by root
 finding on the substep map, with the package's Brent solver
 (`_brent.brentq`): a partial step of size tau from the stored
@@ -20,8 +28,9 @@ Two kernels share one acceleration line and one positivity check.  The
 generator `_leapfrog` steps every run in this module: a section search,
 a period measurement and a drift run each consume it their own way.
 They stay second order on purpose, since they measure the leapfrog
-itself: the return map's Richardson step assumes an error in dt^2, and
-tests pin their bits.  The generator `_composition` steps the profile
+itself: the return map's Richardson step assumes an error in dt^2.
+Tests pin the return map by tolerance, and leapfrog_step and the drift
+run bit for bit.  The generator `_composition` steps the profile
 sampler of `solver`.  It is Yoshida's sixth-order symmetric composition
 of seven leapfrog stages (Phys. Lett. A 150 (1990) 262; Hairer, Lubich
 and Wanner, Geometric Numerical Integration, ch. II and V).  It is still
@@ -281,43 +290,34 @@ def _step_for_energy(e_above_min: float, params: ModelParams) -> float:
     return min(consts.T0 / STEPS_PER_PERIOD, _wall_step(a_rough, params))
 
 
-def _measure_half_gap(
+def _time_to_turn(
     x0: float, v0: float, dt: float, params: ModelParams, budget: int
-) -> tuple[float, float, float]:
-    """Times of the first two downward v = 0 crossings from (x0, v0).
-
-    Returns (t_first, t_second, energy_wander).  The gap is one full
-    period regardless of where on the orbit the launch point sits.
-    """
+) -> tuple[float, float]:
+    """Time from (x0, v0) to the first v = 0 crossing, and the energy wander."""
     A, Bq, q = _potential_coeffs(params)
     x, v = x0, v0
     e0 = 0.5 * v0 * v0 + A * x0 * x0 - Bq * x0**q
     wander = 0.0
-    times: list[float] = []
     for step, (x1, v1) in enumerate(islice(_leapfrog(x0, v0, dt, params), budget)):
-        if v > 0.0 >= v1:
+        if v * v1 <= 0.0:
             tau, _, _ = _refine_crossing(x, v, dt, params)
-            times.append(step * dt + tau)
-            if len(times) == 2:
-                e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
-                wander = max(wander, abs(e1 - e0))
-                return times[0], times[1], wander
+            e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
+            return step * dt + tau, max(wander, abs(e1 - e0))
         x, v = x1, v1
         if step % 1024 == 0:
             e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
             wander = max(wander, abs(e1 - e0))
-    raise BudgetExceeded(f"fewer than two downward crossings in {budget} steps")
+    raise BudgetExceeded(f"no turning point within {budget} steps of size {dt}")
 
 
 def period_return_map(c: float, params: ModelParams, *, richardson: bool = True) -> float:
-    """Orbit period measured by timing successive downward v = 0 crossings.
+    """Orbit period 2 (t_out + t_in) from two half-orbit runs of the leapfrog.
 
-    Launches from (x_star, sqrt(2 (c - c_min))), which needs no turning
-    point data, so this route shares nothing with the quadrature except
-    the vector field itself.  With richardson=True the measurement is
-    repeated at half the step and extrapolated, removing the leading
-    step-size error.  Retries halve the step when the energy wander of a
-    run exceeds one part in 1e6 of the orbit's energy offset.
+    Runs launched from (x_star, +v0) and (x_star, -v0), v0 = sqrt(2 (c -
+    c_min)), reach v = 0 after t_out and t_in; no turning-point data is
+    used, so this route shares only the vector field with the quadrature.
+    richardson=True repeats the pair at dt/2 and extrapolates.  Retries
+    halve dt when a run's energy wander exceeds 2e-6 (c - c_min) or x <= 0.
     """
     consts = derive_constants(params)
     e_above = c - consts.c_min
@@ -332,21 +332,23 @@ def period_return_map(c: float, params: ModelParams, *, richardson: bool = True)
     for _ in range(MAX_RETRIES):
         budget = int(8.0 * consts.T0 / dt) + 64
         try:
-            t1, t2, w1 = _measure_half_gap(consts.x_star, v0, dt, params, budget)
-            if not richardson:
-                if w1 <= wander_gate:
-                    return t2 - t1
-                dt *= 0.5
-                continue
-            s1, s2, w2 = _measure_half_gap(consts.x_star, v0, 0.5 * dt, params, 2 * budget)
-            if max(w1, w2) <= wander_gate:
-                return (4.0 * (s2 - s1) - (t2 - t1)) / 3.0
-            dt *= 0.5
+            periods, worst = [], 0.0
+            for h in ((dt, 0.5 * dt) if richardson else (dt,)):
+                t_out, w_out = _time_to_turn(consts.x_star, v0, h, params, budget)
+                t_in, w_in = _time_to_turn(consts.x_star, -v0, h, params, budget)
+                periods.append(2.0 * (t_out + t_in))
+                worst = max(worst, w_out, w_in)
+                budget *= 2
+            if worst <= wander_gate:
+                return (4.0 * periods[1] - periods[0]) / 3.0 if richardson else periods[0]
         except PositivityViolation as err:
-            last_err = err
-            dt *= 0.5
+            last_err, worst = err, math.nan
+        dt *= 0.5
+    wander = "unmeasured (a run reached x <= 0)" if math.isnan(worst) else f"{worst:.3g}"
     raise BudgetExceeded(
-        f"return-map period did not stabilize after {MAX_RETRIES} step halvings"
+        f"return-map period did not stabilize within MAX_RETRIES = {MAX_RETRIES} "
+        f"step halvings: last dt = {2.0 * dt:.6g}, energy wander {wander} "
+        f"against the gate {wander_gate:.3g}"
     ) from last_err
 
 

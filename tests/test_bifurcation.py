@@ -239,3 +239,17 @@ def test_count_solutions_is_closed_form_band_membership(n):
     # past the end of the period curve, which stops at 1.6415 T0 for n = 12
     if n == 12:
         assert count_solutions(1.70 * T0, params) == 1
+
+
+def test_scan_names_in_band_misses_past_the_end_of_the_curve():
+    """n = 12: the curve stops at 1.6415 T0, short of the band's 1.7321 T0."""
+    params = ModelParams(12, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    diagram = scan_branches(3.5 * T0, params, 200)
+    assert (len(diagram.rows), len(diagram.failures)) == (193, 169)
+    past = [(T, k, why) for T, k, why in diagram.failures if 1.6416 < T / k / T0 < 1.7320]
+    assert len(past) == 22
+    for _, _, why in past:
+        assert "inside the closed-form band but past the end of the period curve [" in why
+    others = [why for _, _, why in diagram.failures if "closed-form band" not in why]
+    assert len(others) == 169 - 22

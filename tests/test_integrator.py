@@ -6,6 +6,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import warpcsc.integrator as integrator
 from warpcsc import (
     BudgetExceeded,
     DomainError,
@@ -20,6 +21,7 @@ from warpcsc import (
     force,
     integrate_until_section,
     leapfrog_step,
+    period_quadrature,
     period_return_map,
 )
 from warpcsc.integrator import _YOSHIDA6, _composition
@@ -167,6 +169,48 @@ def test_return_map_matches_quadrature_reference(p3):
 def test_return_map_without_extrapolation_is_coarser_but_close(p3):
     T = period_return_map(-0.225, p3, richardson=False)
     assert T == pytest.approx(T_REF_N3, rel=2e-6)
+
+
+def test_return_map_steps_two_half_orbits_per_step_size(p5, k5, monkeypatch):
+    """Two half orbits at dt and two at dt/2 take 1.5 T/dt steps; a full
+    period after a run-in to the first crossing would take 3.75 T/dt."""
+    steps = 0
+    leapfrog = integrator._leapfrog
+
+    def counting(*args):
+        nonlocal steps
+        for state in leapfrog(*args):
+            steps += 1
+            yield state
+
+    monkeypatch.setattr(integrator, "_leapfrog", counting)
+    c = k5.c_min + 0.5 * abs(k5.c_min)
+    T = period_return_map(c, p5)
+    assert steps <= 1.6 * T / (k5.T0 / 4096)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8])
+def test_return_map_matches_quadrature_across_the_band(n):
+    params = ModelParams(n, 2.0, 2.0)
+    c_min = derive_constants(params).c_min
+    for s in (1e-6, 0.1, 0.5, 0.9, 0.99):
+        c = c_min + s * abs(c_min)
+        T = period_quadrature(c, params).T
+        assert period_return_map(c, params) == pytest.approx(T, rel=1e-8), f"s = {s}"
+
+
+def test_return_map_budget_error_names_the_limit(p5, k5, monkeypatch):
+    # a step of T0/16 leaves the energy wander far above the 2e-6 gate
+    monkeypatch.setattr(integrator, "MAX_RETRIES", 1)
+    monkeypatch.setattr(integrator, "_step_for_energy", lambda e, p: k5.T0 / 16)
+    with pytest.raises(BudgetExceeded) as info:
+        period_return_map(k5.c_min + 0.5 * abs(k5.c_min), p5)
+    msg = str(info.value)
+    assert "MAX_RETRIES = 1" in msg
+    assert f"last dt = {k5.T0 / 16:.6g}" in msg
+    assert f"against the gate {2e-6 * 0.5 * abs(k5.c_min):.3g}" in msg
+    wander = float(msg.split("energy wander ")[1].split()[0])
+    assert wander > 2e-6 * 0.5 * abs(k5.c_min)
 
 
 def test_return_map_rejects_out_of_band_energy(p3, k3):
