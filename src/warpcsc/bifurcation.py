@@ -15,8 +15,8 @@ The diagram scan asks the period curve of the dimension
 and Rt: it walks a grid of circle periods, enumerates the wrap counts
 worth trying at each, and inverts the curve for one row per realized
 (T, k, energy) combination.  Two diagrams of one n and different
-(R, Rt) thus cost one curve, and a scan polishes on the quadrature only
-where the curve's measured error says so.
+(R, Rt) thus cost one curve, and a scan polishes on the period kernel
+only where the curve's measured error says so.
 
 Branch k leaves the constant solution where its per-wrap period meets
 the small-amplitude limit T0, at circle period k * T0; the diagram
@@ -46,7 +46,7 @@ __all__ = [
     "count_solutions",
 ]
 
-# quadrature tolerance of the period curve and its polish
+# kernel tolerance of the period curve and its polish
 QUAD_RTOL = 1e-9
 
 

@@ -247,7 +247,7 @@ def cmd_bifurcate(args) -> int:
         f"{len(diagram.failures)} misses"
         + ("; isochronous degenerate case" if diagram.degenerate_isochronous else "")
         + f"; period curve: {curve.quadratures} quadratures, "
-        f"err_est {_scalar(curve.err_est)}",
+        f"err_est {_scalar(curve.err_est)}, {curve.nodes} nodes",
         file=sys.stderr,
     )
     return 0

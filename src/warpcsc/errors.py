@@ -40,7 +40,8 @@ class EnergyOutOfBand(ToolkitError):
 
 
 class QuadratureNonConvergence(ToolkitError):
-    """Adaptive quadrature could not reach its tolerance within budget."""
+    """A period quadrature, turning-point solve or root polish could not
+    reach its tolerance within budget."""
 
 
 class ThresholdViolation(ToolkitError):

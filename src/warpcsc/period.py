@@ -1,38 +1,35 @@
-"""Turning points and the orbit period as a function of energy.
+"""Turning points and the orbit period, computed in warp coordinates.
 
-For an energy c in the open band (c_min, 0) the orbit oscillates between
-turning points a < x_star < b where the potential equals c, and the
-period is
+Scaling removes R and Rt from the reduced equation, so in units of
+f_star and T0 an orbit is fixed by u = f_min/f_star.  With x = f^(n/2),
 
-    T(c) = sqrt(2) * integral_a^b dx / sqrt(c - potential(x)).
+    T/T0 = (sqrt(n-2)/pi) * integral_u^v g^(n/2-1) dg / sqrt(w(u) - w(g)),
+    w(g) = ((n-2)/n) g^n - g^(n-2),
 
-The integrand has inverse square-root endpoint singularities.  The
-substitution x = m + r sin(theta) with m = (a+b)/2 and r = (b-a)/2
-removes both at once: near a simple turning point c - potential vanishes
-linearly in x, so the factor cos(theta) in dx cancels the singularity
-and the transformed integrand extends smoothly through the endpoints.
-Adaptive Gauss-Legendre panels on theta then converge at spectral rate.
+where g = f/f_star runs between the turning points u and v > 1.  The
+integrand stays regular down to contact, where the orbit approaches the
+spherical suspension that crosses f = 0 with nonzero slope.
 
-Everything is phrased in the offset energy c - c_min through
-`potential_above_min`, which keeps full precision near the well bottom
-where the plain difference c - potential(x) would cancel away.
+`_period_kernel` evaluates this for a batch of orbits in one numpy pass
+per level: v comes from a vectorized Newton solve, g = m + r sin(theta)
+removes both endpoint singularities, each node is written against its
+nearest turning point through half angles and the anchored difference
+`_rise`, and a tanh-sinh rule (Takahasi-Mori) on fixed nodes per level
+takes its error estimate from the change between two levels.
 
-Scaling removes R and Rt from the reduced equation, so T/T0 depends on
-n and the orbit alone.  `period_curve(n, rtol)` fits T/T0 against
-u = f_min/f_star with two Chebyshev pieces, once per process for each
-(n, rtol), from 96 quadratures (56 for n >= 10, none for the isochronous
-n = 4) on the canonical parameters ModelParams(n, n - 1, n - 1).  It is
+`period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
+once per process for each (n, rtol), one kernel call per piece.  It is
 the package's one period inversion: `bifurcation.scan_branches` takes
-each row's orbit from it, and `solver.solve_period` takes its energy
-from it and confirms it with one quadrature.  A secant polish on the
-quadrature runs only where the curve's measured error exceeds
-POLISH_FACTOR * rtol.  Counting solutions needs no inversion: T is
-monotone in the energy, so the band between T0 and sqrt(n)/2 * T0
-answers it in closed form (see `bifurcation`).
+each row's orbit from it, and `solver.solve_period` takes its orbit from
+it and confirms the period with the kernel at the same u.  Counting
+solutions needs no inversion: T is monotone in the energy, so the band
+between T0 and sqrt(n)/2 * T0 answers it in closed form (see
+`bifurcation`).
 
-Turning points and the curve's inversion are solved by `brentq` from
-`_brent`, the package's own port of scipy's Brent solver: it returns
-the same root bits, and importing the package loads no scipy.
+`period_quadrature(c)` keeps the energy interface: `turning_points`
+solves the turning points by `brentq` from `_brent`, the package's own
+port of scipy's Brent solver, and the kernel takes the orbit from the
+inner one.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +45,9 @@ from ._brent import brentq
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
 from .model import (
     ModelParams,
-    _potential_coeffs,
     derive_constants,
+    force,
+    potential,
     potential_above_min,
 )
 
@@ -67,30 +66,45 @@ __all__ = [
 BAND_CLAMP = 1e-9
 # relative tolerance of the Brent solve for each turning point
 TURNING_RTOL = 1e-13
-# smallest quadrature panel, as a fraction of the half-circle in theta
-MIN_PANEL_WIDTH = 1e-13
-# quadratures one root polish may take
+# tanh-sinh rule: nodes t = k h with |t| <= TS_SPAN, h = 2^-level for
+# levels TS_FIRST_LEVEL to TS_LAST_LEVEL
+TS_SPAN = 3.2
+TS_FIRST_LEVEL = 2
+TS_LAST_LEVEL = 7
+# the anchored difference sums SERIES_TERMS terms of its series in L
+# where n |L| is below SERIES_SPAN
+SERIES_SPAN = 0.02
+SERIES_TERMS = 9
+# Newton steps the outer turning point may take
+OUTER_STEPS = 100
+# kernel evaluations one root polish may take
 MAX_POLISH_STEPS = 100
 # Chebyshev nodes of a period curve: the upper piece in u, the contact
 # piece in log u, handing over at u = CONTACT_SPLIT
 CURVE_NODES = 48
 CONTACT_NODES = 32
 CONTACT_SPLIT = 0.05
-# held-out quadratures per curve piece behind its err_est
+# held-out kernel orbits per curve piece behind its err_est
 CURVE_CHECKS = 8
-# a curve's inversion is polished on the quadrature where its measured
+# a curve's inversion is polished on the kernel where its measured
 # error exceeds this multiple of rtol
 POLISH_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class OrbitSpec:
-    """One closed orbit: energy, turning points and period."""
+    """One closed orbit: energy, turning points and period.
+
+    nodes is the number of integrand evaluations behind T (0 when T is
+    read off the period curve); err_est is T's relative error estimate.
+    """
 
     c: float
     a: float
     b: float
     T: float
+    nodes: int = 0
+    err_est: float = 0.0
 
     @property
     def amplitude(self) -> float:
@@ -111,8 +125,8 @@ class PeriodScan:
     failures: tuple[tuple[int, Exception], ...] = field(default_factory=tuple)
 
 
-def _check_band(c: float, params: ModelParams) -> tuple[float, float]:
-    """Validate c against the BAND_CLAMP band; returns (c_min, offset energy)."""
+def _check_band(c: float, params: ModelParams) -> None:
+    """Refuse c outside the BAND_CLAMP band."""
     consts = derive_constants(params)
     depth = abs(consts.c_min)
     e_above = c - consts.c_min
@@ -124,7 +138,6 @@ def _check_band(c: float, params: ModelParams) -> tuple[float, float]:
             f"energy {c} outside the clamped band "
             f"[{consts.c_min * (1.0 - BAND_CLAMP)}, {-BAND_CLAMP * depth}]"
         )
-    return consts.c_min, e_above
 
 
 def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
@@ -132,14 +145,12 @@ def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
 
     The inner bracket comes from repeated halving below x_star, the outer
     from repeated doubling above, then each root is polished by Brent's
-    method on the offset potential.  Energies within BAND_CLAMP * |c_min|
+    method and two Newton steps.  Energies within BAND_CLAMP * |c_min|
     of either band edge are rejected rather than solved in noise.
     """
-    consts = derive_constants(params)
-    _, e_above = _check_band(c, params)
-    x_star = consts.x_star
-
-    g = _level_gap(e_above, params)
+    _check_band(c, params)
+    x_star = derive_constants(params).x_star
+    g = _level_gap(c, params)
     lo = x_star
     for _ in range(2000):
         lo *= 0.5
@@ -149,32 +160,42 @@ def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
         raise QuadratureNonConvergence(
             f"inner turning point bracket not found below x_star for c = {c}"
         )
-    a = _newton_polish(
-        brentq(g, lo, min(2.0 * lo, x_star), xtol=1e-300, rtol=TURNING_RTOL), g, params
-    )
-    b = _outer_turning(c, e_above, params)
-    return float(a), float(b)
+    hi = 2.0 * x_star
+    for _ in range(2000):
+        if g(hi) > 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise QuadratureNonConvergence(
+            f"outer turning point bracket not found above x_star for c = {c}"
+        )
+    a = brentq(g, lo, min(2.0 * lo, x_star), xtol=1e-300, rtol=TURNING_RTOL)
+    b = brentq(g, max(0.5 * hi, x_star), hi, xtol=1e-300, rtol=TURNING_RTOL)
+    return float(_newton_polish(a, g, params)), float(_newton_polish(b, g, params))
 
 
-def _level_gap(e_above: float, params: ModelParams):
-    """x -> potential(x) - c, written through the offset energy e_above."""
+def _level_gap(c: float, params: ModelParams):
+    """x -> potential(x) - c, in the form that keeps c's digits.
 
-    def g(x: float) -> float:
-        return potential_above_min(x, params) - e_above
-
-    return g
+    On the lower half of the band c - c_min is exact, and the offset
+    potential keeps full precision near the well bottom.  On the upper
+    half c - c_min would round away the digits of a small |c|, and the
+    plain potential keeps them.
+    """
+    c_min = derive_constants(params).c_min
+    if c <= 0.5 * c_min:
+        e_above = c - c_min
+        return lambda x: potential_above_min(x, params) - e_above
+    return lambda x: potential(x, params) - c
 
 
 def _newton_polish(root: float, g, params: ModelParams) -> float:
     """Two Newton steps on the level gap g from a Brent root.
 
     Brent leaves a relative-in-x error near TURNING_RTOL; two Newton steps
-    on the cancellation-free offset (whose derivative is exactly the
-    force) push the potential residue down to roundoff, which the period
-    quadrature needs at its endpoints.
+    (the gap's derivative is exactly the force) push the potential
+    residue down to roundoff.
     """
-    from .model import force
-
     for _ in range(2):
         slope = force(root, params)
         if slope == 0.0 or not math.isfinite(slope):
@@ -185,122 +206,141 @@ def _newton_polish(root: float, g, params: ModelParams) -> float:
     return root
 
 
-def _outer_turning(c: float, e_above: float, params: ModelParams) -> float:
-    """The root of potential(x) = c above x_star: doubling bracket, Brent, Newton."""
-    x_star = derive_constants(params).x_star
-    g = _level_gap(e_above, params)
-    hi = 2.0 * x_star
-    for _ in range(2000):
-        if g(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise QuadratureNonConvergence(
-            f"outer turning point bracket not found above x_star for c = {c}"
-        )
-    return _newton_polish(
-        brentq(g, max(0.5 * hi, x_star), hi, xtol=1e-300, rtol=TURNING_RTOL), g, params
+def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """w(t + d) - w(t) for w(g) = ((n-2)/n) g^n - g^(n-2), anchored at t.
+
+    The anchored difference vanishes exactly at d = 0.  Near the well
+    bottom the linear terms of its two expm1 cancel; there, with
+    t^2 = 1 + (t^2 - 1), the rest is summed as its series in L from L^2
+    on, which SERIES_TERMS terms take to roundoff for n |L| < SERIES_SPAN.
+    """
+    L = np.log1p(d / t)
+    e_n = np.expm1(n * L)
+    series = 0.0
+    for k in range(SERIES_TERMS + 1, 1, -1):
+        series = series * L + (n - 2.0) * (n ** (k - 1) - (n - 2.0) ** (k - 1)) / math.factorial(k)
+    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
+    far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
+    return t ** (n - 2.0) * np.where(np.abs(n * L) < SERIES_SPAN, near, far)
+
+
+def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
+    """f_max/f_star of the orbits dipping to u: the root v > 1 of w(v) = w(u).
+
+    Newton on the anchored difference from min(2 - u, sqrt(n/(n-2))),
+    which lies right of the root; w is convex there, so the steps
+    shrink until roundoff, where an orbit stops.
+    """
+    v = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
+    active = np.ones(u.shape, dtype=bool)
+    last = np.full(u.shape, np.inf)
+    for _ in range(OUTER_STEPS):
+        step = _rise(u, v - u, n) / ((n - 2.0) * v ** (n - 3.0) * (v - 1.0) * (v + 1.0))
+        shrinking = np.abs(step) < last
+        v = np.where(active & shrinking, v - step, v)
+        active &= shrinking & (np.abs(step) > 4.0 * np.finfo(float).eps * v)
+        last = np.abs(step)
+        if not active.any():
+            return v
+    raise QuadratureNonConvergence(
+        f"outer turning point did not settle in {OUTER_STEPS} Newton steps for n = {n}"
     )
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@lru_cache(maxsize=16)
+def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half angles and weights of the tanh-sinh nodes new at this level.
+
+    theta = (pi/2) tanh((pi/2) sinh t) for t >= 0; the half angle
+    pi/4 - theta/2 = (pi/2) / (1 + exp(pi sinh t)) keeps its relative
+    precision next to the turning point.  The node at t = 0 stands for
+    both halves of the orbit and carries half its weight in each.
+    """
+    h = 2.0**-level
+    k = np.arange(int(TS_SPAN / h) + 1)
+    if level > TS_FIRST_LEVEL:
+        k = k[1::2]
+    t = k * h
+    e = np.exp(-math.pi * np.sinh(t))
+    half = 0.5 * math.pi * e / (1.0 + e)
+    weight = math.pi**2 * np.cosh(t) * e / (1.0 + e) ** 2
+    if level == TS_FIRST_LEVEL:
+        weight[0] *= 0.5
+    return half, weight
 
 
-def period_quadrature(
-    c: float,
-    params: ModelParams,
-    *,
-    rtol: float = 1e-10,
-    max_panels: int = 4096,
-) -> OrbitSpec:
-    """Period of the orbit at energy c by adaptive endpoint-free quadrature.
+class _Periods(NamedTuple):
+    """Kernel output, one entry per orbit."""
 
-    Each panel is estimated with 24- and 48-node Gauss-Legendre rules;
-    a panel is accepted when the two agree to the width-prorated share
-    of the requested relative tolerance, otherwise it is bisected.
-    Exhausting the panel budget, or shrinking a panel below
-    MIN_PANEL_WIDTH of the half-circle, raises QuadratureNonConvergence.
+    ratio: np.ndarray  # T/T0
+    f_max: np.ndarray  # f_max/f_star
+    err_est: np.ndarray  # relative error estimate of ratio
+    nodes: np.ndarray  # integrand evaluations behind ratio
+
+
+def _period_kernel(u, n: int, rtol: float) -> _Periods:
+    """Periods of the orbits whose warp dips to f_min = u * f_star.
+
+    One numpy pass per tanh-sinh level over the whole batch; each orbit
+    is accepted at the first level whose change from the level before,
+    plus one rounding of the sum, is at most rtol of its period, so an
+    orbit's result does not depend on the batch it comes in.
+    """
+    u = np.asarray(u, dtype=float)
+    v = _outer_root(u, n)
+    r = 0.5 * (v - u)
+    scale = math.sqrt(n - 2.0) / math.pi * r
+    total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    nodes = np.zeros(u.shape, dtype=int)
+    previous = None
+    evaluations = 0
+    for level in range(TS_FIRST_LEVEL, TS_LAST_LEVEL + 1):
+        half, weight = _ts_level(level)
+        evaluations += 2 * half.size
+        sh = np.sin(half)
+        offset = 2.0 * r[:, None] * sh**2
+        values = np.zeros_like(offset)
+        for turn, d in ((v[:, None], -offset), (u[:, None], offset)):
+            gap = -_rise(turn, d, n)
+            # roundoff can graze zero at the outermost nodes
+            ok = gap > 0.0
+            values += np.where(ok, (turn + d) ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
+        total += (values * (2.0 * sh * np.cos(half) * weight)).sum(axis=1)
+        estimate = scale * 2.0**-level * total
+        if previous is not None:
+            change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
+            accept = (nodes == 0) & (change <= rtol * estimate)
+            ratio[accept] = estimate[accept]
+            err_est[accept] = change[accept] / estimate[accept]
+            nodes[accept] = evaluations
+            if nodes.all():
+                return _Periods(ratio, v, err_est, nodes)
+        previous = estimate
+    raise QuadratureNonConvergence(
+        f"period kernel for n = {n} at u = {u[nodes == 0][0]} did not meet rtol = {rtol} "
+        f"by its finest level, h = 2^-{TS_LAST_LEVEL}"
+    )
+
+
+def period_quadrature(c: float, params: ModelParams, *, rtol: float = 1e-10) -> OrbitSpec:
+    """Period of the orbit at energy c.
+
+    `turning_points` gives a and b; the kernel takes the orbit from
+    u = (a/x_star)^(2/n).  Energies outside the clamped band raise
+    EnergyOutOfBand, and a period the kernel cannot certify to rtol
+    raises QuadratureNonConvergence.
     """
     a, b = turning_points(c, params)
-    r = 0.5 * (b - a)
-    root2 = math.sqrt(2.0)
-    A, B, q = _potential_coeffs(params)
-
-    def _gap_from_anchor(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        # potential(x + d) - potential(x), exact rearrangement: no digits
-        # are lost even when d is many orders below x
-        return A * d * (2.0 * x + d) - B * x**q * np.expm1(q * np.log1p(d / x))
-
-    def panel_values(theta: np.ndarray) -> np.ndarray:
-        # Anchor each node at its nearest turning point and express both
-        # the offset and cos(theta) through half angles.  The anchored
-        # difference vanishes exactly at the turning point, so no
-        # residue of the root solve pollutes the endpoint region, and
-        # the ratio cos(theta)/sqrt(gap) stays relatively accurate all
-        # the way into the corners.  Each half-orbit is thereby taken at
-        # the energy of its own anchor, which sits within a few ulps of
-        # c; the induced period error is far below any tolerance here.
-        pos = theta >= 0.0
-        half = np.where(pos, 0.25 * math.pi - 0.5 * theta, 0.25 * math.pi + 0.5 * theta)
-        sh = np.sin(half)
-        offset = 2.0 * r * sh**2
-        x = np.where(pos, b - offset, a + offset)
-        d = np.where(pos, offset, -offset)
-        gap = _gap_from_anchor(x, d)
-        cos_theta = 2.0 * sh * np.cos(half)
-        # roundoff can graze zero right at the endpoints of a panel
-        bad = gap <= 0.0
-        if np.any(bad):
-            gap = np.where(bad, np.finfo(float).tiny, gap)
-            vals = root2 * r * cos_theta / np.sqrt(gap)
-            return np.where(bad, 0.0, vals)
-        return root2 * r * cos_theta / np.sqrt(gap)
-
-    n24, w24 = _gauss_nodes(24)
-    n48, w48 = _gauss_nodes(48)
-
-    def panel_pair(lo: float, hi: float) -> tuple[float, float]:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        coarse = half * float(w24 @ panel_values(mid + half * n24))
-        fine = half * float(w48 @ panel_values(mid + half * n48))
-        return coarse, fine
-
-    span = math.pi
-    lo0, hi0 = -0.5 * math.pi, 0.5 * math.pi
-    seed = 8
-    edges = np.linspace(lo0, hi0, seed + 1)
-    rough = sum(panel_pair(edges[i], edges[i + 1])[1] for i in range(seed))
-    tol_total = rtol * abs(rough)
-
-    total = 0.0
-    used = 0
-    stack: list[tuple[float, float]] = [
-        (edges[i], edges[i + 1]) for i in range(seed - 1, -1, -1)
-    ]
-    while stack:
-        lo, hi = stack.pop()
-        used += 1
-        if used > max_panels:
-            raise QuadratureNonConvergence(
-                f"period quadrature exceeded {max_panels} panels at c = {c}"
-            )
-        width = hi - lo
-        if width < MIN_PANEL_WIDTH * span:
-            raise QuadratureNonConvergence(
-                f"period quadrature panel collapsed to width {width} at c = {c}"
-            )
-        coarse, fine = panel_pair(lo, hi)
-        if abs(fine - coarse) <= tol_total * (width / span):
-            total += fine
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    return OrbitSpec(c=float(c), a=a, b=b, T=float(total))
+    consts = derive_constants(params)
+    orbit = _period_kernel(np.array([(a / consts.x_star) ** (2.0 / params.n)]), params.n, rtol)
+    return OrbitSpec(
+        c=float(c),
+        a=a,
+        b=b,
+        T=float(orbit.ratio[0]) * consts.T0,
+        nodes=int(orbit.nodes[0]),
+        err_est=float(orbit.err_est[0]),
+    )
 
 
 def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodScan:
@@ -389,15 +429,16 @@ class PeriodCurve:
     R and Rt from the reduced equation, so the period ratio of the orbit
     whose warp dips to u * f_star is a function of n alone, and one curve
     serves every (R, Rt).  The orbit behind u has inner turning point
-    a = x_star * u^(n/2) and energy c = c_min + potential_above_min(a).
+    a = x_star * u^(n/2) and energy c = potential(a).
 
     u_lo, u_hi  the orbits BAND_CLAMP admits: contact end, well-bottom end
     band        the attained range of T/T0 over [u_lo, u_hi], ascending
     split       u where the contact piece (in log u) hands over to the
                 upper piece (in u); u_lo when there is no contact piece
-    quadratures period quadratures the build took
-    err_est     largest relative deviation from period_quadrature, at the
-                same rtol, measured at held-out points of every piece
+    quadratures kernel orbits the build took
+    err_est     largest relative deviation from the kernel, at the same
+                rtol, measured at held-out points of every piece
+    nodes       integrand evaluations the build took
     """
 
     n: int
@@ -408,6 +449,7 @@ class PeriodCurve:
     pieces: tuple[_CurvePiece, ...]
     quadratures: int
     err_est: float
+    nodes: int
 
     @cached_property
     def band(self) -> tuple[float, float]:
@@ -429,23 +471,6 @@ class PeriodCurve:
             lambda u: self.ratio(u) - ratio, self.u_lo, self.u_hi, xtol=1e-300
         )
 
-    def _orbit_energy(self, u: float, params: ModelParams) -> tuple[float, float]:
-        """Inner turning point a and energy c of the orbit at u, clipped into
-        the clamped band."""
-        consts = derive_constants(params)
-        depth = abs(consts.c_min)
-        a = consts.x_star * u ** (params.n / 2.0)
-        c = consts.c_min + potential_above_min(a, params)
-        c = min(max(c, consts.c_min + BAND_CLAMP * depth), -BAND_CLAMP * depth)
-        return a, c
-
-    def _energy_at(self, T: float, params: ModelParams) -> float:
-        """Energy of the orbit with period T, read at the band's end
-        beyond it."""
-        lo, hi = self.band
-        u = self.invert(min(max(T / derive_constants(params).T0, lo), hi))
-        return self._orbit_energy(u, params)[1]
-
     def orbit(
         self,
         tau: float,
@@ -456,50 +481,45 @@ class PeriodCurve:
     ) -> OrbitSpec | None:
         """The orbit of params with period tau; None outside the band.
 
-        A bracketed solve on the interpolant gives u, hence a and c, and
-        one outer turning-point solve gives b; the orbit's T is then the
-        curve's.  Where the piece's err_est exceeds POLISH_FACTOR * rtol,
-        or when confirm is set, the orbit comes from the quadrature
-        instead: one at the curve's energy, kept when its period is within
-        POLISH_FACTOR * rtol of tau, else the start of a secant polish
-        (`_settle`) that stops there too, or once a step is at most
-        root_rtol * |c|.
+        A bracketed solve on the interpolant gives u, hence a and
+        c = potential(a), and the kernel's outer Newton solve gives b;
+        the orbit's T is then the curve's.  Where the piece's err_est
+        exceeds POLISH_FACTOR * rtol, or when confirm is set, T comes
+        from the kernel at u instead, polished in u (`_settle`) when it
+        misses tau by more than POLISH_FACTOR * rtol.
         """
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
-        consts = derive_constants(params)
-        u = self.invert(tau / consts.T0)
+        target = tau / derive_constants(params).T0
+        u = self.invert(target)
         if u is None:
             return None
-        a, c = self._orbit_energy(u, params)
         err = self._piece(u).err_est
         if err <= POLISH_FACTOR * self.rtol and not confirm:
-            b = _outer_turning(c, c - consts.c_min, params)
-            return OrbitSpec(c=c, a=a, b=b, T=self.ratio(u) * consts.T0)
-        depth = abs(consts.c_min)
-        # T - tau at the well bottom is T0 - tau: its sign tells the polish
-        # on which side of the root an energy lies
-        bracket = (consts.c_min + BAND_CLAMP * depth, consts.T0 - tau, -BAND_CLAMP * depth)
-        # the first safeguarded step spans the energies that the curve's
-        # error could account for, not the whole band
-        spread = max(err, POLISH_FACTOR * self.rtol) * tau
-        last = abs(self._energy_at(tau + spread, params) - self._energy_at(tau - spread, params))
-        return _settle(
-            tau,
-            params,
-            c,
-            bracket,
-            bracket[:2],
-            lambda T: self._energy_at(T, params),
-            self.rtol,
-            root_rtol,
-            accept=POLISH_FACTOR * self.rtol * tau,
-            last=last,
-        )
+            v = _outer_root(np.array([u]), self.n)
+            return _orbit_spec(u, self.ratio(u), float(v[0]), 0, err, params)
+        return _settle(self, target, u, params, root_rtol)
+
+
+def _orbit_spec(
+    u: float, ratio: float, v: float, nodes: int, err_est: float, params: ModelParams
+) -> OrbitSpec:
+    """The OrbitSpec of params for the orbit from u to v (units of f_star)."""
+    consts = derive_constants(params)
+    half_n = params.n / 2.0
+    a = consts.x_star * u**half_n
+    return OrbitSpec(
+        c=float(potential(a, params)),
+        a=a,
+        b=consts.x_star * v**half_n,
+        T=ratio * consts.T0,
+        nodes=nodes,
+        err_est=err_est,
+    )
 
 
 def period_curve(n: int, rtol: float = 1e-10) -> PeriodCurve:
-    """The period curve of dimension n, its nodes taken at quadrature rtol.
+    """The period curve of dimension n, its nodes taken at kernel rtol.
 
     Built once per process for each (n, rtol) on the canonical parameters
     ModelParams(n, n - 1, n - 1), which give x_star = 1, omega = 1 and
@@ -507,11 +527,12 @@ def period_curve(n: int, rtol: float = 1e-10) -> PeriodCurve:
     in u on [CONTACT_SPLIT, 1], and CONTACT_NODES nodes in log u from u_lo
     up to CONTACT_SPLIT, where the contact end's u log u behaviour lives.
     When BAND_CLAMP already cuts the band above CONTACT_SPLIT (n >= 10),
-    the upper piece alone spans [u_lo, 1].  The build refuses node values
-    that are not strictly monotone in u, and measures each piece against
-    period_quadrature at CURVE_CHECKS held-out points.  For n = 4 every
-    orbit has period T0 and the curve is the constant 1, built without a
-    quadrature.
+    the upper piece alone spans [u_lo, 1].  Each piece's nodes and its
+    CURVE_CHECKS held-out points go to the kernel in one call; the
+    held-out points measure the piece's err_est.  The build refuses node
+    values that are not strictly monotone in u.  For n = 4 every orbit
+    has period T0 and the curve is the constant 1, built without the
+    kernel.
     """
     return _cached_curve(ModelParams(n, n - 1.0, n - 1.0), float(rtol))
 
@@ -525,34 +546,34 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     u_hi = turning_points(consts.c_min + BAND_CLAMP * depth, canon)[0] ** (2.0 / n)
     if n == 4:
         flat = _CurvePiece(u_lo, u_hi, False, (1.0,), 0.0)
-        return PeriodCurve(n, rtol, u_lo, u_hi, u_lo, (flat,), 0, 0.0)
+        return PeriodCurve(n, rtol, u_lo, u_hi, u_lo, (flat,), 0, 0.0, 0)
 
     nodes: list[tuple[float, float]] = []
-    quadratures = 0
-
-    def ratio_at(u: float) -> float:
-        nonlocal quadratures
-        quadratures += 1
-        c = consts.c_min + potential_above_min(u ** (n / 2.0), canon)
-        return period_quadrature(c, canon, rtol=rtol).T / consts.T0
+    orbits = evaluations = 0
 
     def fit(lo: float, hi: float, size: int, log: bool) -> _CurvePiece:
+        nonlocal orbits, evaluations
+
         def u_of(x: float) -> float:
             v = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
             return math.exp(v) if log else v
 
         theta = math.pi * (np.arange(size) + 0.5) / size
-        us = [u_of(x) for x in np.cos(theta)]
-        vals = np.array([ratio_at(u) for u in us])
-        nodes.extend(zip(us, vals))
+        # held out: extrema of T_size between the nodes, the two next to
+        # the piece's ends among them
+        held = [math.cos(math.pi * j / size)
+                for j in np.rint(np.linspace(1, size - 1, CURVE_CHECKS))]
+        us = [u_of(x) for x in np.cos(theta)] + [u_of(x) for x in held]
+        periods = _period_kernel(np.array(us), n, rtol)
+        orbits += len(us)
+        evaluations += int(periods.nodes.sum())
+        vals = periods.ratio[:size]
+        nodes.extend(zip(us[:size], vals))
         coeffs = (2.0 / size) * np.cos(np.outer(np.arange(size), theta)) @ vals
         coeffs[0] *= 0.5
         piece = _CurvePiece(lo, hi, log, tuple(float(ck) for ck in coeffs), 0.0)
-        # held out: extrema of T_size between the nodes, the two next to
-        # the piece's ends among them
-        checks = [u_of(math.cos(math.pi * j / size))
-                  for j in np.rint(np.linspace(1, size - 1, CURVE_CHECKS))]
-        err = max(abs(piece.ratio(u) / ratio_at(u) - 1.0) for u in checks)
+        err = max(abs(piece.ratio(u) / ref - 1.0)
+                  for u, ref in zip(us[size:], periods.ratio[size:]))
         return replace(piece, err_est=err)
 
     split = max(CONTACT_SPLIT, u_lo)
@@ -568,67 +589,35 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
             "strictly monotone in f_min"
         )
     return PeriodCurve(
-        n, rtol, u_lo, u_hi, split, tuple(pieces), quadratures,
-        max(p.err_est for p in pieces),
+        n, rtol, u_lo, u_hi, split, tuple(pieces), orbits,
+        max(p.err_est for p in pieces), evaluations,
     )
 
 
 def _settle(
-    tau: float,
-    params: ModelParams,
-    x: float,
-    bracket: tuple[float, float, float],
-    partner: tuple[float, float],
-    reseed,
-    rtol: float,
-    root_rtol: float,
-    *,
-    accept: float,
-    last: float,
+    curve: PeriodCurve, target: float, u: float, params: ModelParams, root_rtol: float
 ) -> OrbitSpec:
-    """Secant polish on the quadrature period from the energy x to T = tau.
+    """Polish u until the kernel's T/T0 is within POLISH_FACTOR * rtol of target.
 
-    bracket (lo, f_lo, hi) holds the root, T - tau having the sign of
-    f_lo at lo; partner (x_prev, f_prev) is the first secant partner.
-    reseed maps a period back to an energy on the interpolant that
-    proposed x: the step after x reads it again at the period just
-    computed, which cancels most of its interpolation error.  Secant
-    steps follow.  A step that leaves the bracket or fails to halve the
-    step before it is replaced by one towards the far bracket end, twice
-    the previous step or half the way there, whichever is shorter: near
-    the root this crosses it, far from it this bisects.  last stands in
-    for the step before the first.
-    The polish stops once |T - tau| <= accept or a step is at most
-    root_rtol * |c|, and returns the last evaluated orbit.
+    Each step is a Newton step on the kernel with the curve's slope:
+    u moves by the gap between the curve's inversions of target and of
+    the kernel's ratio at u, kept inside [u_lo, u_hi].  The polish stops
+    there, or once a step is at most root_rtol * u, and returns the last
+    evaluated orbit.
     """
-    lo, f_lo, hi = bracket
-    x_prev, f_prev = partner
+    lo, hi = curve.band
+    home = u
     for _ in range(MAX_POLISH_STEPS):
-        spec = period_quadrature(x, params, rtol=rtol)
-        f = spec.T - tau
-        if abs(f) <= accept:
+        orbit = _period_kernel(np.array([u]), curve.n, curve.rtol)
+        ratio = float(orbit.ratio[0])
+        spec = _orbit_spec(u, ratio, float(orbit.f_max[0]), int(orbit.nodes[0]),
+                           float(orbit.err_est[0]), params)
+        if abs(ratio - target) <= POLISH_FACTOR * curve.rtol * target:
             return spec
-        if (f < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f
-        else:
-            hi = x
-        if reseed is not None:
-            step = x - reseed(spec.T)
-            reseed = None
-        elif f != f_prev:
-            step = -f * (x - x_prev) / (f - f_prev)
-        else:
-            step = math.inf
-        tol = root_rtol * abs(x)
-        if abs(step) <= tol:
+        step = home - curve.invert(min(max(ratio, lo), hi))
+        if abs(step) <= root_rtol * u:
             return spec
-        if not (lo < x + step < hi and abs(step) <= 0.5 * abs(last)):
-            far = hi if x == lo else lo
-            step = math.copysign(min(2.0 * abs(last), 0.5 * abs(far - x)), far - x)
-            if abs(step) <= tol:
-                return spec
-        x_prev, f_prev, last = x, f, step
-        x += step
+        u = min(max(u + step, curve.u_lo), curve.u_hi)
     raise QuadratureNonConvergence(
-        f"period inversion at tau = {tau} did not settle in {MAX_POLISH_STEPS} steps"
+        f"period inversion at tau/T0 = {target} did not settle in {MAX_POLISH_STEPS} steps"
     )

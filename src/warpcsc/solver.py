@@ -2,8 +2,8 @@
 
 The solver inverts the period map on the period curve of the dimension
 (`period.period_curve`, one per n, shared by every R and Rt): the curve
-gives the energy whose orbit period equals the request and one
-quadrature confirms it.  The solver then integrates the reduced
+gives the orbit whose period equals the request, and the period kernel
+confirms that period at the same f_min.  The solver then integrates the reduced
 oscillator over one full period and pushes the samples back to warp
 coordinates.  A profile is stored as a closed loop of samples
 (t, x, v, f, f', f'') with the endpoint repeated at t = T so consumers
@@ -277,11 +277,11 @@ def solve_period(
     """Profile of a non-constant solution with the prescribed period T.
 
     Periods at or below the threshold T0 are rejected outright: the
-    rest point absorbs the whole band there.  The energy comes from the
+    rest point absorbs the whole band there.  The orbit comes from the
     period curve of the dimension, which is monotone, so at most one
-    orbit has period T; one quadrature confirms it.  A polish on the
-    quadrature follows where the curve's err_est, or the confirmation's
-    miss of T, exceeds POLISH_FACTOR * quad_rtol.  If the curve's period
+    orbit has period T; the period kernel confirms it at the same f_min.
+    A polish in f_min on the kernel follows where the confirmation misses
+    T by more than POLISH_FACTOR * quad_rtol.  If the curve's period
     range never touches T, NoBracket carries that range so the caller
     can see how far off the request was.
     """

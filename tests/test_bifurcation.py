@@ -155,13 +155,13 @@ def test_scan_validation(p3, k3):
 def test_rescaled_scan_reuses_the_period_curve(p3, k3, monkeypatch):
     first = scan_branches(3.5 * k3.T0, p3, 400)
     calls = []
-    real_quadrature = period_mod.period_quadrature
+    real_kernel = period_mod._period_kernel
 
-    def counting_quadrature(*args, **kwargs):
+    def counting_kernel(*args):
         calls.append(args)
-        return real_quadrature(*args, **kwargs)
+        return real_kernel(*args)
 
-    monkeypatch.setattr(period_mod, "period_quadrature", counting_quadrature)
+    monkeypatch.setattr(period_mod, "_period_kernel", counting_kernel)
     p = ModelParams(3, 8.0, 8.0)
     k = derive_constants(p)
     second = scan_branches(3.5 * k.T0, p, 400)
@@ -209,7 +209,8 @@ def test_diagram_rows_pinned(triple, rows, wraps):
 
 
 def test_count_solutions_needs_no_quadrature_past_the_curve(monkeypatch):
-    # no period curve and no quadrature: calling either raises TypeError
+    # no period curve, kernel or quadrature: calling one raises TypeError
+    monkeypatch.setattr(period_mod, "_period_kernel", None)
     monkeypatch.setattr(period_mod, "period_quadrature", None)
     monkeypatch.setattr(bifurcation, "period_curve", None)
     params = ModelParams(11, 2.0, 2.0)  # a dimension no other test builds

@@ -57,6 +57,55 @@ def test_single_energy_period_csv(capsys):
     assert amp == pytest.approx(b - a, rel=1e-15)
 
 
+# stdout as the adaptive Gauss quadrature in x produced it.  Columns that do
+# not depend on the period integral (the closed-form constants, the
+# energy asked for, the circle-period grid, wrap counts and per-wrap
+# periods) stay byte for byte; the integral's own columns move in their
+# last digits, by at most 1e-12 relative.
+PINNED_STDOUT = [
+    (("threshold", "--n", "3", "--R", "2", "--Rt", "2"),
+     "n = 3\nR = 2\nRt = 2\nf_star = 1\nx_star = 1\nomega = 1\n"
+     "T0 = 6.2831853071795862\nc_min = -0.74999999999999978\nc_crit = 0\n",
+     None),
+    (("period", "--n", "3", "--R", "2", "--Rt", "2", "--energy", "-0.225"),
+     "c,a,b,T,amplitude\n"
+     "-0.22500000000000001,0.091313656401387791,2.0652376254858007,"
+     "5.8985046008834843,1.9739239690844128\n",
+     1),
+    (("bifurcate", "--n", "3", "--R", "2", "--Rt", "2", "--tmax", "20", "--grid", "16"),
+     "T,k,tau,c,amplitude,f_min,f_max\n"
+     "11.426990816987242,2,5.7134954084936211,-0.099917535100142008,"
+     "2.1622557325562055,0.089050980470007507,1.6858075534759454\n"
+     "12.284291735288518,2,6.1421458676442588,-0.49777290996116169,"
+     "1.4000434266094233,0.47912834372433388,1.4420502377692392\n"
+     "16.570796326794898,3,5.5235987755982991,-0.019805347721925992,"
+     "2.2596821243258325,0.017606572826026391,1.7231804047472097\n"
+     "17.428097245096172,3,5.8093657483653907,-0.1580347603255291,"
+     "2.0797964308697665,0.14141808615298934,1.6570064119917347\n"
+     "18.285398163397449,3,6.0951327211324831,-0.43206515834396336,"
+     "1.5645893481721431,0.40643799993528357,1.4926896397168357\n",
+     3),
+]
+
+
+@pytest.mark.parametrize("argv, pinned, exact_columns", PINNED_STDOUT,
+                         ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_stdout_matches_pinned_output(capsys, argv, pinned, exact_columns):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if exact_columns is None:
+        assert out == pinned
+        return
+    lines, ref_lines = out.splitlines(), pinned.splitlines()
+    assert out.endswith("\n") and len(lines) == len(ref_lines)
+    assert lines[0] == ref_lines[0]
+    for line, ref in zip(lines[1:], ref_lines[1:]):
+        fields, ref_fields = line.split(","), ref.split(",")
+        assert fields[:exact_columns] == ref_fields[:exact_columns]
+        for value, ref_value in zip(fields[exact_columns:], ref_fields[exact_columns:]):
+            assert float(value) == pytest.approx(float(ref_value), rel=1e-12, abs=0.0)
+
+
 def test_scan_csv_shape_and_determinism(capsys):
     args = ("period", "--n", "5", "--R", "2", "--Rt", "2", "--scan", "7")
     code1, out1, _ = run_cli(capsys, *args)
@@ -195,7 +244,8 @@ def test_bifurcate_outputs_rows_and_points(tmp_path, capsys):
     assert "threshold T0" in err
     # the curve's counters go to stderr only
     assert "; period curve: 96 quadratures, err_est " in err
-    assert "quadratures" not in out
+    assert err.rstrip().endswith(" nodes")
+    assert "quadratures" not in out and "nodes" not in out
 
 
 def test_bifurcate_flags_isochronous_case(capsys):

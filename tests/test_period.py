@@ -1,11 +1,12 @@
-"""Turning points, the period quadrature and energy scans."""
+"""Turning points, the period kernel, energy scans and the period curve."""
 
-import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.special import elliprf, elliprj
 
 import warpcsc.period as period_mod
 from warpcsc.bifurcation import QUAD_RTOL
@@ -14,6 +15,7 @@ from warpcsc import (
     EnergyOutOfBand,
     ModelParams,
     QuadratureNonConvergence,
+    curvature_residual,
     derive_constants,
     energy_grid,
     period_curve,
@@ -196,7 +198,7 @@ def test_table_inversion_outside_band_is_empty(p3, k3):
 
 def test_quadrature_nonconvergence_surfaces(p3):
     with pytest.raises(QuadratureNonConvergence):
-        period_quadrature(-0.225, p3, rtol=1e-16, max_panels=8)
+        period_quadrature(-0.225, p3, rtol=1e-16)
 
 
 @pytest.mark.parametrize("n", [5, 6, 12])
@@ -251,17 +253,30 @@ def test_period_monotone_by_chicone_criterion(n):
 
 
 def test_polish_that_cannot_settle_raises(monkeypatch, p3):
-    curve = period_curve(3, 1e-10)  # built before the quadrature is skewed
-    real_quadrature = period_mod.period_quadrature
+    curve = period_curve(3, 1e-10)  # built before the kernel is skewed
+    real_kernel = period_mod._period_kernel
 
-    def skewed_quadrature(*args, **kwargs):
-        spec = real_quadrature(*args, **kwargs)
-        return dataclasses.replace(spec, T=spec.T * (1.0 + 1e-6))
+    def skewed_kernel(*args):
+        periods = real_kernel(*args)
+        return periods._replace(ratio=periods.ratio * (1.0 + 1e-6))
 
     monkeypatch.setattr(period_mod, "MAX_POLISH_STEPS", 1)
-    monkeypatch.setattr(period_mod, "period_quadrature", skewed_quadrature)
+    monkeypatch.setattr(period_mod, "_period_kernel", skewed_kernel)
     with pytest.raises(QuadratureNonConvergence, match="did not settle in 1 steps"):
         curve.orbit(FROZEN_ORBITS[0][6], p3, confirm=True)
+
+
+def _record_kernel(monkeypatch):
+    """Route the period kernel through a recorder; returns its list of u batches."""
+    batches = []
+    real_kernel = period_mod._period_kernel
+
+    def recording_kernel(u, *args):
+        batches.append(np.array(u))
+        return real_kernel(u, *args)
+
+    monkeypatch.setattr(period_mod, "_period_kernel", recording_kernel)
+    return batches
 
 
 def _held_out(curve, per_piece=13):
@@ -278,7 +293,7 @@ def _quadrature_ratio(n, u, rtol):
     # the orbit at u on the canonical parameters, where T0 = 2 pi
     params = ModelParams(n, n - 1.0, n - 1.0)
     k = derive_constants(params)
-    c = k.c_min + potential_above_min(u ** (n / 2.0), params)
+    c = potential(u ** (n / 2.0), params)
     return period_quadrature(c, params, rtol=rtol).T / k.T0
 
 
@@ -303,64 +318,192 @@ def test_period_curve_error_estimate_and_polish_near_contact(n, monkeypatch):
 
     params = ModelParams(n, 2.0, 2.0)
     k = derive_constants(params)
-    energies = []
-    real_quadrature = period_mod.period_quadrature
-
-    def recording_quadrature(c, *args, **kwargs):
-        energies.append(c)
-        return real_quadrature(c, *args, **kwargs)
-
-    monkeypatch.setattr(period_mod, "period_quadrature", recording_quadrature)
+    batches = _record_kernel(monkeypatch)
     lo, hi = curve.band
     for ratio in np.linspace(lo, hi, 14)[1:-1]:
         tau = float(ratio) * k.T0
-        energies.clear()
+        batches.clear()
         orbit = curve.orbit(tau, params)
         # the curve's own orbit is polished exactly where err_est says so,
         # and a polish starts next to the root
-        assert bool(energies) == (curve.err_est > 10.0 * rtol)
-        assert len(energies) <= 4
-        T = real_quadrature(orbit.c, params, rtol=rtol).T
+        assert bool(batches) == (curve.err_est > 10.0 * rtol)
+        assert len(batches) <= 4
+        T = period_quadrature(orbit.c, params, rtol=rtol).T
         assert abs(T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
-    # towards the contact end the quadrature's noise can stretch a polish,
-    # but it never strays from the curve's energy
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_confirmed_orbits_crowding_the_contact_end_land_on_tau(n, monkeypatch):
+    # The quadrature in x used to jump near contact, and an orbit energy
+    # written as c_min + offset moved in steps of about 1e-16: confirmed
+    # orbits there landed up to 5.2e-9 (n = 12) and 3.8e-8 (n = 20) off
+    # tau after up to 26 quadratures.  Fixed by u, confirmed by the
+    # kernel at u, they land within 10 rtol in at most 4 kernel calls.
+    rtol = 1e-10
+    curve = period_curve(n, rtol)
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    batches = _record_kernel(monkeypatch)
+    lo, hi = curve.band
     for ratio in hi - np.linspace(0.0, 1.0, 27)[1:-1] ** 3 * (hi - lo):
-        energies.clear()
-        orbit = curve.orbit(float(ratio) * k.T0, params, confirm=True)
-        assert max(abs(c - orbit.c) for c in energies) <= 1e-12 * abs(k.c_min)
+        tau = float(ratio) * k.T0
+        batches.clear()
+        orbit = curve.orbit(tau, params, confirm=True)
+        assert 1 <= len(batches) <= 4
+        assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
+        # the energy the orbit reports carries that period too
+        T = period_quadrature(orbit.c, params, rtol=rtol).T
+        assert abs(T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
 
 
 def test_period_curve_is_built_once_per_key(monkeypatch):
-    calls = []
-    real_quadrature = period_mod.period_quadrature
-
-    def counting_quadrature(*args, **kwargs):
-        calls.append(args)
-        return real_quadrature(*args, **kwargs)
-
-    monkeypatch.setattr(period_mod, "period_quadrature", counting_quadrature)
+    batches = _record_kernel(monkeypatch)
+    # the build runs no period_quadrature: calling one would raise TypeError
+    monkeypatch.setattr(period_mod, "period_quadrature", None)
     # a key no other test uses, so its curve is not cached yet
     first = period_curve(7, 3e-10)
-    assert len(calls) == first.quadratures == 96
+    # one kernel call per piece
+    assert len(batches) == len(first.pieces) == 2
+    assert sum(b.size for b in batches) == first.quadratures == 96
     assert period_curve(7.0, 3e-10) is first
-    assert len(calls) == 96
+    assert sum(b.size for b in batches) == 96
 
 
 def test_period_curve_refuses_non_monotone_nodes(monkeypatch):
-    def wobbly_quadrature(c, params, *, rtol=1e-10, max_panels=4096):
-        a, b = turning_points(c, params)
-        T = 2.0 * math.pi * (1.0 + 0.1 * math.sin(40.0 * a))
-        return period_mod.OrbitSpec(c=c, a=a, b=b, T=T)
+    def wobbly_kernel(u, n, rtol):
+        # T/T0 of the old stub, 1 + 0.1 sin(40 a), with a = u^(n/2)
+        ratio = 1.0 + 0.1 * np.sin(40.0 * u ** (n / 2.0))
+        return period_mod._Periods(ratio, np.ones_like(u), np.zeros_like(u),
+                                   np.ones(u.shape, dtype=int))
 
-    monkeypatch.setattr(period_mod, "period_quadrature", wobbly_quadrature)
+    monkeypatch.setattr(period_mod, "_period_kernel", wobbly_kernel)
     with pytest.raises(QuadratureNonConvergence, match="not strictly monotone"):
         period_curve(9, 3e-10)
 
 
 def test_isochronous_period_curve_is_flat_and_free(monkeypatch, p4, k4):
-    # n = 4 takes no quadrature: calling one would raise TypeError
+    # n = 4 runs no kernel and no quadrature: calling one would raise TypeError
+    monkeypatch.setattr(period_mod, "_period_kernel", None)
     monkeypatch.setattr(period_mod, "period_quadrature", None)
     curve = period_curve(4, 2e-10)
     assert curve.band == (1.0, 1.0)
-    assert curve.quadratures == 0 and curve.err_est == 0.0
+    assert curve.quadratures == 0 and curve.err_est == 0.0 and curve.nodes == 0
     assert curve.orbit(1.01 * k4.T0, p4) is None
+
+
+def _carlson_period(n, R, Rt, c):
+    """Orbit period at energy c from Carlson's R_F and R_J, for n = 3, 6, 8.
+
+    Shares no code with the package.  In warp coordinates
+    T = sqrt(2) (n/2) integral f^(n/2-1) df / sqrt(c + B f^(n-2) - A f^n).
+    With y = f (n = 3, numerator and denominator times sqrt(f)) or
+    y = f^2 (n = 6, 8) this is pref * integral y dy / sqrt(Q(y)) between
+    the two positive roots y1 < y2 of a quartic
+    Q = A (y - y1)(y2 - y)(y - r3)(y - r4).  The substitution
+    y = y2 - (y2 - y1)/(1 + t) maps [y1, y2] onto [0, inf) and gives
+
+        integral = (2 y2 R_F(0, x3, x4) - (2/3)(y2 - y1) R_J(0, x3, x4, 1))
+                   / sqrt(A (y2 - r3)(y2 - r4)),   x_i = (y1 - r_i)/(y2 - r_i),
+
+    where r3, r4 are real (n = 3, 6: zero and a negative root) or a
+    complex pair (n = 8).  The roots come from numpy and are polished by
+    Newton at 40 digits on the exact polynomial, which keeps the two
+    close roots of a small orbit apart.
+    """
+    A = n * Rt / (8.0 * (n - 1.0))
+    B = n * R / (4.0 * (n - 1.0)) / (2.0 - 4.0 / n)
+    poly, pref = {
+        3: ([-A, 0.0, B, c, 0.0], 1.5 * math.sqrt(2.0)),
+        6: ([-A, B, 0.0, c, 0.0], 1.5 * math.sqrt(2.0)),
+        8: ([-A, B, 0.0, 0.0, c], 2.0 * math.sqrt(2.0)),
+    }[n]
+
+    def polish(root):
+        with mp.workdps(40):
+            coeffs = [mp.mpf(v) for v in poly]
+            slope = [k * v for k, v in zip(range(4, 0, -1), coeffs)]
+            y = mp.mpf(float(root))
+            for _ in range(12):
+                y -= mp.polyval(coeffs, y) / mp.polyval(slope, y)
+            return float(y)
+
+    roots = np.roots(poly)
+    real = np.sort(roots[np.abs(roots.imag) <= 1e-12 * np.abs(roots)].real)
+    y1, y2 = polish(real[-2]), polish(real[-1])
+    if n == 8:
+        r3, r4 = roots[np.abs(roots.imag) > 1e-12 * np.abs(roots)]
+    else:
+        r3, r4 = 0.0, polish(real[0])
+    x3 = (y1 - r3) / (y2 - r3)
+    x4 = (y1 - r4) / (y2 - r4)
+    integral = (2.0 * y2 * elliprf(0.0, x3, x4)
+                - (2.0 / 3.0) * (y2 - y1) * elliprj(0.0, x3, x4, 1.0))
+    return pref * float(np.real(integral / np.sqrt(A * (y2 - r3) * (y2 - r4))))
+
+
+@pytest.mark.parametrize("case", [c for c in FROZEN_ORBITS if c[0] in (3, 6)],
+                         ids=lambda c: f"n{c[0]}")
+def test_carlson_oracle_matches_frozen_reference(case):
+    n, R, Rt, c, _, _, T_ref = case
+    assert _carlson_period(n, R, Rt, c) == pytest.approx(T_ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_periods_match_carlson_oracle_over_the_clamped_band(n):
+    rtol = 1e-10
+    params = ModelParams(n, 2.0, 2.0)
+    for c in energy_grid(params, 40, mode="symlog"):
+        T = period_quadrature(float(c), params, rtol=rtol).T
+        assert abs(T / _carlson_period(n, 2.0, 2.0, float(c)) - 1.0) <= 1e-12, f"c = {c}"
+    # the curve's node periods, on the canonical parameters
+    curve = period_curve(n, rtol)
+    canon = n - 1.0
+    A = n / 8.0
+    B = n / 4.0 / (2.0 - 4.0 / n)
+    for piece in curve.pieces:
+        size = len(piece.coeffs)
+        for x in np.cos(math.pi * (np.arange(size) + 0.5) / size):
+            v = 0.5 * (piece.lo + piece.hi) + 0.5 * (piece.hi - piece.lo) * x
+            u = math.exp(v) if piece.log else v
+            a = u ** (n / 2.0)
+            c = A * a**2 - B * a ** (2.0 - 4.0 / n)
+            ref = _carlson_period(n, canon, canon, c) / (2.0 * math.pi)
+            assert abs(curve.ratio(u) / ref - 1.0) <= 1e-12, f"u = {u}"
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8])
+def test_contact_end_approaches_the_spherical_suspension(n):
+    """f = alpha |sin(beta t)| solves the curvature equation exactly, with
+    beta = sqrt(Rt/(n(n-1))) and alpha = f_star sqrt(n/(n-2)); its period
+    pi/beta is sqrt(n)/2 T0.  Orbits dipping to u -> 0 approach it."""
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    beta = math.sqrt(params.Rt / (n * (n - 1.0)))
+    alpha = k.f_star * math.sqrt(n / (n - 2.0))
+    t = np.linspace(0.1, 3.0, 7) / beta
+    residual = curvature_residual(alpha * np.sin(beta * t), alpha * beta * np.cos(beta * t),
+                                  -alpha * beta**2 * np.sin(beta * t), params)
+    assert np.max(np.abs(residual)) <= 1e-13 * params.R
+    assert math.pi / beta == pytest.approx(math.sqrt(n) / 2.0 * k.T0, rel=1e-15)
+
+    curve = period_curve(n, 1e-10)
+    us = np.geomspace(0.5, curve.u_lo, 16)
+    period_gap = [abs(curve.ratio(u) * k.T0 - math.pi / beta) for u in us]
+    f_max_gap = np.abs(period_mod._period_kernel(us, n, 1e-10).f_max * k.f_star - alpha)
+    assert all(g2 < g1 for g1, g2 in zip(period_gap, period_gap[1:]))
+    assert all(g2 < g1 for g1, g2 in zip(f_max_gap, f_max_gap[1:]))
+
+
+def test_orbits_report_their_nodes_and_error_estimate(p3):
+    rtol = 1e-10
+    spec = period_quadrature(FROZEN_ORBITS[0][3], p3, rtol=rtol)
+    assert spec.nodes > 0 and 0.0 < spec.err_est <= rtol
+    curve = period_curve(3, rtol)
+    assert curve.nodes > curve.quadratures > 0
+    tau = FROZEN_ORBITS[0][6]
+    read = curve.orbit(tau, p3)
+    # read off the curve: no kernel nodes, the piece's measured error
+    assert read.nodes == 0 and read.err_est == curve._piece(curve.invert(tau / (2.0 * math.pi))).err_est
+    confirmed = curve.orbit(tau, p3, confirm=True)
+    assert confirmed.nodes > 0 and 0.0 < confirmed.err_est <= rtol
+    assert (confirmed.c, confirmed.a, confirmed.b) == (read.c, read.a, read.b)
