@@ -10,13 +10,11 @@ and sqrt(n)/2 * T0 at contact, and it holds one orbit per k.
 `count_solutions` answers from that band in closed form and runs no
 quadrature.
 
-The diagram scan asks the period curve of the dimension
-(`period.period_curve`), which one build per n shares across every R
-and Rt: it walks a grid of circle periods, enumerates the wrap counts
-worth trying at each, and inverts the curve for one row per realized
-(T, k, energy) combination.  Two diagrams of one n and different
-(R, Rt) thus cost one curve, and a scan polishes on the period kernel
-only where the curve's measured error says so.
+The diagram scan walks a grid of circle periods, enumerates the wrap
+counts worth trying at each, and asks the period curve of the dimension
+(`period.period_curve`, one build per n for every R and Rt) for all the
+per-wrap periods at once: one batch inversion, confirmed by one kernel
+call, gives one row per realized (T, k, energy) combination.
 
 Branch k leaves the constant solution where its per-wrap period meets
 the small-amplitude limit T0, at circle period k * T0; the diagram
@@ -146,65 +144,43 @@ def scan_branches(
     if band[1] - band[0] <= 1e-9 * T0:
         # isochronous: the period map is flat and cannot parametrize branches
         return BifurcationDiagram(
-            params=params,
-            T0=T0,
-            t_grid=t_grid,
-            rows=(),
-            branch_points=(BranchPoint(k=1, T=T0),),
-            failures=(),
-            band=band,
+            params=params, T0=T0, t_grid=t_grid, rows=(),
+            branch_points=(BranchPoint(k=1, T=T0),), failures=(), band=band,
             degenerate_isochronous=True,
         )
 
-    rows: list[BranchRow] = []
-    failures: list[tuple[float, int, str]] = []
-    r = 2.0 / params.n
+    # (T, k, tau, why) in scan order; why is None for a tau to invert
+    wanted: list[tuple[float, int, float, str | None]] = []
     closed = sorted((T0, math.sqrt(params.n) / 2.0 * T0))
     for T in t_grid:
         candidates, classical = _wrap_candidates(T, T0, band)
         for k in candidates:
             tau = T / k
-            if not (band[0] * (1.0 - 1e-9) <= tau <= band[1] * (1.0 + 1e-9)):
-                if k in classical:
-                    where = ("inside the closed-form band but past the end of the "
-                             "period curve" if closed[0] < tau < closed[1]
-                             else "outside attained range")
-                    failures.append(
-                        (T, k, f"per-wrap period {tau} {where} [{band[0]}, {band[1]}]")
-                    )
-                continue
-            orbit = curve.orbit(tau, params, root_rtol=1e-11)
-            if orbit is None:
-                failures.append(
-                    (T, k, f"per-wrap period {tau} inside the attained range "
-                           "but past the end of the period curve")
-                )
-                continue
-            rows.append(
-                BranchRow(
-                    T=T,
-                    k=k,
-                    tau=tau,
-                    c=orbit.c,
-                    amplitude=orbit.amplitude,
-                    f_min=orbit.a**r,
-                    f_max=orbit.b**r,
-                )
-            )
+            if band[0] * (1.0 - 1e-9) <= tau <= band[1] * (1.0 + 1e-9):
+                wanted.append((T, k, tau, None))
+            elif k in classical:
+                where = ("inside the closed-form band but past the end of the "
+                         "period curve" if closed[0] < tau < closed[1]
+                         else "outside attained range")
+                wanted.append((T, k, tau, f"per-wrap period {tau} {where} [{band[0]}, {band[1]}]"))
 
+    found = iter(curve.orbits([tau for _, _, tau, why in wanted if why is None], params))
+    rows: list[BranchRow] = []
+    failures: list[tuple[float, int, str]] = []
+    r = 2.0 / params.n
+    for T, k, tau, why in wanted:
+        orbit = None if why else next(found)
+        if orbit is not None:
+            rows.append(BranchRow(T, k, tau, orbit.c, orbit.amplitude, orbit.a**r, orbit.b**r))
+        else:
+            failures.append((T, k, why or f"per-wrap period {tau} inside the attained range "
+                                          "but past the end of the period curve"))
+
+    wraps = sorted({row.k for row in rows if row.k * T0 <= T_max})
     return BifurcationDiagram(
-        params=params,
-        T0=T0,
-        t_grid=t_grid,
-        rows=tuple(rows),
-        branch_points=tuple(
-            BranchPoint(k=k, T=k * T0)
-            for k in sorted({row.k for row in rows})
-            if k * T0 <= T_max
-        ),
-        failures=tuple(failures),
-        band=band,
-        degenerate_isochronous=False,
+        params=params, T0=T0, t_grid=t_grid, rows=tuple(rows),
+        branch_points=tuple(BranchPoint(k=k, T=k * T0) for k in wraps),
+        failures=tuple(failures), band=band, degenerate_isochronous=False,
     )
 
 

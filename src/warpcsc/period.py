@@ -18,13 +18,12 @@ nearest turning point through half angles and the anchored difference
 takes its error estimate from the change between two levels.
 
 `period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
-once per process for each (n, rtol), one kernel call per piece.  It is
-the package's one period inversion: `bifurcation.scan_branches` takes
-each row's orbit from it, and `solver.solve_period` takes its orbit from
-it and confirms the period with the kernel at the same u.  Counting
-solutions needs no inversion: T is monotone in the energy, so the band
-between T0 and sqrt(n)/2 * T0 answers it in closed form (see
-`bifurcation`).
+once per process for each (n, rtol), one kernel call per piece.  Its
+`orbits(taus, params)` is the package's one period inversion: it inverts
+a batch of periods on the fit and confirms every orbit in one kernel
+call.  `bifurcation.scan_branches` asks it once for all its rows, and
+`solver.solve_period` for its one orbit.  Counting solutions needs no
+inversion (see `bifurcation`).
 
 `period_quadrature(c)` keeps the energy interface: `turning_points`
 solves the turning points by `brentq` from `_brent`, the package's own
@@ -40,9 +39,10 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from ._brent import brentq
-from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
+from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence, ToolkitError
 from .model import (
     ModelParams,
     derive_constants,
@@ -75,9 +75,9 @@ TS_LAST_LEVEL = 7
 # where n |L| is below SERIES_SPAN
 SERIES_SPAN = 0.02
 SERIES_TERMS = 9
-# Newton steps the outer turning point may take
-OUTER_STEPS = 100
-# kernel evaluations one root polish may take
+# Newton steps the outer turning point and a curve inversion may take
+NEWTON_STEPS = 100
+# kernel calls the confirmation and polish of a batch of orbits may take
 MAX_POLISH_STEPS = 100
 # Chebyshev nodes of a period curve: the upper piece in u, the contact
 # piece in log u, handing over at u = CONTACT_SPLIT
@@ -86,25 +86,27 @@ CONTACT_NODES = 32
 CONTACT_SPLIT = 0.05
 # held-out kernel orbits per curve piece behind its err_est
 CURVE_CHECKS = 8
-# a curve's inversion is polished on the kernel where its measured
-# error exceeds this multiple of rtol
+# an orbit is polished on the kernel while its period misses the
+# request by more than POLISH_FACTOR * rtol, and stops once its step in
+# u is at most POLISH_XTOL * u
 POLISH_FACTOR = 10.0
+POLISH_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class OrbitSpec:
     """One closed orbit: energy, turning points and period.
 
-    nodes is the number of integrand evaluations behind T (0 when T is
-    read off the period curve); err_est is T's relative error estimate.
+    nodes is the number of kernel integrand evaluations behind T;
+    err_est is T's relative error estimate.
     """
 
     c: float
     a: float
     b: float
     T: float
-    nodes: int = 0
-    err_est: float = 0.0
+    nodes: int
+    err_est: float
 
     @property
     def amplitude(self) -> float:
@@ -234,7 +236,7 @@ def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     v = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
     active = np.ones(u.shape, dtype=bool)
     last = np.full(u.shape, np.inf)
-    for _ in range(OUTER_STEPS):
+    for _ in range(NEWTON_STEPS):
         step = _rise(u, v - u, n) / ((n - 2.0) * v ** (n - 3.0) * (v - 1.0) * (v + 1.0))
         shrinking = np.abs(step) < last
         v = np.where(active & shrinking, v - step, v)
@@ -243,7 +245,7 @@ def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
         if not active.any():
             return v
     raise QuadratureNonConvergence(
-        f"outer turning point did not settle in {OUTER_STEPS} Newton steps for n = {n}"
+        f"outer turning point did not settle in {NEWTON_STEPS} Newton steps for n = {n}"
     )
 
 
@@ -346,9 +348,10 @@ def period_quadrature(c: float, params: ModelParams, *, rtol: float = 1e-10) -> 
 def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodScan:
     """Evaluate period_quadrature over a grid of energies, in grid order.
 
-    Failures are collected per point, so one bad energy does not spoil
-    the scan.  Energies within BAND_CLAMP * |c_min| of either band edge
-    fail with EnergyOutOfBand.
+    A point that fails with a ToolkitError is collected, so one bad
+    energy does not spoil the scan; any other exception is a fault and
+    propagates.  Energies within BAND_CLAMP * |c_min| of either band
+    edge fail with EnergyOutOfBand.
     """
     grid = [float(c) for c in c_grid]
     if not grid:
@@ -358,7 +361,7 @@ def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodSc
     for idx, c in enumerate(grid):
         try:
             results[idx] = period_quadrature(c, params, rtol=rtol)
-        except Exception as err:  # collected, not fatal
+        except ToolkitError as err:  # collected, not fatal
             failures.append((idx, err))
     return PeriodScan(
         c_grid=tuple(grid), entries=tuple(results), failures=tuple(failures)
@@ -402,23 +405,77 @@ def energy_grid(
 
 @dataclass(frozen=True, eq=False)
 class _CurvePiece:
-    """Chebyshev interpolant of T/T0 on [lo, hi] in u, or in log u when log."""
+    """Chebyshev series of T/T0 in x in [-1, 1], which maps onto [lo, hi]
+    in u, or in log u when log."""
 
     lo: float
     hi: float
     log: bool
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
     err_est: float
 
-    def ratio(self, u: float) -> float:
-        v = math.log(u) if self.log else u
-        x = (2.0 * v - self.lo - self.hi) / (self.hi - self.lo)
-        # Clenshaw recurrence, in plain floats: the inversion calls this
-        # a few dozen times per orbit
-        b1 = b2 = 0.0
-        for ck in self.coeffs[:0:-1]:
-            b1, b2 = 2.0 * x * b1 - b2 + ck, b1
-        return x * b1 - b2 + self.coeffs[0]
+    @cached_property
+    def value_and_slope_coeffs(self) -> np.ndarray:
+        """The series and its x-derivative as columns, for one Clenshaw pass."""
+        slope = chebder(self.coeffs)
+        return np.stack([self.coeffs, np.pad(slope, (0, self.coeffs.size - slope.size))], axis=1)
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The series sampled at 4N + 1 points of [-1, 1], as (values
+        ascending, x), from which `root` interpolates its first x."""
+        x = np.linspace(-1.0, 1.0, 4 * self.coeffs.size + 1)
+        values = chebval(x, self.coeffs)
+        order = np.argsort(values)
+        return values[order], x[order]
+
+    def x_of(self, u):
+        return (2.0 * (np.log(u) if self.log else u) - self.lo - self.hi) / (self.hi - self.lo)
+
+    def u_of(self, x):
+        v = 0.5 * (self.lo + self.hi) + 0.5 * (self.hi - self.lo) * x
+        return np.exp(v) if self.log else v
+
+    def ratio(self, u):
+        return chebval(self.x_of(u), self.coeffs)
+
+    def slope(self, u):
+        """d(T/T0)/du."""
+        dx_du = 2.0 / (self.hi - self.lo) / (u if self.log else 1.0)
+        return chebval(self.x_of(u), self.value_and_slope_coeffs)[1] * dx_du
+
+    def root(self, target: np.ndarray, a: float, b: float) -> np.ndarray:
+        """The x in [a, b] where the series takes each target.
+
+        The series is monotone on [a, b] and every target lies in its
+        range.  Newton steps start from `table`; a step that leaves the
+        bracket known so far is replaced by bisection.  An element stops
+        once its step is at most 4 eps or its residual is down to the
+        series' roundoff, where a flat slope leaves x unresolved.
+        """
+        pa, pb = chebval(np.array([a, b]), self.coeffs)
+        if pa == pb:  # a flat series: every x attains its one value
+            return np.full_like(target, a)
+        floor = 4.0 * np.finfo(float).eps * np.abs(self.coeffs).sum()
+        x = np.clip(np.interp(target, *self.table), a, b)
+        todo = np.arange(target.size)
+        lo, hi, want = np.full_like(x, a), np.full_like(x, b), target
+        for _ in range(NEWTON_STEPS):
+            if not todo.size:
+                return x
+            xt = x[todo]
+            value, slope = chebval(xt, self.value_and_slope_coeffs)
+            res = value - want
+            past = (res > 0.0) == (pb > pa)
+            lo, hi = np.where(past, lo, xt), np.where(past, xt, hi)
+            new = xt - res / slope
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            x[todo] = new
+            more = (np.abs(res) > floor) & (np.abs(new - xt) > 4.0 * np.finfo(float).eps)
+            todo, lo, hi, want = todo[more], lo[more], hi[more], want[more]
+        raise QuadratureNonConvergence(
+            f"period curve inversion did not settle in {NEWTON_STEPS} Newton steps"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +486,8 @@ class PeriodCurve:
     R and Rt from the reduced equation, so the period ratio of the orbit
     whose warp dips to u * f_star is a function of n alone, and one curve
     serves every (R, Rt).  The orbit behind u has inner turning point
-    a = x_star * u^(n/2) and energy c = potential(a).
+    a = x_star * u^(n/2) and energy c = potential(a).  `orbits` is the
+    one way to an orbit of a given period.
 
     u_lo, u_hi  the orbits BAND_CLAMP admits: contact end, well-bottom end
     band        the attained range of T/T0 over [u_lo, u_hi], ascending
@@ -453,69 +511,69 @@ class PeriodCurve:
 
     @cached_property
     def band(self) -> tuple[float, float]:
-        ends = (self.ratio(self.u_lo), self.ratio(self.u_hi))
+        ends = (float(self.ratio(self.u_lo)), float(self.ratio(self.u_hi)))
         return min(ends), max(ends)
 
-    def _piece(self, u: float) -> _CurvePiece:
-        return self.pieces[-1] if u >= self.split else self.pieces[0]
+    def ratio(self, u):
+        """T/T0 of the orbits whose warps dip to u * f_star."""
+        u = np.asarray(u, dtype=float)
+        return np.where(u >= self.split, self.pieces[-1].ratio(u), self.pieces[0].ratio(u))[()]
 
-    def ratio(self, u: float) -> float:
-        """T/T0 of the orbit whose warp dips to u * f_star."""
-        return self._piece(u).ratio(u)
+    def orbits(self, taus, params: ModelParams) -> tuple[OrbitSpec | None, ...]:
+        """The orbits of params with periods taus; None for a tau outside the band.
 
-    def invert(self, ratio: float) -> float | None:
-        """The u in [u_lo, u_hi] with T/T0 = ratio; None outside the band."""
-        if not self.band[0] <= ratio <= self.band[1]:
-            return None
-        return brentq(
-            lambda u: self.ratio(u) - ratio, self.u_lo, self.u_hi, xtol=1e-300
-        )
-
-    def orbit(
-        self,
-        tau: float,
-        params: ModelParams,
-        *,
-        confirm: bool = False,
-        root_rtol: float = 1e-12,
-    ) -> OrbitSpec | None:
-        """The orbit of params with period tau; None outside the band.
-
-        A bracketed solve on the interpolant gives u, hence a and
-        c = potential(a), and the kernel's outer Newton solve gives b;
-        the orbit's T is then the curve's.  Where the piece's err_est
-        exceeds POLISH_FACTOR * rtol, or when confirm is set, T comes
-        from the kernel at u instead, polished in u (`_settle`) when it
-        misses tau by more than POLISH_FACTOR * rtol.
+        Every in-band tau is inverted on the piece whose range holds it,
+        and one kernel call at the resulting u gives each orbit its T,
+        f_max, nodes and err_est.  Orbits whose T misses tau by more than
+        POLISH_FACTOR * rtol take Newton steps in u with the curve's
+        slope until they land or a step is at most POLISH_XTOL * u, in at
+        most MAX_POLISH_STEPS kernel calls in all.  Each step acts on
+        each orbit alone, so an orbit's result does not depend on the
+        batch it comes in.
         """
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
-        target = tau / derive_constants(params).T0
-        u = self.invert(target)
-        if u is None:
-            return None
-        err = self._piece(u).err_est
-        if err <= POLISH_FACTOR * self.rtol and not confirm:
-            v = _outer_root(np.array([u]), self.n)
-            return _orbit_spec(u, self.ratio(u), float(v[0]), 0, err, params)
-        return _settle(self, target, u, params, root_rtol)
+        consts = derive_constants(params)
+        target = np.asarray(taus, dtype=float) / consts.T0
+        inside = np.flatnonzero((self.band[0] <= target) & (target <= self.band[1]))
+        target = target[inside]
+        # a one-piece curve has split = u_lo, so no target is on the contact side
+        r_split = self.pieces[-1].ratio(self.split)
+        contact = (target - r_split) * (self.pieces[0].ratio(self.u_lo) - r_split) > 0.0
+        u = np.empty_like(target)
+        for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, self.split, contact),
+                                    (self.pieces[-1], self.split, self.u_hi, ~contact)):
+            x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
+            u[mine] = np.clip(piece.u_of(x), lo, hi)
 
-
-def _orbit_spec(
-    u: float, ratio: float, v: float, nodes: int, err_est: float, params: ModelParams
-) -> OrbitSpec:
-    """The OrbitSpec of params for the orbit from u to v (units of f_star)."""
-    consts = derive_constants(params)
-    half_n = params.n / 2.0
-    a = consts.x_star * u**half_n
-    return OrbitSpec(
-        c=float(potential(a, params)),
-        a=a,
-        b=consts.x_star * v**half_n,
-        T=ratio * consts.T0,
-        nodes=nodes,
-        err_est=err_est,
-    )
+        ratio, f_max, err_est = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+        nodes = np.empty(u.shape, dtype=int)
+        todo = np.arange(u.size)
+        for _ in range(MAX_POLISH_STEPS):
+            if not todo.size:
+                break
+            periods = _period_kernel(u[todo], self.n, self.rtol)
+            ratio[todo], f_max[todo], err_est[todo], nodes[todo] = periods
+            gap = target[todo] - periods.ratio
+            miss = np.abs(gap) > POLISH_FACTOR * self.rtol * target[todo]
+            todo, at = todo[miss], u[todo[miss]]
+            if not todo.size:
+                break
+            step = gap[miss] / np.where(at >= self.split, self.pieces[-1].slope(at),
+                                        self.pieces[0].slope(at))
+            moving = np.abs(step) > POLISH_XTOL * at
+            todo = todo[moving]
+            u[todo] = np.clip(at[moving] + step[moving], self.u_lo, self.u_hi)
+        if todo.size:
+            raise QuadratureNonConvergence(
+                f"period inversion at tau/T0 = {target[todo[0]]} did not settle in "
+                f"{MAX_POLISH_STEPS} steps"
+            )
+        a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
+        found = map(OrbitSpec, potential(a, params).tolist(), a.tolist(), b.tolist(),
+                    (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist())
+        by_index = dict(zip(inside.tolist(), found))
+        return tuple(by_index.get(j) for j in range(len(taus)))
 
 
 def period_curve(n: int, rtol: float = 1e-10) -> PeriodCurve:
@@ -545,7 +603,7 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     u_lo = turning_points(-BAND_CLAMP * depth, canon)[0] ** (2.0 / n)
     u_hi = turning_points(consts.c_min + BAND_CLAMP * depth, canon)[0] ** (2.0 / n)
     if n == 4:
-        flat = _CurvePiece(u_lo, u_hi, False, (1.0,), 0.0)
+        flat = _CurvePiece(u_lo, u_hi, False, np.ones(1), 0.0)
         return PeriodCurve(n, rtol, u_lo, u_hi, u_lo, (flat,), 0, 0.0, 0)
 
     nodes: list[tuple[float, float]] = []
@@ -553,28 +611,22 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
 
     def fit(lo: float, hi: float, size: int, log: bool) -> _CurvePiece:
         nonlocal orbits, evaluations
-
-        def u_of(x: float) -> float:
-            v = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-            return math.exp(v) if log else v
-
         theta = math.pi * (np.arange(size) + 0.5) / size
         # held out: extrema of T_size between the nodes, the two next to
         # the piece's ends among them
-        held = [math.cos(math.pi * j / size)
-                for j in np.rint(np.linspace(1, size - 1, CURVE_CHECKS))]
-        us = [u_of(x) for x in np.cos(theta)] + [u_of(x) for x in held]
-        periods = _period_kernel(np.array(us), n, rtol)
-        orbits += len(us)
+        held = np.cos(math.pi * np.rint(np.linspace(1, size - 1, CURVE_CHECKS)) / size)
+        piece = _CurvePiece(lo, hi, log, np.zeros(size), 0.0)
+        us = piece.u_of(np.concatenate([np.cos(theta), held]))
+        periods = _period_kernel(us, n, rtol)
+        orbits += us.size
         evaluations += int(periods.nodes.sum())
         vals = periods.ratio[:size]
         nodes.extend(zip(us[:size], vals))
         coeffs = (2.0 / size) * np.cos(np.outer(np.arange(size), theta)) @ vals
         coeffs[0] *= 0.5
-        piece = _CurvePiece(lo, hi, log, tuple(float(ck) for ck in coeffs), 0.0)
-        err = max(abs(piece.ratio(u) / ref - 1.0)
-                  for u, ref in zip(us[size:], periods.ratio[size:]))
-        return replace(piece, err_est=err)
+        piece = replace(piece, coeffs=coeffs)
+        err = np.max(np.abs(piece.ratio(us[size:]) / periods.ratio[size:] - 1.0))
+        return replace(piece, err_est=float(err))
 
     split = max(CONTACT_SPLIT, u_lo)
     pieces = []
@@ -591,33 +643,4 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     return PeriodCurve(
         n, rtol, u_lo, u_hi, split, tuple(pieces), orbits,
         max(p.err_est for p in pieces), evaluations,
-    )
-
-
-def _settle(
-    curve: PeriodCurve, target: float, u: float, params: ModelParams, root_rtol: float
-) -> OrbitSpec:
-    """Polish u until the kernel's T/T0 is within POLISH_FACTOR * rtol of target.
-
-    Each step is a Newton step on the kernel with the curve's slope:
-    u moves by the gap between the curve's inversions of target and of
-    the kernel's ratio at u, kept inside [u_lo, u_hi].  The polish stops
-    there, or once a step is at most root_rtol * u, and returns the last
-    evaluated orbit.
-    """
-    lo, hi = curve.band
-    home = u
-    for _ in range(MAX_POLISH_STEPS):
-        orbit = _period_kernel(np.array([u]), curve.n, curve.rtol)
-        ratio = float(orbit.ratio[0])
-        spec = _orbit_spec(u, ratio, float(orbit.f_max[0]), int(orbit.nodes[0]),
-                           float(orbit.err_est[0]), params)
-        if abs(ratio - target) <= POLISH_FACTOR * curve.rtol * target:
-            return spec
-        step = home - curve.invert(min(max(ratio, lo), hi))
-        if abs(step) <= root_rtol * u:
-            return spec
-        u = min(max(u + step, curve.u_lo), curve.u_hi)
-    raise QuadratureNonConvergence(
-        f"period inversion at tau/T0 = {target} did not settle in {MAX_POLISH_STEPS} steps"
     )

@@ -1,13 +1,13 @@
 """Solving for periodic warp profiles of a prescribed period.
 
 The solver inverts the period map on the period curve of the dimension
-(`period.period_curve`, one per n, shared by every R and Rt): the curve
-gives the orbit whose period equals the request, and the period kernel
-confirms that period at the same f_min.  The solver then integrates the reduced
-oscillator over one full period and pushes the samples back to warp
-coordinates.  A profile is stored as a closed loop of samples
-(t, x, v, f, f', f'') with the endpoint repeated at t = T so consumers
-can treat it as one period of a periodic function without bookkeeping.
+(`period.period_curve`, one per n, shared by every R and Rt), which
+gives the orbit whose period equals the request, confirmed by the period
+kernel.  The solver then integrates the reduced oscillator over one full
+period and pushes the samples back to warp coordinates.  A profile is
+stored as a closed loop of samples (t, x, v, f, f', f'') with the
+endpoint repeated at t = T so consumers can treat it as one period of a
+periodic function without bookkeeping.
 
 `audit_profile` rechecks a profile three independent ways: the pointwise
 curvature identity in warp coordinates, the same identity with the
@@ -279,11 +279,10 @@ def solve_period(
     Periods at or below the threshold T0 are rejected outright: the
     rest point absorbs the whole band there.  The orbit comes from the
     period curve of the dimension, which is monotone, so at most one
-    orbit has period T; the period kernel confirms it at the same f_min.
-    A polish in f_min on the kernel follows where the confirmation misses
-    T by more than POLISH_FACTOR * quad_rtol.  If the curve's period
-    range never touches T, NoBracket carries that range so the caller
-    can see how far off the request was.
+    orbit has period T; `PeriodCurve.orbits` confirms it on the kernel
+    and polishes it there when it misses T by more than 10 * quad_rtol.
+    If the curve's period range never touches T, NoBracket carries that
+    range so the caller can see how far off the request was.
     """
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")
@@ -296,7 +295,7 @@ def solve_period(
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
     curve = period_curve(params.n, quad_rtol)
-    orbit = curve.orbit(T, params, confirm=True)
+    orbit = curve.orbits([T], params)[0]
     if orbit is None:
         t_min, t_max = curve.band[0] * consts.T0, curve.band[1] * consts.T0
         raise NoBracket(

@@ -136,8 +136,7 @@ def test_branches_never_cross(p5, k5):
     """Two wrap families alive at one T keep strictly ordered energies."""
     T = 10.03 * k5.T0
     curve = period_curve(5, QUAD_RTOL)
-    orbit9 = curve.orbit(T / 9.0, p5)
-    orbit10 = curve.orbit(T / 10.0, p5)
+    orbit9, orbit10 = curve.orbits([T / 9.0, T / 10.0], p5)
     assert orbit9 is not None and orbit10 is not None
     # T(c) increases with c here, so the slower wrap sits higher in energy
     assert orbit9.c > orbit10.c
@@ -152,20 +151,31 @@ def test_scan_validation(p3, k3):
     assert count_solutions(-1.0, p3) == 0
 
 
-def test_rescaled_scan_reuses_the_period_curve(p3, k3, monkeypatch):
-    first = scan_branches(3.5 * k3.T0, p3, 400)
-    calls = []
+def _count_kernel_batches(monkeypatch):
+    """Route the period kernel through a counter; returns its list of batch sizes."""
+    sizes = []
     real_kernel = period_mod._period_kernel
 
-    def counting_kernel(*args):
-        calls.append(args)
-        return real_kernel(*args)
+    def counting_kernel(u, *args):
+        sizes.append(np.size(u))
+        return real_kernel(u, *args)
 
     monkeypatch.setattr(period_mod, "_period_kernel", counting_kernel)
+    return sizes
+
+
+def test_rescaled_scan_reuses_the_period_curve(p3, k3, monkeypatch):
+    first = scan_branches(3.5 * k3.T0, p3, 400)
+    # a rebuild would send each piece's nodes and checks to the kernel
+    build = {piece.coeffs.size + period_mod.CURVE_CHECKS
+             for piece in period_curve(3, QUAD_RTOL).pieces}
+    sizes = _count_kernel_batches(monkeypatch)
     p = ModelParams(3, 8.0, 8.0)
     k = derive_constants(p)
     second = scan_branches(3.5 * k.T0, p, 400)
-    assert calls == []
+    # one kernel call confirms every row
+    assert sizes == [len(second.rows)]
+    assert not build & set(sizes)
     assert len(second.rows) == len(first.rows)
     for r1, r2 in zip(first.rows, second.rows):
         assert r2.k == r1.k
@@ -173,6 +183,15 @@ def test_rescaled_scan_reuses_the_period_curve(p3, k3, monkeypatch):
         s1 = (r1.c - k3.c_min) / abs(k3.c_min)
         s2 = (r2.c - k.c_min) / abs(k.c_min)
         assert abs(s2 - s1) <= 1e-12
+
+
+def test_warm_scan_confirms_every_row_in_one_kernel_call(monkeypatch):
+    params = ModelParams(6, 1.0, 3.0)
+    T_max = 3.5 * derive_constants(params).T0
+    period_curve(6, QUAD_RTOL)  # warm
+    sizes = _count_kernel_batches(monkeypatch)
+    diagram = scan_branches(T_max, params, 400)
+    assert sizes == [len(diagram.rows)]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -184,16 +184,25 @@ def test_scan_continues_past_a_failed_point(p3, k3):
             assert spec.c == pytest.approx(float(c), rel=1e-15)
 
 
+def test_scan_raises_programming_errors(monkeypatch, p3):
+    # only a ToolkitError is a failed point; anything else is a fault
+    def broken_quadrature(c, params, *, rtol):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(period_mod, "period_quadrature", broken_quadrature)
+    with pytest.raises(TypeError, match="broken"):
+        period_scan(list(energy_grid(p3, 4)), p3)
+
+
 def test_table_inversion_recovers_energy(p3, k3):
     tau = FROZEN_ORBITS[0][6]
-    orbit = period_curve(3, 1e-10).orbit(tau, p3, confirm=True)
+    orbit = period_curve(3, 1e-10).orbits([tau], p3)[0]
     assert orbit.c == pytest.approx(-0.225, abs=1e-9 * abs(k3.c_min))
 
 
 def test_table_inversion_outside_band_is_empty(p3, k3):
     curve = period_curve(3, 1e-10)
-    assert curve.orbit(1.5 * k3.T0, p3) is None
-    assert curve.orbit(0.5 * k3.T0, p3) is None
+    assert curve.orbits([1.5 * k3.T0, 0.5 * k3.T0], p3) == (None, None)
 
 
 def test_quadrature_nonconvergence_surfaces(p3):
@@ -263,7 +272,30 @@ def test_polish_that_cannot_settle_raises(monkeypatch, p3):
     monkeypatch.setattr(period_mod, "MAX_POLISH_STEPS", 1)
     monkeypatch.setattr(period_mod, "_period_kernel", skewed_kernel)
     with pytest.raises(QuadratureNonConvergence, match="did not settle in 1 steps"):
-        curve.orbit(FROZEN_ORBITS[0][6], p3, confirm=True)
+        curve.orbits([FROZEN_ORBITS[0][6]], p3)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_polish_lands_orbits_on_a_skewed_kernel(monkeypatch, n):
+    # the curve misses the skewed kernel by 1e-7: every orbit needs a polish
+    rtol = 1e-10
+    curve = period_curve(n, rtol)  # built before the kernel is skewed
+    params = ModelParams(n, 2.0, 2.0)
+    lo, hi = curve.band
+    taus = [float(r) * derive_constants(params).T0 for r in np.linspace(lo, hi, 9)[1:-1]]
+    real_kernel = period_mod._period_kernel
+
+    def skewed_kernel(*args):
+        periods = real_kernel(*args)
+        return periods._replace(ratio=periods.ratio * (1.0 + 1e-7))
+
+    monkeypatch.setattr(period_mod, "_period_kernel", skewed_kernel)
+    singles = [curve.orbits([tau], params)[0] for tau in taus]
+    batches = _record_kernel(monkeypatch)
+    assert curve.orbits(taus, params) == tuple(singles)
+    assert 2 <= len(batches) <= 4, [b.size for b in batches]
+    for orbit, tau in zip(singles, taus):
+        assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol
 
 
 def _record_kernel(monkeypatch):
@@ -323,13 +355,18 @@ def test_period_curve_error_estimate_and_polish_near_contact(n, monkeypatch):
     for ratio in np.linspace(lo, hi, 14)[1:-1]:
         tau = float(ratio) * k.T0
         batches.clear()
-        orbit = curve.orbit(tau, params)
-        # the curve's own orbit is polished exactly where err_est says so,
-        # and a polish starts next to the root
-        assert bool(batches) == (curve.err_est > 10.0 * rtol)
-        assert len(batches) <= 4
+        orbit = curve.orbits([tau], params)[0]
+        # the kernel confirms every orbit, and a polish starts next to the root
+        assert 1 <= len(batches) <= 4
         T = period_quadrature(orbit.c, params, rtol=rtol).T
         assert abs(T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
+
+
+def _crowding_the_contact_end(curve, T0, count=25):
+    """count periods inside the curve's band, crowding its contact end."""
+    lo, hi = curve.band
+    ratios = hi - np.linspace(0.0, 1.0, count + 2)[1:-1] ** 3 * (hi - lo)
+    return [float(ratio) * T0 for ratio in ratios]
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])
@@ -344,16 +381,31 @@ def test_confirmed_orbits_crowding_the_contact_end_land_on_tau(n, monkeypatch):
     params = ModelParams(n, 2.0, 2.0)
     k = derive_constants(params)
     batches = _record_kernel(monkeypatch)
-    lo, hi = curve.band
-    for ratio in hi - np.linspace(0.0, 1.0, 27)[1:-1] ** 3 * (hi - lo):
-        tau = float(ratio) * k.T0
+    for tau in _crowding_the_contact_end(curve, k.T0):
         batches.clear()
-        orbit = curve.orbit(tau, params, confirm=True)
+        orbit = curve.orbits([tau], params)[0]
         assert 1 <= len(batches) <= 4
-        assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
+        assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol, f"tau = {tau / k.T0} T0"
         # the energy the orbit reports carries that period too
         T = period_quadrature(orbit.c, params, rtol=rtol).T
-        assert abs(T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
+        assert abs(T / tau - 1.0) <= 10.0 * rtol, f"tau = {tau / k.T0} T0"
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_a_batch_of_orbits_matches_single_calls_bit_for_bit(n, monkeypatch):
+    rtol = 1e-10
+    curve = period_curve(n, rtol)
+    params = ModelParams(n, 2.0, 2.0)
+    taus = _crowding_the_contact_end(curve, derive_constants(params).T0)
+    singles = [curve.orbits([tau], params)[0] for tau in taus]
+    batches = _record_kernel(monkeypatch)
+    batch = curve.orbits(taus, params)
+    assert batch == tuple(singles)
+    # the whole batch lands in at most 4 kernel calls, the first on all of it
+    assert 1 <= len(batches) <= 4 and batches[0].size == len(taus)
+    for orbit, tau in zip(batch, taus):
+        assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol
+        assert orbit.nodes > 0 and 0.0 < orbit.err_est <= rtol
 
 
 def test_period_curve_is_built_once_per_key(monkeypatch):
@@ -388,7 +440,7 @@ def test_isochronous_period_curve_is_flat_and_free(monkeypatch, p4, k4):
     curve = period_curve(4, 2e-10)
     assert curve.band == (1.0, 1.0)
     assert curve.quadratures == 0 and curve.err_est == 0.0 and curve.nodes == 0
-    assert curve.orbit(1.01 * k4.T0, p4) is None
+    assert curve.orbits([1.01 * k4.T0], p4) == (None,)
 
 
 def _carlson_period(n, R, Rt, c):
@@ -501,9 +553,8 @@ def test_orbits_report_their_nodes_and_error_estimate(p3):
     curve = period_curve(3, rtol)
     assert curve.nodes > curve.quadratures > 0
     tau = FROZEN_ORBITS[0][6]
-    read = curve.orbit(tau, p3)
-    # read off the curve: no kernel nodes, the piece's measured error
-    assert read.nodes == 0 and read.err_est == curve._piece(curve.invert(tau / (2.0 * math.pi))).err_est
-    confirmed = curve.orbit(tau, p3, confirm=True)
-    assert confirmed.nodes > 0 and 0.0 < confirmed.err_est <= rtol
-    assert (confirmed.c, confirmed.a, confirmed.b) == (read.c, read.a, read.b)
+    taus = [0.99 * tau, tau, 1.01 * tau]
+    # every orbit carries the kernel's T, nodes and err_est
+    for orbit, want in zip(curve.orbits(taus, p3), taus):
+        assert orbit.nodes > 0 and 0.0 < orbit.err_est <= rtol
+        assert abs(orbit.T / want - 1.0) <= 10.0 * rtol

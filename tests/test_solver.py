@@ -1,5 +1,7 @@
 """Profile construction, period inversion and the three-route audit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,32 @@ def test_near_contact_n3_profiles_close_and_pass_the_energy_route(p3, k3, s):
     audit = audit_profile(prof)
     assert "energy" not in audit.breaches
     assert audit.energy_sup <= audit.energy_tol_abs
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_near_contact_profiles_approach_the_spherical_suspension(n):
+    """Profiles dipping to u * f_star approach alpha |sin(beta t)| as u falls.
+
+    alpha = f_star sqrt(n/(n-2)) and beta = sqrt(Rt/(n(n-1))) give the
+    suspension, whose period pi/beta is the contact end of the band.
+    Profiles start at the dip, so no phase shift is fitted: measured on
+    the profile's own period, f differs from the suspension by u * f_star
+    at the dip and by less elsewhere, and T beta/pi - 1 halves with u.
+    """
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    alpha = k.f_star * math.sqrt(n / (n - 2.0))
+    beta = math.sqrt(params.Rt / (n * (n - 1.0)))
+    shape_gap, period_gap = [], []
+    for u in (0.3, 0.15, 0.08, 0.04):
+        prof = profile_from_energy(potential(k.x_star * u ** (n / 2.0), params), params, 1025)
+        gap = np.abs(prof.f - alpha * np.abs(np.sin(math.pi * prof.t / prof.T)))
+        assert gap.max() <= 1.01 * u * k.f_star, f"u = {u}"
+        assert int(np.argmax(gap)) in (0, len(gap) - 1), f"u = {u}"
+        shape_gap.append(gap.max())
+        period_gap.append(abs(prof.T * beta / math.pi - 1.0))
+    assert all(g2 < g1 for g1, g2 in zip(shape_gap, shape_gap[1:]))
+    assert all(g2 < g1 for g1, g2 in zip(period_gap, period_gap[1:]))
 
 
 def test_profile_force_evaluations_are_pinned(p3, k3):
