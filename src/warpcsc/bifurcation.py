@@ -126,8 +126,10 @@ def scan_branches(
     the band is the curve's range.  Each wrap k with rows has its
     branch point at k * T0 when that lies within T_max.  Per-point
     failures (a wrap count whose per-wrap period is not attained) are
-    recorded with their reason, never fatal.  Isochronous parameter sets
-    short-circuit to the degenerate flag.
+    recorded with their reason, never fatal; a grid point on the comb,
+    T = k * T0, asks wrap k for the per-wrap period T0, which only the
+    constant warp has, and its failure names that branch point.
+    Isochronous parameter sets short-circuit to the degenerate flag.
     """
     consts = derive_constants(params)
     T0 = consts.T0
@@ -172,9 +174,12 @@ def scan_branches(
         orbit = None if why else next(found)
         if orbit is not None:
             rows.append(BranchRow(T, k, tau, orbit.c, orbit.amplitude, orbit.a**r, orbit.b**r))
-        else:
-            failures.append((T, k, why or f"per-wrap period {tau} inside the attained range "
-                                          "but past the end of the period curve"))
+            continue
+        if why is None and abs(tau / T0 - 1.0) <= 1e-9:
+            why = (f"per-wrap period {tau} is T0, the branch point of wrap {k}: "
+                   "only the constant warp has it")
+        failures.append((T, k, why or f"per-wrap period {tau} inside the attained range "
+                                      "but past the end of the period curve"))
 
     wraps = sorted({row.k for row in rows if row.k * T0 <= T_max})
     return BifurcationDiagram(

@@ -29,14 +29,19 @@ generator `_leapfrog` steps every run in this module: a section search,
 a period measurement and a drift run each consume it their own way.
 They stay second order on purpose, since they measure the leapfrog
 itself: the return map's Richardson step assumes an error in dt^2.
-Tests pin the return map by tolerance, and leapfrog_step and the drift
-run bit for bit.  The generator `_composition` steps the profile
-sampler of `solver`.  It is Yoshida's sixth-order symmetric composition
-of seven leapfrog stages (Phys. Lett. A 150 (1990) 262; Hairer, Lubich
-and Wanner, Geometric Numerical Integration, ch. II and V).  It is still
-symplectic, and its energy error falls as (omega dt)^6, so a profile
-meets its energy target at a far coarser step.  Neither generator knows
-a stopping rule; each yields the state after every step.
+Tests pin the return map by tolerance and, at nine frozen energies, bit
+for bit, and leapfrog_step and the drift run bit for bit.  A return-map
+run takes the smaller of T0 / STEPS_PER_PERIOD and a step resolving the
+local oscillation at its inner turning point, which a crude bisection
+finds on the scalar form of the offset potential (`model._forms`); no
+turning point comes from `period`.  The generator `_composition` steps
+the profile sampler of `solver`.  It is Yoshida's sixth-order symmetric
+composition of seven leapfrog stages (Phys. Lett. A 150 (1990) 262;
+Hairer, Lubich and Wanner, Geometric Numerical Integration, ch. II and
+V).  It is still symplectic, and its energy error falls as
+(omega dt)^6, so a profile meets its energy target at a far coarser
+step.  Neither generator knows a stopping rule; each yields the state
+after every step.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .model import (
     ModelParams,
     PhaseState,
     _force_coeffs,
+    _forms,
     _potential_coeffs,
     derive_constants,
     energy,
@@ -258,19 +264,22 @@ def integrate_until_section(
 
 
 def _rough_inner_turning(e_above_min: float, params: ModelParams) -> float:
-    """Crude bisection for the inner turning point, used only to size steps."""
-    from .model import potential_above_min
+    """Crude bisection for the inner turning point, used only to size steps.
 
+    It evaluates the offset potential through the scalar form of
+    `potential_above_min`, and takes no turning point from `period`.
+    """
+    offset = _forms(params).offset
     x_star = (params.R / params.Rt) ** (params.n / 4.0)
     lo = x_star
     for _ in range(80):
         lo *= 0.5
-        if potential_above_min(lo, params) >= e_above_min:
+        if offset(lo) >= e_above_min:
             break
     hi = min(2.0 * lo, x_star)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if potential_above_min(mid, params) >= e_above_min:
+        if offset(mid) >= e_above_min:
             lo = mid
         else:
             hi = mid

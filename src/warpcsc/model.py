@@ -17,12 +17,21 @@ rest point x_star is a nondegenerate center; orbits with energy strictly
 between the well bottom and zero are closed, and each closed orbit maps
 back to a positive periodic warp.  Everything downstream (period maps,
 profile solving, bifurcation counts) is built on the few evaluators here.
+
+Each formula of the force, the potential and its offset above the well
+bottom is written once, in `_forms`: closures over one parameter set's
+constants.  The public evaluators check and convert their input and call
+them; root solves that evaluate one float at a time call them directly,
+bit for bit the same and without the per-call array overhead.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,9 +160,50 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
         f_star=f_star,
         omega=omega,
         T0=2.0 * math.pi / omega,
-        c_min=potential(x_star, params),
+        c_min=float(_forms(params).potential(x_star)),
         c_crit=0.0,
     )
+
+
+class _Forms(NamedTuple):
+    """The force, the potential and its offset above the well bottom as
+    closures over one parameter set's constants.
+
+    They take floats or arrays and neither check nor convert.  They call
+    numpy's ufuncs even on floats: np.power, np.expm1 and np.log1p give
+    the bits of the array path, where Python's ** and math.expm1 differ
+    in the last bit.  The public evaluators below validate and call them.
+    """
+
+    force: Callable
+    potential: Callable
+    offset: Callable
+
+
+@lru_cache(maxsize=64)
+def _forms(params: ModelParams) -> _Forms:
+    k1, k2, e = _force_coeffs(params)
+    A, B, q = _potential_coeffs(params)
+    x_star = (params.R / params.Rt) ** (params.n / 4.0)
+    b_star = B * x_star**q
+
+    def offset(x):
+        d = x - x_star
+        return A * d * (x + x_star) - b_star * np.expm1(q * np.log1p(d / x_star))
+
+    return _Forms(
+        force=lambda x: k1 * x - k2 * np.power(x, e),
+        potential=lambda x: A * np.square(x) - B * np.power(x, q),
+        offset=offset,
+    )
+
+
+def _evaluate(form, x, name: str):
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
+        raise DomainError(f"{name} requires x > 0")
+    out = form(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def force(x, params: ModelParams):
@@ -163,12 +213,7 @@ def force(x, params: ModelParams):
     exponent 1 - 4/n vanishes and the force k1 x - k2 has a constant
     gradient, which is why that dimension is isochronous.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("force requires x > 0")
-    k1, k2, e = _force_coeffs(params)
-    out = k1 * arr - k2 * arr**e
-    return float(out) if arr.ndim == 0 else out
+    return _evaluate(_forms(params).force, x, "force")
 
 
 def potential(x, params: ModelParams):
@@ -178,12 +223,7 @@ def potential(x, params: ModelParams):
     coefficients are positive, so the well is a single dip below zero
     with its bottom at x_star.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("potential requires x > 0")
-    A, B, q = _potential_coeffs(params)
-    out = A * arr**2 - B * arr**q
-    return float(out) if arr.ndim == 0 else out
+    return _evaluate(_forms(params).potential, x, "potential")
 
 
 def potential_above_min(x, params: ModelParams):
@@ -195,16 +235,7 @@ def potential_above_min(x, params: ModelParams):
     the difference through expm1/log1p in the offset d = x - x_star keeps
     it accurate to roundoff on the whole positive axis.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("potential_above_min requires x > 0")
-    A, B, q = _potential_coeffs(params)
-    x_star = (params.R / params.Rt) ** (params.n / 4.0)
-    d = arr - x_star
-    quad = A * d * (arr + x_star)
-    power = B * x_star**q * np.expm1(q * np.log1p(d / x_star))
-    out = quad - power
-    return float(out) if arr.ndim == 0 else out
+    return _evaluate(_forms(params).offset, x, "potential_above_min")
 
 
 def energy(x, v, params: ModelParams):

@@ -25,10 +25,13 @@ call.  `bifurcation.scan_branches` asks it once for all its rows, and
 `solver.solve_period` for its one orbit.  Counting solutions needs no
 inversion (see `bifurcation`).
 
-`period_quadrature(c)` keeps the energy interface: `turning_points`
-solves the turning points by `brentq` from `_brent`, the package's own
-port of scipy's Brent solver, and the kernel takes the orbit from the
-inner one.
+`period_scan(c_grid)` keeps the energy interface: `turning_points`
+solves each energy's turning points by `brentq` from `_brent`, the
+package's own port of scipy's Brent solver, on the scalar forms of the
+model's potentials, and one kernel call takes every orbit from its inner
+turning point.  The kernel leaves an orbit it cannot certify unaccepted
+instead of raising, so such a point fails alone.  `period_quadrature(c)`
+is the scan of one energy.
 """
 
 from __future__ import annotations
@@ -43,13 +46,7 @@ from numpy.polynomial.chebyshev import chebder, chebval
 
 from ._brent import brentq
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence, ToolkitError
-from .model import (
-    ModelParams,
-    derive_constants,
-    force,
-    potential,
-    potential_above_min,
-)
+from .model import DerivedConstants, ModelParams, _Forms, _forms, derive_constants, potential
 
 __all__ = [
     "OrbitSpec",
@@ -127,9 +124,8 @@ class PeriodScan:
     failures: tuple[tuple[int, Exception], ...] = field(default_factory=tuple)
 
 
-def _check_band(c: float, params: ModelParams) -> None:
+def _check_band(c: float, consts: DerivedConstants) -> None:
     """Refuse c outside the BAND_CLAMP band."""
-    consts = derive_constants(params)
     depth = abs(consts.c_min)
     e_above = c - consts.c_min
     # the boundary itself is admitted; the absolute slack keeps grid
@@ -150,9 +146,11 @@ def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
     method and two Newton steps.  Energies within BAND_CLAMP * |c_min|
     of either band edge are rejected rather than solved in noise.
     """
-    _check_band(c, params)
-    x_star = derive_constants(params).x_star
-    g = _level_gap(c, params)
+    consts = derive_constants(params)
+    _check_band(c, consts)
+    x_star = consts.x_star
+    forms = _forms(params)
+    g = _level_gap(c, consts.c_min, forms)
     lo = x_star
     for _ in range(2000):
         lo *= 0.5
@@ -173,25 +171,25 @@ def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
         )
     a = brentq(g, lo, min(2.0 * lo, x_star), xtol=1e-300, rtol=TURNING_RTOL)
     b = brentq(g, max(0.5 * hi, x_star), hi, xtol=1e-300, rtol=TURNING_RTOL)
-    return float(_newton_polish(a, g, params)), float(_newton_polish(b, g, params))
+    return float(_newton_polish(a, g, forms.force)), float(_newton_polish(b, g, forms.force))
 
 
-def _level_gap(c: float, params: ModelParams):
+def _level_gap(c: float, c_min: float, forms: _Forms):
     """x -> potential(x) - c, in the form that keeps c's digits.
 
     On the lower half of the band c - c_min is exact, and the offset
     potential keeps full precision near the well bottom.  On the upper
     half c - c_min would round away the digits of a small |c|, and the
-    plain potential keeps them.
+    plain potential keeps them.  Both are the scalar forms of the model's
+    evaluators, which take one float without the array round trip.
     """
-    c_min = derive_constants(params).c_min
     if c <= 0.5 * c_min:
         e_above = c - c_min
-        return lambda x: potential_above_min(x, params) - e_above
-    return lambda x: potential(x, params) - c
+        return lambda x: float(forms.offset(x)) - e_above
+    return lambda x: float(forms.potential(x)) - c
 
 
-def _newton_polish(root: float, g, params: ModelParams) -> float:
+def _newton_polish(root: float, g, force) -> float:
     """Two Newton steps on the level gap g from a Brent root.
 
     Brent leaves a relative-in-x error near TURNING_RTOL; two Newton steps
@@ -199,7 +197,7 @@ def _newton_polish(root: float, g, params: ModelParams) -> float:
     residue down to roundoff.
     """
     for _ in range(2):
-        slope = force(root, params)
+        slope = float(force(root))
         if slope == 0.0 or not math.isfinite(slope):
             break
         candidate = root - g(root) / slope
@@ -286,7 +284,9 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     One numpy pass per tanh-sinh level over the whole batch; each orbit
     is accepted at the first level whose change from the level before,
     plus one rounding of the sum, is at most rtol of its period, so an
-    orbit's result does not depend on the batch it comes in.
+    orbit's result does not depend on the batch it comes in.  An orbit
+    still unaccepted past the finest level keeps nodes == 0 and ratio 0;
+    `_certified` turns it into QuadratureNonConvergence.
     """
     u = np.asarray(u, dtype=float)
     v = _outer_root(u, n)
@@ -318,37 +318,45 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
             if nodes.all():
                 return _Periods(ratio, v, err_est, nodes)
         previous = estimate
-    raise QuadratureNonConvergence(
-        f"period kernel for n = {n} at u = {u[nodes == 0][0]} did not meet rtol = {rtol} "
+    return _Periods(ratio, v, err_est, nodes)
+
+
+def _unconverged(u: float, n: int, rtol: float) -> QuadratureNonConvergence:
+    return QuadratureNonConvergence(
+        f"period kernel for n = {n} at u = {u} did not meet rtol = {rtol} "
         f"by its finest level, h = 2^-{TS_LAST_LEVEL}"
     )
 
 
-def period_quadrature(c: float, params: ModelParams, *, rtol: float = 1e-10) -> OrbitSpec:
-    """Period of the orbit at energy c.
+def _certified(u: np.ndarray, n: int, rtol: float) -> _Periods:
+    """The kernel's periods, once it met rtol on every orbit of the batch u."""
+    periods = _period_kernel(u, n, rtol)
+    if not periods.nodes.all():
+        raise _unconverged(u[periods.nodes == 0][0], n, rtol)
+    return periods
 
-    `turning_points` gives a and b; the kernel takes the orbit from
-    u = (a/x_star)^(2/n).  Energies outside the clamped band raise
-    EnergyOutOfBand, and a period the kernel cannot certify to rtol
-    raises QuadratureNonConvergence.
+
+def period_quadrature(c: float, params: ModelParams, *, rtol: float = 1e-10) -> OrbitSpec:
+    """Period of the orbit at energy c: `period_scan` of the one energy.
+
+    Energies outside the clamped band raise EnergyOutOfBand, and a
+    period the kernel cannot certify to rtol raises
+    QuadratureNonConvergence.
     """
-    a, b = turning_points(c, params)
-    consts = derive_constants(params)
-    orbit = _period_kernel(np.array([(a / consts.x_star) ** (2.0 / params.n)]), params.n, rtol)
-    return OrbitSpec(
-        c=float(c),
-        a=a,
-        b=b,
-        T=float(orbit.ratio[0]) * consts.T0,
-        nodes=int(orbit.nodes[0]),
-        err_est=float(orbit.err_est[0]),
-    )
+    scan = period_scan([c], params, rtol=rtol)
+    if scan.failures:
+        raise scan.failures[0][1]
+    return scan.entries[0]
 
 
 def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodScan:
-    """Evaluate period_quadrature over a grid of energies, in grid order.
+    """Periods of the orbits at a grid of energies, in grid order.
 
-    A point that fails with a ToolkitError is collected, so one bad
+    `turning_points` solves each energy's turning points, and one kernel
+    call takes every orbit from its inner one, u = (a/x_star)^(2/n).  The
+    kernel is batch-invariant, so each entry carries the bits a single
+    point would.  A point that fails with a ToolkitError, in its turning
+    points or in the kernel, is collected with its index, so one bad
     energy does not spoil the scan; any other exception is a fault and
     propagates.  Energies within BAND_CLAMP * |c_min| of either band
     edge fail with EnergyOutOfBand.
@@ -358,14 +366,24 @@ def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodSc
         raise DomainError("energy grid must be non-empty")
     results: list[OrbitSpec | None] = [None] * len(grid)
     failures: list[tuple[int, Exception]] = []
+    turns: dict[int, tuple[float, float]] = {}
     for idx, c in enumerate(grid):
         try:
-            results[idx] = period_quadrature(c, params, rtol=rtol)
+            turns[idx] = turning_points(c, params)
         except ToolkitError as err:  # collected, not fatal
             failures.append((idx, err))
-    return PeriodScan(
-        c_grid=tuple(grid), entries=tuple(results), failures=tuple(failures)
-    )
+    if turns:
+        n, consts = params.n, derive_constants(params)
+        u = np.array([(a / consts.x_star) ** (2.0 / n) for a, _ in turns.values()])
+        periods = _period_kernel(u, n, rtol)
+        for j, (idx, (a, b)) in enumerate(turns.items()):
+            if periods.nodes[j]:
+                results[idx] = OrbitSpec(grid[idx], a, b, float(periods.ratio[j]) * consts.T0,
+                                         int(periods.nodes[j]), float(periods.err_est[j]))
+            else:
+                failures.append((idx, _unconverged(u[j], n, rtol)))
+    failures.sort(key=lambda failure: failure[0])
+    return PeriodScan(c_grid=tuple(grid), entries=tuple(results), failures=tuple(failures))
 
 
 def energy_grid(
@@ -552,7 +570,7 @@ class PeriodCurve:
         for _ in range(MAX_POLISH_STEPS):
             if not todo.size:
                 break
-            periods = _period_kernel(u[todo], self.n, self.rtol)
+            periods = _certified(u[todo], self.n, self.rtol)
             ratio[todo], f_max[todo], err_est[todo], nodes[todo] = periods
             gap = target[todo] - periods.ratio
             miss = np.abs(gap) > POLISH_FACTOR * self.rtol * target[todo]
@@ -617,7 +635,7 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
         held = np.cos(math.pi * np.rint(np.linspace(1, size - 1, CURVE_CHECKS)) / size)
         piece = _CurvePiece(lo, hi, log, np.zeros(size), 0.0)
         us = piece.u_of(np.concatenate([np.cos(theta), held]))
-        periods = _period_kernel(us, n, rtol)
+        periods = _certified(us, n, rtol)
         orbits += us.size
         evaluations += int(periods.nodes.sum())
         vals = periods.ratio[:size]

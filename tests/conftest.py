@@ -1,8 +1,11 @@
-"""Shared fixtures: canonical parameter sets and reusable solved profiles."""
+"""Shared fixtures: canonical parameter sets, reusable solved profiles and
+a recorder of period-kernel calls."""
 
+import numpy as np
 import pytest
 
 from warpcsc import ModelParams, derive_constants, profile_from_energy, solve_period
+from warpcsc import period as period_mod
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +57,21 @@ def profile3(p3, k3):
 @pytest.fixture(scope="session")
 def profile5(p5, k5):
     return solve_period(1.05 * k5.T0, p5, 512)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Route the period kernel through a recorder; returns its list of batch sizes.
+
+    A test that patches the kernel itself reads `period_mod._period_kernel`
+    after this fixture, so its patch wraps the recorder.
+    """
+    sizes = []
+    real_kernel = period_mod._period_kernel
+
+    def recording_kernel(u, *args):
+        sizes.append(np.size(u))
+        return real_kernel(u, *args)
+
+    monkeypatch.setattr(period_mod, "_period_kernel", recording_kernel)
+    return sizes

@@ -151,31 +151,18 @@ def test_scan_validation(p3, k3):
     assert count_solutions(-1.0, p3) == 0
 
 
-def _count_kernel_batches(monkeypatch):
-    """Route the period kernel through a counter; returns its list of batch sizes."""
-    sizes = []
-    real_kernel = period_mod._period_kernel
-
-    def counting_kernel(u, *args):
-        sizes.append(np.size(u))
-        return real_kernel(u, *args)
-
-    monkeypatch.setattr(period_mod, "_period_kernel", counting_kernel)
-    return sizes
-
-
-def test_rescaled_scan_reuses_the_period_curve(p3, k3, monkeypatch):
+def test_rescaled_scan_reuses_the_period_curve(p3, k3, kernel_calls):
     first = scan_branches(3.5 * k3.T0, p3, 400)
     # a rebuild would send each piece's nodes and checks to the kernel
     build = {piece.coeffs.size + period_mod.CURVE_CHECKS
              for piece in period_curve(3, QUAD_RTOL).pieces}
-    sizes = _count_kernel_batches(monkeypatch)
+    kernel_calls.clear()
     p = ModelParams(3, 8.0, 8.0)
     k = derive_constants(p)
     second = scan_branches(3.5 * k.T0, p, 400)
     # one kernel call confirms every row
-    assert sizes == [len(second.rows)]
-    assert not build & set(sizes)
+    assert kernel_calls == [len(second.rows)]
+    assert not build & set(kernel_calls)
     assert len(second.rows) == len(first.rows)
     for r1, r2 in zip(first.rows, second.rows):
         assert r2.k == r1.k
@@ -185,13 +172,13 @@ def test_rescaled_scan_reuses_the_period_curve(p3, k3, monkeypatch):
         assert abs(s2 - s1) <= 1e-12
 
 
-def test_warm_scan_confirms_every_row_in_one_kernel_call(monkeypatch):
+def test_warm_scan_confirms_every_row_in_one_kernel_call(kernel_calls):
     params = ModelParams(6, 1.0, 3.0)
     T_max = 3.5 * derive_constants(params).T0
     period_curve(6, QUAD_RTOL)  # warm
-    sizes = _count_kernel_batches(monkeypatch)
+    kernel_calls.clear()
     diagram = scan_branches(T_max, params, 400)
-    assert sizes == [len(diagram.rows)]
+    assert kernel_calls == [len(diagram.rows)]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -273,3 +260,23 @@ def test_scan_names_in_band_misses_past_the_end_of_the_curve():
         assert "inside the closed-form band but past the end of the period curve [" in why
     others = [why for _, _, why in diagram.failures if "closed-form band" not in why]
     assert len(others) == 169 - 22
+
+
+@pytest.mark.parametrize("triple", [(6, 1.0, 3.0), (3, 2.0, 2.0)], ids=["n6", "n3"])
+def test_comb_points_name_the_branch_point(triple):
+    """The benchmark's diagrams: grid 400 up to 3.5 T0 hits T = 2 T0 and 3 T0.
+
+    Wrap k there asks for the per-wrap period T0, which only the constant
+    warp has, at either end of the band (its lower end for n = 6, its
+    upper end for n = 3).
+    """
+    params = ModelParams(*triple)
+    T0 = derive_constants(params).T0
+    diagram = scan_branches(3.5 * T0, params, 400)
+    comb = [(T, k, why) for T, k, why in diagram.failures if "branch point" in why]
+    assert [k for _, k, _ in comb] == [2, 3]
+    for T, k, why in comb:
+        assert T / k == pytest.approx(T0, rel=1e-15)
+        assert f"is T0, the branch point of wrap {k}: only the constant warp has it" in why
+        assert "closed-form band" not in why and "past the end" not in why
+    assert not [why for _, _, why in diagram.failures if "past the end of the period curve" in why]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import warpcsc.integrator as integrator
+import warpcsc.model as model
 from warpcsc import (
     BudgetExceeded,
     DomainError,
@@ -29,6 +30,15 @@ from warpcsc.model import _force_coeffs, _potential_coeffs
 
 # mpmath (dps=40) reference period for n=3, R=Rt=2 at c = -0.225
 T_REF_N3 = 5.8985046008834841
+
+# period_return_map at c = c_min + s |c_min| for R = Rt = 2, as the
+# package computed it before its step sizing moved to the scalar
+# offset potential; the sizing must keep these bits.  {n: {s: T}}
+FROZEN_RETURN_MAP = {
+    3: {1e-6: 6.283184958117476, 0.5: 6.049399545223314, 0.9999: 5.442081066906309},
+    5: {1e-6: 8.885766073790878, 0.5: 9.022241048400405, 0.9999: 9.862645977430923},
+    6: {1e-6: 9.934588610739711, 0.5: 10.173827356282848, 0.9999: 11.880449714814185},
+}
 
 
 def test_single_step_matches_hand_kdk(p3):
@@ -290,3 +300,13 @@ def test_composition_energy_wander_scales_as_sixth_power_of_dt(p3, k3):
 def test_composition_raises_positivity_on_a_coarse_step(p3):
     with pytest.raises(PositivityViolation):
         next(_composition(0.01, -10.0, 1.0, p3))
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_RETURN_MAP))
+def test_return_map_is_frozen_bit_for_bit(n, monkeypatch):
+    # the step sizing calls no public evaluator: calling this one raises TypeError
+    monkeypatch.setattr(model, "potential_above_min", None)
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    for s, T in FROZEN_RETURN_MAP[n].items():
+        assert period_return_map(k.c_min + s * abs(k.c_min), params) == T, f"s = {s}"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpcsc import (
     DomainError,
@@ -18,6 +20,7 @@ from warpcsc import (
     potential_above_min,
     to_warp_coords,
 )
+from warpcsc.model import _forms
 
 # Reference values computed with mpmath at 40 digits, printed to 17
 # significant digits (see the closed forms in the docstrings).
@@ -223,3 +226,22 @@ def test_phase_state_requires_positive_reduced_variable():
         PhaseState(t=0.0, x=-1.0, v=0.0)
     state = PhaseState(t=0.0, x=0.5, v=-0.25)
     assert (state.x, state.v) == (0.5, -0.25)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 30),
+    R=st.floats(0.1, 30.0),
+    Rt=st.floats(0.1, 30.0),
+    ratio=st.floats(1e-6, 4.0, exclude_min=True, exclude_max=True),
+)
+def test_scalar_forms_match_the_public_evaluators_bit_for_bit(n, R, Rt, ratio):
+    """The closures the root solves call on floats give the public bits."""
+    params = ModelParams(n, R, Rt)
+    x = ratio * derive_constants(params).x_star
+    forms = _forms(params)
+    for form, public in ((forms.offset, potential_above_min), (forms.potential, potential),
+                         (forms.force, force)):
+        scalar = form(x)
+        assert float(scalar).hex() == public(x, params).hex()
+        assert float(scalar).hex() == public(np.array([x]), params)[0].hex()

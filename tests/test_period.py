@@ -185,13 +185,58 @@ def test_scan_continues_past_a_failed_point(p3, k3):
 
 
 def test_scan_raises_programming_errors(monkeypatch, p3):
-    # only a ToolkitError is a failed point; anything else is a fault
-    def broken_quadrature(c, params, *, rtol):
-        raise TypeError("broken")
+    # only a ToolkitError is a failed point; anything else is a fault,
+    # from the turning points or from the kernel
+    for name in ("turning_points", "_period_kernel"):
+        def broken(*args):
+            raise TypeError(f"broken {name}")
 
-    monkeypatch.setattr(period_mod, "period_quadrature", broken_quadrature)
-    with pytest.raises(TypeError, match="broken"):
-        period_scan(list(energy_grid(p3, 4)), p3)
+        with monkeypatch.context() as patch:
+            patch.setattr(period_mod, name, broken)
+            with pytest.raises(TypeError, match=f"broken {name}"):
+                period_scan(list(energy_grid(p3, 4)), p3)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_scan_matches_single_quadratures_bit_for_bit(n, kernel_calls):
+    params = ModelParams(n, 2.0, 2.0)
+    # the grid of the benchmark's route questions
+    grid = energy_grid(params, 50, mode="symlog", s_lo=1e-9, s_hi=1e-4)
+    scan = period_scan(grid, params)
+    # one kernel call takes every orbit of the scan
+    assert kernel_calls == [50]
+    assert scan.failures == ()
+    assert scan.entries == tuple(period_quadrature(c, params) for c in grid)
+
+
+def test_scan_isolates_points_the_kernel_cannot_certify(monkeypatch):
+    params = ModelParams(12, 2.0, 2.0)
+    grid = energy_grid(params, 12, mode="symlog")
+    full = period_scan(grid, params)
+    # at h = 1/16 the kernel certifies the nine points nearest the well bottom
+    monkeypatch.setattr(period_mod, "TS_LAST_LEVEL", 4)
+    scan = period_scan(grid, params)
+    assert scan.entries[:9] == full.entries[:9]
+    assert scan.entries[9:] == (None,) * 3
+    assert [idx for idx, _ in scan.failures] == [9, 10, 11]
+    for idx, err in scan.failures:
+        assert isinstance(err, QuadratureNonConvergence)
+        assert "did not meet rtol = 1e-10 by its finest level, h = 2^-4" in str(err)
+        # the same text a single quadrature raises
+        with pytest.raises(QuadratureNonConvergence) as single:
+            period_quadrature(grid[idx], params)
+        assert str(single.value) == str(err)
+
+
+def test_scan_keeps_the_index_of_an_out_of_band_point(p5, k5, kernel_calls):
+    grid = list(energy_grid(p5, 7, mode="symlog", s_lo=1e-6, s_hi=1e-4))
+    grid[0], grid[4] = k5.c_min - 1.0, 1.0
+    scan = period_scan(grid, p5)
+    assert kernel_calls == [5]
+    assert [idx for idx, _ in scan.failures] == [0, 4]
+    assert all(isinstance(err, EnergyOutOfBand) for _, err in scan.failures)
+    for idx, spec in enumerate(scan.entries):
+        assert spec == (None if idx in (0, 4) else period_quadrature(grid[idx], p5))
 
 
 def test_table_inversion_recovers_energy(p3, k3):
@@ -276,7 +321,7 @@ def test_polish_that_cannot_settle_raises(monkeypatch, p3):
 
 
 @pytest.mark.parametrize("n", [3, 8])
-def test_polish_lands_orbits_on_a_skewed_kernel(monkeypatch, n):
+def test_polish_lands_orbits_on_a_skewed_kernel(monkeypatch, kernel_calls, n):
     # the curve misses the skewed kernel by 1e-7: every orbit needs a polish
     rtol = 1e-10
     curve = period_curve(n, rtol)  # built before the kernel is skewed
@@ -291,24 +336,11 @@ def test_polish_lands_orbits_on_a_skewed_kernel(monkeypatch, n):
 
     monkeypatch.setattr(period_mod, "_period_kernel", skewed_kernel)
     singles = [curve.orbits([tau], params)[0] for tau in taus]
-    batches = _record_kernel(monkeypatch)
+    kernel_calls.clear()
     assert curve.orbits(taus, params) == tuple(singles)
-    assert 2 <= len(batches) <= 4, [b.size for b in batches]
+    assert 2 <= len(kernel_calls) <= 4, kernel_calls
     for orbit, tau in zip(singles, taus):
         assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol
-
-
-def _record_kernel(monkeypatch):
-    """Route the period kernel through a recorder; returns its list of u batches."""
-    batches = []
-    real_kernel = period_mod._period_kernel
-
-    def recording_kernel(u, *args):
-        batches.append(np.array(u))
-        return real_kernel(u, *args)
-
-    monkeypatch.setattr(period_mod, "_period_kernel", recording_kernel)
-    return batches
 
 
 def _held_out(curve, per_piece=13):
@@ -340,7 +372,7 @@ def test_period_curve_matches_quadrature(n):
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])
-def test_period_curve_error_estimate_and_polish_near_contact(n, monkeypatch):
+def test_period_curve_error_estimate_and_polish_near_contact(n, kernel_calls):
     rtol = 1e-10
     curve = period_curve(n, rtol)
     worst = max(
@@ -350,14 +382,13 @@ def test_period_curve_error_estimate_and_polish_near_contact(n, monkeypatch):
 
     params = ModelParams(n, 2.0, 2.0)
     k = derive_constants(params)
-    batches = _record_kernel(monkeypatch)
     lo, hi = curve.band
     for ratio in np.linspace(lo, hi, 14)[1:-1]:
         tau = float(ratio) * k.T0
-        batches.clear()
+        kernel_calls.clear()
         orbit = curve.orbits([tau], params)[0]
         # the kernel confirms every orbit, and a polish starts next to the root
-        assert 1 <= len(batches) <= 4
+        assert 1 <= len(kernel_calls) <= 4
         T = period_quadrature(orbit.c, params, rtol=rtol).T
         assert abs(T / tau - 1.0) <= 10.0 * rtol, f"tau = {ratio} T0"
 
@@ -370,7 +401,7 @@ def _crowding_the_contact_end(curve, T0, count=25):
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])
-def test_confirmed_orbits_crowding_the_contact_end_land_on_tau(n, monkeypatch):
+def test_confirmed_orbits_crowding_the_contact_end_land_on_tau(n, kernel_calls):
     # The quadrature in x used to jump near contact, and an orbit energy
     # written as c_min + offset moved in steps of about 1e-16: confirmed
     # orbits there landed up to 5.2e-9 (n = 12) and 3.8e-8 (n = 20) off
@@ -380,11 +411,10 @@ def test_confirmed_orbits_crowding_the_contact_end_land_on_tau(n, monkeypatch):
     curve = period_curve(n, rtol)
     params = ModelParams(n, 2.0, 2.0)
     k = derive_constants(params)
-    batches = _record_kernel(monkeypatch)
     for tau in _crowding_the_contact_end(curve, k.T0):
-        batches.clear()
+        kernel_calls.clear()
         orbit = curve.orbits([tau], params)[0]
-        assert 1 <= len(batches) <= 4
+        assert 1 <= len(kernel_calls) <= 4
         assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol, f"tau = {tau / k.T0} T0"
         # the energy the orbit reports carries that period too
         T = period_quadrature(orbit.c, params, rtol=rtol).T
@@ -392,33 +422,32 @@ def test_confirmed_orbits_crowding_the_contact_end_land_on_tau(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])
-def test_a_batch_of_orbits_matches_single_calls_bit_for_bit(n, monkeypatch):
+def test_a_batch_of_orbits_matches_single_calls_bit_for_bit(n, kernel_calls):
     rtol = 1e-10
     curve = period_curve(n, rtol)
     params = ModelParams(n, 2.0, 2.0)
     taus = _crowding_the_contact_end(curve, derive_constants(params).T0)
     singles = [curve.orbits([tau], params)[0] for tau in taus]
-    batches = _record_kernel(monkeypatch)
+    kernel_calls.clear()
     batch = curve.orbits(taus, params)
     assert batch == tuple(singles)
     # the whole batch lands in at most 4 kernel calls, the first on all of it
-    assert 1 <= len(batches) <= 4 and batches[0].size == len(taus)
+    assert 1 <= len(kernel_calls) <= 4 and kernel_calls[0] == len(taus)
     for orbit, tau in zip(batch, taus):
         assert abs(orbit.T / tau - 1.0) <= 10.0 * rtol
         assert orbit.nodes > 0 and 0.0 < orbit.err_est <= rtol
 
 
-def test_period_curve_is_built_once_per_key(monkeypatch):
-    batches = _record_kernel(monkeypatch)
+def test_period_curve_is_built_once_per_key(monkeypatch, kernel_calls):
     # the build runs no period_quadrature: calling one would raise TypeError
     monkeypatch.setattr(period_mod, "period_quadrature", None)
     # a key no other test uses, so its curve is not cached yet
     first = period_curve(7, 3e-10)
     # one kernel call per piece
-    assert len(batches) == len(first.pieces) == 2
-    assert sum(b.size for b in batches) == first.quadratures == 96
+    assert len(kernel_calls) == len(first.pieces) == 2
+    assert sum(kernel_calls) == first.quadratures == 96
     assert period_curve(7.0, 3e-10) is first
-    assert sum(b.size for b in batches) == 96
+    assert sum(kernel_calls) == 96
 
 
 def test_period_curve_refuses_non_monotone_nodes(monkeypatch):
