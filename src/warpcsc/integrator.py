@@ -25,12 +25,15 @@ which matches the full step at tau = dt exactly, so the refined time is
 consistent with the trajectory actually computed.
 
 Two kernels share one acceleration line and one positivity check.  The
-generator `_leapfrog` steps every run in this module: a section search,
-a period measurement and a drift run each consume it their own way.
-They stay second order on purpose, since they measure the leapfrog
-itself: the return map's Richardson step assumes an error in dt^2.
-Tests pin the return map by tolerance and, at nine frozen energies, bit
-for bit, and leapfrog_step and the drift run bit for bit.  A return-map
+generator `_leapfrog` steps `leapfrog_step` and the section search.  The
+two hot runs, a half orbit of the return map (`_time_to_turn`) and the
+drift run, write the same kick-drift-kick step out in flat loops, since
+resuming a generator costs about as much per step as the arithmetic.
+Tests pin both loops to `leapfrog_step` bit for bit, so the three copies
+of the step cannot drift apart.  All of them stay second order on
+purpose, since they measure the leapfrog itself: the return map's
+Richardson step assumes an error in dt^2.  Tests pin the return map by
+tolerance and, at eleven frozen energies, bit for bit.  A return-map
 run takes the smaller of T0 / STEPS_PER_PERIOD and a step resolving the
 local oscillation at its inner turning point, which a crude bisection
 finds on the scalar form of the offset potential (`model._forms`); no
@@ -302,21 +305,41 @@ def _step_for_energy(e_above_min: float, params: ModelParams) -> float:
 def _time_to_turn(
     x0: float, v0: float, dt: float, params: ModelParams, budget: int
 ) -> tuple[float, float]:
-    """Time from (x0, v0) to the first v = 0 crossing, and the energy wander."""
+    """Time from (x0, v0) to the first v = 0 crossing, and the energy wander.
+
+    The step is `_leapfrog`'s, written out in a flat loop so that no
+    generator is resumed per step.  The wander is read after the first
+    step and then after every block of 1024 steps, and at the crossing.
+    """
+    k1, k2, e = _force_coeffs(params)
     A, Bq, q = _potential_coeffs(params)
+    half = 0.5 * dt
     x, v = x0, v0
     e0 = 0.5 * v0 * v0 + A * x0 * x0 - Bq * x0**q
     wander = 0.0
-    for step, (x1, v1) in enumerate(islice(_leapfrog(x0, v0, dt, params), budget)):
-        if v * v1 <= 0.0:
-            tau, _, _ = _refine_crossing(x, v, dt, params)
-            e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
-            return step * dt + tau, max(wander, abs(e1 - e0))
-        x, v = x1, v1
-        if step % 1024 == 0:
-            e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
-            wander = max(wander, abs(e1 - e0))
-    raise BudgetExceeded(f"no turning point within {budget} steps of size {dt}")
+    acc = k2 * x**e - k1 * x
+    start, stop = 0, 1
+    while True:
+        stop = min(stop, budget)
+        for step in range(start, stop):
+            vh = v + half * acc
+            x1 = x + dt * vh
+            if x1 <= 0.0:
+                raise PositivityViolation(
+                    f"leapfrog step of size {dt} reached x = {x1} <= 0; reduce dt"
+                )
+            acc = k2 * x1**e - k1 * x1
+            v1 = vh + half * acc
+            if v * v1 <= 0.0:
+                tau, _, _ = _refine_crossing(x, v, dt, params)
+                e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
+                return step * dt + tau, max(wander, abs(e1 - e0))
+            x, v = x1, v1
+        if stop == budget:
+            raise BudgetExceeded(f"no turning point within {budget} steps of size {dt}")
+        e1 = 0.5 * v * v + A * x * x - Bq * x**q
+        wander = max(wander, abs(e1 - e0))
+        start, stop = stop, stop + 1024
 
 
 def period_return_map(c: float, params: ModelParams, *, richardson: bool = True) -> float:
@@ -326,7 +349,8 @@ def period_return_map(c: float, params: ModelParams, *, richardson: bool = True)
     c_min)), reach v = 0 after t_out and t_in; no turning-point data is
     used, so this route shares only the vector field with the quadrature.
     richardson=True repeats the pair at dt/2 and extrapolates.  Retries
-    halve dt when a run's energy wander exceeds 2e-6 (c - c_min) or x <= 0.
+    halve dt when a run's energy wander exceeds 2e-6 (c - c_min) or x <= 0;
+    a retry reuses the pair already run at its step size.
     """
     consts = derive_constants(params)
     e_above = c - consts.c_min
@@ -338,16 +362,20 @@ def period_return_map(c: float, params: ModelParams, *, richardson: bool = True)
     dt = _step_for_energy(e_above, params)
     wander_gate = 2e-6 * e_above
     last_err: Exception | None = None
+    # period and wanders of the pair of runs at each step size h
+    pairs: dict[float, tuple[float, float, float]] = {}
     for _ in range(MAX_RETRIES):
-        budget = int(8.0 * consts.T0 / dt) + 64
         try:
             periods, worst = [], 0.0
             for h in ((dt, 0.5 * dt) if richardson else (dt,)):
-                t_out, w_out = _time_to_turn(consts.x_star, v0, h, params, budget)
-                t_in, w_in = _time_to_turn(consts.x_star, -v0, h, params, budget)
-                periods.append(2.0 * (t_out + t_in))
+                if h not in pairs:
+                    budget = int(8.0 * consts.T0 / h) + 64
+                    t_out, w_out = _time_to_turn(consts.x_star, v0, h, params, budget)
+                    t_in, w_in = _time_to_turn(consts.x_star, -v0, h, params, budget)
+                    pairs[h] = 2.0 * (t_out + t_in), w_out, w_in
+                period, w_out, w_in = pairs[h]
+                periods.append(period)
                 worst = max(worst, w_out, w_in)
-                budget *= 2
             if worst <= wander_gate:
                 return (4.0 * periods[1] - periods[0]) / 3.0 if richardson else periods[0]
         except PositivityViolation as err:
@@ -380,28 +408,41 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
         raise EnergyOutOfBand(
             f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
         )
+    k1, k2, e = _force_coeffs(params)
     A, Bq, q = _potential_coeffs(params)
+    half = 0.5 * dt
     x = consts.x_star
     v = math.sqrt(2.0 * e_above)
     e0 = 0.5 * v * v + A * x * x - Bq * x**q
-    steps = _leapfrog(x, v, dt, params)
+    acc = k2 * x**e - k1 * x
     halfway = n_steps // 2
-    max_dev = 0.0
+    # rounded subtraction is monotone and odd, so the worst |ei - e0|
+    # is reached at the highest or the lowest ei
+    hi = lo = e0
     sums = []
     for count in (halfway, n_steps - halfway):
         total = 0.0
-        for x, v in islice(steps, count):
+        for _ in range(count):
+            vh = v + half * acc
+            x = x + dt * vh
+            if x <= 0.0:
+                raise PositivityViolation(
+                    f"leapfrog step of size {dt} reached x = {x} <= 0; reduce dt"
+                )
+            acc = k2 * x**e - k1 * x
+            v = vh + half * acc
             ei = 0.5 * v * v + A * x * x - Bq * x**q
-            dev = abs(ei - e0)
-            if dev > max_dev:
-                max_dev = dev
+            if ei > hi:
+                hi = ei
+            elif ei < lo:
+                lo = ei
             total += ei
         sums.append(total)
     sum_first, sum_second = sums
     scale = max(abs(consts.c_min), abs(c))
     secular = abs(sum_second / (n_steps - halfway) - sum_first / halfway)
     return DriftReport(
-        max_rel=max_dev / scale,
+        max_rel=max(hi - e0, e0 - lo) / scale,
         secular_rel=secular / scale,
         scale=scale,
         n_steps=n_steps,

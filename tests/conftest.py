@@ -1,10 +1,11 @@
-"""Shared fixtures: canonical parameter sets, reusable solved profiles and
-a recorder of period-kernel calls."""
+"""Shared fixtures: canonical parameter sets, reusable solved profiles, a
+recorder of period-kernel calls and one of the return map's leapfrog runs."""
 
 import numpy as np
 import pytest
 
 from warpcsc import ModelParams, derive_constants, profile_from_energy, solve_period
+from warpcsc import integrator
 from warpcsc import period as period_mod
 
 
@@ -75,3 +76,24 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(period_mod, "_period_kernel", recording_kernel)
     return sizes
+
+
+@pytest.fixture
+def leapfrog_runs(monkeypatch):
+    """Route the return map's half-orbit runs through a recorder; returns its list.
+
+    Each run that reaches its turning point appends (h, steps): the step
+    size and the number of leapfrog steps taken, floor(t / h) + 1 for a
+    crossing found at time t inside the last step.  A run that raises is
+    not recorded.
+    """
+    runs = []
+    real_run = integrator._time_to_turn
+
+    def recording_run(x0, v0, h, params, budget):
+        t, wander = real_run(x0, v0, h, params, budget)
+        runs.append((h, int(t // h) + 1))
+        return t, wander
+
+    monkeypatch.setattr(integrator, "_time_to_turn", recording_run)
+    return runs

@@ -19,11 +19,13 @@ from warpcsc import (
     derive_constants,
     energy,
     energy_drift,
+    energy_grid,
     force,
     integrate_until_section,
     leapfrog_step,
     period_quadrature,
     period_return_map,
+    period_scan,
 )
 from warpcsc.integrator import _YOSHIDA6, _composition
 from warpcsc.model import _force_coeffs, _potential_coeffs
@@ -33,9 +35,18 @@ T_REF_N3 = 5.8985046008834841
 
 # period_return_map at c = c_min + s |c_min| for R = Rt = 2, as the
 # package computed it before its step sizing moved to the scalar
-# offset potential; the sizing must keep these bits.  {n: {s: T}}
+# offset potential; the sizing must keep these bits.  The n = 3 orbits
+# at s = 0.9856 and 0.9954 retry twice and once; their bits come from
+# the generator-driven half orbits that preceded the flat loops.
+# {n: {s: T}}
 FROZEN_RETURN_MAP = {
-    3: {1e-6: 6.283184958117476, 0.5: 6.049399545223314, 0.9999: 5.442081066906309},
+    3: {
+        1e-6: 6.283184958117476,
+        0.5: 6.049399545223314,
+        0.9856: 5.49203855079618,
+        0.9954: 5.461073706830734,
+        0.9999: 5.442081066906309,
+    },
     5: {1e-6: 8.885766073790878, 0.5: 9.022241048400405, 0.9999: 9.862645977430923},
     6: {1e-6: 9.934588610739711, 0.5: 10.173827356282848, 0.9999: 11.880449714814185},
 }
@@ -100,6 +111,52 @@ def test_drift_of_odd_run_matches_stepwise_reference_bit_for_bit(p3, k3):
     assert rep.max_rel == max_dev / rep.scale
     assert rep.secular_rel == secular / rep.scale
     assert rep.n_steps == n_steps
+
+
+def _energy_of(params):
+    A, Bq, q = _potential_coeffs(params)
+    return lambda x, v: 0.5 * v * v + A * x * x - Bq * x**q
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_drift_of_long_odd_run_matches_stepwise_reference_bit_for_bit(n):
+    """4097 steps split 2048 + 2049; for n = 4 the force line has e = 0."""
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    c = k.c_min + 0.5 * abs(k.c_min)
+    dt, n_steps = k.T0 / 100.0, 4097
+    rep = energy_drift(c, params, dt, n_steps)
+
+    energy_of = _energy_of(params)
+    state = PhaseState(t=0.0, x=k.x_star, v=math.sqrt(2.0 * (c - k.c_min)))
+    e0 = energy_of(state.x, state.v)
+    energies = []
+    for _ in range(n_steps):
+        state = leapfrog_step(state, dt, params)
+        energies.append(energy_of(state.x, state.v))
+    halfway = n_steps // 2
+    sum_first = sum_second = 0.0
+    for ei in energies[:halfway]:
+        sum_first += ei
+    for ei in energies[halfway:]:
+        sum_second += ei
+    secular = abs(sum_second / (n_steps - halfway) - sum_first / halfway)
+    max_dev = max(abs(ei - e0) for ei in energies)
+    assert rep.max_rel == max_dev / rep.scale
+    assert rep.secular_rel == secular / rep.scale
+    assert rep.n_steps == n_steps
+
+
+def test_drift_positivity_error_matches_the_step(p3, k3):
+    c = k3.c_min + 0.9 * abs(k3.c_min)
+    dt = k3.T0 / 8
+    state = PhaseState(t=0.0, x=k3.x_star, v=math.sqrt(2.0 * (c - k3.c_min)))
+    with pytest.raises(PositivityViolation) as ref:
+        for _ in range(100):
+            state = leapfrog_step(state, dt, p3)
+    with pytest.raises(PositivityViolation) as info:
+        energy_drift(c, p3, dt, 100)
+    assert str(info.value) == str(ref.value)
 
 
 def test_energy_wander_scales_quadratically_in_dt(p3, k3):
@@ -181,22 +238,85 @@ def test_return_map_without_extrapolation_is_coarser_but_close(p3):
     assert T == pytest.approx(T_REF_N3, rel=2e-6)
 
 
-def test_return_map_steps_two_half_orbits_per_step_size(p5, k5, monkeypatch):
+def test_return_map_steps_two_half_orbits_per_step_size(p5, k5, leapfrog_runs):
     """Two half orbits at dt and two at dt/2 take 1.5 T/dt steps; a full
     period after a run-in to the first crossing would take 3.75 T/dt."""
-    steps = 0
-    leapfrog = integrator._leapfrog
-
-    def counting(*args):
-        nonlocal steps
-        for state in leapfrog(*args):
-            steps += 1
-            yield state
-
-    monkeypatch.setattr(integrator, "_leapfrog", counting)
     c = k5.c_min + 0.5 * abs(k5.c_min)
     T = period_return_map(c, p5)
-    assert steps <= 1.6 * T / (k5.T0 / 4096)
+    dt = k5.T0 / 4096
+    assert [h for h, _ in leapfrog_runs] == [dt, dt, 0.5 * dt, 0.5 * dt]
+    assert sum(steps for _, steps in leapfrog_runs) <= 1.6 * T / dt
+
+
+@pytest.mark.parametrize("s, runs", [(0.9856, 8), (0.9954, 6)])
+def test_retry_reuses_the_pair_run_at_its_step_size(p3, k3, leapfrog_runs, s, runs):
+    """A retry at dt/2 takes the pair the failed attempt ran at dt/2;
+    rerunning it made 12 and 8 runs at these energies."""
+    period_return_map(k3.c_min + s * abs(k3.c_min), p3)
+    steps = [h for h, _ in leapfrog_runs]
+    assert len(steps) == runs
+    assert all(steps.count(h) == 2 for h in steps)
+    assert all(h1 == 0.5 * h0 for h0, h1 in zip(steps[::2], steps[2::2]))
+
+
+def test_route_grid_takes_two_pairs_per_orbit_for_n5(p5, leapfrog_runs):
+    """No orbit of the 50-point n = 5 route grid retries."""
+    grid = energy_grid(p5, 50, mode="symlog", s_lo=1e-9, s_hi=1e-4)
+    for spec in period_scan(grid, p5).entries:
+        period_return_map(spec.c, p5)
+    assert len(leapfrog_runs) == 200
+
+
+def _turn_reference(x0, v0, dt, params, budget):
+    """`_time_to_turn` stepped through leapfrog_step, one state at a time."""
+    energy_of = _energy_of(params)
+    e0 = energy_of(x0, v0)
+    state, wander = PhaseState(t=0.0, x=x0, v=v0), 0.0
+    for step in range(budget):
+        new = leapfrog_step(state, dt, params)
+        if state.v * new.v <= 0.0:
+            tau, _, _ = integrator._refine_crossing(state.x, state.v, dt, params)
+            return step * dt + tau, max(wander, abs(energy_of(new.x, new.v) - e0))
+        state = new
+        if step % 1024 == 0:
+            wander = max(wander, abs(energy_of(state.x, state.v) - e0))
+    raise AssertionError("reference run found no turning point")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "x_rel, v_rel",
+    # launches from the rest point both ways, whose worst wander is at
+    # the crossing, and launches across the well, whose worst is read
+    # inside a block
+    [(1.0, 1.0), (1.0, -1.0), (0.6, 0.3), (1.5, -0.3)],
+)
+def test_time_to_turn_matches_stepwise_reference_bit_for_bit(n, x_rel, v_rel):
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    c = k.c_min + 0.5 * abs(k.c_min)
+    x0, v0 = x_rel * k.x_star, v_rel * math.sqrt(2.0 * (c - k.c_min))
+    for dt in (k.T0 / 512, k.T0 / 16384):
+        t, wander = integrator._time_to_turn(x0, v0, dt, params, 10**6)
+        assert (t, wander) == _turn_reference(x0, v0, dt, params, 10**6)
+    # the fine run spans several wander blocks of 1024 steps
+    assert t > 2048 * dt
+
+
+@pytest.mark.parametrize("budget", [1, 1024, 1025, 2049])
+def test_time_to_turn_budget_error_keeps_its_text(p3, k3, budget):
+    dt = k3.T0 / 8192
+    with pytest.raises(BudgetExceeded) as info:
+        integrator._time_to_turn(k3.x_star, 0.3, dt, p3, budget)
+    assert str(info.value) == f"no turning point within {budget} steps of size {dt}"
+
+
+def test_time_to_turn_positivity_error_matches_the_step(p3):
+    with pytest.raises(PositivityViolation) as ref:
+        leapfrog_step(PhaseState(t=0.0, x=0.01, v=-10.0), 1.0, p3)
+    with pytest.raises(PositivityViolation) as info:
+        integrator._time_to_turn(0.01, -10.0, 1.0, p3, 100)
+    assert str(info.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 8])
