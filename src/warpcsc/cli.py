@@ -5,9 +5,11 @@ one energy or over a scan), solve (profile of prescribed period),
 bifurcate (branch diagram scan), verify (recheck a stored profile).
 
 Output is deterministic byte for byte: floats are rendered with 17
-significant digits, newlines are always "\\n", and scan orders are
-fixed.  Exit codes: 0 success, 2 usage or domain errors, 3 threshold
-violations and failed verification, 4 numerical non-convergence.
+significant digits, every other scalar as json.dumps writes it,
+newlines are always "\\n", and scan orders are fixed.  Exit codes: 0
+success, 2 usage or domain errors, 3 threshold violations and failed
+verification, 4 numerical non-convergence.  solve and verify judge a
+profile by one verdict, `_verdict`; solve writes nothing that fails it.
 """
 
 from __future__ import annotations
@@ -38,34 +40,21 @@ from .solver import SAMPLE_COLUMNS, SolutionProfile, audit_profile, solve_period
 
 __all__ = ["main"]
 
+# curvature tolerance of verify, relative to Rt; solve refuses what fails it
+CURVATURE_TOL = 1e-4
+
 
 def _scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        value = float(v)
-        if not math.isfinite(value):
-            raise DomainError(f"cannot serialize non-finite value {value}")
-        return format(value, ".17g")
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise TypeError(f"not a scalar: {type(v)!r}")
-
-
-def _is_scalar(v) -> bool:
-    return v is None or isinstance(
-        v, (bool, np.bool_, int, np.integer, float, np.floating, str)
-    )
+    """One JSON scalar: a float (numpy's included) with 17 significant digits."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DomainError(f"cannot serialize non-finite value {v}")
+        return format(v, ".17g")
+    return json.dumps(v)
 
 
 def _render(obj, level: int = 0) -> str:
     """Recursive JSON renderer with fixed float formatting."""
-    if _is_scalar(obj):
-        return _scalar(obj)
     ind = "  " * level
     nxt = "  " * (level + 1)
     if isinstance(obj, dict):
@@ -73,15 +62,14 @@ def _render(obj, level: int = 0) -> str:
             return "{}"
         parts = [f"{nxt}{json.dumps(str(k))}: {_render(v, level + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + ind + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+    if isinstance(obj, list):
+        if not obj:
             return "[]"
-        if all(_is_scalar(v) for v in seq):
-            return "[" + ", ".join(_scalar(v) for v in seq) + "]"
-        parts = [f"{nxt}{_render(v, level + 1)}" for v in seq]
+        if not any(isinstance(v, (dict, list)) for v in obj):
+            return "[" + ", ".join(_scalar(v) for v in obj) + "]"
+        parts = [f"{nxt}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + ind + "]"
-    raise TypeError(f"cannot render {type(obj)!r}")
+    return _scalar(obj)
 
 
 def _csv(header: list[str], rows) -> str:
@@ -105,6 +93,22 @@ def _params(args) -> ModelParams:
     return ModelParams(n=args.n, R=args.R, Rt=args.Rt)
 
 
+def _verdict(profile: SolutionProfile, tol: float):
+    """Judge a profile by verify's checks, in verify's order.
+
+    Returns the curvature, conformal and audit reports and the names of
+    the failed checks: "curvature", "conformal" and the audit's breaches.
+    Errors the checks raise, such as TooFewSamples, propagate.
+    """
+    curvature = curvature_audit(profile, rel_tol=tol)
+    conformal = conformal_field_check(profile)
+    audit = audit_profile(profile)
+    failed = [] if curvature.passed else ["curvature"]
+    if not conformal.squared_convention_ok:
+        failed.append("conformal")
+    return curvature, conformal, audit, (*failed, *audit.breaches)
+
+
 def profile_to_doc(profile: SolutionProfile) -> dict:
     """JSON document for a solved profile; the inverse of doc_to_profile."""
     return {
@@ -115,7 +119,7 @@ def profile_to_doc(profile: SolutionProfile) -> dict:
         "residual_sup": profile.residual_sup,
         "closure_error": profile.closure_error,
         "columns": list(SAMPLE_COLUMNS),
-        "samples": [list(row) for row in profile.samples],
+        "samples": profile.samples.tolist(),
     }
 
 
@@ -203,18 +207,19 @@ def cmd_solve(args) -> int:
         args.samples,
         quad_rtol=args.rtol,
     )
-    # refuse here what `verify` would reject, so a written profile verifies
-    audit = audit_profile(profile)
-    if "finite_difference" in audit.breaches:
+    curvature, _, audit, failed = _verdict(profile, CURVATURE_TOL)
+    if "finite_difference" in failed:
         raise TooFewSamples(
             f"{args.samples} samples do not resolve the profile of period {args.period}: "
             f"fd_sup {_scalar(audit.fd_sup)} exceeds the tolerance "
             f"{_scalar(audit.fd_tol_abs)}; raise --samples"
         )
-    if audit.breaches:
-        raise BudgetExceeded(
-            f"solved profile fails the audit on {', '.join(audit.breaches)}"
+    if failed:
+        detail = "" if curvature.passed else (
+            f"; curvature max_dev {_scalar(curvature.max_dev)} exceeds "
+            f"tol_abs {_scalar(curvature.tol_abs)}"
         )
+        raise BudgetExceeded(f"solved profile fails verify on {', '.join(failed)}{detail}")
     print(
         f"# profile: dt {_scalar(profile.dt)}, substeps {profile.substeps}, "
         f"force evaluations {profile.force_evals}",
@@ -262,12 +267,7 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError as err:
         raise DomainError(f"{args.infile} is not valid JSON: {err}") from err
     profile = doc_to_profile(doc)
-    curvature = curvature_audit(profile, rel_tol=args.tol)
-    conformal = conformal_field_check(profile)
-    audit = audit_profile(profile)
-    passed = bool(
-        curvature.passed and audit.ok and conformal.squared_convention_ok
-    )
+    curvature, conformal, audit, failed = _verdict(profile, args.tol)
     report = {
         "params": {
             "n": profile.params.n,
@@ -287,8 +287,9 @@ def cmd_verify(args) -> int:
             "sup_fiber_sq": conformal.sup_fiber_sq,
             "sup_fiber_lin": conformal.sup_fiber_lin,
             "reference": conformal.reference,
-            "squared_convention_ok": conformal.squared_convention_ok,
-            "linear_convention_ok": conformal.linear_convention_ok,
+            # numpy bools when the reference is finfo.tiny (a constant warp)
+            "squared_convention_ok": bool(conformal.squared_convention_ok),
+            "linear_convention_ok": bool(conformal.linear_convention_ok),
         },
         "audit": {
             "chain_sup": audit.chain_sup,
@@ -298,10 +299,10 @@ def cmd_verify(args) -> int:
             "flagged_index": audit.flagged_index,
             "ok": audit.ok,
         },
-        "passed": passed,
+        "passed": not failed,
     }
     _emit(_render(report), args.out)
-    return 0 if passed else 3
+    return 3 if failed else 0
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -350,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol = sub.add_parser("solve", help="solve for a profile with the prescribed period")
     _add_params(p_sol)
     p_sol.add_argument("--period", type=float, required=True, help="target circle period T")
-    p_sol.add_argument("--samples", type=int, default=512, help="samples per period, >= 16")
+    p_sol.add_argument("--samples", type=int, default=512,
+                       help="samples per period; verify needs at least 64")
     p_sol.add_argument("--rtol", type=float, default=1e-10, help="quadrature relative tolerance")
     _add_out(p_sol)
     p_sol.set_defaults(handler=cmd_solve)
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="recheck a stored profile document")
     p_ver.add_argument("--in", dest="infile", required=True, help="profile JSON file")
-    p_ver.add_argument("--tol", type=float, default=1e-4,
+    p_ver.add_argument("--tol", type=float, default=CURVATURE_TOL,
                        help="curvature tolerance relative to Rt")
     _add_out(p_ver)
     p_ver.set_defaults(handler=cmd_verify)

@@ -24,27 +24,28 @@ pre-crossing state gives
 which matches the full step at tau = dt exactly, so the refined time is
 consistent with the trajectory actually computed.
 
-Two kernels share one acceleration line and one positivity check.  The
-generator `_leapfrog` steps `leapfrog_step` and the section search.  The
-two hot runs, a half orbit of the return map (`_time_to_turn`) and the
-drift run, write the same kick-drift-kick step out in flat loops, since
-resuming a generator costs about as much per step as the arithmetic.
-Tests pin both loops to `leapfrog_step` bit for bit, so the three copies
-of the step cannot drift apart.  All of them stay second order on
-purpose, since they measure the leapfrog itself: the return map's
-Richardson step assumes an error in dt^2.  Tests pin the return map by
-tolerance and, at eleven frozen energies, bit for bit.  A return-map
-run takes the smaller of T0 / STEPS_PER_PERIOD and a step resolving the
-local oscillation at its inner turning point, which a crude bisection
-finds on the scalar form of the offset potential (`model._forms`); no
-turning point comes from `period`.  The generator `_composition` steps
-the profile sampler of `solver`.  It is Yoshida's sixth-order symmetric
-composition of seven leapfrog stages (Phys. Lett. A 150 (1990) 262;
-Hairer, Lubich and Wanner, Geometric Numerical Integration, ch. II and
-V).  It is still symplectic, and its energy error falls as
-(omega dt)^6, so a profile meets its energy target at a far coarser
-step.  Neither generator knows a stopping rule; each yields the state
-after every step.
+One generator, `_composition`, holds the acceleration line and the
+positivity check; it yields the state after each composite step of
+kick-drift-kick stages and knows no stopping rule.  With one unit stage
+it is plain leapfrog, which `leapfrog_step` and the section search step
+through.  The two hot runs, a half orbit of the return map
+(`_time_to_turn`) and the drift run, write the same leapfrog step out in
+flat loops, since resuming a generator costs about as much per step as
+the arithmetic.  Tests pin both loops to `leapfrog_step` bit for bit, so
+the copies of the step cannot drift apart.  All of them stay second
+order on purpose, since they measure the leapfrog itself: the return
+map's Richardson step assumes an error in dt^2.  Tests pin the return
+map by tolerance and, at eleven frozen energies, bit for bit.  A
+return-map run takes the smaller of T0 / STEPS_PER_PERIOD and a step
+resolving the local oscillation at its inner turning point, which a
+crude bisection finds on the scalar form of the offset potential
+(`model._forms`); no turning point comes from `period`.  With its
+default weights `_YOSHIDA6`, `_composition` steps the profile sampler of
+`solver`: Yoshida's sixth-order symmetric composition of seven leapfrog
+stages (Phys. Lett. A 150 (1990) 262; Hairer, Lubich and Wanner,
+Geometric Numerical Integration, ch. II and V).  It is still
+symplectic, and its energy error falls as (omega dt)^6, so a profile
+meets its energy target at a far coarser step.
 """
 
 from __future__ import annotations
@@ -117,41 +118,21 @@ class DriftReport:
     n_steps: int
 
 
-def _leapfrog(x: float, v: float, dt: float, params: ModelParams):
-    """Yield (x, v) after each kick-drift-kick step of size dt from (x, v).
+def _composition(
+    x: float, v: float, dt: float, params: ModelParams, weights=_YOSHIDA6
+):
+    """Yield (x, v) after each composite step of size dt from (x, v).
 
-    The acceleration -force(x) = k2 x^e - k1 x is written out so the loop
-    makes no call per step.  For n = 4, e = 0.0 and x**0.0 == 1.0, so the
-    same line gives k2 - k1 x exactly.
+    A composite step is one kick-drift-kick stage of size w dt per
+    weight w; adjacent half kicks act at the same point and merge, so a
+    step costs one force evaluation per stage.  `_YOSHIDA6` is sixth
+    order; (1.0,) is plain leapfrog.  The acceleration k2 x^e - k1 x is
+    written out (for n = 4, x**0.0 == 1.0 gives k2 - k1 x exactly).  A
+    stage reaching x <= 0 raises PositivityViolation; Yoshida's negative
+    weights step backwards and can do so where the orbit does not.
     """
     k1, k2, e = _force_coeffs(params)
-    half = 0.5 * dt
-    acc = k2 * x**e - k1 * x
-    while True:
-        vh = v + half * acc
-        x = x + dt * vh
-        if x <= 0.0:
-            raise PositivityViolation(
-                f"leapfrog step of size {dt} reached x = {x} <= 0; reduce dt"
-            )
-        acc = k2 * x**e - k1 * x
-        v = vh + half * acc
-        yield x, v
-
-
-def _composition(x: float, v: float, dt: float, params: ModelParams):
-    """Yield (x, v) after each sixth-order composite step of size dt from (x, v).
-
-    A composite step is seven kick-drift-kick stages of sizes w dt, with
-    the weights w of `_YOSHIDA6`.  A stage's closing half kick and the
-    next stage's opening half kick act at the same point, so they merge
-    and a composite step costs seven force evaluations.  Two weights are
-    negative: those stages step backwards, and near the inner wall they
-    can reach x <= 0 where the orbit itself does not.  That raises
-    PositivityViolation, as in `_leapfrog`.
-    """
-    k1, k2, e = _force_coeffs(params)
-    drifts = tuple(w * dt for w in _YOSHIDA6)
+    drifts = tuple(w * dt for w in weights)
     kicks = (0.5 * drifts[0],) + tuple(
         0.5 * (h0 + h1) for h0, h1 in zip(drifts, drifts[1:])
     )
@@ -163,7 +144,7 @@ def _composition(x: float, v: float, dt: float, params: ModelParams):
             x = x + drift * v
             if x <= 0.0:
                 raise PositivityViolation(
-                    f"composite step of size {dt} reached x = {x} <= 0; reduce dt"
+                    f"step of size {dt} reached x = {x} <= 0; reduce dt"
                 )
             acc = k2 * x**e - k1 * x
         v = v + last * acc
@@ -174,7 +155,7 @@ def leapfrog_step(state: PhaseState, dt: float, params: ModelParams) -> PhaseSta
     """One kick-drift-kick step.  Negative dt steps backwards in time."""
     if not math.isfinite(dt):
         raise DomainError(f"dt must be finite, got {dt}")
-    x1, v1 = next(_leapfrog(state.x, state.v, dt, params))
+    x1, v1 = next(_composition(state.x, state.v, dt, params, (1.0,)))
     return PhaseState(t=state.t + dt, x=x1, v=v1)
 
 
@@ -247,7 +228,7 @@ def integrate_until_section(
         )
     dt = config.dt
     x, v = state.x, state.v
-    steps = islice(_leapfrog(x, v, dt, params), config.max_steps)
+    steps = islice(_composition(x, v, dt, params, (1.0,)), config.max_steps)
     for step, (x1, v1) in enumerate(steps):
         crossed = (v * v1 < 0.0) or (v1 == 0.0 and v != 0.0)
         if crossed:
@@ -307,9 +288,10 @@ def _time_to_turn(
 ) -> tuple[float, float]:
     """Time from (x0, v0) to the first v = 0 crossing, and the energy wander.
 
-    The step is `_leapfrog`'s, written out in a flat loop so that no
-    generator is resumed per step.  The wander is read after the first
-    step and then after every block of 1024 steps, and at the crossing.
+    The step is `_composition`'s with one unit stage, written out in a
+    flat loop so that no generator is resumed per step.  The wander is
+    read after the first step and then after every block of 1024 steps,
+    and at the crossing.
     """
     k1, k2, e = _force_coeffs(params)
     A, Bq, q = _potential_coeffs(params)
@@ -326,7 +308,7 @@ def _time_to_turn(
             x1 = x + dt * vh
             if x1 <= 0.0:
                 raise PositivityViolation(
-                    f"leapfrog step of size {dt} reached x = {x1} <= 0; reduce dt"
+                    f"step of size {dt} reached x = {x1} <= 0; reduce dt"
                 )
             acc = k2 * x1**e - k1 * x1
             v1 = vh + half * acc
@@ -427,7 +409,7 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
             x = x + dt * vh
             if x <= 0.0:
                 raise PositivityViolation(
-                    f"leapfrog step of size {dt} reached x = {x} <= 0; reduce dt"
+                    f"step of size {dt} reached x = {x} <= 0; reduce dt"
                 )
             acc = k2 * x**e - k1 * x
             v = vh + half * acc

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: schemas, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from warpcsc import ModelParams, derive_constants
-from warpcsc.cli import doc_to_profile, main, profile_to_doc
+from warpcsc.cli import _render, doc_to_profile, main, profile_to_doc
+from warpcsc.errors import DomainError
+from warpcsc.period import period_curve
 
 T0_N3 = derive_constants(ModelParams(3, 2.0, 2.0)).T0
 T0_N4 = derive_constants(ModelParams(4, 2.0, 2.0)).T0
@@ -193,6 +196,117 @@ def test_solve_refuses_a_profile_verify_would_reject(tmp_path, capsys):
     assert not out_file.exists()
     assert err.startswith("error: 512 samples do not resolve")
     assert "fd_sup" in err and "tolerance" in err
+
+
+@pytest.mark.parametrize("period, samples, code, message", [
+    # the finite-difference audit passes, the recovered curvature does not
+    ("9.83", "2048", 4, "curvature max_dev"),
+    # the samples satisfy the audit but not the squared-fiber convention check
+    ("8.9", "64", 4, "fails verify on conformal"),
+    # too few samples for verify's curvature check
+    ("8.9", "48", 2, "need at least 64 samples"),
+], ids=["curvature", "conformal", "few-samples"])
+def test_solve_refuses_what_verify_rejects(tmp_path, capsys, period, samples, code, message):
+    out_file = tmp_path / "profile.json"
+    got, out, err = run_cli(
+        capsys, "solve", "--n", "5", "--R", "2", "--Rt", "2",
+        "--period", period, "--samples", samples, "--out", str(out_file),
+    )
+    assert got == code
+    assert out == ""
+    assert not out_file.exists()
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_every_profile_solve_writes_passes_verify(tmp_path, capsys, n):
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    lo, hi = period_curve(n, 1e-10).band
+    written = 0
+    for share in (0.5, 0.99):
+        period = T0 * (lo + share * (hi - lo))
+        for samples in (512, 2048):
+            out_file = tmp_path / f"profile_{share}_{samples}.json"
+            code, _, _ = run_cli(
+                capsys, "solve", "--n", str(n), "--R", "2", "--Rt", "2",
+                "--period", repr(period), "--samples", str(samples),
+                "--out", str(out_file),
+            )
+            assert code in (0, 2, 4)
+            assert out_file.exists() == (code == 0)
+            if code == 0:
+                written += 1
+                assert run_cli(capsys, "verify", "--in", str(out_file))[0] == 0
+    assert written > 0
+
+
+def test_verify_passes_the_constant_warp(tmp_path, capsys):
+    # its conformal reference is finfo.tiny, so the checks give numpy bools
+    params = ModelParams(5, 2.0, 2.0)
+    consts = derive_constants(params)
+    t = np.linspace(0.0, 1.1 * consts.T0, 129)
+    doc = {
+        "params": {"n": 5, "R": 2.0, "Rt": 2.0},
+        "T": float(t[-1]),
+        "c": consts.c_min,
+        "samples": [[ti, consts.x_star, 0.0, consts.f_star, 0.0, 0.0] for ti in t.tolist()],
+    }
+    in_file = tmp_path / "constant.json"
+    in_file.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", "--in", str(in_file))
+    assert code == 0
+    assert '"squared_convention_ok": true,\n    "linear_convention_ok": true\n' in out
+    assert json.loads(out)["passed"] is True
+
+
+RENDERED = (
+    '{\n'
+    '  "floats": [0, -0, 4.9406564584124654e-324, 0.33333333333333331, 1e+22, '
+    '0.10000000000000001],\n'
+    '  "constants": [true, false, null, 42, "a \\"quoted\\" name"],\n'
+    '  "empty_list": [],\n'
+    '  "empty_dict": {},\n'
+    '  "nested": [\n'
+    '    [1.5, -2],\n'
+    '    [\n'
+    '      []\n'
+    '    ],\n'
+    '    [\n'
+    '      [0.25],\n'
+    '      [3]\n'
+    '    ]\n'
+    '  ],\n'
+    '  "scalar": 0.33333333333333331\n'
+    '}'
+)
+
+
+def test_render_writes_the_pinned_bytes():
+    doc = {
+        "floats": [0.0, -0.0, 5e-324, 1 / 3, 1e22, np.float64(0.1)],
+        "constants": [True, False, None, 42, 'a "quoted" name'],
+        "empty_list": [],
+        "empty_dict": {},
+        "nested": [[1.5, -2], [[]], [[0.25], [3]]],
+        "scalar": 1 / 3,
+    }
+    assert _render(doc) == RENDERED
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_render_refuses_non_finite_floats(value):
+    with pytest.raises(DomainError, match="non-finite"):
+        _render(value)
+    with pytest.raises(DomainError, match="non-finite"):
+        _render({"nested": [[1.0], [2.0, value]]})
+
+
+def test_render_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        _render(object())
+    with pytest.raises(TypeError):
+        _render({"a": [1.0, object()]})
 
 
 def test_solve_reports_step_counters_on_stderr_only(tmp_path, capsys):
