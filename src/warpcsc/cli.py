@@ -287,9 +287,8 @@ def cmd_verify(args) -> int:
             "sup_fiber_sq": conformal.sup_fiber_sq,
             "sup_fiber_lin": conformal.sup_fiber_lin,
             "reference": conformal.reference,
-            # numpy bools when the reference is finfo.tiny (a constant warp)
-            "squared_convention_ok": bool(conformal.squared_convention_ok),
-            "linear_convention_ok": bool(conformal.linear_convention_ok),
+            "squared_convention_ok": conformal.squared_convention_ok,
+            "linear_convention_ok": conformal.linear_convention_ok,
         },
         "audit": {
             "chain_sup": audit.chain_sup,

@@ -161,7 +161,7 @@ def conformal_field_check(profile, rel_tol: float = 1e-6) -> ConformalCheck:
     reference = max(
         float(np.max(np.abs(2.0 * fp * f**2))),
         float(np.max(np.abs(f * d_f2))),
-        np.finfo(float).tiny,
+        float(np.finfo(float).tiny),
     )
     tol_abs = rel_tol * reference
     return ConformalCheck(

@@ -25,13 +25,15 @@ call.  `bifurcation.scan_branches` asks it once for all its rows, and
 `solver.solve_period` for its one orbit.  Counting solutions needs no
 inversion (see `bifurcation`).
 
-`period_scan(c_grid)` keeps the energy interface: `turning_points`
-solves each energy's turning points by `brentq` from `_brent`, the
-package's own port of scipy's Brent solver, on the scalar forms of the
-model's potentials, and one kernel call takes every orbit from its inner
-turning point.  The kernel leaves an orbit it cannot certify unaccepted
-instead of raising, so such a point fails alone.  `period_quadrature(c)`
-is the scan of one energy.
+`period_scan(c_grid)` keeps the energy interface.  `_inner_root` takes
+every in-band energy of the grid to its u in one batch of bracketed
+Newton steps, each energy stopping on its own, and one kernel call
+takes every orbit from there; a, b = x_star (u, f_max)^(n/2), as in
+`orbits`.  An energy whose solve does not settle, or whose orbit the
+kernel cannot certify, fails alone.  `turning_points(c)` is the solve
+of one energy followed by `_outer_root`, and `period_quadrature(c)` is
+the scan of one energy.  Nothing here calls a bracketing root finder;
+`integrator` keeps `_brent` for its crossing refinement.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
+# not called here: benchmark/tracing.py's Tracer.install wraps period.brentq
 from ._brent import brentq
-from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence, ToolkitError
-from .model import DerivedConstants, ModelParams, _Forms, _forms, derive_constants, potential
+from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
+from .model import DerivedConstants, ModelParams, derive_constants, potential
 
 __all__ = [
     "OrbitSpec",
@@ -61,8 +64,6 @@ __all__ = [
 
 # clamp keeping solves away from the band edges, relative to |c_min|
 BAND_CLAMP = 1e-9
-# relative tolerance of the Brent solve for each turning point
-TURNING_RTOL = 1e-13
 # tanh-sinh rule: nodes t = k h with |t| <= TS_SPAN, h = 2^-level for
 # levels TS_FIRST_LEVEL to TS_LAST_LEVEL
 TS_SPAN = 3.2
@@ -72,7 +73,7 @@ TS_LAST_LEVEL = 7
 # where n |L| is below SERIES_SPAN
 SERIES_SPAN = 0.02
 SERIES_TERMS = 9
-# Newton steps the outer turning point and a curve inversion may take
+# Newton steps a turning point and a curve inversion may take
 NEWTON_STEPS = 100
 # kernel calls the confirmation and polish of a batch of orbits may take
 MAX_POLISH_STEPS = 100
@@ -124,86 +125,92 @@ class PeriodScan:
     failures: tuple[tuple[int, Exception], ...] = field(default_factory=tuple)
 
 
-def _check_band(c: float, consts: DerivedConstants) -> None:
-    """Refuse c outside the BAND_CLAMP band."""
-    depth = abs(consts.c_min)
-    e_above = c - consts.c_min
-    # the boundary itself is admitted; the absolute slack keeps grid
-    # points placed exactly on it from bouncing on subtraction roundoff
-    edge = BAND_CLAMP * depth - 4e-16 * depth
-    if not math.isfinite(c) or e_above < edge or -c < edge:
-        raise EnergyOutOfBand(
-            f"energy {c} outside the clamped band "
-            f"[{consts.c_min * (1.0 - BAND_CLAMP)}, {-BAND_CLAMP * depth}]"
-        )
-
-
 def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
-    """Solve potential(x) = c for the two roots bracketing x_star.
+    """The turning points a < x_star < b of the orbit at energy c.
 
-    The inner bracket comes from repeated halving below x_star, the outer
-    from repeated doubling above, then each root is polished by Brent's
-    method and two Newton steps.  Energies within BAND_CLAMP * |c_min|
-    of either band edge are rejected rather than solved in noise.
+    `_inner_root` solves the one energy for u = f_min/f_star and
+    `_outer_root` takes it to v = f_max/f_star; a, b = x_star (u, v)^(n/2).
+    Energies within BAND_CLAMP * |c_min| of either band edge raise
+    EnergyOutOfBand rather than being solved in noise, and a solve that
+    does not settle raises QuadratureNonConvergence.
     """
-    consts = derive_constants(params)
-    _check_band(c, consts)
-    x_star = consts.x_star
-    forms = _forms(params)
-    g = _level_gap(c, consts.c_min, forms)
-    lo = x_star
-    for _ in range(2000):
-        lo *= 0.5
-        if g(lo) > 0.0:
-            break
-    else:
-        raise QuadratureNonConvergence(
-            f"inner turning point bracket not found below x_star for c = {c}"
-        )
-    hi = 2.0 * x_star
-    for _ in range(2000):
-        if g(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise QuadratureNonConvergence(
-            f"outer turning point bracket not found above x_star for c = {c}"
-        )
-    a = brentq(g, lo, min(2.0 * lo, x_star), xtol=1e-300, rtol=TURNING_RTOL)
-    b = brentq(g, max(0.5 * hi, x_star), hi, xtol=1e-300, rtol=TURNING_RTOL)
-    return float(_newton_polish(a, g, forms.force)), float(_newton_polish(b, g, forms.force))
+    n, consts = params.n, derive_constants(params)
+    _, u, failures = _inner_root([float(c)], consts, n)
+    if failures:
+        raise failures[0][1]
+    a, b = consts.x_star * np.array([u[0], _outer_root(u, n)[0]]) ** (n / 2.0)
+    return float(a), float(b)
 
 
-def _level_gap(c: float, c_min: float, forms: _Forms):
-    """x -> potential(x) - c, in the form that keeps c's digits.
+def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
+    """u = f_min/f_star of the orbits at the energies of grid, in one batch.
 
-    On the lower half of the band c - c_min is exact, and the offset
-    potential keeps full precision near the well bottom.  On the upper
-    half c - c_min would round away the digits of a small |c|, and the
-    plain potential keeps them.  Both are the scalar forms of the model's
-    evaluators, which take one float without the array round trip.
+    With w as in `_rise`, an energy on the upper half of the band
+    (c > c_min/2) solves w(u) = (2/n) c/|c_min|, and one on the lower half
+    the anchored form w(u) - w(1) = (2/n)(c - c_min)/|c_min|, in which
+    c - c_min is exact: each half keeps the digits of c that the other
+    form would round away.  Bracketed Newton steps in (0, 1) start from
+    the asymptotes |level|^(1/(n-2)) near contact and 1 - sqrt(lift/(n-2))
+    near the well bottom.  Returns the indices solved, their u, and
+    (index, error) for the rest: EnergyOutOfBand outside the clamped
+    band, QuadratureNonConvergence where the steps did not settle.
     """
-    if c <= 0.5 * c_min:
-        e_above = c - c_min
-        return lambda x: float(forms.offset(x)) - e_above
-    return lambda x: float(forms.potential(x)) - c
+    c, depth = np.array(grid), abs(consts.c_min)
+    # the band's ends are admitted; the absolute slack keeps grid points
+    # placed exactly on them from bouncing on subtraction roundoff
+    edge = BAND_CLAMP * depth - 4e-16 * depth
+    outside = ~np.isfinite(c) | (c - consts.c_min < edge) | (-c < edge)
+    upper = np.flatnonzero(~outside & (c > 0.5 * consts.c_min))
+    lower = np.flatnonzero(~outside & (c <= 0.5 * consts.c_min))
+    level = (2.0 / n) * c[upper] / depth
+    lift = (2.0 / n) * (c[lower] - consts.c_min) / depth
+    u = np.empty_like(c)
+    u[upper], stuck_upper = _bracketed_newton(
+        lambda g: (g ** (n - 2.0) * ((n - 2.0) / n * g * g - 1.0), _w_slope(g, n)), level,
+        np.abs(level) ** (1.0 / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
+    u[lower], stuck_lower = _bracketed_newton(
+        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), lift,
+        1.0 - np.sqrt(lift / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
+    stuck = np.concatenate([upper[stuck_upper], lower[stuck_lower]])
+    band = f"[{consts.c_min * (1.0 - BAND_CLAMP)}, {-BAND_CLAMP * depth}]"
+    failures = [(i, EnergyOutOfBand(f"energy {grid[i]} outside the clamped band {band}"))
+                for i in np.flatnonzero(outside).tolist()]
+    failures += [(i, QuadratureNonConvergence(f"inner turning point did not settle in "
+                                              f"{NEWTON_STEPS} Newton steps for c = {grid[i]}"))
+                 for i in stuck.tolist()]
+    keep = ~outside
+    keep[stuck] = False
+    return np.flatnonzero(keep), u[keep], failures
 
 
-def _newton_polish(root: float, g, force) -> float:
-    """Two Newton steps on the level gap g from a Brent root.
+def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, rising: bool,
+                      floor: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve curve(x) = target elementwise by Newton steps from x, in place.
 
-    Brent leaves a relative-in-x error near TURNING_RTOL; two Newton steps
-    (the gap's derivative is exactly the force) push the potential
-    residue down to roundoff.
+    curve maps x to (value, slope) and is monotone on [lo, hi], rising or
+    falling, with every target in its range there.  A step that leaves
+    the bracket known so far is replaced by bisection.  An element stops
+    once its step is at most 4 eps * max(|x|, scale) or its residual is
+    at most floor, so its result does not depend on the batch.  Returns x
+    and the indices still moving after NEWTON_STEPS steps.
     """
-    for _ in range(2):
-        slope = float(force(root))
-        if slope == 0.0 or not math.isfinite(slope):
+    todo = np.arange(x.size)
+    eps = np.finfo(float).eps
+    for _ in range(NEWTON_STEPS):
+        if not todo.size:
             break
-        candidate = root - g(root) / slope
-        if candidate > 0.0:
-            root = candidate
-    return root
+        xt = x[todo]
+        value, slope = curve(xt)
+        res = value - target[todo]
+        past = (res > 0.0) == rising
+        lo, hi = np.where(past, lo, xt), np.where(past, xt, hi)
+        new = xt - res / slope
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        x[todo] = new
+        step_tol = 4.0 * eps * np.maximum(np.abs(xt), scale)
+        more = (np.abs(res) > floor) & (np.abs(new - xt) > step_tol)
+        todo, lo, hi = todo[more], lo[more], hi[more]
+    return x, todo
 
 
 def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -224,27 +231,28 @@ def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     return t ** (n - 2.0) * np.where(np.abs(n * L) < SERIES_SPAN, near, far)
 
 
+def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
+    """w'(g) for w as in `_rise`."""
+    return (n - 2.0) * g ** (n - 3.0) * (g - 1.0) * (g + 1.0)
+
+
 def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     """f_max/f_star of the orbits dipping to u: the root v > 1 of w(v) = w(u).
 
-    Newton on the anchored difference from min(2 - u, sqrt(n/(n-2))),
-    which lies right of the root; w is convex there, so the steps
-    shrink until roundoff, where an orbit stops.
+    Bracketed Newton steps on (1, min(2 - u, sqrt(n/(n-2)))], whose right
+    end lies right of the root, solve w(v) - w(1) = w(u) - w(1).  Both
+    sides are rises from the well bottom, which keep their digits; a
+    difference anchored at u would cancel two large exponentials and
+    leave v, and with it the kernel's T, noisy in u.
     """
-    v = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
-    active = np.ones(u.shape, dtype=bool)
-    last = np.full(u.shape, np.inf)
-    for _ in range(NEWTON_STEPS):
-        step = _rise(u, v - u, n) / ((n - 2.0) * v ** (n - 3.0) * (v - 1.0) * (v + 1.0))
-        shrinking = np.abs(step) < last
-        v = np.where(active & shrinking, v - step, v)
-        active &= shrinking & (np.abs(step) > 4.0 * np.finfo(float).eps * v)
-        last = np.abs(step)
-        if not active.any():
-            return v
-    raise QuadratureNonConvergence(
-        f"outer turning point did not settle in {NEWTON_STEPS} Newton steps for n = {n}"
-    )
+    start = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
+    v, stuck = _bracketed_newton(
+        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), _rise(1.0, u - 1.0, n),
+        start.copy(), lo=1.0, hi=start, rising=True, floor=0.0, scale=0.0)
+    if stuck.size:
+        raise QuadratureNonConvergence(
+            f"outer turning point did not settle in {NEWTON_STEPS} Newton steps for n = {n}")
+    return v
 
 
 @lru_cache(maxsize=16)
@@ -352,33 +360,28 @@ def period_quadrature(c: float, params: ModelParams, *, rtol: float = 1e-10) -> 
 def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodScan:
     """Periods of the orbits at a grid of energies, in grid order.
 
-    `turning_points` solves each energy's turning points, and one kernel
-    call takes every orbit from its inner one, u = (a/x_star)^(2/n).  The
-    kernel is batch-invariant, so each entry carries the bits a single
-    point would.  A point that fails with a ToolkitError, in its turning
-    points or in the kernel, is collected with its index, so one bad
-    energy does not spoil the scan; any other exception is a fault and
-    propagates.  Energies within BAND_CLAMP * |c_min| of either band
-    edge fail with EnergyOutOfBand.
+    `_inner_root` solves the grid for u in one batch, and one kernel call
+    takes every orbit from there.  Both are batch-invariant, so each
+    entry carries the bits a single point would.  A point whose energy
+    lies within BAND_CLAMP * |c_min| of either band edge fails with
+    EnergyOutOfBand, and one whose solve does not settle or whose period
+    the kernel cannot certify fails with QuadratureNonConvergence; each
+    is collected with its index, so one bad energy does not spoil the
+    scan.  Any other exception is a fault and propagates.
     """
     grid = [float(c) for c in c_grid]
     if not grid:
         raise DomainError("energy grid must be non-empty")
+    n, consts = params.n, derive_constants(params)
+    index, u, failures = _inner_root(grid, consts, n)
     results: list[OrbitSpec | None] = [None] * len(grid)
-    failures: list[tuple[int, Exception]] = []
-    turns: dict[int, tuple[float, float]] = {}
-    for idx, c in enumerate(grid):
-        try:
-            turns[idx] = turning_points(c, params)
-        except ToolkitError as err:  # collected, not fatal
-            failures.append((idx, err))
-    if turns:
-        n, consts = params.n, derive_constants(params)
-        u = np.array([(a / consts.x_star) ** (2.0 / n) for a, _ in turns.values()])
+    if index.size:
         periods = _period_kernel(u, n, rtol)
-        for j, (idx, (a, b)) in enumerate(turns.items()):
+        a, b = consts.x_star * np.array([u, periods.f_max]) ** (n / 2.0)
+        for j, idx in enumerate(index.tolist()):
             if periods.nodes[j]:
-                results[idx] = OrbitSpec(grid[idx], a, b, float(periods.ratio[j]) * consts.T0,
+                results[idx] = OrbitSpec(grid[idx], float(a[j]), float(b[j]),
+                                         float(periods.ratio[j]) * consts.T0,
                                          int(periods.nodes[j]), float(periods.err_est[j]))
             else:
                 failures.append((idx, _unconverged(u[j], n, rtol)))
@@ -466,8 +469,7 @@ class _CurvePiece:
         """The x in [a, b] where the series takes each target.
 
         The series is monotone on [a, b] and every target lies in its
-        range.  Newton steps start from `table`; a step that leaves the
-        bracket known so far is replaced by bisection.  An element stops
+        range.  `_bracketed_newton` steps from `table`; an element stops
         once its step is at most 4 eps or its residual is down to the
         series' roundoff, where a flat slope leaves x unresolved.
         """
@@ -476,24 +478,13 @@ class _CurvePiece:
             return np.full_like(target, a)
         floor = 4.0 * np.finfo(float).eps * np.abs(self.coeffs).sum()
         x = np.clip(np.interp(target, *self.table), a, b)
-        todo = np.arange(target.size)
-        lo, hi, want = np.full_like(x, a), np.full_like(x, b), target
-        for _ in range(NEWTON_STEPS):
-            if not todo.size:
-                return x
-            xt = x[todo]
-            value, slope = chebval(xt, self.value_and_slope_coeffs)
-            res = value - want
-            past = (res > 0.0) == (pb > pa)
-            lo, hi = np.where(past, lo, xt), np.where(past, xt, hi)
-            new = xt - res / slope
-            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            x[todo] = new
-            more = (np.abs(res) > floor) & (np.abs(new - xt) > 4.0 * np.finfo(float).eps)
-            todo, lo, hi, want = todo[more], lo[more], hi[more], want[more]
-        raise QuadratureNonConvergence(
-            f"period curve inversion did not settle in {NEWTON_STEPS} Newton steps"
-        )
+        x, stuck = _bracketed_newton(lambda x: chebval(x, self.value_and_slope_coeffs), target,
+                                     x, lo=a, hi=b, rising=pb > pa, floor=floor, scale=1.0)
+        if stuck.size:
+            raise QuadratureNonConvergence(
+                f"period curve inversion did not settle in {NEWTON_STEPS} Newton steps"
+            )
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,8 +503,9 @@ class PeriodCurve:
     split       u where the contact piece (in log u) hands over to the
                 upper piece (in u); u_lo when there is no contact piece
     quadratures kernel orbits the build took
-    err_est     largest relative deviation from the kernel, at the same
-                rtol, measured at held-out points of every piece
+    err_est     bound on the relative deviation from the kernel, at the
+                same rtol: the largest deviation at the held-out points of
+                every piece, times 1 + the Lebesgue constant of its nodes
     nodes       integrand evaluations the build took
     """
 
@@ -605,10 +597,10 @@ def period_curve(n: int, rtol: float = 1e-10) -> PeriodCurve:
     When BAND_CLAMP already cuts the band above CONTACT_SPLIT (n >= 10),
     the upper piece alone spans [u_lo, 1].  Each piece's nodes and its
     CURVE_CHECKS held-out points go to the kernel in one call; the
-    held-out points measure the piece's err_est.  The build refuses node
-    values that are not strictly monotone in u.  For n = 4 every orbit
-    has period T0 and the curve is the constant 1, built without the
-    kernel.
+    held-out points measure the piece's err_est, which also bounds the
+    noise the fit interpolates.  The build refuses node values that are
+    not strictly monotone in u.  For n = 4 every orbit has period T0 and
+    the curve is the constant 1, built without the kernel.
     """
     return _cached_curve(ModelParams(n, n - 1.0, n - 1.0), float(rtol))
 
@@ -618,8 +610,9 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     n = canon.n
     consts = derive_constants(canon)
     depth = abs(consts.c_min)
-    u_lo = turning_points(-BAND_CLAMP * depth, canon)[0] ** (2.0 / n)
-    u_hi = turning_points(consts.c_min + BAND_CLAMP * depth, canon)[0] ** (2.0 / n)
+    # both ends of the clamped band are admitted
+    u_lo, u_hi = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
+                             consts, n)[1].tolist()
     if n == 4:
         flat = _CurvePiece(u_lo, u_hi, False, np.ones(1), 0.0)
         return PeriodCurve(n, rtol, u_lo, u_hi, u_lo, (flat,), 0, 0.0, 0)
@@ -644,7 +637,9 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
         coeffs[0] *= 0.5
         piece = replace(piece, coeffs=coeffs)
         err = np.max(np.abs(piece.ratio(us[size:]) / periods.ratio[size:] - 1.0))
-        return replace(piece, err_est=float(err))
+        # the held-out points sample the noise a fit at roundoff interpolates;
+        # the nodes magnify it by at most their Lebesgue constant
+        return replace(piece, err_est=float((2.0 + 2.0 / math.pi * math.log(size)) * err))
 
     split = max(CONTACT_SPLIT, u_lo)
     pieces = []

@@ -242,7 +242,7 @@ def test_every_profile_solve_writes_passes_verify(tmp_path, capsys, n):
 
 
 def test_verify_passes_the_constant_warp(tmp_path, capsys):
-    # its conformal reference is finfo.tiny, so the checks give numpy bools
+    # its conformal reference is finfo.tiny; verify still writes true
     params = ModelParams(5, 2.0, 2.0)
     consts = derive_constants(params)
     t = np.linspace(0.0, 1.1 * consts.T0, 129)

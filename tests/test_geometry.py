@@ -1,7 +1,8 @@
 """Curvature recovery and convention checks from warp samples alone."""
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ def test_conformal_check_prefers_squared_fiber(profile3):
     assert check.sup_fiber_lin > 1e3 * check.sup_fiber_sq
     # the stored derivative column is the derivative of the f column
     assert check.sup_tt < 1e-5
+
+
+def test_conformal_check_on_a_constant_warp_gives_python_scalars():
+    # both sups vanish, so the reference is finfo.tiny; the flags and the
+    # reference must still be Python scalars that json can write
+    params = ModelParams(5, 2.0, 2.0)
+    k = derive_constants(params)
+    t = np.linspace(0.0, k.T0, 129)
+    loop = _Loop(params, k.T0, t, np.full_like(t, k.f_star), np.zeros_like(t))
+    check = conformal_field_check(loop)
+    assert type(check.squared_convention_ok) is bool and check.squared_convention_ok
+    assert type(check.linear_convention_ok) is bool and check.linear_convention_ok
+    assert type(check.reference) is float
+    assert json.loads(json.dumps(asdict(check)))["reference"] == np.finfo(float).tiny
 
 
 def test_conformal_check_on_analytic_profile():

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.optimize import brentq
 from scipy.special import elliprf, elliprj
 
 import warpcsc.period as period_mod
@@ -83,6 +84,73 @@ def test_turning_points_bracket_rest_point_and_level_set():
         e_above = c - k.c_min
         assert potential_above_min(a, params) == pytest.approx(e_above, rel=1e-10)
         assert potential_above_min(b, params) == pytest.approx(e_above, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12, 20, 30])
+def test_turning_points_match_a_scipy_brentq_oracle(n):
+    # scipy's Brent solver on the model's public evaluators, to its
+    # tightest rtol: the offset potential on the lower half of the band,
+    # the potential itself on the upper half
+    params = ModelParams(n, 2.6, 1.1)
+    k = derive_constants(params)
+    depth = abs(k.c_min)
+    for s in (1e-9, 1e-6, 1e-3, 0.3, 0.5, 0.7, 0.999, 1.0 - 1e-6, 1.0 - 1e-9):
+        c = k.c_min + s * depth
+        if s <= 0.5:
+            gap = lambda x: potential_above_min(x, params) - (c - k.c_min)
+        else:
+            gap = lambda x: potential(x, params) - c
+        # the offset's log1p needs x > 0 well clear of 0; a is not small there
+        lo = (1e-6 if s <= 0.5 else 1e-200) * k.x_star
+        a_ref = brentq(gap, lo, k.x_star, xtol=1e-300, rtol=8.9e-16)
+        b_ref = brentq(gap, k.x_star, 3.0 * k.x_star, xtol=1e-300, rtol=8.9e-16)
+        a, b = turning_points(c, params)
+        assert a == pytest.approx(a_ref, rel=1e-13), f"s = {s}"
+        assert b == pytest.approx(b_ref, rel=1e-13), f"s = {s}"
+
+
+@pytest.mark.parametrize("R, Rt", [(2.0, 2.0), (2.6, 1.1), (0.3, 7.0)])
+def test_isochronous_turning_points_match_the_closed_form(R, Rt):
+    # for n = 4 the potential is A (x - x_star)^2 + c_min, so the turning
+    # points are x_star (1 -+ sqrt(s)); the inner one is written through
+    # 1 - s = -c/|c_min| to keep its digits near contact
+    params = ModelParams(4, R, Rt)
+    k = derive_constants(params)
+    depth = abs(k.c_min)
+    grid = np.concatenate([np.geomspace(1e-9, 0.5, 9), 1.0 - np.geomspace(0.5, 1e-9, 9)[1:]])
+    for c in k.c_min + grid * depth:
+        root = 1.0 + math.sqrt((c - k.c_min) / depth)
+        a, b = turning_points(c, params)
+        assert a == pytest.approx(k.x_star * (-c / depth) / root, rel=1e-14, abs=0.0), f"c = {c}"
+        assert b == pytest.approx(k.x_star * root, rel=1e-14, abs=0.0), f"c = {c}"
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_inner_turning_point_keeps_the_digits_of_a_small_energy(n):
+    # on the upper half of the band the level is c itself, not c - c_min,
+    # so the residual stays small relative to |c| even as c -> 0
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    for s in (0.6, 0.9, 1.0 - 1e-4, 1.0 - 1e-7, 1.0 - 1e-9):
+        c = k.c_min + s * abs(k.c_min)
+        a, _ = turning_points(c, params)
+        assert abs(potential(a, params) - c) <= 1e-13 * abs(c), f"s = {s}"
+
+
+def test_a_turning_point_solve_that_cannot_settle_fails_alone(monkeypatch, p5, k5):
+    # three Newton steps settle both turning points near the band ends,
+    # but not the inner one in mid-band
+    grid = [k5.c_min + s * abs(k5.c_min) for s in (1e-9, 0.5, 1.0 - 1e-9)]
+    full = period_scan(grid, p5)
+    monkeypatch.setattr(period_mod, "NEWTON_STEPS", 3)
+    scan = period_scan(grid, p5)
+    assert scan.entries[0] == full.entries[0] and scan.entries[2] == full.entries[2]
+    assert scan.entries[1] is None
+    [(idx, err)] = scan.failures
+    assert idx == 1 and isinstance(err, QuadratureNonConvergence)
+    assert "inner turning point did not settle in 3 Newton steps" in str(err)
+    with pytest.raises(QuadratureNonConvergence, match="did not settle in 3 Newton steps"):
+        turning_points(grid[1], p5)
 
 
 def test_small_amplitude_period_approaches_threshold(p3, k3):
@@ -186,8 +254,8 @@ def test_scan_continues_past_a_failed_point(p3, k3):
 
 def test_scan_raises_programming_errors(monkeypatch, p3):
     # only a ToolkitError is a failed point; anything else is a fault,
-    # from the turning points or from the kernel
-    for name in ("turning_points", "_period_kernel"):
+    # from the turning-point solve or from the kernel
+    for name in ("_inner_root", "_period_kernel"):
         def broken(*args):
             raise TypeError(f"broken {name}")
 
