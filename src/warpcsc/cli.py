@@ -221,8 +221,7 @@ def cmd_solve(args) -> int:
         )
         raise BudgetExceeded(f"solved profile fails verify on {', '.join(failed)}{detail}")
     print(
-        f"# profile: dt {_scalar(profile.dt)}, substeps {profile.substeps}, "
-        f"force evaluations {profile.force_evals}",
+        f"# profile: degree {profile.degree}, err_est {_scalar(profile.err_est)}",
         file=sys.stderr,
     )
     _emit(_render(profile_to_doc(profile)), args.out)

@@ -24,28 +24,22 @@ pre-crossing state gives
 which matches the full step at tau = dt exactly, so the refined time is
 consistent with the trajectory actually computed.
 
-One generator, `_composition`, holds the acceleration line and the
-positivity check; it yields the state after each composite step of
-kick-drift-kick stages and knows no stopping rule.  With one unit stage
-it is plain leapfrog, which `leapfrog_step` and the section search step
-through.  The two hot runs, a half orbit of the return map
-(`_time_to_turn`) and the drift run, write the same leapfrog step out in
-flat loops, since resuming a generator costs about as much per step as
-the arithmetic.  Tests pin both loops to `leapfrog_step` bit for bit, so
-the copies of the step cannot drift apart.  All of them stay second
-order on purpose, since they measure the leapfrog itself: the return
-map's Richardson step assumes an error in dt^2.  Tests pin the return
-map by tolerance and, at eleven frozen energies, bit for bit.  A
-return-map run takes the smaller of T0 / STEPS_PER_PERIOD and a step
-resolving the local oscillation at its inner turning point, which a
-crude bisection finds on the scalar form of the offset potential
-(`model._forms`); no turning point comes from `period`.  With its
-default weights `_YOSHIDA6`, `_composition` steps the profile sampler of
-`solver`: Yoshida's sixth-order symmetric composition of seven leapfrog
-stages (Phys. Lett. A 150 (1990) 262; Hairer, Lubich and Wanner,
-Geometric Numerical Integration, ch. II and V).  It is still
-symplectic, and its energy error falls as (omega dt)^6, so a profile
-meets its energy target at a far coarser step.
+One generator, `_leapfrog`, holds the acceleration line and the
+positivity check; it yields the state after each kick-drift-kick step
+and knows no stopping rule.  `leapfrog_step` and the section search step
+through it.  The two hot runs, a half orbit of the return map
+(`_time_to_turn`) and the drift run, write the same step out in flat
+loops, since resuming a generator costs about as much per step as the
+arithmetic.  Tests pin both loops to `leapfrog_step` bit for bit, so the
+copies of the step cannot drift apart.  All of them stay second order on
+purpose, since they measure the leapfrog itself: the return map's
+Richardson step assumes an error in dt^2.  Tests pin the return map by
+tolerance and, at eleven frozen energies, bit for bit.  A return-map run
+takes the smaller of T0 / STEPS_PER_PERIOD and a step resolving the
+local oscillation at its inner turning point, which a crude bisection
+finds on the scalar form of the offset potential (`model._forms`); no
+turning point comes from `period`.  Profiles step no ODE: `solver`
+samples them by quadrature on the period kernel's integrand.
 """
 
 from __future__ import annotations
@@ -82,9 +76,6 @@ STEPS_PER_PERIOD = 4096
 MAX_RETRIES = 6
 # phase advance per substep at the stiffest point: 48 substeps per local cycle
 _WALL_PHASE = 2.0 * math.pi / 48.0
-# Yoshida's solution A: stage weights w3 w2 w1 w0 w1 w2 w3, w0 = 1 - 2(w1 + w2 + w3)
-_W1, _W2, _W3 = -1.17767998417887, 0.235573213359357, 0.784513610477560
-_YOSHIDA6 = (_W3, _W2, _W1, 1.0 - 2.0 * (_W1 + _W2 + _W3), _W1, _W2, _W3)
 
 
 @dataclass(frozen=True)
@@ -118,36 +109,25 @@ class DriftReport:
     n_steps: int
 
 
-def _composition(
-    x: float, v: float, dt: float, params: ModelParams, weights=_YOSHIDA6
-):
-    """Yield (x, v) after each composite step of size dt from (x, v).
+def _leapfrog(x: float, v: float, dt: float, params: ModelParams):
+    """Yield (x, v) after each kick-drift-kick step of size dt from (x, v).
 
-    A composite step is one kick-drift-kick stage of size w dt per
-    weight w; adjacent half kicks act at the same point and merge, so a
-    step costs one force evaluation per stage.  `_YOSHIDA6` is sixth
-    order; (1.0,) is plain leapfrog.  The acceleration k2 x^e - k1 x is
-    written out (for n = 4, x**0.0 == 1.0 gives k2 - k1 x exactly).  A
-    stage reaching x <= 0 raises PositivityViolation; Yoshida's negative
-    weights step backwards and can do so where the orbit does not.
+    The acceleration k2 x^e - k1 x is written out (for n = 4, x**0.0 ==
+    1.0 gives k2 - k1 x exactly).  A step reaching x <= 0 raises
+    PositivityViolation.
     """
     k1, k2, e = _force_coeffs(params)
-    drifts = tuple(w * dt for w in weights)
-    kicks = (0.5 * drifts[0],) + tuple(
-        0.5 * (h0 + h1) for h0, h1 in zip(drifts, drifts[1:])
-    )
-    last = 0.5 * drifts[-1]
+    half = 0.5 * dt
     acc = k2 * x**e - k1 * x
     while True:
-        for kick, drift in zip(kicks, drifts):
-            v = v + kick * acc
-            x = x + drift * v
-            if x <= 0.0:
-                raise PositivityViolation(
-                    f"step of size {dt} reached x = {x} <= 0; reduce dt"
-                )
-            acc = k2 * x**e - k1 * x
-        v = v + last * acc
+        v = v + half * acc
+        x = x + dt * v
+        if x <= 0.0:
+            raise PositivityViolation(
+                f"step of size {dt} reached x = {x} <= 0; reduce dt"
+            )
+        acc = k2 * x**e - k1 * x
+        v = v + half * acc
         yield x, v
 
 
@@ -155,24 +135,8 @@ def leapfrog_step(state: PhaseState, dt: float, params: ModelParams) -> PhaseSta
     """One kick-drift-kick step.  Negative dt steps backwards in time."""
     if not math.isfinite(dt):
         raise DomainError(f"dt must be finite, got {dt}")
-    x1, v1 = next(_composition(state.x, state.v, dt, params, (1.0,)))
+    x1, v1 = next(_leapfrog(state.x, state.v, dt, params))
     return PhaseState(t=state.t + dt, x=x1, v=v1)
-
-
-def _local_frequency(x: float, params: ModelParams) -> float:
-    """sqrt(|force'(x)|), the frequency of small oscillations about x."""
-    k1, k2, e = _force_coeffs(params)
-    return math.sqrt(abs(k1 - e * k2 * x ** (e - 1.0)))
-
-
-def _wall_step(x: float, params: ModelParams) -> float:
-    """Step resolving the local oscillation at x with 48 substeps per cycle.
-
-    Where the force gradient vanishes it sets no limit and the step is
-    infinite.
-    """
-    local = _local_frequency(x, params)
-    return _WALL_PHASE / local if local > 0.0 else math.inf
 
 
 def _refine_crossing(
@@ -228,7 +192,7 @@ def integrate_until_section(
         )
     dt = config.dt
     x, v = state.x, state.v
-    steps = islice(_composition(x, v, dt, params, (1.0,)), config.max_steps)
+    steps = islice(_leapfrog(x, v, dt, params), config.max_steps)
     for step, (x1, v1) in enumerate(steps):
         crossed = (v * v1 < 0.0) or (v1 == 0.0 and v != 0.0)
         if crossed:
@@ -279,8 +243,13 @@ def _step_for_energy(e_above_min: float, params: ModelParams) -> float:
     point) with a fixed number of substeps per local cycle.
     """
     consts = derive_constants(params)
+    k1, k2, e = _force_coeffs(params)
     a_rough = _rough_inner_turning(e_above_min, params)
-    return min(consts.T0 / STEPS_PER_PERIOD, _wall_step(a_rough, params))
+    # sqrt(|force'|), the frequency of small oscillations about a_rough;
+    # where it vanishes it sets no limit
+    local = math.sqrt(abs(k1 - e * k2 * a_rough ** (e - 1.0)))
+    wall = _WALL_PHASE / local if local > 0.0 else math.inf
+    return min(consts.T0 / STEPS_PER_PERIOD, wall)
 
 
 def _time_to_turn(
@@ -288,10 +257,9 @@ def _time_to_turn(
 ) -> tuple[float, float]:
     """Time from (x0, v0) to the first v = 0 crossing, and the energy wander.
 
-    The step is `_composition`'s with one unit stage, written out in a
-    flat loop so that no generator is resumed per step.  The wander is
-    read after the first step and then after every block of 1024 steps,
-    and at the crossing.
+    The step is `_leapfrog`'s, written out in a flat loop so that no
+    generator is resumed per step.  The wander is read after the first
+    step and then after every block of 1024 steps, and at the crossing.
     """
     k1, k2, e = _force_coeffs(params)
     A, Bq, q = _potential_coeffs(params)

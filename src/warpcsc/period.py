@@ -12,10 +12,14 @@ spherical suspension that crosses f = 0 with nonzero slope.
 
 `_period_kernel` evaluates this for a batch of orbits in one numpy pass
 per level: v comes from a vectorized Newton solve, g = m + r sin(theta)
-removes both endpoint singularities, each node is written against its
-nearest turning point through half angles and the anchored difference
-`_rise`, and a tanh-sinh rule (Takahasi-Mori) on fixed nodes per level
-takes its error estimate from the change between two levels.
+removes both endpoint singularities, `_node` writes each node against
+its nearest turning point through half angles and the anchored
+difference `_rise`, and a tanh-sinh rule (Takahasi-Mori) on fixed nodes
+per level takes its error estimate from the change between two levels.
+`_orbit_samples` samples a profile from the same integrand: it fits
+dt/dtheta in Chebyshev nodes, integrates the fit to t(theta) and
+inverts that at the sample times with `_ChebSeries.root`, the curve's
+own inversion.
 
 `period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
 once per process for each (n, rtol), one kernel call per piece.  Its
@@ -29,8 +33,8 @@ inversion (see `bifurcation`).
 every in-band energy of the grid to its u in one batch of bracketed
 Newton steps, each energy stopping on its own, and one kernel call
 takes every orbit from there; a, b = x_star (u, f_max)^(n/2), as in
-`orbits`.  An energy whose solve does not settle, or whose orbit the
-kernel cannot certify, fails alone.  `turning_points(c)` is the solve
+`orbits`.  An energy whose inner or outer turning point does not
+settle, or whose orbit the kernel cannot certify, fails alone.  `turning_points(c)` is the solve
 of one energy followed by `_outer_root`, and `period_quadrature(c)` is
 the scan of one energy.  Nothing here calls a bracketing root finder;
 `integrator` keeps `_brent` for its crossing refinement.
@@ -44,7 +48,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder, chebint, chebval
 
 # not called here: benchmark/tracing.py's Tracer.install wraps period.brentq
 from ._brent import brentq
@@ -84,6 +88,10 @@ CONTACT_NODES = 32
 CONTACT_SPLIT = 0.05
 # held-out kernel orbits per curve piece behind its err_est
 CURVE_CHECKS = 8
+# Chebyshev nodes of a profile's time fit: PROFILE_NODES first, doubling
+# up to MAX_PROFILE_NODES
+PROFILE_NODES = 32
+MAX_PROFILE_NODES = 512
 # an orbit is polished on the kernel while its period misses the
 # request by more than POLISH_FACTOR * rtol, and stops once its step in
 # u is at most POLISH_XTOL * u
@@ -138,7 +146,10 @@ def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
     _, u, failures = _inner_root([float(c)], consts, n)
     if failures:
         raise failures[0][1]
-    a, b = consts.x_star * np.array([u[0], _outer_root(u, n)[0]]) ** (n / 2.0)
+    v = _outer_root(u, n)
+    if np.isnan(v[0]):
+        raise _unsettled(u[0], n)
+    a, b = consts.x_star * np.array([u[0], v[0]]) ** (n / 2.0)
     return float(a), float(b)
 
 
@@ -243,16 +254,29 @@ def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     end lies right of the root, solve w(v) - w(1) = w(u) - w(1).  Both
     sides are rises from the well bottom, which keep their digits; a
     difference anchored at u would cancel two large exponentials and
-    leave v, and with it the kernel's T, noisy in u.
+    leave v, and with it the kernel's T, noisy in u.  An orbit whose steps
+    did not settle gets v = NaN.
     """
     start = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
     v, stuck = _bracketed_newton(
         lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), _rise(1.0, u - 1.0, n),
         start.copy(), lo=1.0, hi=start, rising=True, floor=0.0, scale=0.0)
-    if stuck.size:
-        raise QuadratureNonConvergence(
-            f"outer turning point did not settle in {NEWTON_STEPS} Newton steps for n = {n}")
+    v[stuck] = np.nan
     return v
+
+
+def _unsettled(u: float, n: int) -> QuadratureNonConvergence:
+    return QuadratureNonConvergence(
+        f"outer turning point did not settle in {NEWTON_STEPS} Newton steps "
+        f"for n = {n} at u = {u}")
+
+
+def _node(turn, other, half, n: int):
+    """g = m + r sin(theta) at half = pi/4 - |theta|/2 from its nearer
+    turning point turn, as turn + (other - turn) sin(half)^2, and the gap
+    w(u) - w(g) as the anchored difference -_rise, exactly 0 at half = 0."""
+    d = (other - turn) * np.sin(half) ** 2
+    return turn + d, -_rise(turn, d, n)
 
 
 @lru_cache(maxsize=16)
@@ -293,11 +317,14 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     is accepted at the first level whose change from the level before,
     plus one rounding of the sum, is at most rtol of its period, so an
     orbit's result does not depend on the batch it comes in.  An orbit
-    still unaccepted past the finest level keeps nodes == 0 and ratio 0;
-    `_certified` turns it into QuadratureNonConvergence.
+    still unaccepted past the finest level keeps nodes == 0 and ratio 0,
+    and so does one whose f_max is NaN: it is never pending, whatever its
+    nodes sum to (NaN gaps add nothing, and 0 would pass the rtol test).
+    `_failure` names either.
     """
     u = np.asarray(u, dtype=float)
     v = _outer_root(u, n)
+    pending = ~np.isnan(v)
     r = 0.5 * (v - u)
     scale = math.sqrt(n - 2.0) / math.pi * r
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
@@ -307,29 +334,31 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     for level in range(TS_FIRST_LEVEL, TS_LAST_LEVEL + 1):
         half, weight = _ts_level(level)
         evaluations += 2 * half.size
-        sh = np.sin(half)
-        offset = 2.0 * r[:, None] * sh**2
-        values = np.zeros_like(offset)
-        for turn, d in ((v[:, None], -offset), (u[:, None], offset)):
-            gap = -_rise(turn, d, n)
+        values = 0.0
+        for turn, other in ((v[:, None], u[:, None]), (u[:, None], v[:, None])):
+            g, gap = _node(turn, other, half, n)
             # roundoff can graze zero at the outermost nodes
             ok = gap > 0.0
-            values += np.where(ok, (turn + d) ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
-        total += (values * (2.0 * sh * np.cos(half) * weight)).sum(axis=1)
+            values = values + np.where(ok, g ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
+        total += (values * (2.0 * np.sin(half) * np.cos(half) * weight)).sum(axis=1)
         estimate = scale * 2.0**-level * total
         if previous is not None:
             change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
-            accept = (nodes == 0) & (change <= rtol * estimate)
+            accept = pending & (change <= rtol * estimate)
             ratio[accept] = estimate[accept]
             err_est[accept] = change[accept] / estimate[accept]
             nodes[accept] = evaluations
-            if nodes.all():
-                return _Periods(ratio, v, err_est, nodes)
+            pending &= ~accept
+            if not pending.any():
+                break
         previous = estimate
     return _Periods(ratio, v, err_est, nodes)
 
 
-def _unconverged(u: float, n: int, rtol: float) -> QuadratureNonConvergence:
+def _failure(u: float, f_max: float, n: int, rtol: float) -> QuadratureNonConvergence:
+    """Why the kernel left the orbit at u unaccepted."""
+    if math.isnan(f_max):
+        return _unsettled(u, n)
     return QuadratureNonConvergence(
         f"period kernel for n = {n} at u = {u} did not meet rtol = {rtol} "
         f"by its finest level, h = 2^-{TS_LAST_LEVEL}"
@@ -340,7 +369,8 @@ def _certified(u: np.ndarray, n: int, rtol: float) -> _Periods:
     """The kernel's periods, once it met rtol on every orbit of the batch u."""
     periods = _period_kernel(u, n, rtol)
     if not periods.nodes.all():
-        raise _unconverged(u[periods.nodes == 0][0], n, rtol)
+        j = int(np.argmin(periods.nodes != 0))
+        raise _failure(u[j], periods.f_max[j], n, rtol)
     return periods
 
 
@@ -384,7 +414,7 @@ def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodSc
                                          float(periods.ratio[j]) * consts.T0,
                                          int(periods.nodes[j]), float(periods.err_est[j]))
             else:
-                failures.append((idx, _unconverged(u[j], n, rtol)))
+                failures.append((idx, _failure(u[j], periods.f_max[j], n, rtol)))
     failures.sort(key=lambda failure: failure[0])
     return PeriodScan(c_grid=tuple(grid), entries=tuple(results), failures=tuple(failures))
 
@@ -425,9 +455,10 @@ def energy_grid(
 
 
 @dataclass(frozen=True, eq=False)
-class _CurvePiece:
-    """Chebyshev series of T/T0 in x in [-1, 1], which maps onto [lo, hi]
-    in u, or in log u when log."""
+class _ChebSeries:
+    """Chebyshev series in x in [-1, 1], which maps onto [lo, hi] in its
+    argument y, or in log y when log: a piece of a period curve in u, or
+    a profile's time in theta."""
 
     lo: float
     hi: float
@@ -450,20 +481,20 @@ class _CurvePiece:
         order = np.argsort(values)
         return values[order], x[order]
 
-    def x_of(self, u):
-        return (2.0 * (np.log(u) if self.log else u) - self.lo - self.hi) / (self.hi - self.lo)
+    def x_of(self, y):
+        return (2.0 * (np.log(y) if self.log else y) - self.lo - self.hi) / (self.hi - self.lo)
 
-    def u_of(self, x):
+    def y_of(self, x):
         v = 0.5 * (self.lo + self.hi) + 0.5 * (self.hi - self.lo) * x
         return np.exp(v) if self.log else v
 
-    def ratio(self, u):
-        return chebval(self.x_of(u), self.coeffs)
+    def value(self, y):
+        return chebval(self.x_of(y), self.coeffs)
 
-    def slope(self, u):
-        """d(T/T0)/du."""
-        dx_du = 2.0 / (self.hi - self.lo) / (u if self.log else 1.0)
-        return chebval(self.x_of(u), self.value_and_slope_coeffs)[1] * dx_du
+    def slope(self, y):
+        """The series' derivative in y."""
+        dx_dy = 2.0 / (self.hi - self.lo) / (y if self.log else 1.0)
+        return chebval(self.x_of(y), self.value_and_slope_coeffs)[1] * dx_dy
 
     def root(self, target: np.ndarray, a: float, b: float) -> np.ndarray:
         """The x in [a, b] where the series takes each target.
@@ -482,9 +513,71 @@ class _CurvePiece:
                                      x, lo=a, hi=b, rising=pb > pa, floor=floor, scale=1.0)
         if stuck.size:
             raise QuadratureNonConvergence(
-                f"period curve inversion did not settle in {NEWTON_STEPS} Newton steps"
+                f"Chebyshev series inversion did not settle in {NEWTON_STEPS} Newton steps"
             )
         return x
+
+
+def _cheb_angles(size: int) -> np.ndarray:
+    """The angles phi of the size first-kind Chebyshev nodes x = cos(phi)."""
+    return math.pi * (np.arange(size) + 0.5) / size
+
+
+def _cheb_coeffs(angles: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The series through values at the nodes cos(angles), by the cosine transform."""
+    size = angles.size
+    coeffs = (2.0 / size) * np.cos(np.outer(np.arange(size), angles)) @ values
+    coeffs[0] *= 0.5
+    return coeffs
+
+
+def _arc(x, u: float, v: float, n: int):
+    """`_node` at x = theta/(pi/2), and the half angle."""
+    half = 0.25 * math.pi * (1.0 - np.abs(x))
+    upper = x >= 0.0
+    g, gap = _node(np.where(upper, v, u), np.where(upper, u, v), half, n)
+    return g, gap, half
+
+
+def _orbit_samples(u: float, n: int, times: np.ndarray, period: float, rtol: float):
+    """x/x_star and v/(omega x_star) of the orbit dipping to u at times in
+    [0, period], in units of 1/omega, and the series t(theta) placing them.
+
+    The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) r
+    cos(theta) / sqrt(w(u) - w(g)), is smooth on [-pi/2, pi/2].  Its fit
+    on first-kind Chebyshev nodes doubles from PROFILE_NODES nodes until
+    the half period t(pi/2) changes by at most rtol, plus one rounding;
+    past MAX_PROFILE_NODES it raises QuadratureNonConvergence.  `chebint`
+    gives t(theta) from the inner turning point, and `_ChebSeries.root`
+    inverts min(t, period - t) for every time at once; the second half
+    of the orbit mirrors the first with v negated.
+    """
+    v = float(_outer_root(np.array([u]), n)[0])
+    if math.isnan(v):
+        raise _unsettled(u, n)
+    r = 0.5 * (v - u)
+    size, previous = PROFILE_NODES, None
+    while True:
+        angles = _cheb_angles(size)
+        g, gap, half = _arc(np.cos(angles), u, v, n)
+        rate = math.sqrt(n - 2.0) * r * g ** (0.5 * n - 1.0) * np.sin(2.0 * half) / np.sqrt(gap)
+        coeffs = 0.5 * math.pi * chebint(_cheb_coeffs(angles, rate), lbnd=-1)
+        half_period = float(chebval(1.0, coeffs))
+        if previous is not None:
+            change = abs(half_period - previous) + np.finfo(float).eps * half_period
+            if change <= rtol * half_period:
+                break
+        if size >= MAX_PROFILE_NODES:
+            raise QuadratureNonConvergence(
+                f"profile of n = {n} at u = {u}: the half period did not settle to "
+                f"rtol = {rtol} by {MAX_PROFILE_NODES} Chebyshev nodes")
+        previous, size = half_period, 2 * size
+    series = _ChebSeries(-1.0, 1.0, False, coeffs, change / half_period)
+    g, gap, _ = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0, half_period),
+                                 -1.0, 1.0), u, v, n)
+    # the energy gives v from the gap
+    speed = 0.5 * n * np.sqrt(gap / (n - 2.0))
+    return g ** (0.5 * n), np.where(times <= 0.5 * period, speed, -speed), series
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,7 +607,7 @@ class PeriodCurve:
     u_lo: float
     u_hi: float
     split: float
-    pieces: tuple[_CurvePiece, ...]
+    pieces: tuple[_ChebSeries, ...]
     quadratures: int
     err_est: float
     nodes: int
@@ -527,7 +620,7 @@ class PeriodCurve:
     def ratio(self, u):
         """T/T0 of the orbits whose warps dip to u * f_star."""
         u = np.asarray(u, dtype=float)
-        return np.where(u >= self.split, self.pieces[-1].ratio(u), self.pieces[0].ratio(u))[()]
+        return np.where(u >= self.split, self.pieces[-1].value(u), self.pieces[0].value(u))[()]
 
     def orbits(self, taus, params: ModelParams) -> tuple[OrbitSpec | None, ...]:
         """The orbits of params with periods taus; None for a tau outside the band.
@@ -541,6 +634,10 @@ class PeriodCurve:
         each orbit alone, so an orbit's result does not depend on the
         batch it comes in.
         """
+        return tuple(None if hit is None else hit[0] for hit in self._keyed_orbits(taus, params))
+
+    def _keyed_orbits(self, taus, params: ModelParams) -> tuple[tuple[OrbitSpec, float] | None, ...]:
+        """`orbits`, each orbit found paired with its u = f_min/f_star."""
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
         consts = derive_constants(params)
@@ -548,13 +645,13 @@ class PeriodCurve:
         inside = np.flatnonzero((self.band[0] <= target) & (target <= self.band[1]))
         target = target[inside]
         # a one-piece curve has split = u_lo, so no target is on the contact side
-        r_split = self.pieces[-1].ratio(self.split)
-        contact = (target - r_split) * (self.pieces[0].ratio(self.u_lo) - r_split) > 0.0
+        r_split = self.pieces[-1].value(self.split)
+        contact = (target - r_split) * (self.pieces[0].value(self.u_lo) - r_split) > 0.0
         u = np.empty_like(target)
         for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, self.split, contact),
                                     (self.pieces[-1], self.split, self.u_hi, ~contact)):
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
-            u[mine] = np.clip(piece.u_of(x), lo, hi)
+            u[mine] = np.clip(piece.y_of(x), lo, hi)
 
         ratio, f_max, err_est = np.empty_like(u), np.empty_like(u), np.empty_like(u)
         nodes = np.empty(u.shape, dtype=int)
@@ -582,7 +679,7 @@ class PeriodCurve:
         a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
         found = map(OrbitSpec, potential(a, params).tolist(), a.tolist(), b.tolist(),
                     (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist())
-        by_index = dict(zip(inside.tolist(), found))
+        by_index = dict(zip(inside.tolist(), zip(found, u.tolist())))
         return tuple(by_index.get(j) for j in range(len(taus)))
 
 
@@ -614,29 +711,27 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     u_lo, u_hi = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
                              consts, n)[1].tolist()
     if n == 4:
-        flat = _CurvePiece(u_lo, u_hi, False, np.ones(1), 0.0)
+        flat = _ChebSeries(u_lo, u_hi, False, np.ones(1), 0.0)
         return PeriodCurve(n, rtol, u_lo, u_hi, u_lo, (flat,), 0, 0.0, 0)
 
     nodes: list[tuple[float, float]] = []
     orbits = evaluations = 0
 
-    def fit(lo: float, hi: float, size: int, log: bool) -> _CurvePiece:
+    def fit(lo: float, hi: float, size: int, log: bool) -> _ChebSeries:
         nonlocal orbits, evaluations
-        theta = math.pi * (np.arange(size) + 0.5) / size
+        theta = _cheb_angles(size)
         # held out: extrema of T_size between the nodes, the two next to
         # the piece's ends among them
         held = np.cos(math.pi * np.rint(np.linspace(1, size - 1, CURVE_CHECKS)) / size)
-        piece = _CurvePiece(lo, hi, log, np.zeros(size), 0.0)
-        us = piece.u_of(np.concatenate([np.cos(theta), held]))
+        piece = _ChebSeries(lo, hi, log, np.zeros(size), 0.0)
+        us = piece.y_of(np.concatenate([np.cos(theta), held]))
         periods = _certified(us, n, rtol)
         orbits += us.size
         evaluations += int(periods.nodes.sum())
         vals = periods.ratio[:size]
         nodes.extend(zip(us[:size], vals))
-        coeffs = (2.0 / size) * np.cos(np.outer(np.arange(size), theta)) @ vals
-        coeffs[0] *= 0.5
-        piece = replace(piece, coeffs=coeffs)
-        err = np.max(np.abs(piece.ratio(us[size:]) / periods.ratio[size:] - 1.0))
+        piece = replace(piece, coeffs=_cheb_coeffs(theta, vals))
+        err = np.max(np.abs(piece.value(us[size:]) / periods.ratio[size:] - 1.0))
         # the held-out points sample the noise a fit at roundoff interpolates;
         # the nodes magnify it by at most their Lebesgue constant
         return replace(piece, err_est=float((2.0 + 2.0 / math.pi * math.log(size)) * err))

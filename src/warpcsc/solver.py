@@ -3,8 +3,10 @@
 The solver inverts the period map on the period curve of the dimension
 (`period.period_curve`, one per n, shared by every R and Rt), which
 gives the orbit whose period equals the request, confirmed by the period
-kernel.  The solver then integrates the reduced oscillator over one full
-period and pushes the samples back to warp coordinates.  A profile is
+kernel.  The solver then samples that orbit by quadrature: the period
+kernel's integrand, fitted in theta and integrated to t(theta), is
+inverted at the sample times (`period._orbit_samples`), and the samples
+are pushed back to warp coordinates.  No ODE is stepped.  A profile is
 stored as a closed loop of samples (t, x, v, f, f', f'') with the
 endpoint repeated at t = T so consumers can treat it as one period of a
 periodic function without bookkeeping.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -29,11 +30,9 @@ from .errors import (
     BudgetExceeded,
     DomainError,
     NoBracket,
-    PositivityViolation,
     ThresholdViolation,
     TooFewSamples,
 )
-from .integrator import _YOSHIDA6, _composition, _local_frequency
 from .model import (
     ModelParams,
     curvature_residual,
@@ -41,7 +40,7 @@ from .model import (
     potential,
     to_warp_coords,
 )
-from .period import period_curve, period_quadrature, turning_points
+from .period import _certified, _inner_root, _orbit_samples, period_curve
 
 __all__ = [
     "SolutionProfile",
@@ -52,11 +51,6 @@ __all__ = [
 ]
 
 SAMPLE_COLUMNS = ("t", "x", "v", "f", "fp", "fpp")
-
-# force evaluations one profile integration may take
-MAX_PROFILE_STEPS = 20_000_000
-# constant of the composition's energy error model in profile_from_energy
-_ENERGY_ERROR_CONST = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +63,11 @@ class SolutionProfile:
     energies attain the period; the period map is monotone, so it is 1
     for every profile solved here, and profile documents carry it.
 
-    dt, substeps and force_evals say how the samples were integrated:
-    the smallest composite step taken, the most composite steps between
-    two samples, and the force evaluations of the whole run.  Profile
-    documents do not carry them; a profile read back from one has zeros.
+    degree and err_est say how the samples were placed: the degree of
+    the Chebyshev series t(theta) inverted at the sample times, and the
+    relative change of its half period from the fit on half the nodes.
+    Profile documents do not carry them; a profile read back from one
+    has zeros.
     """
 
     params: ModelParams
@@ -82,9 +77,8 @@ class SolutionProfile:
     residual_sup: float
     closure_error: float
     root_count: int = 1
-    dt: float = 0.0
-    substeps: int = 0
-    force_evals: int = 0
+    degree: int = 0
+    err_est: float = 0.0
 
     def column(self, name: str) -> np.ndarray:
         return self.samples[:, SAMPLE_COLUMNS.index(name)]
@@ -153,97 +147,46 @@ def profile_from_energy(
     *,
     period: float | None = None,
     quad_rtol: float = 1e-10,
-    energy_target: float = 5e-11,
 ) -> SolutionProfile:
-    """Integrate one closed orbit at energy c and sample it uniformly.
+    """Sample the closed orbit at energy c uniformly over one period.
 
-    The orbit is launched from the inner turning point, fixing the time
-    origin at a minimum of the warp.  It is stepped by the sixth-order
-    composition `integrator._composition`, with the step chosen afresh
-    for each interval between two samples: fine where the interval can
-    reach the stiff inner wall, one composite step per interval on the
-    rest of the orbit.  The step is sized so the absolute energy wander
-    of the run stays near energy_target, which is what keeps the
-    energy-consistency route of the audit below its threshold.  On
-    shallow wells one part in 1e9 of the well depth is the tighter
-    target, so those orbits still close.  Before integrating, the run is
-    priced as if every interval needed the stiffest step of the orbit;
-    orbits priced over MAX_PROFILE_STEPS force evaluations, extremely
-    close to the contact energy, raise BudgetExceeded rather than run.
+    The period is the kernel's at quad_rtol unless given, with the bits
+    `period_quadrature` gives.  The samples
+    start at the inner turning point, fixing the time origin at a minimum
+    of the warp; see `_sampled`.
     """
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
-    if not (math.isfinite(energy_target) and energy_target > 0.0):
-        raise DomainError(f"energy_target must be positive, got {energy_target}")
     consts = derive_constants(params)
-    a, b = turning_points(c, params)
+    _, u, failures = _inner_root([float(c)], consts, params.n)
+    if failures:
+        raise failures[0][1]
     if period is None:
-        T = period_quadrature(c, params, rtol=quad_rtol).T
+        T = float(_certified(u, params.n, quad_rtol).ratio[0]) * consts.T0
     else:
         T = float(period)
         if not (math.isfinite(T) and T > 0.0):
             raise DomainError(f"period must be positive, got {period}")
+    return _sampled(float(u[0]), float(c), T, params, n_samples, quad_rtol)
 
-    e_above = c - consts.c_min
-    seg = T / (n_samples - 1)
-    # Profiles step through the sixth-order composition; the period
-    # routes of `integrator` stay leapfrog, whose wander e (w dt)^2 / 8
-    # their Richardson step relies on.  The composition's energy wander
-    # over one orbit is about C * e * (W dt)^6, with W the largest local
-    # frequency sqrt(|force'|) the step meets.  Measured C stays below
-    # 8.3e-3 for n = 3 to 20, energies from s = 0.1 to 0.9999 of the
-    # band and 4 to 24 composite steps per local cycle; C = 0.01 holds
-    # the phase W dt to what the target allows.
-    target = min(energy_target, 1e-9 * abs(consts.c_min))
-    phase = (target / (_ENERGY_ERROR_CONST * e_above)) ** (1.0 / 6.0)
-    dt_shape = consts.T0 / 256.0
 
-    def substeps_over(lo: float, hi: float) -> int:
-        # force' is monotone in x, so |force'| on [lo, hi] peaks at an end
-        stiff = max(consts.omega, _local_frequency(lo, params), _local_frequency(hi, params))
-        return max(1, math.ceil(seg / min(dt_shape, phase / stiff)))
+def _sampled(
+    u: float, c: float, T: float, params: ModelParams, n_samples: int, rtol: float
+) -> SolutionProfile:
+    """The profile of the orbit dipping to u * f_star, at energy c and period T.
 
-    stages = len(_YOSHIDA6)
-    total = (n_samples - 1) * substeps_over(a, b) * stages
-    if total > MAX_PROFILE_STEPS:
-        raise BudgetExceeded(
-            f"profile at c = {c} is priced at {total} force evaluations, over the "
-            f"budget of {MAX_PROFILE_STEPS}; this energy sits too close to the band edge"
-        )
-    # no speed on the orbit exceeds sqrt(2 e), so one interval moves x by
-    # at most this much; the interval's stiffest point lies within it
-    reach = math.sqrt(2.0 * e_above) * seg
-
-    xs = np.empty(n_samples)
-    vs = np.empty(n_samples)
-    x, v = a, 0.0
-    xs[0], vs[0] = x, v
-    substeps = evals = 0
-    current = 0
-    try:
-        for i in range(1, n_samples):
-            m = substeps_over(max(a, x - reach), min(b, x + reach))
-            if m != current:
-                steps = _composition(x, v, seg / m, params)
-                current = m
-            x, v = next(islice(steps, m - 1, None))
-            xs[i], vs[i] = x, v
-            substeps = max(substeps, m)
-            evals += m * stages
-    except PositivityViolation as err:
-        raise BudgetExceeded(
-            f"profile integration at c = {c} lost positivity; "
-            "energy_target too loose for this orbit"
-        ) from err
-
-    ts = np.arange(n_samples, dtype=float) * seg
+    `period._orbit_samples` places the samples by quadrature, to rtol.
+    closure_error is |2 t(pi/2) - T| / T; above 1e-8, T does not belong to
+    the orbit and BudgetExceeded is raised, as for a residual above 1e-8 R.
+    """
+    consts = derive_constants(params)
+    ts = np.arange(n_samples, dtype=float) * (T / (n_samples - 1))
+    x, v, series = _orbit_samples(u, params.n, consts.omega * ts, consts.omega * T, rtol)
+    xs, vs = consts.x_star * x, consts.omega * consts.x_star * v
     f, fp, fpp = to_warp_coords(xs, vs, params)
     samples = np.column_stack([ts, xs, vs, f, fp, fpp])
     residual_sup = float(np.max(np.abs(curvature_residual(f, fp, fpp, params))))
-    closure = max(
-        abs(xs[-1] - xs[0]) / consts.x_star,
-        abs(vs[-1] - vs[0]) / (consts.omega * consts.x_star),
-    )
+    closure = abs(2.0 * float(series.value(1.0)) - consts.omega * T) / (consts.omega * T)
     if residual_sup > 1e-8 * params.R:
         raise BudgetExceeded(
             f"profile residual {residual_sup} exceeded 1e-8 * R; "
@@ -254,17 +197,9 @@ def profile_from_energy(
             f"profile failed to close up: relative endpoint gap {closure}; "
             "the supplied period does not match the orbit"
         )
-    return SolutionProfile(
-        params=params,
-        T=T,
-        c=float(c),
-        samples=samples,
-        residual_sup=residual_sup,
-        closure_error=float(closure),
-        dt=seg / substeps,
-        substeps=substeps,
-        force_evals=evals,
-    )
+    return SolutionProfile(params=params, T=T, c=c, samples=samples, residual_sup=residual_sup,
+                           closure_error=closure, degree=series.coeffs.size - 1,
+                           err_est=series.err_est)
 
 
 def solve_period(
@@ -280,9 +215,10 @@ def solve_period(
     rest point absorbs the whole band there.  The orbit comes from the
     period curve of the dimension, which is monotone, so at most one
     orbit has period T; `PeriodCurve.orbits` confirms it on the kernel
-    and polishes it there when it misses T by more than 10 * quad_rtol.
-    If the curve's period range never touches T, NoBracket carries that
-    range so the caller can see how far off the request was.
+    and polishes it there when it misses T by more than 10 * quad_rtol,
+    and its u goes straight to the sampler.  If the curve's period range
+    never touches T, NoBracket carries that range so the caller can see
+    how far off the request was.
     """
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")
@@ -295,8 +231,8 @@ def solve_period(
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
     curve = period_curve(params.n, quad_rtol)
-    orbit = curve.orbits([T], params)[0]
-    if orbit is None:
+    hit = curve._keyed_orbits([T], params)[0]
+    if hit is None:
         t_min, t_max = curve.band[0] * consts.T0, curve.band[1] * consts.T0
         raise NoBracket(
             f"no orbit of period {T}: the period curve covers "
@@ -304,7 +240,8 @@ def solve_period(
             t_min=t_min,
             t_max=t_max,
         )
-    return profile_from_energy(orbit.c, params, n_samples, period=T, quad_rtol=quad_rtol)
+    orbit, u = hit
+    return _sampled(u, orbit.c, float(T), params, n_samples, quad_rtol)
 
 
 def audit_profile(

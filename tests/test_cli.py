@@ -4,12 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpcsc import ModelParams, derive_constants
-from warpcsc.cli import _render, doc_to_profile, main, profile_to_doc
+from warpcsc.cli import CURVATURE_TOL, _render, _verdict, doc_to_profile, main, profile_to_doc
 from warpcsc.errors import DomainError
 from warpcsc.period import period_curve
 
@@ -309,15 +313,14 @@ def test_render_refuses_what_json_cannot_write():
         _render({"a": [1.0, object()]})
 
 
-def test_solve_reports_step_counters_on_stderr_only(tmp_path, capsys):
+def test_solve_reports_its_fit_on_stderr_only(tmp_path, capsys):
     out_file = tmp_path / "profile.json"
     code, out, err = run_cli(
         capsys, "solve", "--n", "5", "--R", "2", "--Rt", "2",
         "--period", repr(1.05 * T0_N5), "--out", str(out_file),
     )
     assert code == 0 and out == ""
-    assert err.startswith("# profile: dt ")
-    assert "substeps 1," in err and err.endswith("force evaluations 3577\n")
+    assert err == "# profile: degree 64, err_est 2.2204460492503131e-16\n"
     doc = json.loads(out_file.read_text())
     assert list(doc) == [
         "params", "T", "c", "root_count", "residual_sup", "closure_error",
@@ -326,9 +329,27 @@ def test_solve_reports_step_counters_on_stderr_only(tmp_path, capsys):
 
 
 def test_profile_doc_does_not_carry_integration_counters(profile3):
-    assert profile3.force_evals > 0
+    assert profile3.degree > 0 and profile3.err_est > 0.0
     back = doc_to_profile(profile_to_doc(profile3))
-    assert (back.dt, back.substeps, back.force_evals) == (0.0, 0, 0)
+    assert (back.degree, back.err_est) == (0, 0.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(5, 12), where=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_solve_in_the_band_writes_what_passes_verify_or_exits_typed(n, where):
+    """Inside the closed-form band 1 < T/T0 < sqrt(n)/2, solve either writes
+    a profile that passes verify's checks or raises a typed error, which
+    main turns into exit code 2, 3 or 4; any other exception propagates."""
+    T = (1.0 + where * (math.sqrt(n) / 2.0 - 1.0)) * derive_constants(ModelParams(n, 2.0, 2.0)).T0
+    with tempfile.TemporaryDirectory() as tmp:
+        out_file = Path(tmp) / "profile.json"
+        code = main(["solve", "--n", str(n), "--R", "2", "--Rt", "2",
+                     "--period", repr(T), "--out", str(out_file)])
+        if code:
+            assert code in (2, 3, 4)
+            return
+        profile = doc_to_profile(json.loads(out_file.read_text()))
+    assert _verdict(profile, CURVATURE_TOL)[3] == ()
 
 
 def test_profile_doc_round_trip(profile3):

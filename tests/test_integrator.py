@@ -1,7 +1,6 @@
 """Leapfrog stepping, section returns and long-run energy behavior."""
 
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from warpcsc import (
     period_return_map,
     period_scan,
 )
-from warpcsc.integrator import _YOSHIDA6, _composition
 from warpcsc.model import _force_coeffs, _potential_coeffs
 
 # mpmath (dps=40) reference period for n=3, R=Rt=2 at c = -0.225
@@ -378,48 +376,6 @@ def test_long_run_energy_stays_on_shell(p6, k6):
         state = leapfrog_step(state, dt, p6)
     wander = abs(energy(state.x, state.v, p6) - c) / abs(k6.c_min)
     assert wander < 1e-4
-
-
-def test_composition_step_is_seven_weighted_leapfrog_steps(p5):
-    """Merging adjacent half kicks leaves the stages' arithmetic intact."""
-    state = PhaseState(t=0.0, x=1.4, v=-0.2)
-    dt = 0.05
-    for w in _YOSHIDA6:
-        state = leapfrog_step(state, w * dt, p5)
-    x, v = next(_composition(1.4, -0.2, dt, p5))
-    assert x == pytest.approx(state.x, rel=1e-14)
-    assert v == pytest.approx(state.v, rel=1e-14)
-    assert state.t == pytest.approx(dt, rel=1e-14)
-
-
-def test_composition_step_is_time_reversible(p5):
-    x0, v0 = 1.4, -0.2
-    x1, v1 = next(_composition(x0, v0, 0.05, p5))
-    xb, vb = next(_composition(x1, v1, -0.05, p5))
-    assert abs(xb - x0) <= 1e-14 * abs(x0)
-    assert abs(vb - v0) <= 1e-14 * abs(v0)
-
-
-def test_composition_energy_wander_scales_as_sixth_power_of_dt(p3, k3):
-    c = k3.c_min + 0.5 * abs(k3.c_min)
-    A, Bq, q = _potential_coeffs(p3)
-    x0, v0 = k3.x_star, math.sqrt(2.0 * (c - k3.c_min))
-    e0 = 0.5 * v0 * v0 + A * x0 * x0 - Bq * x0**q
-
-    def worst(steps_per_T0: int) -> float:
-        steps = _composition(x0, v0, k3.T0 / steps_per_T0, p3)
-        return max(
-            abs(0.5 * v * v + A * x * x - Bq * x**q - e0)
-            for x, v in islice(steps, 2 * steps_per_T0)
-        )
-
-    ratio = worst(32) / worst(64)
-    assert 40.0 < ratio < 90.0
-
-
-def test_composition_raises_positivity_on_a_coarse_step(p3):
-    with pytest.raises(PositivityViolation):
-        next(_composition(0.01, -10.0, 1.0, p3))
 
 
 @pytest.mark.parametrize("n", sorted(FROZEN_RETURN_MAP))

@@ -1,6 +1,7 @@
 """Turning points, the period kernel, energy scans and the period curve."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -151,6 +152,35 @@ def test_a_turning_point_solve_that_cannot_settle_fails_alone(monkeypatch, p5, k
     assert "inner turning point did not settle in 3 Newton steps" in str(err)
     with pytest.raises(QuadratureNonConvergence, match="did not settle in 3 Newton steps"):
         turning_points(grid[1], p5)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_an_outer_turning_point_that_cannot_settle_fails_alone(monkeypatch, n):
+    params = ModelParams(n, 2.0, 2.0)
+    grid = energy_grid(params, 11, mode="symlog", s_lo=1e-9, s_hi=1e-9)
+    full = period_scan(grid, params)
+    outer = []
+    for steps in (2, 4, 5):
+        monkeypatch.setattr(period_mod, "NEWTON_STEPS", steps)
+        scan = period_scan(grid, params)
+        failed = dict(scan.failures)
+        for idx, (entry, settled) in enumerate(zip(scan.entries, full.entries)):
+            if idx not in failed:
+                assert entry == settled
+                continue
+            assert entry is None
+            err = failed[idx]
+            assert isinstance(err, QuadratureNonConvergence)
+            assert re.match(f"(inner|outer) turning point did not settle in {steps} Newton steps",
+                            str(err)), str(err)
+            if str(err).startswith("outer"):
+                outer.append(idx)
+                # a single quadrature raises the same text; the kernel
+                # accepts no orbit whose f_max did not settle
+                with pytest.raises(QuadratureNonConvergence) as single:
+                    period_quadrature(grid[idx], params)
+                assert str(single.value) == str(err)
+    assert outer
 
 
 def test_small_amplitude_period_approaches_threshold(p3, k3):

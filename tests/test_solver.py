@@ -11,6 +11,7 @@ from warpcsc import (
     EnergyOutOfBand,
     ModelParams,
     NoBracket,
+    QuadratureNonConvergence,
     ThresholdViolation,
     TooFewSamples,
     audit_profile,
@@ -20,7 +21,9 @@ from warpcsc import (
     potential,
     profile_from_energy,
     solve_period,
+    turning_points,
 )
+from warpcsc import period as period_mod
 
 # mpmath (dps=40) reference period for n=3, R=Rt=2 at c = -0.225
 T_REF_N3 = 5.8985046008834841
@@ -150,22 +153,6 @@ def test_solve_isochronous_dimension_never_brackets_off_grid(p4, k4):
             solve_period(ratio * k4.T0, p4, 64)
 
 
-def test_profile_energy_target_tightens_conservation(p3, k3):
-    c = k3.c_min + 0.5 * abs(k3.c_min)
-    loose = profile_from_energy(c, p3, 64, energy_target=1e-9)
-    tight = profile_from_energy(c, p3, 64, energy_target=1e-12)
-    drift_loose = np.max(np.abs(0.5 * loose.v**2 + potential(loose.x, p3) - c))
-    drift_tight = np.max(np.abs(0.5 * tight.v**2 + potential(tight.x, p3) - c))
-    assert drift_tight < drift_loose
-
-
-def test_profile_refuses_step_budget_before_integrating(p3, k3):
-    # about 31M steps are needed here; the check runs before the leapfrog loop
-    c = k3.c_min + (1.0 - 1e-6) * abs(k3.c_min)
-    with pytest.raises(BudgetExceeded, match="over the budget of 20000000"):
-        profile_from_energy(c, p3)
-
-
 def test_shallow_well_solves_and_passes_both_audits():
     # |c_min| = 5.6e-4 here; an absolute 5e-11 energy target alone left
     # the orbit open by 1.4e-8 at this period
@@ -177,10 +164,11 @@ def test_shallow_well_solves_and_passes_both_audits():
     assert curvature_audit(prof).passed
 
 
-@pytest.mark.parametrize("s", [0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("s", [0.99, 0.999, 0.9999, 1.0 - 1e-5, 1.0 - 1e-6])
 def test_near_contact_n3_profiles_close_and_pass_the_energy_route(p3, k3, s):
     # leapfrog sampling left s = 0.99 at energy_sup 3.4e-10, and s = 0.999
-    # and 0.9999 open by 3.8e-7 and 1.8e-5
+    # and 0.9999 open by 3.8e-7 and 1.8e-5; a sixth-order composition
+    # refused s = 1 - 1e-5 and 1 - 1e-6 as over its step budget
     prof = profile_from_energy(k3.c_min + s * abs(k3.c_min), p3)
     assert prof.closure_error < 1e-8
     audit = audit_profile(prof)
@@ -214,18 +202,33 @@ def test_near_contact_profiles_approach_the_spherical_suspension(n):
     assert all(g2 < g1 for g1, g2 in zip(period_gap, period_gap[1:]))
 
 
-def test_profile_force_evaluations_are_pinned(p3, k3):
+def test_profile_past_the_node_cap_raises(p3, k3, monkeypatch):
+    # this orbit's fit settles at 512 nodes
+    c = k3.c_min + (1.0 - 1e-6) * abs(k3.c_min)
+    monkeypatch.setattr(period_mod, "MAX_PROFILE_NODES", 256)
+    with pytest.raises(QuadratureNonConvergence, match="did not settle to rtol = 1e-10 by 256"):
+        profile_from_energy(c, p3)
+
+
+def test_profile_reports_its_fit(profile3, p3, k3):
+    # the fit starts at 32 nodes and doubles; mid-band orbits settle at 64
+    assert profile3.degree == 64
+    assert 0.0 < profile3.err_est <= 1e-10
     p8 = ModelParams(8, 3.0, 1.0)
-    far = solve_period(1.10 * derive_constants(p8).T0, p8)
-    assert far.force_evals <= 15_000  # the leapfrog sampler took 1,587,677 steps
+    assert solve_period(1.10 * derive_constants(p8).T0, p8).degree == 64
     near = profile_from_energy(k3.c_min + 0.9999 * abs(k3.c_min), p3)
-    assert near.force_evals <= 589_183  # the leapfrog sampler's steps
+    assert near.degree == 256 and near.err_est <= 1e-10
 
 
-def test_profile_reports_its_steps(profile3):
-    intervals = len(profile3.t) - 1
-    assert profile3.substeps >= 1
-    assert profile3.dt == pytest.approx(profile3.T / intervals / profile3.substeps, rel=1e-15)
-    # seven force evaluations per composite step, at least one step per interval
-    assert profile3.force_evals % 7 == 0
-    assert 7 * intervals <= profile3.force_evals <= 7 * intervals * profile3.substeps
+@pytest.mark.parametrize("R, Rt", [(2.0, 2.0), (3.0, 1.0)])
+@pytest.mark.parametrize("s", [0.1, 0.5, 1.0 - 1e-6])
+def test_isochronous_profile_is_the_closed_form_cosine(R, Rt, s):
+    """For n = 4 the oscillator is linear: x(t) = x_star + (a - x_star) cos(omega t)."""
+    params = ModelParams(4, R, Rt)
+    k = derive_constants(params)
+    c = k.c_min + s * abs(k.c_min)
+    prof = profile_from_energy(c, params)
+    a, _ = turning_points(c, params)
+    phase = k.omega * prof.t
+    assert np.max(np.abs(prof.x - (k.x_star + (a - k.x_star) * np.cos(phase)))) <= 1e-13 * k.x_star
+    assert np.max(np.abs(prof.v + k.omega * (a - k.x_star) * np.sin(phase))) <= 1e-13 * k.x_star
