@@ -210,14 +210,19 @@ def test_profile_past_the_node_cap_raises(p3, k3, monkeypatch):
         profile_from_energy(c, p3)
 
 
-def test_profile_reports_its_fit(profile3, p3, k3):
-    # the fit starts at 32 nodes and doubles; mid-band orbits settle at 64
-    assert profile3.degree == 64
-    assert 0.0 < profile3.err_est <= 1e-10
+def test_profile_force_evaluations_are_pinned(p3, k3):
+    """The profile's work is its fit's degree: 64 nodes mid-band, 256 near contact."""
     p8 = ModelParams(8, 3.0, 1.0)
     assert solve_period(1.10 * derive_constants(p8).T0, p8).degree == 64
     near = profile_from_energy(k3.c_min + 0.9999 * abs(k3.c_min), p3)
     assert near.degree == 256 and near.err_est <= 1e-10
+
+
+def test_profile_reports_its_steps(profile3):
+    """The profile reports the fit's last doubling step: its degree and err_est."""
+    # the fit starts at 32 nodes and doubles; mid-band orbits settle at 64
+    assert profile3.degree == 64
+    assert 0.0 < profile3.err_est <= 1e-10
 
 
 @pytest.mark.parametrize("R, Rt", [(2.0, 2.0), (3.0, 1.0)])
