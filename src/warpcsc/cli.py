@@ -15,6 +15,8 @@ profile by one verdict, `_verdict`; solve writes nothing that fails it.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -53,6 +55,29 @@ def _scalar(v) -> str:
     return json.dumps(v)
 
 
+def _floats(obj: list, level: int) -> str | None:
+    """`_render(obj, level)` for a list of floats, or of equal-length rows
+    of floats, in one %-formatting pass; None for any other list.
+
+    '%.17g' % x is format(x, ".17g").  Only inf and nan put an "n" in the
+    text; None then leaves them to the element rule, whose DomainError
+    names the value.
+    """
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        values, template = tuple(obj), "[" + ", ".join(["%.17g"] * len(obj)) + "]"
+    elif kinds == {list} and len(set(map(len, obj))) == 1:
+        values = tuple(itertools.chain.from_iterable(obj))
+        if set(map(type, values)) != {float}:
+            return None
+        row = "  " * (level + 1) + "[" + ", ".join(["%.17g"] * len(obj[0])) + "]"
+        template = "[\n" + ",\n".join([row] * len(obj)) + "\n" + "  " * level + "]"
+    else:
+        return None
+    text = template % values
+    return None if "n" in text else text
+
+
 def _render(obj, level: int = 0) -> str:
     """Recursive JSON renderer with fixed float formatting."""
     ind = "  " * level
@@ -65,6 +90,9 @@ def _render(obj, level: int = 0) -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
+        fast = _floats(obj, level)
+        if fast is not None:
+            return fast
         if not any(isinstance(v, (dict, list)) for v in obj):
             return "[" + ", ".join(_scalar(v) for v in obj) + "]"
         parts = [f"{nxt}{_render(v, level + 1)}" for v in obj]
@@ -321,7 +349,9 @@ def _band(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="warpcsc",
         description="Constant-scalar-curvature warped metrics on the circle",

@@ -92,6 +92,9 @@ CURVE_CHECKS = 8
 # up to MAX_PROFILE_NODES
 PROFILE_NODES = 32
 MAX_PROFILE_NODES = 512
+# Chebyshev sums at up to FEW_POINTS points run in Python floats, which
+# measured faster than numpy below about 30 points with 32 to 512 coefficients
+FEW_POINTS = 16
 # an orbit is polished on the kernel while its period misses the
 # request by more than POLISH_FACTOR * rtol, and stops once its step in
 # u is at most POLISH_XTOL * u
@@ -224,6 +227,13 @@ def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, risin
     return x, todo
 
 
+@lru_cache(maxsize=64)
+def _series_coeffs(n: int) -> tuple[float, ...]:
+    """`_rise`'s series coefficients in L, from the L^(SERIES_TERMS+1) term down to L^2."""
+    return tuple((n - 2.0) * (n ** (k - 1) - (n - 2.0) ** (k - 1)) / math.factorial(k)
+                 for k in range(SERIES_TERMS + 1, 1, -1))
+
+
 def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     """w(t + d) - w(t) for w(g) = ((n-2)/n) g^n - g^(n-2), anchored at t.
 
@@ -235,8 +245,8 @@ def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     L = np.log1p(d / t)
     e_n = np.expm1(n * L)
     series = 0.0
-    for k in range(SERIES_TERMS + 1, 1, -1):
-        series = series * L + (n - 2.0) * (n ** (k - 1) - (n - 2.0) ** (k - 1)) / math.factorial(k)
+    for coeff in _series_coeffs(n):
+        series = series * L + coeff
     near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
     far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
     return t ** (n - 2.0) * np.where(np.abs(n * L) < SERIES_SPAN, near, far)
@@ -454,6 +464,37 @@ def energy_grid(
     return consts.c_min + s * depth
 
 
+def _clenshaw(c: list[float], x: float) -> float:
+    """numpy's Clenshaw recurrence for chebval, step for step, in Python floats."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    if len(c) == 2:
+        return c[0] + c[1] * x
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ci in reversed(c[:-2]):
+        c0, c1 = ci - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _chebval(x, c: np.ndarray):
+    """chebval(x, c) bit for bit, for x a scalar or a 1-D array and c of
+    shape (N,) or (N, k), with numpy's result shape and type.
+
+    At most FEW_POINTS points are summed by `_clenshaw` in Python floats:
+    its steps are numpy's own, and +, - and * round alike in both, while
+    numpy pays one round of ufunc calls per coefficient.
+    """
+    if np.size(x) > FEW_POINTS:
+        return chebval(x, c)
+    columns = c.T.tolist() if c.ndim == 2 else [c.tolist()]
+    points = [float(x)] if np.ndim(x) == 0 else x.tolist()
+    sums = np.array([[_clenshaw(col, p) for p in points] for col in columns])
+    if np.ndim(x) == 0:
+        sums = sums[:, 0]
+    return sums if c.ndim == 2 else sums[0]
+
+
 @dataclass(frozen=True, eq=False)
 class _ChebSeries:
     """Chebyshev series in x in [-1, 1], which maps onto [lo, hi] in its
@@ -477,7 +518,7 @@ class _ChebSeries:
         """The series sampled at 4N + 1 points of [-1, 1], as (values
         ascending, x), from which `root` interpolates its first x."""
         x = np.linspace(-1.0, 1.0, 4 * self.coeffs.size + 1)
-        values = chebval(x, self.coeffs)
+        values = _chebval(x, self.coeffs)
         order = np.argsort(values)
         return values[order], x[order]
 
@@ -489,12 +530,12 @@ class _ChebSeries:
         return np.exp(v) if self.log else v
 
     def value(self, y):
-        return chebval(self.x_of(y), self.coeffs)
+        return _chebval(self.x_of(y), self.coeffs)
 
     def slope(self, y):
         """The series' derivative in y."""
         dx_dy = 2.0 / (self.hi - self.lo) / (y if self.log else 1.0)
-        return chebval(self.x_of(y), self.value_and_slope_coeffs)[1] * dx_dy
+        return _chebval(self.x_of(y), self.value_and_slope_coeffs)[1] * dx_dy
 
     def root(self, target: np.ndarray, a: float, b: float) -> np.ndarray:
         """The x in [a, b] where the series takes each target.
@@ -504,12 +545,12 @@ class _ChebSeries:
         once its step is at most 4 eps or its residual is down to the
         series' roundoff, where a flat slope leaves x unresolved.
         """
-        pa, pb = chebval(np.array([a, b]), self.coeffs)
+        pa, pb = _chebval(np.array([a, b]), self.coeffs)
         if pa == pb:  # a flat series: every x attains its one value
             return np.full_like(target, a)
         floor = 4.0 * np.finfo(float).eps * np.abs(self.coeffs).sum()
         x = np.clip(np.interp(target, *self.table), a, b)
-        x, stuck = _bracketed_newton(lambda x: chebval(x, self.value_and_slope_coeffs), target,
+        x, stuck = _bracketed_newton(lambda x: _chebval(x, self.value_and_slope_coeffs), target,
                                      x, lo=a, hi=b, rising=pb > pa, floor=floor, scale=1.0)
         if stuck.size:
             raise QuadratureNonConvergence(
@@ -562,7 +603,7 @@ def _orbit_samples(u: float, n: int, times: np.ndarray, period: float, rtol: flo
         g, gap, half = _arc(np.cos(angles), u, v, n)
         rate = math.sqrt(n - 2.0) * r * g ** (0.5 * n - 1.0) * np.sin(2.0 * half) / np.sqrt(gap)
         coeffs = 0.5 * math.pi * chebint(_cheb_coeffs(angles, rate), lbnd=-1)
-        half_period = float(chebval(1.0, coeffs))
+        half_period = float(_chebval(1.0, coeffs))
         if previous is not None:
             change = abs(half_period - previous) + np.finfo(float).eps * half_period
             if change <= rtol * half_period:

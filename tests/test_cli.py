@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcsc import ModelParams, derive_constants
-from warpcsc.cli import CURVATURE_TOL, _render, _verdict, doc_to_profile, main, profile_to_doc
+from warpcsc.cli import (
+    CURVATURE_TOL,
+    _render,
+    _verdict,
+    build_parser,
+    doc_to_profile,
+    main,
+    profile_to_doc,
+)
 from warpcsc.errors import DomainError
 from warpcsc.period import period_curve
 
@@ -311,6 +320,115 @@ def test_render_refuses_what_json_cannot_write():
         _render(object())
     with pytest.raises(TypeError):
         _render({"a": [1.0, object()]})
+
+
+def _render_by_element(obj, level=0):
+    """The element rule, one scalar at a time: a float with 17 significant
+    digits, refusing non-finite ones, and json.dumps for the rest."""
+    def scalar(v):
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise DomainError(f"cannot serialize non-finite value {v}")
+            return format(v, ".17g")
+        return json.dumps(v)
+
+    ind, nxt = "  " * level, "  " * (level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{nxt}{json.dumps(str(k))}: {_render_by_element(v, level + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + ind + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if not any(isinstance(v, (dict, list)) for v in obj):
+            return "[" + ", ".join(scalar(v) for v in obj) + "]"
+        parts = [f"{nxt}{_render_by_element(v, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + ind + "]"
+    return scalar(obj)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e22, 1 / 3, 1.7976931348623157e308,
+                     2.2250738585072014e-308, 1e-300, 123456789012345678.0]),
+)
+FLOAT_MATRICES = st.integers(1, 7).flatmap(
+    lambda k: st.lists(st.lists(FINITE, min_size=k, max_size=k), min_size=1, max_size=24))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrix=FLOAT_MATRICES, flat=st.lists(FINITE, min_size=1, max_size=24))
+def test_render_of_float_rows_is_the_element_rule(matrix, flat):
+    for obj in (matrix, flat, {"samples": matrix, "flat": flat, "nested": [[matrix], flat]}):
+        assert _render(obj) == _render_by_element(obj)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (255, 3), (511, 5)])
+def test_render_refuses_a_non_finite_float_anywhere_in_a_sample_matrix(value, where):
+    matrix = np.linspace(-1.0, 1.0, 512 * 6).reshape(512, 6).tolist()
+    matrix[where[0]][where[1]] = value
+    message = re.escape(f"cannot serialize non-finite value {value}")
+    for obj in (matrix, {"samples": matrix}, matrix[where[0]]):
+        with pytest.raises(DomainError, match=message):
+            _render(obj)
+
+
+@pytest.mark.parametrize("rows", [
+    [[np.float64(0.1), np.float64(-0.0)], [np.float64(1e22), np.float64(1 / 3)]],
+    [[True, False], [False, True]],
+    [[1, -2, 3], [4, 5, 6]],
+    [[0.5, 1], [2.0, 3.0]],
+    [[0.5, True], [None, 1.5]],
+    [[0.5, 1.5, 2.5], [3.5]],
+    [[0.5], [[1.5]]],
+    [[], []],
+    [[0.25, 0.5], 0.75],
+], ids=["float64", "bool", "int", "mixed-int", "bool-none", "ragged", "nested", "empty", "row-scalar"])
+def test_render_of_other_rows_is_unchanged(rows):
+    assert _render(rows) == _render_by_element(rows)
+    assert _render({"samples": rows}) == _render_by_element({"samples": rows})
+    assert _render(rows[0]) == _render_by_element(rows[0])
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    profile = str(tmp_path / "profile.json")
+    report = str(tmp_path / "report.json")
+    calls = [
+        ("solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", repr(1.05 * T0_N5),
+         "--out", profile),
+        ("solve", "--n", "5", "--R", "2", "--Rt", "2"),
+        ("verify", "--in", profile, "--out", report),
+        ("threshold", "--n", "5", "--R", "3.7", "--Rt", "1.3", "--json"),
+        ("solve", "--n", "6", "--R", "1", "--Rt", "3", "--period",
+         repr(1.07 * derive_constants(ModelParams(6, 1.0, 3.0)).T0), "--samples", "256"),
+        ("--help",),
+        ("solve", "--help"),
+    ]
+
+    def run_all(fresh):
+        for path in (profile, report):
+            Path(path).unlink(missing_ok=True)
+        seen = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code, out, err = run_cli(capsys, *argv)
+            files = [Path(path).read_text() if Path(path).exists() else None
+                     for path in (profile, report)]
+            seen.append((code, out, err, files))
+        return seen
+
+    build_parser.cache_clear()
+    shared = run_all(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert shared == run_all(fresh=True)
+    codes = [code for code, *_ in shared]
+    assert codes == [0, 2, 0, 0, 0, 0, 0]
+    assert "the following arguments are required: --period" in shared[1][2]
+    assert shared[5][1] == build_parser.__wrapped__().format_help()
 
 
 def test_solve_reports_its_fit_on_stderr_only(tmp_path, capsys):

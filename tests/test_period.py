@@ -685,3 +685,65 @@ def test_orbits_report_their_nodes_and_error_estimate(p3):
     for orbit, want in zip(curve.orbits(taus, p3), taus):
         assert orbit.nodes > 0 and 0.0 < orbit.err_est <= rtol
         assert abs(orbit.T / want - 1.0) <= 10.0 * rtol
+
+
+def _sum_cases():
+    """1, 2, 3, 33 and 65 coefficients, as (N,) and (N, 2), and points x:
+    scalars, 1 to 4 points with the ends, and sizes either side of FEW_POINTS."""
+    rng = np.random.default_rng(18)
+    few = period_mod.FEW_POINTS
+    xs = [0.3, -1.0, 1.0, np.array([0.25]), np.array([-1.0, 1.0]),
+          np.array([-1.0, -0.1, 0.7]), np.array([1.0, -1.0, 0.5, -0.5]),
+          rng.uniform(-1.0, 1.0, few), rng.uniform(-1.0, 1.0, few + 1),
+          np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 3 * few)])]
+    for degree in (1, 2, 3, 33, 65):
+        for shape in ((degree,), (degree, 2)):
+            coeffs = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            for j, x in enumerate(xs):
+                yield pytest.param(coeffs, x, id=f"{'x'.join(map(str, shape))}-x{j}")
+
+
+@pytest.mark.parametrize("coeffs, x", list(_sum_cases()))
+def test_few_point_chebyshev_sums_are_numpys_bit_for_bit(coeffs, x):
+    got = period_mod._chebval(x, coeffs)
+    want = np.polynomial.chebyshev.chebval(x, coeffs)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def test_few_point_sums_run_in_python_floats(monkeypatch):
+    # the threshold selects the route: numpy's chebval is never called at
+    # or below it, and always called above it
+    calls = []
+    monkeypatch.setattr(period_mod, "chebval", lambda x, c: calls.append(np.size(x)))
+    coeffs = np.arange(1.0, 34.0)
+    few = period_mod.FEW_POINTS
+    period_mod._chebval(np.linspace(-1.0, 1.0, few), coeffs)
+    period_mod._chebval(0.5, np.stack([coeffs, coeffs], axis=1))
+    assert calls == []
+    period_mod._chebval(np.linspace(-1.0, 1.0, few + 1), coeffs)
+    assert calls == [few + 1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20, 30])
+def test_rise_series_coefficients_are_the_inline_expression(n):
+    # the reference recomputes each coefficient per call, as _rise once did
+    inline = [(n - 2.0) * (n ** (k - 1) - (n - 2.0) ** (k - 1)) / math.factorial(k)
+              for k in range(period_mod.SERIES_TERMS + 1, 1, -1)]
+    assert period_mod._series_coeffs(n) == tuple(inline)
+
+    def reference(t, d):
+        L = np.log1p(d / t)
+        e_n = np.expm1(n * L)
+        series = 0.0
+        for coeff in inline:
+            series = series * L + coeff
+        near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
+        far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
+        return t ** (n - 2.0) * np.where(np.abs(n * L) < period_mod.SERIES_SPAN, near, far)
+
+    # d/t from -0.63 to 0.32, through both branches and d = 0
+    rel = np.concatenate([-np.logspace(-12, -0.2, 40), [0.0], np.logspace(-12, -0.5, 40)])
+    for t in (1.0, 0.999, 0.6, 1.2):
+        assert np.array_equal(period_mod._rise(t, t * rel, n), reference(t, t * rel))
