@@ -1,11 +1,11 @@
 """Solve for a warp profile of prescribed period and audit it.
 
-The solver inverts the period function, integrates the orbit at the
-root energy, and returns one period of warp samples.  Three independent
-audits then confirm the samples define a metric of the advertised
-constant curvature: an algebraic identity on the stored columns, the
-same identity with derivatives re-measured from f alone, and energy
-conservation along the orbit.
+The solver inverts the period function, samples the orbit at the root
+energy by quadrature (no ODE is stepped), and returns one period of warp
+samples.  Three independent audits then confirm the samples define a
+metric of the advertised constant curvature: an algebraic identity on
+the stored columns, the same identity with derivatives re-measured from
+f alone, and energy conservation along the orbit.
 """
 
 import numpy as np

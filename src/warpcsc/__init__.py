@@ -37,9 +37,7 @@ from .geometry import (
 )
 from .integrator import (
     DriftReport,
-    IntegratorConfig,
     energy_drift,
-    integrate_until_section,
     leapfrog_step,
     period_return_map,
 )
@@ -89,10 +87,8 @@ __all__ = [
     "energy",
     "to_warp_coords",
     "curvature_residual",
-    "IntegratorConfig",
     "DriftReport",
     "leapfrog_step",
-    "integrate_until_section",
     "period_return_map",
     "energy_drift",
     "OrbitSpec",

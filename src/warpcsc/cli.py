@@ -209,6 +209,8 @@ def cmd_period(args) -> int:
         return 0
     size = args.scan
     if args.band is not None:
+        if size < 1:
+            raise DomainError(f"--scan must be >= 1 with --band, got {size}")
         lo, hi = args.band
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"band must be lo < hi, got {lo}, {hi}")
@@ -349,6 +351,18 @@ def _band(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _rtol(text: str) -> float:
+    """A quadrature tolerance: a finite float above 0.  Text that is no
+    float gets argparse's own message for type=float."""
+    try:
+        value = float(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from err
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"rtol must be positive and finite, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
@@ -372,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scan N energies (default spacing: log across the band)")
     p_per.add_argument("--band", type=_band, default=None, metavar="LO,HI",
                        help="scan this energy interval linearly instead")
-    p_per.add_argument("--rtol", type=float, default=1e-10, help="quadrature relative tolerance")
+    p_per.add_argument("--rtol", type=_rtol, default=1e-10, help="quadrature relative tolerance")
     _add_out(p_per)
     p_per.set_defaults(handler=cmd_period)
 
@@ -381,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--period", type=float, required=True, help="target circle period T")
     p_sol.add_argument("--samples", type=int, default=512,
                        help="samples per period; verify needs at least 64")
-    p_sol.add_argument("--rtol", type=float, default=1e-10, help="quadrature relative tolerance")
+    p_sol.add_argument("--rtol", type=_rtol, default=1e-10, help="quadrature relative tolerance")
     _add_out(p_sol)
     p_sol.set_defaults(handler=cmd_solve)
 
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_bif)
     p_bif.add_argument("--tmax", type=float, required=True, help="largest circle period scanned")
     p_bif.add_argument("--grid", type=int, default=400, help="number of grid points above T0")
-    p_bif.add_argument("--rtol", type=float, default=1e-9, help="quadrature relative tolerance")
+    p_bif.add_argument("--rtol", type=_rtol, default=1e-9, help="quadrature relative tolerance")
     p_bif.add_argument("--points", default=None, metavar="FILE",
                        help="also write the branch points k*T0 as CSV to FILE")
     _add_out(p_bif)

@@ -14,7 +14,7 @@ numerical orbit is thus a mirror image about v = 0: the times from the
 rest point to the two turning points sum to half its period, and expand
 in even powers of dt, so Richardson's step still removes the dt^2 term.
 
-Section crossings (v = 0) are refined below grid resolution by root
+Turning points (v = 0 crossings) are refined below grid resolution by root
 finding on the substep map, with the package's Brent solver
 (`_brent.brentq`): a partial step of size tau from the stored
 pre-crossing state gives
@@ -24,29 +24,27 @@ pre-crossing state gives
 which matches the full step at tau = dt exactly, so the refined time is
 consistent with the trajectory actually computed.
 
-One generator, `_leapfrog`, holds the acceleration line and the
-positivity check; it yields the state after each kick-drift-kick step
-and knows no stopping rule.  `leapfrog_step` and the section search step
-through it.  The two hot runs, a half orbit of the return map
-(`_time_to_turn`) and the drift run, write the same step out in flat
-loops, since resuming a generator costs about as much per step as the
-arithmetic.  Tests pin both loops to `leapfrog_step` bit for bit, so the
-copies of the step cannot drift apart.  All of them stay second order on
-purpose, since they measure the leapfrog itself: the return map's
-Richardson step assumes an error in dt^2.  Tests pin the return map by
-tolerance and, at eleven frozen energies, bit for bit.  A return-map run
-takes the smaller of T0 / STEPS_PER_PERIOD and a step resolving the
-local oscillation at its inner turning point, which a crude bisection
-finds on the scalar form of the offset potential (`model._forms`); no
-turning point comes from `period`.  Profiles step no ODE: `solver`
-samples them by quadrature on the period kernel's integrand.
+`leapfrog_step` takes one kick-drift-kick step; it holds the
+acceleration line and the positivity check.  The two hot runs, a half
+orbit of the return map (`_time_to_turn`) and the drift run, write the
+same step out in flat loops, since a call per step costs about as much
+as the arithmetic.  Tests pin both loops to `leapfrog_step` bit for bit,
+so the copies of the step cannot drift apart.  All of them stay second
+order on purpose, since they measure the leapfrog itself: the return
+map's Richardson step assumes an error in dt^2.  Tests pin the return
+map by tolerance and, at eleven frozen energies, bit for bit.  A
+return-map run takes the smaller of T0 / STEPS_PER_PERIOD and a step
+resolving the local oscillation at its inner turning point, which a
+crude bisection finds on the scalar form of the offset potential
+(`model._forms`); no turning point comes from `period`.  Profiles step
+no ODE: `solver` samples them by quadrature on the period kernel's
+integrand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from ._brent import brentq
 from .errors import BudgetExceeded, DomainError, EnergyOutOfBand, PositivityViolation
@@ -57,15 +55,11 @@ from .model import (
     _forms,
     _potential_coeffs,
     derive_constants,
-    energy,
-    force,
 )
 
 __all__ = [
-    "IntegratorConfig",
     "DriftReport",
     "leapfrog_step",
-    "integrate_until_section",
     "period_return_map",
     "energy_drift",
 ]
@@ -79,27 +73,6 @@ _WALL_PHASE = 2.0 * math.pi / 48.0
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """Step size and budgets for section searches.
-
-    tol bounds the residual speed |v| accepted at a refined crossing,
-    relative to the velocity scale of the orbit.
-    """
-
-    dt: float
-    tol: float = 1e-9
-    max_steps: int = 20_000_000
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be positive and finite, got {self.dt}")
-        if not (0.0 < self.tol < 1e-3):
-            raise DomainError(f"tol must lie in (0, 1e-3), got {self.tol}")
-        if self.max_steps < 1:
-            raise DomainError(f"max_steps must be >= 1, got {self.max_steps}")
-
-
-@dataclass(frozen=True)
 class DriftReport:
     """Energy wander of a long fixed-step run, relative to the well depth."""
 
@@ -109,34 +82,24 @@ class DriftReport:
     n_steps: int
 
 
-def _leapfrog(x: float, v: float, dt: float, params: ModelParams):
-    """Yield (x, v) after each kick-drift-kick step of size dt from (x, v).
+def leapfrog_step(state: PhaseState, dt: float, params: ModelParams) -> PhaseState:
+    """One kick-drift-kick step.  Negative dt steps backwards in time.
 
     The acceleration k2 x^e - k1 x is written out (for n = 4, x**0.0 ==
     1.0 gives k2 - k1 x exactly).  A step reaching x <= 0 raises
     PositivityViolation.
     """
-    k1, k2, e = _force_coeffs(params)
-    half = 0.5 * dt
-    acc = k2 * x**e - k1 * x
-    while True:
-        v = v + half * acc
-        x = x + dt * v
-        if x <= 0.0:
-            raise PositivityViolation(
-                f"step of size {dt} reached x = {x} <= 0; reduce dt"
-            )
-        acc = k2 * x**e - k1 * x
-        v = v + half * acc
-        yield x, v
-
-
-def leapfrog_step(state: PhaseState, dt: float, params: ModelParams) -> PhaseState:
-    """One kick-drift-kick step.  Negative dt steps backwards in time."""
     if not math.isfinite(dt):
         raise DomainError(f"dt must be finite, got {dt}")
-    x1, v1 = next(_leapfrog(state.x, state.v, dt, params))
-    return PhaseState(t=state.t + dt, x=x1, v=v1)
+    k1, k2, e = _force_coeffs(params)
+    half = 0.5 * dt
+    x = state.x
+    v = state.v + half * (k2 * x**e - k1 * x)
+    x = x + dt * v
+    if x <= 0.0:
+        raise PositivityViolation(f"step of size {dt} reached x = {x} <= 0; reduce dt")
+    v = v + half * (k2 * x**e - k1 * x)
+    return PhaseState(t=state.t + dt, x=x, v=v)
 
 
 def _refine_crossing(
@@ -162,53 +125,6 @@ def _refine_crossing(
         tau = brentq(v_of, 0.0, dt, xtol=1e-300, rtol=8.9e-16)
     xm = x0 + tau * (v0 + 0.5 * tau * a0)
     return tau, xm, v_of(tau)
-
-
-def integrate_until_section(
-    state: PhaseState,
-    params: ModelParams,
-    config: IntegratorConfig,
-    direction: int = 1,
-) -> tuple[PhaseState, float]:
-    """Advance until v changes sign in the given direction.
-
-    direction +1 waits for v going negative to positive, -1 for the
-    opposite, 0 accepts either.  A start exactly at the rest point is
-    degenerate and returns immediately with zero elapsed time; callers
-    that mean to measure oscillation must start off the rest point.
-    Energies outside the closed-orbit band are rejected since no return
-    is guaranteed there.
-    """
-    if direction not in (-1, 0, 1):
-        raise DomainError(f"direction must be -1, 0 or 1, got {direction}")
-    consts = derive_constants(params)
-    scale_v = consts.omega * max(consts.x_star, state.x)
-    if state.v == 0.0 and abs(force(state.x, params)) <= 1e-12 * consts.omega * scale_v:
-        return state, 0.0
-    c = energy(state.x, state.v, params)
-    if not (consts.c_min < c < 0.0):
-        raise EnergyOutOfBand(
-            f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
-        )
-    dt = config.dt
-    x, v = state.x, state.v
-    steps = islice(_leapfrog(x, v, dt, params), config.max_steps)
-    for step, (x1, v1) in enumerate(steps):
-        crossed = (v * v1 < 0.0) or (v1 == 0.0 and v != 0.0)
-        if crossed:
-            sign_after = 1.0 if (v1 > 0.0 or (v1 == 0.0 and v < 0.0)) else -1.0
-            if direction == 0 or sign_after == direction:
-                tau, xr, vr = _refine_crossing(x, v, dt, params)
-                elapsed = step * dt + tau
-                if abs(vr) > config.tol * scale_v:
-                    raise BudgetExceeded(
-                        f"crossing refinement stalled at |v| = {abs(vr)}"
-                    )
-                return PhaseState(t=state.t + elapsed, x=xr, v=vr), elapsed
-        x, v = x1, v1
-    raise BudgetExceeded(
-        f"no section crossing within {config.max_steps} steps of size {dt}"
-    )
 
 
 def _rough_inner_turning(e_above_min: float, params: ModelParams) -> float:
@@ -257,8 +173,8 @@ def _time_to_turn(
 ) -> tuple[float, float]:
     """Time from (x0, v0) to the first v = 0 crossing, and the energy wander.
 
-    The step is `_leapfrog`'s, written out in a flat loop so that no
-    generator is resumed per step.  The wander is read after the first
+    The step is `leapfrog_step`'s, written out in a flat loop so that no
+    call is made per step.  The wander is read after the first
     step and then after every block of 1024 steps, and at the crossing.
     """
     k1, k2, e = _force_coeffs(params)

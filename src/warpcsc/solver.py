@@ -145,15 +145,13 @@ def profile_from_energy(
     params: ModelParams,
     n_samples: int = 512,
     *,
-    period: float | None = None,
     quad_rtol: float = 1e-10,
 ) -> SolutionProfile:
     """Sample the closed orbit at energy c uniformly over one period.
 
-    The period is the kernel's at quad_rtol unless given, with the bits
-    `period_quadrature` gives.  The samples
-    start at the inner turning point, fixing the time origin at a minimum
-    of the warp; see `_sampled`.
+    The period is the kernel's at quad_rtol, with the bits
+    `period_quadrature` gives.  The samples start at the inner turning
+    point, fixing the time origin at a minimum of the warp; see `_sampled`.
     """
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
@@ -161,12 +159,7 @@ def profile_from_energy(
     _, u, failures = _inner_root([float(c)], consts, params.n)
     if failures:
         raise failures[0][1]
-    if period is None:
-        T = float(_certified(u, params.n, quad_rtol).ratio[0]) * consts.T0
-    else:
-        T = float(period)
-        if not (math.isfinite(T) and T > 0.0):
-            raise DomainError(f"period must be positive, got {period}")
+    T = float(_certified(u, params.n, quad_rtol).ratio[0]) * consts.T0
     return _sampled(float(u[0]), float(c), T, params, n_samples, quad_rtol)
 
 

@@ -526,6 +526,53 @@ def test_exit_code_2_on_usage_errors(capsys):
     assert run_cli(capsys, "period", "--n", "3", "--R", "2", "--Rt", "2")[0] == 2
 
 
+@pytest.mark.parametrize("size", ["-1", "0"])
+def test_band_scan_below_one_point_is_a_domain_error(capsys, size):
+    code, out, err = run_cli(
+        capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
+        "--scan", size, "--band=-0.3,-0.1",
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --scan must be >= 1 with --band, got {size}\n"
+
+
+@pytest.mark.parametrize("rtol", ["-1", "0", "nan", "inf"])
+def test_period_rejects_a_bad_rtol(capsys, rtol):
+    code, out, err = run_cli(
+        capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
+        "--energy", "-0.225", "--rtol", rtol,
+    )
+    assert code == 2 and out == ""
+    assert f"argument --rtol: rtol must be positive and finite, got '{rtol}'" in err
+
+
+def test_solve_rejects_a_bad_rtol(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--n", "3", "--R", "2", "--Rt", "2",
+        "--period", repr(1.05 * T0_N3), "--rtol", "0",
+    )
+    assert code == 2 and out == ""
+    assert "argument --rtol: rtol must be positive and finite, got '0'" in err
+
+
+def test_bifurcate_rejects_a_bad_rtol(capsys):
+    code, out, err = run_cli(
+        capsys, "bifurcate", "--n", "3", "--R", "2", "--Rt", "2",
+        "--tmax", repr(3.0 * T0_N3), "--rtol", "nan",
+    )
+    assert code == 2 and out == ""
+    assert "argument --rtol: rtol must be positive and finite, got 'nan'" in err
+
+
+def test_unreachable_rtol_still_exits_4(capsys):
+    """A positive rtol below what the kernel can meet is non-convergence."""
+    code, _, err = run_cli(
+        capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
+        "--energy", "-0.225", "--rtol", "1e-16",
+    )
+    assert code == 4 and "did not meet rtol = 1e-16" in err
+
+
 def test_exit_code_3_below_threshold(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--n", "3", "--R", "2", "--Rt", "2",

@@ -24,6 +24,7 @@ from warpcsc import (
     turning_points,
 )
 from warpcsc import period as period_mod
+from warpcsc.solver import _sampled
 
 # mpmath (dps=40) reference period for n=3, R=Rt=2 at c = -0.225
 T_REF_N3 = 5.8985046008834841
@@ -69,10 +70,15 @@ def test_profile_determinism(p3, k3):
     assert one.T == two.T
 
 
-def test_profile_accepts_precomputed_period(p3):
-    direct = profile_from_energy(-0.225, p3, 64)
-    seeded = profile_from_energy(-0.225, p3, 64, period=direct.T)
-    assert np.array_equal(direct.samples, seeded.samples)
+def test_sampled_rejects_a_period_that_is_not_the_orbits(p3, k3):
+    """The closure guard: a T 1e-6 off the orbit's leaves an endpoint gap of 1e-6."""
+    c = k3.c_min + 0.5 * abs(k3.c_min)
+    direct = profile_from_energy(c, p3, 64)
+    _, u, _ = period_mod._inner_root([c], k3, p3.n)
+    same = _sampled(float(u[0]), c, direct.T, p3, 64, 1e-10)
+    assert np.array_equal(same.samples, direct.samples)
+    with pytest.raises(BudgetExceeded, match="profile failed to close up"):
+        _sampled(float(u[0]), c, direct.T * (1.0 + 1e-6), p3, 64, 1e-10)
 
 
 def test_profile_rejects_rest_energy_and_tiny_sampling(p3, k3):
