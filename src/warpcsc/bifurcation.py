@@ -46,6 +46,8 @@ __all__ = [
 
 # kernel tolerance of the period curve and its polish
 QUAD_RTOL = 1e-9
+# (T, k) pairs a scan may try, bounded before any is listed
+MAX_CANDIDATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,8 @@ def scan_branches(
     T = k * T0, asks wrap k for the per-wrap period T0, which only the
     constant warp has, and its failure names that branch point.
     Isochronous parameter sets short-circuit to the degenerate flag.
+    A scan that may try more than MAX_CANDIDATES (T, k) pairs raises
+    DomainError before it lists any.
     """
     consts = derive_constants(params)
     T0 = consts.T0
@@ -140,6 +144,14 @@ def scan_branches(
 
     curve = period_curve(params.n, quad_rtol)
     band = (curve.band[0] * T0, curve.band[1] * T0)
+    # a grid period T tries the wraps with T/k above min(T0, band[0])
+    pairs = grid_size * (T_max / min(T0, band[0]) + 1.0)
+    if pairs > MAX_CANDIDATES:
+        raise DomainError(
+            f"T_max = {T_max} with grid_size = {grid_size} (--tmax, --grid) may try "
+            f"{pairs:.3g} (T, k) pairs, above the limit of {MAX_CANDIDATES}; "
+            "lower either"
+        )
     step = (T_max - T0) / grid_size
     t_grid = tuple(T0 + (j + 1) * step for j in range(grid_size))
 

@@ -24,6 +24,9 @@ __all__ = [
     "conformal_field_check",
 ]
 
+# conformal_field_check's threshold, relative to ConformalCheck.reference
+CONFORMAL_TOL = 1e-6
+
 
 def periodic_fd_derivatives(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of a periodic sample loop.
@@ -139,12 +142,13 @@ class ConformalCheck:
     linear_convention_ok: bool
 
 
-def conformal_field_check(profile, rel_tol: float = 1e-6) -> ConformalCheck:
+def conformal_field_check(profile) -> ConformalCheck:
     """Test the profile against both fiber-scaling conventions.
 
-    For any honest profile the squared convention passes at the level of
-    differencing noise.  The linear convention can only pass when f is
-    constant, since its residual is f fp pointwise.
+    A convention passes when its residual is at most CONFORMAL_TOL times
+    the reference.  For any honest profile the squared convention passes
+    at the level of differencing noise.  The linear convention can only
+    pass when f is constant, since its residual is f fp pointwise.
     """
     f_all = np.asarray(profile.f, dtype=float)
     if np.any(f_all <= 0.0):
@@ -163,13 +167,13 @@ def conformal_field_check(profile, rel_tol: float = 1e-6) -> ConformalCheck:
         float(np.max(np.abs(f * d_f2))),
         float(np.finfo(float).tiny),
     )
-    tol_abs = rel_tol * reference
+    tol_abs = CONFORMAL_TOL * reference
     return ConformalCheck(
         sup_tt=float(np.max(tt)),
         sup_fiber_sq=float(np.max(fiber_sq)),
         sup_fiber_lin=float(np.max(fiber_lin)),
         reference=reference,
-        rel_tol=rel_tol,
+        rel_tol=CONFORMAL_TOL,
         squared_convention_ok=float(np.max(fiber_sq)) <= tol_abs,
         linear_convention_ok=float(np.max(fiber_lin)) <= tol_abs,
     )

@@ -22,7 +22,8 @@ pre-crossing state gives
     v(tau) = v0 + tau/2 * (a(x0) + a(x0 + tau v0 + tau^2/2 a(x0))),
 
 which matches the full step at tau = dt exactly, so the refined time is
-consistent with the trajectory actually computed.
+consistent with the trajectory actually computed.  Only that time is
+kept: a half orbit ends at its crossing, and it never starts at rest.
 
 `leapfrog_step` takes one kick-drift-kick step; it holds the
 acceleration line and the positivity check.  The two hot runs, a half
@@ -31,11 +32,11 @@ same step out in flat loops, since a call per step costs about as much
 as the arithmetic.  Tests pin both loops to `leapfrog_step` bit for bit,
 so the copies of the step cannot drift apart.  All of them stay second
 order on purpose, since they measure the leapfrog itself: the return
-map's Richardson step assumes an error in dt^2.  Tests pin the return
-map by tolerance and, at eleven frozen energies, bit for bit.  A
-return-map run takes the smaller of T0 / STEPS_PER_PERIOD and a step
-resolving the local oscillation at its inner turning point, which a
-crude bisection finds on the scalar form of the offset potential
+map always takes a Richardson step, which assumes an error in dt^2.
+Tests pin the return map by tolerance and, at eleven frozen energies,
+bit for bit.  A return-map run takes the smaller of T0 / STEPS_PER_PERIOD
+and a step resolving the local oscillation at its inner turning point,
+which a crude bisection finds on the scalar form of the offset potential
 (`model._forms`); no turning point comes from `period`.  Profiles step
 no ODE: `solver` samples them by quadrature on the period kernel's
 integrand.
@@ -102,10 +103,8 @@ def leapfrog_step(state: PhaseState, dt: float, params: ModelParams) -> PhaseSta
     return PhaseState(t=state.t + dt, x=x, v=v)
 
 
-def _refine_crossing(
-    x0: float, v0: float, dt: float, params: ModelParams
-) -> tuple[float, float, float]:
-    """Locate v = 0 in the step of size dt from (x0, v0); returns (tau, x(tau), v(tau))."""
+def _refine_crossing(x0: float, v0: float, dt: float, params: ModelParams) -> float:
+    """The time tau in [0, dt] where the step from (x0, v0), v0 != 0, reaches v = 0."""
     k1, k2, e = _force_coeffs(params)
     a0 = k2 * x0**e - k1 * x0
 
@@ -116,15 +115,10 @@ def _refine_crossing(
         return v0 + 0.5 * tau * (a0 + (k2 * xm**e - k1 * xm))
 
     v_end = v_of(dt)
-    if v0 == 0.0:
-        return 0.0, x0, 0.0
     if v0 * v_end > 0.0:
         # roundoff put the sign change outside [0, dt]; take the endpoint
-        tau = dt if abs(v_end) < abs(v0) else 0.0
-    else:
-        tau = brentq(v_of, 0.0, dt, xtol=1e-300, rtol=8.9e-16)
-    xm = x0 + tau * (v0 + 0.5 * tau * a0)
-    return tau, xm, v_of(tau)
+        return dt if abs(v_end) < abs(v0) else 0.0
+    return brentq(v_of, 0.0, dt, xtol=1e-300, rtol=8.9e-16)
 
 
 def _rough_inner_turning(e_above_min: float, params: ModelParams) -> float:
@@ -197,7 +191,7 @@ def _time_to_turn(
             acc = k2 * x1**e - k1 * x1
             v1 = vh + half * acc
             if v * v1 <= 0.0:
-                tau, _, _ = _refine_crossing(x, v, dt, params)
+                tau = _refine_crossing(x, v, dt, params)
                 e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
                 return step * dt + tau, max(wander, abs(e1 - e0))
             x, v = x1, v1
@@ -208,15 +202,15 @@ def _time_to_turn(
         start, stop = stop, stop + 1024
 
 
-def period_return_map(c: float, params: ModelParams, *, richardson: bool = True) -> float:
+def period_return_map(c: float, params: ModelParams) -> float:
     """Orbit period 2 (t_out + t_in) from two half-orbit runs of the leapfrog.
 
     Runs launched from (x_star, +v0) and (x_star, -v0), v0 = sqrt(2 (c -
     c_min)), reach v = 0 after t_out and t_in; no turning-point data is
     used, so this route shares only the vector field with the quadrature.
-    richardson=True repeats the pair at dt/2 and extrapolates.  Retries
-    halve dt when a run's energy wander exceeds 2e-6 (c - c_min) or x <= 0;
-    a retry reuses the pair already run at its step size.
+    The pair is repeated at dt/2 and Richardson's step extrapolates.
+    Retries halve dt when a run's energy wander exceeds 2e-6 (c - c_min)
+    or x <= 0; a retry reuses the pair already run at its step size.
     """
     consts = derive_constants(params)
     e_above = c - consts.c_min
@@ -233,7 +227,7 @@ def period_return_map(c: float, params: ModelParams, *, richardson: bool = True)
     for _ in range(MAX_RETRIES):
         try:
             periods, worst = [], 0.0
-            for h in ((dt, 0.5 * dt) if richardson else (dt,)):
+            for h in (dt, 0.5 * dt):
                 if h not in pairs:
                     budget = int(8.0 * consts.T0 / h) + 64
                     t_out, w_out = _time_to_turn(consts.x_star, v0, h, params, budget)
@@ -243,7 +237,7 @@ def period_return_map(c: float, params: ModelParams, *, richardson: bool = True)
                 periods.append(period)
                 worst = max(worst, w_out, w_in)
             if worst <= wander_gate:
-                return (4.0 * periods[1] - periods[0]) / 3.0 if richardson else periods[0]
+                return (4.0 * periods[1] - periods[0]) / 3.0
         except PositivityViolation as err:
             last_err, worst = err, math.nan
         dt *= 0.5

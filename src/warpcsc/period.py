@@ -34,9 +34,11 @@ every in-band energy of the grid to its u in one batch of bracketed
 Newton steps, each energy stopping on its own, and one kernel call
 takes every orbit from there; a, b = x_star (u, f_max)^(n/2), as in
 `orbits`.  An energy whose inner or outer turning point does not
-settle, or whose orbit the kernel cannot certify, fails alone.  `turning_points(c)` is the solve
-of one energy followed by `_outer_root`, and `period_quadrature(c)` is
-the scan of one energy.  Nothing here calls a bracketing root finder;
+settle, or whose orbit the kernel cannot certify, fails alone.
+`turning_points(c)` is the solve of one energy followed by
+`_outer_root`, and `period_quadrature(c)` is the scan of one energy.
+Scans and `orbits` give one record, an `OrbitSpec` keyed by its u, from
+which `solver` samples.  Nothing here calls a bracketing root finder;
 `integrator` keeps `_brent` for its crossing refinement.
 """
 
@@ -107,7 +109,8 @@ class OrbitSpec:
     """One closed orbit: energy, turning points and period.
 
     nodes is the number of kernel integrand evaluations behind T;
-    err_est is T's relative error estimate.
+    err_est is T's relative error estimate.  u = f_min/f_star is the
+    orbit's key in warp coordinates: the kernel gives T from it alone.
     """
 
     c: float
@@ -116,6 +119,7 @@ class OrbitSpec:
     T: float
     nodes: int
     err_est: float
+    u: float
 
     @property
     def amplitude(self) -> float:
@@ -422,7 +426,8 @@ def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodSc
             if periods.nodes[j]:
                 results[idx] = OrbitSpec(grid[idx], float(a[j]), float(b[j]),
                                          float(periods.ratio[j]) * consts.T0,
-                                         int(periods.nodes[j]), float(periods.err_est[j]))
+                                         int(periods.nodes[j]), float(periods.err_est[j]),
+                                         float(u[j]))
             else:
                 failures.append((idx, _failure(u[j], periods.f_max[j], n, rtol)))
     failures.sort(key=lambda failure: failure[0])
@@ -673,12 +678,8 @@ class PeriodCurve:
         slope until they land or a step is at most POLISH_XTOL * u, in at
         most MAX_POLISH_STEPS kernel calls in all.  Each step acts on
         each orbit alone, so an orbit's result does not depend on the
-        batch it comes in.
+        batch it comes in.  Each orbit carries the u its T came from.
         """
-        return tuple(None if hit is None else hit[0] for hit in self._keyed_orbits(taus, params))
-
-    def _keyed_orbits(self, taus, params: ModelParams) -> tuple[tuple[OrbitSpec, float] | None, ...]:
-        """`orbits`, each orbit found paired with its u = f_min/f_star."""
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
         consts = derive_constants(params)
@@ -719,8 +720,8 @@ class PeriodCurve:
             )
         a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
         found = map(OrbitSpec, potential(a, params).tolist(), a.tolist(), b.tolist(),
-                    (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist())
-        by_index = dict(zip(inside.tolist(), zip(found, u.tolist())))
+                    (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist(), u.tolist())
+        by_index = dict(zip(inside.tolist(), found))
         return tuple(by_index.get(j) for j in range(len(taus)))
 
 

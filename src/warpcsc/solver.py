@@ -3,7 +3,9 @@
 The solver inverts the period map on the period curve of the dimension
 (`period.period_curve`, one per n, shared by every R and Rt), which
 gives the orbit whose period equals the request, confirmed by the period
-kernel.  The solver then samples that orbit by quadrature: the period
+kernel.  `profile_from_energy` takes its orbit from `period_quadrature`
+instead.  Either way the orbit is an `OrbitSpec`, keyed by its
+u = f_min/f_star, and `_sampled` samples it by quadrature: the period
 kernel's integrand, fitted in theta and integrated to t(theta), is
 inverted at the sample times (`period._orbit_samples`), and the samples
 are pushed back to warp coordinates.  No ODE is stepped.  A profile is
@@ -40,7 +42,7 @@ from .model import (
     potential,
     to_warp_coords,
 )
-from .period import _certified, _inner_root, _orbit_samples, period_curve
+from .period import OrbitSpec, _orbit_samples, period_curve, period_quadrature
 
 __all__ = [
     "SolutionProfile",
@@ -51,6 +53,11 @@ __all__ = [
 ]
 
 SAMPLE_COLUMNS = ("t", "x", "v", "f", "fp", "fpp")
+# audit_profile's thresholds: the first two relative to R, the size of
+# the residual's terms; the energy absolute, the solver's own control
+CHAIN_TOL = 1e-8
+FD_TOL = 1e-5
+ENERGY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +86,6 @@ class SolutionProfile:
     root_count: int = 1
     degree: int = 0
     err_est: float = 0.0
-
-    def column(self, name: str) -> np.ndarray:
-        return self.samples[:, SAMPLE_COLUMNS.index(name)]
 
     @property
     def t(self) -> np.ndarray:
@@ -140,33 +144,23 @@ class ProfileAudit:
         return not self.breaches
 
 
-def profile_from_energy(
-    c: float,
-    params: ModelParams,
-    n_samples: int = 512,
-    *,
-    quad_rtol: float = 1e-10,
-) -> SolutionProfile:
+def profile_from_energy(c: float, params: ModelParams, n_samples: int = 512) -> SolutionProfile:
     """Sample the closed orbit at energy c uniformly over one period.
 
-    The period is the kernel's at quad_rtol, with the bits
-    `period_quadrature` gives.  The samples start at the inner turning
-    point, fixing the time origin at a minimum of the warp; see `_sampled`.
+    The orbit is `period_quadrature`'s at its default rtol, 1e-10, and the
+    samples start at its inner turning point, fixing the time origin at a
+    minimum of the warp; see `_sampled`.
     """
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
-    consts = derive_constants(params)
-    _, u, failures = _inner_root([float(c)], consts, params.n)
-    if failures:
-        raise failures[0][1]
-    T = float(_certified(u, params.n, quad_rtol).ratio[0]) * consts.T0
-    return _sampled(float(u[0]), float(c), T, params, n_samples, quad_rtol)
+    orbit = period_quadrature(c, params)
+    return _sampled(orbit, orbit.T, params, n_samples, 1e-10)
 
 
 def _sampled(
-    u: float, c: float, T: float, params: ModelParams, n_samples: int, rtol: float
+    orbit: OrbitSpec, T: float, params: ModelParams, n_samples: int, rtol: float
 ) -> SolutionProfile:
-    """The profile of the orbit dipping to u * f_star, at energy c and period T.
+    """The profile of orbit, which dips to orbit.u * f_star, over the period T.
 
     `period._orbit_samples` places the samples by quadrature, to rtol.
     closure_error is |2 t(pi/2) - T| / T; above 1e-8, T does not belong to
@@ -174,7 +168,7 @@ def _sampled(
     """
     consts = derive_constants(params)
     ts = np.arange(n_samples, dtype=float) * (T / (n_samples - 1))
-    x, v, series = _orbit_samples(u, params.n, consts.omega * ts, consts.omega * T, rtol)
+    x, v, series = _orbit_samples(orbit.u, params.n, consts.omega * ts, consts.omega * T, rtol)
     xs, vs = consts.x_star * x, consts.omega * consts.x_star * v
     f, fp, fpp = to_warp_coords(xs, vs, params)
     samples = np.column_stack([ts, xs, vs, f, fp, fpp])
@@ -190,9 +184,9 @@ def _sampled(
             f"profile failed to close up: relative endpoint gap {closure}; "
             "the supplied period does not match the orbit"
         )
-    return SolutionProfile(params=params, T=T, c=c, samples=samples, residual_sup=residual_sup,
-                           closure_error=closure, degree=series.coeffs.size - 1,
-                           err_est=series.err_est)
+    return SolutionProfile(params=params, T=T, c=orbit.c, samples=samples,
+                           residual_sup=residual_sup, closure_error=closure,
+                           degree=series.coeffs.size - 1, err_est=series.err_est)
 
 
 def solve_period(
@@ -209,7 +203,7 @@ def solve_period(
     period curve of the dimension, which is monotone, so at most one
     orbit has period T; `PeriodCurve.orbits` confirms it on the kernel
     and polishes it there when it misses T by more than 10 * quad_rtol,
-    and its u goes straight to the sampler.  If the curve's period range
+    and the orbit goes straight to the sampler.  If the curve's period range
     never touches T, NoBracket carries that range so the caller can see
     how far off the request was.
     """
@@ -224,8 +218,8 @@ def solve_period(
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
     curve = period_curve(params.n, quad_rtol)
-    hit = curve._keyed_orbits([T], params)[0]
-    if hit is None:
+    orbit = curve.orbits([T], params)[0]
+    if orbit is None:
         t_min, t_max = curve.band[0] * consts.T0, curve.band[1] * consts.T0
         raise NoBracket(
             f"no orbit of period {T}: the period curve covers "
@@ -233,22 +227,13 @@ def solve_period(
             t_min=t_min,
             t_max=t_max,
         )
-    orbit, u = hit
-    return _sampled(u, orbit.c, float(T), params, n_samples, quad_rtol)
+    return _sampled(orbit, float(T), params, n_samples, quad_rtol)
 
 
-def audit_profile(
-    profile: SolutionProfile,
-    *,
-    chain_tol: float = 1e-8,
-    fd_tol: float = 1e-5,
-    energy_tol: float = 1e-10,
-) -> ProfileAudit:
+def audit_profile(profile: SolutionProfile) -> ProfileAudit:
     """Recheck a profile three independent ways; see the class docstring.
 
-    chain_tol and fd_tol are relative to the fiber curvature R (the
-    natural size of the residual's terms); energy_tol is absolute, as
-    the reduced energy is the solver's own convergence control.
+    The thresholds are CHAIN_TOL * R, FD_TOL * R and ENERGY_TOL.
     """
     from .geometry import periodic_fd_derivatives, uniform_closed_count
 
@@ -274,9 +259,9 @@ def audit_profile(
     energy_at = int(np.argmax(energy_dev))
     energy_sup = float(energy_dev[energy_at])
 
-    chain_abs = chain_tol * params.R
-    fd_abs = fd_tol * params.R
-    energy_abs = energy_tol
+    chain_abs = CHAIN_TOL * params.R
+    fd_abs = FD_TOL * params.R
+    energy_abs = ENERGY_TOL
     breaches = []
     worst_ratio = 0.0
     flagged: int | None = None

@@ -142,11 +142,28 @@ def test_branches_never_cross(p5, k5):
     assert orbit9.c > orbit10.c
 
 
+@pytest.mark.parametrize("n, tmax_T0, grid", [(3, 3.5, 400), (3, 40.0, 16), (4, 2.5, 60),
+                                               (6, 3.5, 400), (12, 9.0, 50)])
+def test_pair_bound_covers_every_pair_a_scan_lists(monkeypatch, n, tmax_T0, grid):
+    """Rows and failures are the (T, k) pairs listed; the closed-form bound
+    is at least their count, and a limit just below the bound refuses the scan."""
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    diagram = scan_branches(tmax_T0 * T0, params, grid)
+    bound = grid * (tmax_T0 * T0 / min(T0, diagram.band[0]) + 1.0)
+    assert len(diagram.rows) + len(diagram.failures) <= bound
+    monkeypatch.setattr(bifurcation, "MAX_CANDIDATES", math.floor(bound) - 1)
+    with pytest.raises(DomainError, match="above the limit"):
+        scan_branches(tmax_T0 * T0, params, grid)
+
+
 def test_scan_validation(p3, k3):
     with pytest.raises(DomainError):
         scan_branches(0.9 * k3.T0, p3, 50)
     with pytest.raises(DomainError):
         scan_branches(2.0 * k3.T0, p3, 1)
+    with pytest.raises(DomainError, match=r"\(--tmax, --grid\)"):
+        scan_branches(1e7, p3, 16)
     # counting never raises; anything at or below the threshold is 0
     assert count_solutions(-1.0, p3) == 0
 

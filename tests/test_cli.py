@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +519,23 @@ def test_exit_code_2_on_domain_errors(capsys):
         capsys, "period", "--n", "3", "--R", "2", "--Rt", "2", "--energy", "0.5"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("tmax, grid", [("1e7", "16"), ("20", "1000000000")])
+def test_bifurcate_refuses_a_scan_too_large_to_list(capsys, tmax, grid):
+    """The pair count is bounded before anything is allocated for it."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "bifurcate", "--n", "3", "--R", "2", "--Rt", "2",
+            "--tmax", tmax, "--grid", grid,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "(--tmax, --grid)" in err and "above the limit of 1000000" in err
+    assert peak < 50e6
 
 
 def test_exit_code_2_on_usage_errors(capsys):

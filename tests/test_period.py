@@ -687,6 +687,38 @@ def test_orbits_report_their_nodes_and_error_estimate(p3):
         assert abs(orbit.T / want - 1.0) <= 10.0 * rtol
 
 
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_every_orbit_carries_the_u_its_period_came_from(monkeypatch, n):
+    """The kernel at an orbit's u gives back its T bit for bit, on every route."""
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    rtol = 1e-10
+    grid = energy_grid(params, 8, mode="symlog")
+    scanned = [spec for spec in period_scan(grid, params, rtol=rtol).entries if spec is not None]
+    single = [period_quadrature(grid[3], params, rtol=rtol)]
+    curve = period_curve(n, rtol)
+    lo, hi = curve.band
+    taus = [(lo + (hi - lo) * w) * k.T0 for w in (0.01, 0.3, 0.7, 0.99)]
+    inverted = list(curve.orbits(taus, params))
+    assert len(scanned) == 8 and None not in inverted
+    for spec in scanned + single + inverted:
+        periods = period_mod._period_kernel(np.array([spec.u]), n, rtol)
+        assert float(periods.ratio[0]) * k.T0 == spec.T
+
+    # on a kernel the curve misses by 1e-7 every orbit is polished, and
+    # carries the u of its last kernel call, not the curve's first guess
+    real_kernel = period_mod._period_kernel
+
+    def skewed_kernel(*args):
+        periods = real_kernel(*args)
+        return periods._replace(ratio=periods.ratio * (1.0 + 1e-7))
+
+    monkeypatch.setattr(period_mod, "_period_kernel", skewed_kernel)
+    for spec, guess in zip(curve.orbits(taus, params), inverted):
+        assert spec.u != guess.u
+        assert float(skewed_kernel(np.array([spec.u]), n, rtol).ratio[0]) * k.T0 == spec.T
+
+
 def _sum_cases():
     """1, 2, 3, 33 and 65 coefficients, as (N,) and (N, 2), and points x:
     scalars, 1 to 4 points with the ends, and sizes either side of FEW_POINTS."""

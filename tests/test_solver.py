@@ -19,6 +19,7 @@ from warpcsc import (
     derive_constants,
     energy,
     potential,
+    period_quadrature,
     profile_from_energy,
     solve_period,
     turning_points,
@@ -74,11 +75,11 @@ def test_sampled_rejects_a_period_that_is_not_the_orbits(p3, k3):
     """The closure guard: a T 1e-6 off the orbit's leaves an endpoint gap of 1e-6."""
     c = k3.c_min + 0.5 * abs(k3.c_min)
     direct = profile_from_energy(c, p3, 64)
-    _, u, _ = period_mod._inner_root([c], k3, p3.n)
-    same = _sampled(float(u[0]), c, direct.T, p3, 64, 1e-10)
+    orbit = period_quadrature(c, p3)
+    same = _sampled(orbit, direct.T, p3, 64, 1e-10)
     assert np.array_equal(same.samples, direct.samples)
     with pytest.raises(BudgetExceeded, match="profile failed to close up"):
-        _sampled(float(u[0]), c, direct.T * (1.0 + 1e-6), p3, 64, 1e-10)
+        _sampled(orbit, direct.T * (1.0 + 1e-6), p3, 64, 1e-10)
 
 
 def test_profile_rejects_rest_energy_and_tiny_sampling(p3, k3):
