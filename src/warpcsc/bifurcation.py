@@ -7,14 +7,15 @@ decreasing for n = 3 and increasing for n >= 5 (Chicone's criterion:
 G/g^2 is convex there; the tests check its sign exactly per n), so that
 range is the open band between its two limits, T0 at the well bottom
 and sqrt(n)/2 * T0 at contact, and it holds one orbit per k.
-`count_solutions` answers from that band in closed form and runs no
-quadrature.
+`count_solutions` answers from that band by a bisection over the wrap
+count and runs no quadrature.
 
-The diagram scan walks a grid of circle periods, enumerates the wrap
-counts worth trying at each, and asks the period curve of the dimension
-(`period.period_curve`, one build per n for every R and Rt) for all the
-per-wrap periods at once: one batch inversion, confirmed by one kernel
-call, gives one row per realized (T, k, energy) combination.
+The diagram scan lists the (T, k) pairs worth trying over a grid of
+circle periods in one array pass, a grid-by-wraps table bounded by
+MAX_CANDIDATES before it is allocated, and asks the period curve of the
+dimension (`period.period_curve`, one build per n for every R and Rt)
+for all the per-wrap periods at once: one batch inversion, confirmed by
+one kernel call, gives one row per realized (T, k, energy) combination.
 
 Branch k leaves the constant solution where its per-wrap period meets
 the small-amplitude limit T0, at circle period k * T0; the diagram
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams, derive_constants
@@ -89,32 +92,6 @@ class BifurcationDiagram:
     degenerate_isochronous: bool
 
 
-def _classical_wraps(T: float, T0: float) -> range:
-    """Wrap counts k whose per-wrap period T/k lies above the threshold T0."""
-    return range(1, int(T / (T0 * (1.0 + 1e-9))) + 1)
-
-
-def _wrap_candidates(
-    T: float, T0: float, band: tuple[float, float]
-) -> tuple[list[int], set[int]]:
-    """Wrap counts worth trying at circle period T.
-
-    The classical rule tries every k with T/k above the threshold T0.
-    The attainable period range can sit below T0 (it does for n = 3), so
-    the enumeration also includes every k whose per-wrap period falls
-    inside the scanned range.  Returns the sorted union and the subset
-    coming from the classical rule, whose misses are worth recording.
-    """
-    lo, hi = band
-    classical = set(_classical_wraps(T, T0))
-    attain: set[int] = set()
-    if lo > 0.0:
-        k_min = max(1, math.ceil(T / (hi * (1.0 + 1e-9))))
-        k_max = int(T / (lo * (1.0 - 1e-9)))
-        attain = set(range(k_min, k_max + 1))
-    return sorted(classical | attain), classical
-
-
 def scan_branches(
     T_max: float,
     params: ModelParams,
@@ -152,8 +129,8 @@ def scan_branches(
             f"{pairs:.3g} (T, k) pairs, above the limit of {MAX_CANDIDATES}; "
             "lower either"
         )
-    step = (T_max - T0) / grid_size
-    t_grid = tuple(T0 + (j + 1) * step for j in range(grid_size))
+    T = T0 + np.arange(1, grid_size + 1) * ((T_max - T0) / grid_size)
+    t_grid = tuple(T.tolist())
 
     if band[1] - band[0] <= 1e-9 * T0:
         # isochronous: the period map is flat and cannot parametrize branches
@@ -163,35 +140,46 @@ def scan_branches(
             degenerate_isochronous=True,
         )
 
-    # (T, k, tau, why) in scan order; why is None for a tau to invert
-    wanted: list[tuple[float, int, float, str | None]] = []
-    closed = sorted((T0, math.sqrt(params.n) / 2.0 * T0))
-    for T in t_grid:
-        candidates, classical = _wrap_candidates(T, T0, band)
-        for k in candidates:
-            tau = T / k
-            if band[0] * (1.0 - 1e-9) <= tau <= band[1] * (1.0 + 1e-9):
-                wanted.append((T, k, tau, None))
-            elif k in classical:
-                where = ("inside the closed-form band but past the end of the "
-                         "period curve" if closed[0] < tau < closed[1]
-                         else "outside attained range")
-                wanted.append((T, k, tau, f"per-wrap period {tau} {where} [{band[0]}, {band[1]}]"))
+    # every (T, k) pair in one array, T down the rows and k along them:
+    # the wraps with T/k above the threshold T0, and those with T/k in the
+    # attained range, which can sit below T0 (it does for n = 3)
+    lo, hi = band
+    n_classical = (T / (T0 * (1.0 + 1e-9))).astype(int)[:, None]
+    k_min, k_max = np.ones_like(n_classical), np.zeros_like(n_classical)
+    if lo > 0.0:
+        k_min = np.maximum(1.0, np.ceil(T / (hi * (1.0 + 1e-9))))[:, None]
+        k_max = (T / (lo * (1.0 - 1e-9))).astype(int)[:, None]
+    k = np.arange(1, max(n_classical[-1, 0], k_max[-1, 0]) + 1)
+    tau = T[:, None] / k
+    classical = k <= n_classical
+    inband = ((classical | ((k_min <= k) & (k <= k_max)))
+              & (lo * (1.0 - 1e-9) <= tau) & (tau <= hi * (1.0 + 1e-9)))
+    # in scan order: T first, then k ascending; a classical miss is recorded
+    at, wrap = np.nonzero(inband | classical)
 
-    found = iter(curve.orbits([tau for _, _, tau, why in wanted if why is None], params))
+    found = iter(curve.orbits(tau[inband], params))
     rows: list[BranchRow] = []
     failures: list[tuple[float, int, str]] = []
     r = 2.0 / params.n
-    for T, k, tau, why in wanted:
-        orbit = None if why else next(found)
-        if orbit is not None:
-            rows.append(BranchRow(T, k, tau, orbit.c, orbit.amplitude, orbit.a**r, orbit.b**r))
+    closed = sorted((T0, math.sqrt(params.n) / 2.0 * T0))
+    suffix = f" [{lo}, {hi}]"
+    for T_j, k_j, tau_j, hit in zip(T[at].tolist(), k[wrap].tolist(), tau[at, wrap].tolist(),
+                                    inband[at, wrap].tolist()):
+        if not hit:
+            where = ("inside the closed-form band but past the end of the period curve"
+                     if closed[0] < tau_j < closed[1] else "outside attained range")
+            failures.append((T_j, k_j, f"per-wrap period {tau_j} {where}{suffix}"))
             continue
-        if why is None and abs(tau / T0 - 1.0) <= 1e-9:
-            why = (f"per-wrap period {tau} is T0, the branch point of wrap {k}: "
-                   "only the constant warp has it")
-        failures.append((T, k, why or f"per-wrap period {tau} inside the attained range "
-                                      "but past the end of the period curve"))
+        orbit = next(found)
+        if orbit is not None:
+            rows.append(BranchRow(T_j, k_j, tau_j, orbit.c, orbit.amplitude,
+                                  orbit.a**r, orbit.b**r))
+        elif abs(tau_j / T0 - 1.0) <= 1e-9:
+            failures.append((T_j, k_j, f"per-wrap period {tau_j} is T0, the branch point "
+                                       f"of wrap {k_j}: only the constant warp has it"))
+        else:
+            failures.append((T_j, k_j, f"per-wrap period {tau_j} inside the attained range "
+                                       "but past the end of the period curve"))
 
     wraps = sorted({row.k for row in rows if row.k * T0 <= T_max})
     return BifurcationDiagram(
@@ -206,8 +194,11 @@ def count_solutions(T: float, params: ModelParams) -> int:
 
     Counts the wrap counts k for which T/k exceeds the threshold T0 and
     lies strictly inside the band between T0 and sqrt(n)/2 * T0; T(c) is
-    monotone, so that band holds exactly one orbit per k.  The answer is
-    closed form: no period curve is built and no quadrature runs.
+    monotone, so that band holds exactly one orbit per k.  No period
+    curve is built and no quadrature runs: T/k does not increase with k,
+    in floats too, so the wraps below the contact end are the k from the
+    first one up to the threshold's K = T/T0, and a bisection on [1, K]
+    finds that first k in O(log K) steps at any finite T.
     Returns 0 for any T at or below T0.  Note the threshold filter is
     one-sided: wrap periods below T0 are not counted even when the
     attained period range extends below the threshold, as it does for
@@ -220,4 +211,13 @@ def count_solutions(T: float, params: ModelParams) -> int:
     if T <= consts.T0 * (1.0 + 1e-9):
         return 0
     contact = math.sqrt(params.n) / 2.0 * consts.T0
-    return sum(1 for k in _classical_wraps(T, consts.T0) if T / k < contact)
+    wraps = int(T / (consts.T0 * (1.0 + 1e-9)))
+    # the first k in [1, wraps + 1) with T/k below contact; wraps + 1 if none
+    first, past = 1, wraps + 1
+    while first < past:
+        mid = (first + past) // 2
+        if T / mid < contact:
+            past = mid
+        else:
+            first = mid + 1
+    return wraps + 1 - first

@@ -11,11 +11,12 @@ integrand stays regular down to contact, where the orbit approaches the
 spherical suspension that crosses f = 0 with nonzero slope.
 
 `_period_kernel` evaluates this for a batch of orbits in one numpy pass
-per level: v comes from a vectorized Newton solve, g = m + r sin(theta)
-removes both endpoint singularities, `_node` writes each node against
-its nearest turning point through half angles and the anchored
-difference `_rise`, and a tanh-sinh rule (Takahasi-Mori) on fixed nodes
-per level takes its error estimate from the change between two levels.
+per level over the orbits not yet accepted: v comes from a vectorized
+Newton solve, g = m + r sin(theta) removes both endpoint singularities,
+`_node` writes each node against its nearest turning point through half
+angles and the anchored difference `_rise`, and a tanh-sinh rule
+(Takahasi-Mori) on fixed nodes per level takes its error estimate from
+the change between two levels.
 `_orbit_samples` samples a profile from the same integrand: it fits
 dt/dtheta in Chebyshev nodes, integrates the fit to t(theta) and
 inverts that at the sample times with `_ChebSeries.root`, the curve's
@@ -327,44 +328,45 @@ class _Periods(NamedTuple):
 def _period_kernel(u, n: int, rtol: float) -> _Periods:
     """Periods of the orbits whose warp dips to f_min = u * f_star.
 
-    One numpy pass per tanh-sinh level over the whole batch; each orbit
-    is accepted at the first level whose change from the level before,
-    plus one rounding of the sum, is at most rtol of its period, so an
-    orbit's result does not depend on the batch it comes in.  An orbit
-    still unaccepted past the finest level keeps nodes == 0 and ratio 0,
-    and so does one whose f_max is NaN: it is never pending, whatever its
-    nodes sum to (NaN gaps add nothing, and 0 would pass the rtol test).
-    `_failure` names either.
+    One numpy pass per tanh-sinh level over the orbits still pending;
+    each orbit is accepted at the first level whose change from the
+    level before, plus one rounding of the sum, is at most rtol of its
+    period, and drops out of the later levels.  Its nodes are summed row
+    by row, so an orbit's result does not depend on the batch it comes
+    in.  An orbit still unaccepted past the finest level keeps
+    nodes == 0 and ratio 0, and so does one whose f_max is NaN: it is
+    never pending.  `_failure` names either.
     """
     u = np.asarray(u, dtype=float)
     v = _outer_root(u, n)
-    pending = ~np.isnan(v)
-    r = 0.5 * (v - u)
-    scale = math.sqrt(n - 2.0) / math.pi * r
+    live = np.flatnonzero(~np.isnan(v))
+    scale = math.sqrt(n - 2.0) / math.pi * (0.5 * (v - u))
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
     nodes = np.zeros(u.shape, dtype=int)
     previous = None
     evaluations = 0
     for level in range(TS_FIRST_LEVEL, TS_LAST_LEVEL + 1):
+        if not live.size:
+            break
         half, weight = _ts_level(level)
         evaluations += 2 * half.size
+        at, to = v[live, None], u[live, None]
         values = 0.0
-        for turn, other in ((v[:, None], u[:, None]), (u[:, None], v[:, None])):
+        for turn, other in ((at, to), (to, at)):
             g, gap = _node(turn, other, half, n)
             # roundoff can graze zero at the outermost nodes
             ok = gap > 0.0
             values = values + np.where(ok, g ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
-        total += (values * (2.0 * np.sin(half) * np.cos(half) * weight)).sum(axis=1)
-        estimate = scale * 2.0**-level * total
+        total[live] += (values * (2.0 * np.sin(half) * np.cos(half) * weight)).sum(axis=1)
+        estimate = scale[live] * 2.0**-level * total[live]
         if previous is not None:
             change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
-            accept = pending & (change <= rtol * estimate)
-            ratio[accept] = estimate[accept]
-            err_est[accept] = change[accept] / estimate[accept]
-            nodes[accept] = evaluations
-            pending &= ~accept
-            if not pending.any():
-                break
+            accept = change <= rtol * estimate
+            done = live[accept]
+            ratio[done] = estimate[accept]
+            err_est[done] = change[accept] / estimate[accept]
+            nodes[done] = evaluations
+            live, estimate = live[~accept], estimate[~accept]
         previous = estimate
     return _Periods(ratio, v, err_est, nodes)
 

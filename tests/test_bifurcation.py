@@ -1,6 +1,7 @@
 """Branch diagrams, branch points and solution counting."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -297,3 +298,113 @@ def test_comb_points_name_the_branch_point(triple):
         assert f"is T0, the branch point of wrap {k}: only the constant warp has it" in why
         assert "closed-form band" not in why and "past the end" not in why
     assert not [why for _, _, why in diagram.failures if "past the end of the period curve" in why]
+
+
+def _per_period_scan(T_max, params, grid_size):
+    """The diagram from a plain loop per grid period and per wrap count,
+    as `scan_branches` assembled it before the pairs were listed in arrays."""
+    T0 = derive_constants(params).T0
+    curve = period_curve(params.n, QUAD_RTOL)
+    band = (curve.band[0] * T0, curve.band[1] * T0)
+    step = (T_max - T0) / grid_size
+    t_grid = tuple(T0 + (j + 1) * step for j in range(grid_size))
+    if band[1] - band[0] <= 1e-9 * T0:
+        return bifurcation.BifurcationDiagram(
+            params, T0, t_grid, (), (BranchPoint(1, T0),), (), band, True)
+    wanted = []
+    closed = sorted((T0, math.sqrt(params.n) / 2.0 * T0))
+    for T in t_grid:
+        classical = set(range(1, int(T / (T0 * (1.0 + 1e-9))) + 1))
+        attain = set()
+        if band[0] > 0.0:
+            k_min = max(1, math.ceil(T / (band[1] * (1.0 + 1e-9))))
+            attain = set(range(k_min, int(T / (band[0] * (1.0 - 1e-9))) + 1))
+        for k in sorted(classical | attain):
+            tau = T / k
+            if band[0] * (1.0 - 1e-9) <= tau <= band[1] * (1.0 + 1e-9):
+                wanted.append((T, k, tau, None))
+            elif k in classical:
+                where = ("inside the closed-form band but past the end of the "
+                         "period curve" if closed[0] < tau < closed[1]
+                         else "outside attained range")
+                wanted.append((T, k, tau, f"per-wrap period {tau} {where} [{band[0]}, {band[1]}]"))
+    found = iter(curve.orbits([tau for _, _, tau, why in wanted if why is None], params))
+    rows, failures = [], []
+    r = 2.0 / params.n
+    for T, k, tau, why in wanted:
+        orbit = None if why else next(found)
+        if orbit is not None:
+            rows.append(bifurcation.BranchRow(T, k, tau, orbit.c, orbit.amplitude,
+                                              orbit.a**r, orbit.b**r))
+            continue
+        if why is None and abs(tau / T0 - 1.0) <= 1e-9:
+            why = (f"per-wrap period {tau} is T0, the branch point of wrap {k}: "
+                   "only the constant warp has it")
+        failures.append((T, k, why or f"per-wrap period {tau} inside the attained range "
+                                      "but past the end of the period curve"))
+    wraps = sorted({row.k for row in rows if row.k * T0 <= T_max})
+    return bifurcation.BifurcationDiagram(
+        params, T0, t_grid, tuple(rows), tuple(BranchPoint(k, k * T0) for k in wraps),
+        tuple(failures), band, False)
+
+
+@pytest.mark.parametrize("triple, tmax_T0, grid", [
+    ((3, 2.0, 2.0), 3.5, 400), ((6, 1.0, 3.0), 3.5, 400), ((5, 2.0, 2.0), 6.0, 300),
+    ((12, 2.0, 2.0), 9.0, 200), ((8, 3.0, 1.0), 5.0, 1000), ((4, 2.0, 2.0), 3.5, 100),
+    ((3, 2.0, 2.0), None, 16),
+], ids=["n3", "n6", "n5", "n12", "n8", "n4", "pinned"])
+def test_scan_assembly_matches_the_per_period_loop(triple, tmax_T0, grid):
+    """The array listing gives the loop's diagram, every float, row and
+    failure string included; `pinned` is the CLI's --tmax 20 --grid 16 run."""
+    params = ModelParams(*triple)
+    T_max = 20.0 if tmax_T0 is None else tmax_T0 * derive_constants(params).T0
+    diagram = scan_branches(T_max, params, grid)
+    assert diagram == _per_period_scan(T_max, params, grid)
+    assert all(type(row.T) is float and type(row.k) is int and type(row.tau) is float
+               for row in diagram.rows)
+    assert all(type(T) is float and type(k) is int for T, k, _ in diagram.failures)
+
+
+def _count_by_every_wrap(T, params):
+    """count_solutions as a test of every k <= T/T0, in numpy floats."""
+    consts = derive_constants(params)
+    if T <= consts.T0 * (1.0 + 1e-9):
+        return 0
+    wraps = np.arange(1, int(T / (consts.T0 * (1.0 + 1e-9))) + 1)
+    return int(np.count_nonzero(T / wraps < math.sqrt(params.n) / 2.0 * consts.T0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12, 20])
+def test_count_solutions_bisection_matches_every_wrap(n):
+    """Random T up to 1e6 T0, and T a few ulps around multiples of the
+    band ends, where T/k lands on contact or on the threshold."""
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    contact = math.sqrt(n) / 2.0 * T0
+    rng = np.random.default_rng(n)
+    periods = list(T0 * np.exp(rng.uniform(0.0, math.log(1e6), 300)))
+    for base in (contact, T0):
+        for m in [*range(1, 40), 997, 12345, 999_983]:
+            T = m * base
+            for _ in range(3):
+                T = np.nextafter(T, 0.0)
+            for _ in range(7):
+                periods.append(float(T))
+                T = np.nextafter(T, np.inf)
+    for T in periods:
+        assert count_solutions(T, params) == _count_by_every_wrap(T, params), f"T = {T / T0} T0"
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_count_solutions_at_a_huge_period_is_prompt(n):
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    start = time.perf_counter()
+    count = count_solutions(1e12 * T0, params)
+    assert time.perf_counter() - start < 0.1
+    # the wraps between the threshold, T0 (1 + 1e-9), and the contact end;
+    # at this T the threshold's 1e-9 guard alone drops about 1000 of them
+    want = 1e12 * max(0.0, 1.0 / (1.0 + 1e-9) - 2.0 / math.sqrt(n))
+    assert abs(count - want) <= 2.0
+    if n == 5:
+        assert count == 105572808000

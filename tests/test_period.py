@@ -779,3 +779,36 @@ def test_rise_series_coefficients_are_the_inline_expression(n):
     rel = np.concatenate([-np.logspace(-12, -0.2, 40), [0.0], np.logspace(-12, -0.5, 40)])
     for t in (1.0, 0.999, 0.6, 1.2):
         assert np.array_equal(period_mod._rise(t, t * rel, n), reference(t, t * rel))
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
+    """A batch across the band whose orbits accept at different levels:
+    each level evaluates the nodes of the orbits not yet accepted, and
+    every orbit gets the arrays a call of its own gives it."""
+    rtol = 1e-10
+    curve = period_curve(n, rtol)
+    u = np.geomspace(curve.u_lo, curve.u_hi, 60)
+    rows = []
+    real_node = period_mod._node
+
+    def recording_node(turn, *args):
+        rows.append(np.shape(turn)[0])
+        return real_node(turn, *args)
+
+    monkeypatch.setattr(period_mod, "_node", recording_node)
+    batch = period_mod._period_kernel(u, n, rtol)
+    assert batch.nodes.all()
+    assert len(set(batch.nodes.tolist()) & {52, 104, 206}) >= 2
+    # an orbit accepted at N nodes is summed at every level up to N
+    through, pending = 0, []
+    for level in range(period_mod.TS_FIRST_LEVEL, period_mod.TS_LAST_LEVEL + 1):
+        through += 2 * period_mod._ts_level(level)[0].size
+        if through > batch.nodes.max():
+            break
+        pending += 2 * [int(np.count_nonzero(batch.nodes >= through))]
+    assert rows == pending
+    for j in range(u.size):
+        single = period_mod._period_kernel(u[j:j + 1], n, rtol)
+        for got, want in zip(batch, single):
+            assert got[j] == want[0]
