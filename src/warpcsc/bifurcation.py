@@ -47,7 +47,7 @@ __all__ = [
     "count_solutions",
 ]
 
-# kernel tolerance of the period curve and its polish
+# kernel tolerance of the period curve and its confirmations
 QUAD_RTOL = 1e-9
 # (T, k) pairs a scan may try, bounded before any is listed
 MAX_CANDIDATES = 10**6

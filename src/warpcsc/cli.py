@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
         args.samples,
         quad_rtol=args.rtol,
     )
-    curvature, _, audit, failed = _verdict(profile, CURVATURE_TOL)
+    curvature, conformal, audit, failed = _verdict(profile, CURVATURE_TOL)
     if "finite_difference" in failed:
         raise TooFewSamples(
             f"{args.samples} samples do not resolve the profile of period {args.period}: "
@@ -245,10 +245,14 @@ def cmd_solve(args) -> int:
             f"{_scalar(audit.fd_tol_abs)}; raise --samples"
         )
     if failed:
-        detail = "" if curvature.passed else (
-            f"; curvature max_dev {_scalar(curvature.max_dev)} exceeds "
-            f"tol_abs {_scalar(curvature.tol_abs)}"
-        )
+        detail = ""
+        if not curvature.passed:
+            detail = (f"; curvature max_dev {_scalar(curvature.max_dev)} exceeds "
+                      f"tol_abs {_scalar(curvature.tol_abs)}")
+        elif failed == ("conformal",):
+            # the finite-difference residual falls about 16x per doubling of the samples
+            detail = (f"; sup_fiber_sq {_scalar(conformal.sup_fiber_sq)} exceeds the tolerance "
+                      f"{_scalar(conformal.rel_tol * conformal.reference)}; raise --samples")
         raise BudgetExceeded(f"solved profile fails verify on {', '.join(failed)}{detail}")
     print(
         f"# profile: degree {profile.degree}, err_est {_scalar(profile.err_est)}",

@@ -40,8 +40,8 @@ class EnergyOutOfBand(ToolkitError):
 
 
 class QuadratureNonConvergence(ToolkitError):
-    """A period quadrature, turning-point solve or root polish could not
-    reach its tolerance within budget."""
+    """A period quadrature or turning-point solve could not reach its
+    tolerance within budget, or a period inversion missed its period."""
 
 
 class ThresholdViolation(ToolkitError):

@@ -26,9 +26,12 @@ own inversion.
 once per process for each (n, rtol), one kernel call per piece.  Its
 `orbits(taus, params)` is the package's one period inversion: it inverts
 a batch of periods on the fit and confirms every orbit in one kernel
-call.  `bifurcation.scan_branches` asks it once for all its rows, and
-`solver.solve_period` for its one orbit.  Counting solutions needs no
-inversion (see `bifurcation`).
+call.  The period map is monotone in u (Chicone, J. Differential
+Equations 69, 1987), so that is the whole path: nothing is polished,
+and an orbit whose confirmed period misses the request by more than
+LANDING_FACTOR * rtol raises.  `bifurcation.scan_branches` asks it
+once for all its rows, and `solver.solve_period` for its one orbit.
+Counting solutions needs no inversion (see `bifurcation`).
 
 `period_scan(c_grid)` keeps the energy interface.  `_inner_root` takes
 every in-band energy of the grid to its u in one batch of bracketed
@@ -82,8 +85,6 @@ SERIES_SPAN = 0.02
 SERIES_TERMS = 9
 # Newton steps a turning point and a curve inversion may take
 NEWTON_STEPS = 100
-# kernel calls the confirmation and polish of a batch of orbits may take
-MAX_POLISH_STEPS = 100
 # Chebyshev nodes of a period curve: the upper piece in u, the contact
 # piece in log u, handing over at u = CONTACT_SPLIT
 CURVE_NODES = 48
@@ -98,11 +99,9 @@ MAX_PROFILE_NODES = 512
 # Chebyshev sums at up to FEW_POINTS points run in Python floats, which
 # measured faster than numpy below about 30 points with 32 to 512 coefficients
 FEW_POINTS = 16
-# an orbit is polished on the kernel while its period misses the
-# request by more than POLISH_FACTOR * rtol, and stops once its step in
-# u is at most POLISH_XTOL * u
-POLISH_FACTOR = 10.0
-POLISH_XTOL = 1e-12
+# a confirmed orbit whose period misses the request by more than
+# LANDING_FACTOR * rtol is refused
+LANDING_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -539,11 +538,6 @@ class _ChebSeries:
     def value(self, y):
         return _chebval(self.x_of(y), self.coeffs)
 
-    def slope(self, y):
-        """The series' derivative in y."""
-        dx_dy = 2.0 / (self.hi - self.lo) / (y if self.log else 1.0)
-        return _chebval(self.x_of(y), self.value_and_slope_coeffs)[1] * dx_dy
-
     def root(self, target: np.ndarray, a: float, b: float) -> np.ndarray:
         """The x in [a, b] where the series takes each target.
 
@@ -675,12 +669,13 @@ class PeriodCurve:
 
         Every in-band tau is inverted on the piece whose range holds it,
         and one kernel call at the resulting u gives each orbit its T,
-        f_max, nodes and err_est.  Orbits whose T misses tau by more than
-        POLISH_FACTOR * rtol take Newton steps in u with the curve's
-        slope until they land or a step is at most POLISH_XTOL * u, in at
-        most MAX_POLISH_STEPS kernel calls in all.  Each step acts on
-        each orbit alone, so an orbit's result does not depend on the
-        batch it comes in.  Each orbit carries the u its T came from.
+        f_max, nodes and err_est; a batch with no in-band tau calls no
+        kernel.  The curve is monotone, so one inversion is the whole
+        path: nothing is polished, and an orbit whose T misses tau by more
+        than LANDING_FACTOR * rtol raises QuadratureNonConvergence, which
+        names the miss and the curve's err_est.  The kernel treats each
+        orbit alone, so an orbit's result does not depend on the batch it
+        comes in.  Each orbit carries the u its T came from.
         """
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
@@ -697,28 +692,17 @@ class PeriodCurve:
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
             u[mine] = np.clip(piece.y_of(x), lo, hi)
 
-        ratio, f_max, err_est = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-        nodes = np.empty(u.shape, dtype=int)
-        todo = np.arange(u.size)
-        for _ in range(MAX_POLISH_STEPS):
-            if not todo.size:
-                break
-            periods = _certified(u[todo], self.n, self.rtol)
-            ratio[todo], f_max[todo], err_est[todo], nodes[todo] = periods
-            gap = target[todo] - periods.ratio
-            miss = np.abs(gap) > POLISH_FACTOR * self.rtol * target[todo]
-            todo, at = todo[miss], u[todo[miss]]
-            if not todo.size:
-                break
-            step = gap[miss] / np.where(at >= self.split, self.pieces[-1].slope(at),
-                                        self.pieces[0].slope(at))
-            moving = np.abs(step) > POLISH_XTOL * at
-            todo = todo[moving]
-            u[todo] = np.clip(at[moving] + step[moving], self.u_lo, self.u_hi)
-        if todo.size:
+        if not u.size:
+            return (None,) * len(taus)
+        ratio, f_max, err_est, nodes = _certified(u, self.n, self.rtol)
+        gap = np.abs(target - ratio)
+        missed = np.flatnonzero(gap > LANDING_FACTOR * self.rtol * target)
+        if missed.size:
+            j = missed[0]
             raise QuadratureNonConvergence(
-                f"period inversion at tau/T0 = {target[todo[0]]} did not settle in "
-                f"{MAX_POLISH_STEPS} steps"
+                f"period inversion at tau/T0 = {target[j]}: the kernel's period misses tau "
+                f"by {gap[j] / target[j]:.3g}, more than {LANDING_FACTOR:g} * rtol with "
+                f"rtol = {self.rtol}; the curve's err_est is {self.err_est:.3g}; loosen --rtol"
             )
         a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
         found = map(OrbitSpec, potential(a, params).tolist(), a.tolist(), b.tolist(),

@@ -201,11 +201,15 @@ def solve_period(
     Periods at or below the threshold T0 are rejected outright: the
     rest point absorbs the whole band there.  The orbit comes from the
     period curve of the dimension, which is monotone, so at most one
-    orbit has period T; `PeriodCurve.orbits` confirms it on the kernel
-    and polishes it there when it misses T by more than 10 * quad_rtol,
-    and the orbit goes straight to the sampler.  If the curve's period range
-    never touches T, NoBracket carries that range so the caller can see
-    how far off the request was.
+    orbit has period T; `PeriodCurve.orbits` confirms it in one kernel
+    call, raises QuadratureNonConvergence when it misses T by more than
+    10 * quad_rtol, and the orbit goes straight to the sampler.  If the
+    curve's period range never touches T, NoBracket carries that range
+    so the caller can see how far off the request was.
+
+    The profile is not run through `verify`'s checks here: too few
+    samples can give one that `verify` rejects.  `warpcsc solve` runs
+    them and refuses such a profile.
     """
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcsc import ModelParams, derive_constants
+from warpcsc import period as period_mod
 from warpcsc.cli import (
     CURVATURE_TOL,
     _render,
@@ -30,6 +31,7 @@ from warpcsc.period import period_curve
 T0_N3 = derive_constants(ModelParams(3, 2.0, 2.0)).T0
 T0_N4 = derive_constants(ModelParams(4, 2.0, 2.0)).T0
 T0_N5 = derive_constants(ModelParams(5, 2.0, 2.0)).T0
+T0_N30 = derive_constants(ModelParams(30, 2.0, 2.0)).T0
 
 
 def run_cli(capsys, *argv):
@@ -212,24 +214,52 @@ def test_solve_refuses_a_profile_verify_would_reject(tmp_path, capsys):
     assert "fd_sup" in err and "tolerance" in err
 
 
-@pytest.mark.parametrize("period, samples, code, message", [
+@pytest.mark.parametrize("n, period, samples, code, message, enough", [
     # the finite-difference audit passes, the recovered curvature does not
-    ("9.83", "2048", 4, "curvature max_dev"),
+    ("5", "9.83", "2048", 4, "curvature max_dev", None),
     # the samples satisfy the audit but not the squared-fiber convention check
-    ("8.9", "64", 4, "fails verify on conformal"),
+    ("5", "8.9", "64", 4, "fails verify on conformal", "128"),
     # too few samples for verify's curvature check
-    ("8.9", "48", 2, "need at least 64 samples"),
-], ids=["curvature", "conformal", "few-samples"])
-def test_solve_refuses_what_verify_rejects(tmp_path, capsys, period, samples, code, message):
+    ("5", "8.9", "48", 2, "need at least 64 samples", None),
+    # the default samples fail the conformal check alone, by 1.26 of its tolerance
+    ("30", repr(1.6 * T0_N30), "512", 4, "fails verify on conformal", "1024"),
+], ids=["curvature", "conformal", "few-samples", "conformal-n30"])
+def test_solve_refuses_what_verify_rejects(tmp_path, capsys, n, period, samples, code, message,
+                                           enough):
     out_file = tmp_path / "profile.json"
-    got, out, err = run_cli(
-        capsys, "solve", "--n", "5", "--R", "2", "--Rt", "2",
-        "--period", period, "--samples", samples, "--out", str(out_file),
-    )
+    args = ["solve", "--n", n, "--R", "2", "--Rt", "2", "--period", period,
+            "--out", str(out_file)]
+    got, out, err = run_cli(capsys, *args, "--samples", samples)
     assert got == code
     assert out == ""
     assert not out_file.exists()
     assert err.startswith("error: ") and message in err
+    if enough is not None:
+        # a refusal on sampling alone names the knob, and turning it is enough
+        assert "sup_fiber_sq" in err and err.endswith("; raise --samples\n")
+        assert run_cli(capsys, *args, "--samples", enough)[0] == 0
+        assert run_cli(capsys, "verify", "--in", str(out_file))[0] == 0
+
+
+def test_solve_refuses_an_orbit_that_misses_its_period(tmp_path, capsys, monkeypatch):
+    period_curve(5, 1e-10)  # built before the kernel is skewed
+    real_kernel = period_mod._period_kernel
+
+    def skewed_kernel(*args):
+        periods = real_kernel(*args)
+        return periods._replace(ratio=periods.ratio * (1.0 + 1e-6))
+
+    monkeypatch.setattr(period_mod, "_period_kernel", skewed_kernel)
+    out_file = tmp_path / "profile.json"
+    code, out, err = run_cli(
+        capsys, "solve", "--n", "5", "--R", "2", "--Rt", "2",
+        "--period", repr(1.05 * T0_N5), "--out", str(out_file),
+    )
+    assert code == 4
+    assert out == ""
+    assert not out_file.exists()
+    assert err.startswith("error: period inversion at tau/T0 = ")
+    assert err.endswith("loosen --rtol\n")
 
 
 @pytest.mark.parametrize("n", [5, 8])
