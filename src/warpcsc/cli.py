@@ -204,6 +204,9 @@ def cmd_period(args) -> int:
     params = _params(args)
     header = ["c", "a", "b", "T", "amplitude"]
     if args.energy is not None:
+        if args.band is not None:
+            raise DomainError("--band sets the interval of a --scan; use it with --scan, "
+                              "not with --energy")
         spec = period_quadrature(args.energy, params, rtol=args.rtol)
         _emit(_csv(header, [(spec.c, spec.a, spec.b, spec.T, spec.amplitude)]), args.out)
         return 0
@@ -284,8 +287,7 @@ def cmd_bifurcate(args) -> int:
         f"{len(diagram.rows)} rows, {len(diagram.branch_points)} branch points, "
         f"{len(diagram.failures)} misses"
         + ("; isochronous degenerate case" if diagram.degenerate_isochronous else "")
-        + f"; period curve: {curve.quadratures} quadratures, "
-        f"err_est {_scalar(curve.err_est)}, {curve.nodes} nodes",
+        + f"; period curve: {curve.quadratures} quadratures, {curve.nodes} nodes",
         file=sys.stderr,
     )
     return 0
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--scan", type=int, default=None, metavar="N",
                        help="scan N energies (default spacing: log across the band)")
     p_per.add_argument("--band", type=_band, default=None, metavar="LO,HI",
-                       help="scan this energy interval linearly instead")
+                       help="with --scan: scan this energy interval linearly instead")
     p_per.add_argument("--rtol", type=_rtol, default=1e-10, help="quadrature relative tolerance")
     _add_out(p_per)
     p_per.set_defaults(handler=cmd_period)

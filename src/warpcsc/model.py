@@ -21,8 +21,10 @@ profile solving, bifurcation counts) is built on the few evaluators here.
 Each formula of the force, the potential and its offset above the well
 bottom is written once, in `_forms`: closures over one parameter set's
 constants.  The public evaluators check and convert their input and call
-them; root solves that evaluate one float at a time call them directly,
-bit for bit the same and without the per-call array overhead.
+them.  `derive_constants` and the return map's step sizing
+(`integrator._rough_inner_turning`), which evaluate one float at a time,
+call them directly, bit for bit the same and without the per-call array
+overhead.
 """
 
 from __future__ import annotations
@@ -230,10 +232,13 @@ def potential_above_min(x, params: ModelParams):
     """potential(x) - potential(x_star), evaluated without cancellation.
 
     Subtracting two nearby potential values loses every significant digit
-    close to the well bottom, which is exactly where the period
-    quadrature and the turning-point solves need full accuracy.  Writing
-    the difference through expm1/log1p in the offset d = x - x_star keeps
-    it accurate to roundoff on the whole positive axis.
+    close to the well bottom.  Writing the difference through expm1/log1p
+    in the offset d = x - x_star keeps it accurate to roundoff on the
+    whole positive axis.  The period quadrature and the turning-point
+    solves do not call it: they work in u = f_min/f_star with
+    `period._rise`.  Inside the package only its scalar form,
+    `_forms(params).offset`, is used, to size the return map's steps
+    (`integrator._rough_inner_turning`).
     """
     return _evaluate(_forms(params).offset, x, "potential_above_min")
 

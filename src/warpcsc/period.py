@@ -23,7 +23,7 @@ inverts that at the sample times with `_ChebSeries.root`, the curve's
 own inversion.
 
 `period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
-once per process for each (n, rtol), one kernel call per piece.  Its
+once per process for each (n, rtol), from one kernel call.  Its
 `orbits(taus, params)` is the package's one period inversion: it inverts
 a batch of periods on the fit and confirms every orbit in one kernel
 call.  The period map is monotone in u (Chicone, J. Differential
@@ -49,7 +49,7 @@ which `solver` samples.  Nothing here calls a bracketing root finder;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -90,8 +90,6 @@ NEWTON_STEPS = 100
 CURVE_NODES = 48
 CONTACT_NODES = 32
 CONTACT_SPLIT = 0.05
-# held-out kernel orbits per curve piece behind its err_est
-CURVE_CHECKS = 8
 # Chebyshev nodes of a profile's time fit: PROFILE_NODES first, doubling
 # up to MAX_PROFILE_NODES
 PROFILE_NODES = 32
@@ -511,7 +509,6 @@ class _ChebSeries:
     hi: float
     log: bool
     coeffs: np.ndarray
-    err_est: float
 
     @cached_property
     def value_and_slope_coeffs(self) -> np.ndarray:
@@ -583,7 +580,8 @@ def _arc(x, u: float, v: float, n: int):
 
 def _orbit_samples(u: float, n: int, times: np.ndarray, period: float, rtol: float):
     """x/x_star and v/(omega x_star) of the orbit dipping to u at times in
-    [0, period], in units of 1/omega, and the series t(theta) placing them.
+    [0, period], in units of 1/omega, the series t(theta) placing them,
+    and the relative change of its half period at the last doubling.
 
     The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) r
     cos(theta) / sqrt(w(u) - w(g)), is smooth on [-pi/2, pi/2].  Its fit
@@ -614,12 +612,13 @@ def _orbit_samples(u: float, n: int, times: np.ndarray, period: float, rtol: flo
                 f"profile of n = {n} at u = {u}: the half period did not settle to "
                 f"rtol = {rtol} by {MAX_PROFILE_NODES} Chebyshev nodes")
         previous, size = half_period, 2 * size
-    series = _ChebSeries(-1.0, 1.0, False, coeffs, change / half_period)
+    series = _ChebSeries(-1.0, 1.0, False, coeffs)
     g, gap, _ = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0, half_period),
                                  -1.0, 1.0), u, v, n)
     # the energy gives v from the gap
     speed = 0.5 * n * np.sqrt(gap / (n - 2.0))
-    return g ** (0.5 * n), np.where(times <= 0.5 * period, speed, -speed), series
+    x, v = g ** (0.5 * n), np.where(times <= 0.5 * period, speed, -speed)
+    return x, v, series, change / half_period
 
 
 @dataclass(frozen=True, eq=False)
@@ -635,23 +634,21 @@ class PeriodCurve:
 
     u_lo, u_hi  the orbits BAND_CLAMP admits: contact end, well-bottom end
     band        the attained range of T/T0 over [u_lo, u_hi], ascending
-    split       u where the contact piece (in log u) hands over to the
-                upper piece (in u); u_lo when there is no contact piece
-    quadratures kernel orbits the build took
-    err_est     bound on the relative deviation from the kernel, at the
-                same rtol: the largest deviation at the held-out points of
-                every piece, times 1 + the Lebesgue constant of its nodes
+    pieces      the contact piece in log u, when there is one, then the
+                upper piece in u, which starts at the hand-over point
+    quadratures kernel orbits the build took: its fit nodes
     nodes       integrand evaluations the build took
+
+    The curve carries no error figure of its own: every orbit `orbits`
+    gives is confirmed by the kernel, with the kernel's err_est.
     """
 
     n: int
     rtol: float
     u_lo: float
     u_hi: float
-    split: float
     pieces: tuple[_ChebSeries, ...]
     quadratures: int
-    err_est: float
     nodes: int
 
     @cached_property
@@ -662,7 +659,8 @@ class PeriodCurve:
     def ratio(self, u):
         """T/T0 of the orbits whose warps dip to u * f_star."""
         u = np.asarray(u, dtype=float)
-        return np.where(u >= self.split, self.pieces[-1].value(u), self.pieces[0].value(u))[()]
+        upper = self.pieces[-1]
+        return np.where(u >= upper.lo, upper.value(u), self.pieces[0].value(u))[()]
 
     def orbits(self, taus, params: ModelParams) -> tuple[OrbitSpec | None, ...]:
         """The orbits of params with periods taus; None for a tau outside the band.
@@ -673,9 +671,9 @@ class PeriodCurve:
         kernel.  The curve is monotone, so one inversion is the whole
         path: nothing is polished, and an orbit whose T misses tau by more
         than LANDING_FACTOR * rtol raises QuadratureNonConvergence, which
-        names the miss and the curve's err_est.  The kernel treats each
-        orbit alone, so an orbit's result does not depend on the batch it
-        comes in.  Each orbit carries the u its T came from.
+        names tau/T0, the miss and rtol.  The kernel treats each orbit
+        alone, so an orbit's result does not depend on the batch it comes
+        in.  Each orbit carries the u its T came from.
         """
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
@@ -683,12 +681,13 @@ class PeriodCurve:
         target = np.asarray(taus, dtype=float) / consts.T0
         inside = np.flatnonzero((self.band[0] <= target) & (target <= self.band[1]))
         target = target[inside]
-        # a one-piece curve has split = u_lo, so no target is on the contact side
-        r_split = self.pieces[-1].value(self.split)
+        # a one-piece curve hands over at u_lo, so no target is on the contact side
+        split = self.pieces[-1].lo
+        r_split = self.pieces[-1].value(split)
         contact = (target - r_split) * (self.pieces[0].value(self.u_lo) - r_split) > 0.0
         u = np.empty_like(target)
-        for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, self.split, contact),
-                                    (self.pieces[-1], self.split, self.u_hi, ~contact)):
+        for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, split, contact),
+                                    (self.pieces[-1], split, self.u_hi, ~contact)):
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
             u[mine] = np.clip(piece.y_of(x), lo, hi)
 
@@ -702,7 +701,7 @@ class PeriodCurve:
             raise QuadratureNonConvergence(
                 f"period inversion at tau/T0 = {target[j]}: the kernel's period misses tau "
                 f"by {gap[j] / target[j]:.3g}, more than {LANDING_FACTOR:g} * rtol with "
-                f"rtol = {self.rtol}; the curve's err_est is {self.err_est:.3g}; loosen --rtol"
+                f"rtol = {self.rtol}; loosen --rtol"
             )
         a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
         found = map(OrbitSpec, potential(a, params).tolist(), a.tolist(), b.tolist(),
@@ -720,10 +719,8 @@ def period_curve(n: int, rtol: float = 1e-10) -> PeriodCurve:
     in u on [CONTACT_SPLIT, 1], and CONTACT_NODES nodes in log u from u_lo
     up to CONTACT_SPLIT, where the contact end's u log u behaviour lives.
     When BAND_CLAMP already cuts the band above CONTACT_SPLIT (n >= 10),
-    the upper piece alone spans [u_lo, 1].  Each piece's nodes and its
-    CURVE_CHECKS held-out points go to the kernel in one call; the
-    held-out points measure the piece's err_est, which also bounds the
-    noise the fit interpolates.  The build refuses node values that are
+    the upper piece alone spans [u_lo, 1].  The nodes of every piece go to
+    the kernel in one call, and the build refuses node values that are
     not strictly monotone in u.  For n = 4 every orbit has period T0 and
     the curve is the constant 1, built without the kernel.
     """
@@ -739,44 +736,24 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     u_lo, u_hi = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
                              consts, n)[1].tolist()
     if n == 4:
-        flat = _ChebSeries(u_lo, u_hi, False, np.ones(1), 0.0)
-        return PeriodCurve(n, rtol, u_lo, u_hi, u_lo, (flat,), 0, 0.0, 0)
-
-    nodes: list[tuple[float, float]] = []
-    orbits = evaluations = 0
-
-    def fit(lo: float, hi: float, size: int, log: bool) -> _ChebSeries:
-        nonlocal orbits, evaluations
-        theta = _cheb_angles(size)
-        # held out: extrema of T_size between the nodes, the two next to
-        # the piece's ends among them
-        held = np.cos(math.pi * np.rint(np.linspace(1, size - 1, CURVE_CHECKS)) / size)
-        piece = _ChebSeries(lo, hi, log, np.zeros(size), 0.0)
-        us = piece.y_of(np.concatenate([np.cos(theta), held]))
-        periods = _certified(us, n, rtol)
-        orbits += us.size
-        evaluations += int(periods.nodes.sum())
-        vals = periods.ratio[:size]
-        nodes.extend(zip(us[:size], vals))
-        piece = replace(piece, coeffs=_cheb_coeffs(theta, vals))
-        err = np.max(np.abs(piece.value(us[size:]) / periods.ratio[size:] - 1.0))
-        # the held-out points sample the noise a fit at roundoff interpolates;
-        # the nodes magnify it by at most their Lebesgue constant
-        return replace(piece, err_est=float((2.0 + 2.0 / math.pi * math.log(size)) * err))
+        flat = _ChebSeries(u_lo, u_hi, False, np.ones(1))
+        return PeriodCurve(n, rtol, u_lo, u_hi, (flat,), 0, 0)
 
     split = max(CONTACT_SPLIT, u_lo)
-    pieces = []
-    if u_lo < split:
-        pieces.append(fit(math.log(u_lo), math.log(split), CONTACT_NODES, True))
-    pieces.append(fit(split, 1.0, CURVE_NODES, False))
-
-    steps = np.diff([val for _, val in sorted(nodes)])
+    layout = [(math.log(u_lo), math.log(split), True, CONTACT_NODES)] if u_lo < split else []
+    layout.append((split, 1.0, False, CURVE_NODES))
+    angles = [_cheb_angles(size) for *_, size in layout]
+    # placing nodes needs only a piece's map, not its coefficients
+    us = np.concatenate([_ChebSeries(lo, hi, log, np.empty(0)).y_of(np.cos(theta))
+                         for (lo, hi, log, _), theta in zip(layout, angles)])
+    periods = _certified(us, n, rtol)
+    steps = np.diff(periods.ratio[np.argsort(us)])
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise QuadratureNonConvergence(
             f"period curve for n = {n} at rtol = {rtol}: node periods are not "
             "strictly monotone in f_min"
         )
-    return PeriodCurve(
-        n, rtol, u_lo, u_hi, split, tuple(pieces), orbits,
-        max(p.err_est for p in pieces), evaluations,
-    )
+    values = np.split(periods.ratio, np.cumsum([theta.size for theta in angles])[:-1])
+    pieces = tuple(_ChebSeries(lo, hi, log, _cheb_coeffs(theta, vals))
+                   for (lo, hi, log, _), theta, vals in zip(layout, angles, values))
+    return PeriodCurve(n, rtol, u_lo, u_hi, pieces, us.size, int(periods.nodes.sum()))

@@ -35,6 +35,7 @@ from .errors import (
     ThresholdViolation,
     TooFewSamples,
 )
+from .geometry import periodic_fd_derivatives, uniform_closed_count
 from .model import (
     ModelParams,
     curvature_residual,
@@ -168,7 +169,8 @@ def _sampled(
     """
     consts = derive_constants(params)
     ts = np.arange(n_samples, dtype=float) * (T / (n_samples - 1))
-    x, v, series = _orbit_samples(orbit.u, params.n, consts.omega * ts, consts.omega * T, rtol)
+    x, v, series, err_est = _orbit_samples(orbit.u, params.n, consts.omega * ts,
+                                           consts.omega * T, rtol)
     xs, vs = consts.x_star * x, consts.omega * consts.x_star * v
     f, fp, fpp = to_warp_coords(xs, vs, params)
     samples = np.column_stack([ts, xs, vs, f, fp, fpp])
@@ -186,7 +188,7 @@ def _sampled(
         )
     return SolutionProfile(params=params, T=T, c=orbit.c, samples=samples,
                            residual_sup=residual_sup, closure_error=closure,
-                           degree=series.coeffs.size - 1, err_est=series.err_est)
+                           degree=series.coeffs.size - 1, err_est=err_est)
 
 
 def solve_period(
@@ -239,8 +241,6 @@ def audit_profile(profile: SolutionProfile) -> ProfileAudit:
 
     The thresholds are CHAIN_TOL * R, FD_TOL * R and ENERGY_TOL.
     """
-    from .geometry import periodic_fd_derivatives, uniform_closed_count
-
     unique = uniform_closed_count(profile.t, profile.T, 16)
     params = profile.params
     h = profile.T / unique

@@ -171,9 +171,8 @@ def test_scan_validation(p3, k3):
 
 def test_rescaled_scan_reuses_the_period_curve(p3, k3, kernel_calls):
     first = scan_branches(3.5 * k3.T0, p3, 400)
-    # a rebuild would send each piece's nodes and checks to the kernel
-    build = {piece.coeffs.size + period_mod.CURVE_CHECKS
-             for piece in period_curve(3, QUAD_RTOL).pieces}
+    # a rebuild would send every node of the curve to the kernel in one batch
+    build = {period_curve(3, QUAD_RTOL).quadratures}
     kernel_calls.clear()
     p = ModelParams(3, 8.0, 8.0)
     k = derive_constants(p)

@@ -527,7 +527,7 @@ def test_bifurcate_outputs_rows_and_points(tmp_path, capsys):
     assert 2 in ks
     assert "threshold T0" in err
     # the curve's counters go to stderr only
-    assert "; period curve: 96 quadratures, err_est " in err
+    assert "; period curve: 80 quadratures, " in err
     assert err.rstrip().endswith(" nodes")
     assert "quadratures" not in out and "nodes" not in out
 
@@ -572,6 +572,10 @@ def test_exit_code_2_on_usage_errors(capsys):
     assert run_cli(capsys, "threshold", "--n", "3")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "period", "--n", "3", "--R", "2", "--Rt", "2")[0] == 2
+    # --band sets a scan's interval; next to --energy it is refused, not dropped
+    code, out, err = run_cli(capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
+                             "--energy", "-0.225", "--band=-0.8,-0.2")
+    assert code == 2 and out == "" and "--scan" in err
 
 
 @pytest.mark.parametrize("size", ["-1", "0"])
@@ -612,13 +616,24 @@ def test_bifurcate_rejects_a_bad_rtol(capsys):
     assert "argument --rtol: rtol must be positive and finite, got 'nan'" in err
 
 
-def test_unreachable_rtol_still_exits_4(capsys):
-    """A positive rtol below what the kernel can meet is non-convergence."""
-    code, _, err = run_cli(
-        capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
-        "--energy", "-0.225", "--rtol", "1e-16",
-    )
-    assert code == 4 and "did not meet rtol = 1e-16" in err
+def test_unreachable_rtol_still_exits_4(capsys, tmp_path):
+    """A positive rtol below what the kernel can meet is non-convergence.
+
+    `period --energy` fails in its scan; `solve` and `bifurcate` fail
+    while building the period curve, which names the first node orbit
+    the kernel could not certify.
+    """
+    params = ["--n", "3", "--R", "2", "--Rt", "2"]
+    for argv, orbit in [
+        (["period", *params, "--energy", "-0.225"], "at u = 0.20277939461513028 "),
+        (["solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", "9.33"],
+         "at u = 0.049873158485045956 "),
+        (["bifurcate", *params, "--tmax", "20"], "at u = 0.049456921102972166 "),
+    ]:
+        out_file = tmp_path / f"{argv[0]}.out"
+        code, out, err = run_cli(capsys, *argv, "--rtol", "1e-16", "--out", str(out_file))
+        assert code == 4 and out == "" and not out_file.exists(), argv
+        assert "did not meet rtol = 1e-16" in err and orbit in err, argv
 
 
 def test_exit_code_3_below_threshold(capsys):

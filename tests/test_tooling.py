@@ -4,7 +4,8 @@
 `__all__`, and rebinds `period.brentq` to count root-solver evaluations.
 A name removed from a module but left in its `__all__`, or a `brentq`
 that is no longer the package's own, breaks a traced benchmark run;
-these tests catch it in the suite.
+these tests catch it in the suite.  The package republishes exactly the
+modules' names, each as the module's own object.
 """
 
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import warpcsc
 import warpcsc._brent
 import warpcsc.period
 
@@ -35,3 +37,16 @@ def test_every_exported_name_resolves(short):
 
 def test_period_binds_the_package_root_solver():
     assert warpcsc.period.brentq is warpcsc._brent.brentq
+
+
+PUBLIC_MODULES = ("model", "integrator", "period", "solver", "geometry", "bifurcation", "errors")
+
+
+def test_the_package_republishes_each_modules_names_once():
+    modules = [importlib.import_module(f"warpcsc.{short}") for short in PUBLIC_MODULES]
+    published = {"__version__"}.union(*(module.__all__ for module in modules))
+    assert set(warpcsc.__all__) == published
+    assert len(warpcsc.__all__) == len(published)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(warpcsc, name) is getattr(module, name), name
