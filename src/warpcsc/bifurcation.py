@@ -15,7 +15,11 @@ circle periods in one array pass, a grid-by-wraps table bounded by
 MAX_CANDIDATES before it is allocated, and asks the period curve of the
 dimension (`period.period_curve`, one build per n for every R and Rt)
 for all the per-wrap periods at once: one batch inversion, confirmed by
-one kernel call, gives one row per realized (T, k, energy) combination.
+one kernel call, gives one row per realized (T, k, energy) combination,
+built from the curve's orbit columns.  Every other pair is a miss
+(T, k, reason) with per-wrap period tau = T/k; the band its reason
+quotes is the diagram's `band`, and the two common kinds share one
+reason string per scan.
 
 Branch k leaves the constant solution where its per-wrap period meets
 the small-amplitude limit T0, at circle period k * T0; the diagram
@@ -82,6 +86,19 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
+    """The rows, branch points and misses of one scan.
+
+    t_grid      the circle periods scanned
+    band        the attained per-wrap periods (lo, hi), the period curve's
+                range times T0
+    failures    the misses, (T, k, reason) in scan order, with per-wrap
+                period tau = T/k; a miss outside the band has the reason
+                "per-wrap period T/k outside attained range [lo, hi]" or,
+                inside the closed-form band, "per-wrap period T/k inside
+                the closed-form band but past the end of the period curve
+                [lo, hi]", one string per kind and scan
+    """
+
     params: ModelParams
     T0: float
     t_grid: tuple[float, ...]
@@ -103,11 +120,13 @@ def scan_branches(
 
     Rows come from the period curve of params.n with nodes at quad_rtol;
     the band is the curve's range.  Each wrap k with rows has its
-    branch point at k * T0 when that lies within T_max.  Per-point
-    failures (a wrap count whose per-wrap period is not attained) are
-    recorded with their reason, never fatal; a grid point on the comb,
-    T = k * T0, asks wrap k for the per-wrap period T0, which only the
-    constant warp has, and its failure names that branch point.
+    branch point at k * T0 when that lies within T_max.  Per-pair
+    misses (a wrap count whose per-wrap period tau = T/k is not
+    attained) are recorded as (T, k, reason), never fatal; the two
+    kinds outside `band` share one reason string each, which quotes
+    the band.  A grid point on the comb, T = k * T0, asks wrap k for
+    the per-wrap period T0, which only the constant warp has, and its
+    reason names tau and that branch point.
     Isochronous parameter sets short-circuit to the degenerate flag.
     A scan that may try more than MAX_CANDIDATES (T, k) pairs raises
     DomainError before it lists any.
@@ -156,30 +175,35 @@ def scan_branches(
               & (lo * (1.0 - 1e-9) <= tau) & (tau <= hi * (1.0 + 1e-9)))
     # in scan order: T first, then k ascending; a classical miss is recorded
     at, wrap = np.nonzero(inband | classical)
+    T_pair, k_pair, tau_pair, hit = T[at], k[wrap], tau[at, wrap], inband[at, wrap]
 
-    found = iter(curve.orbits(tau[inband], params))
-    rows: list[BranchRow] = []
-    failures: list[tuple[float, int, str]] = []
+    # the orbits of the in-band pairs, as columns; landed indexes the pairs
+    found, c, a, b = curve._columns(tau[inband], params)[:4]
+    landed = np.flatnonzero(hit)[found]
     r = 2.0 / params.n
+    rows = list(map(BranchRow, T_pair[landed].tolist(), k_pair[landed].tolist(),
+                    tau_pair[landed].tolist(), c, [b_j - a_j for a_j, b_j in zip(a, b)],
+                    [a_j**r for a_j in a], [b_j**r for b_j in b]))
+
+    # every other pair is a miss; the per-wrap period is T/k of its tuple
+    missed = np.ones(at.size, dtype=bool)
+    missed[landed] = False
     closed = sorted((T0, math.sqrt(params.n) / 2.0 * T0))
-    suffix = f" [{lo}, {hi}]"
-    for T_j, k_j, tau_j, hit in zip(T[at].tolist(), k[wrap].tolist(), tau[at, wrap].tolist(),
-                                    inband[at, wrap].tolist()):
-        if not hit:
-            where = ("inside the closed-form band but past the end of the period curve"
-                     if closed[0] < tau_j < closed[1] else "outside attained range")
-            failures.append((T_j, k_j, f"per-wrap period {tau_j} {where}{suffix}"))
-            continue
-        orbit = next(found)
-        if orbit is not None:
-            rows.append(BranchRow(T_j, k_j, tau_j, orbit.c, orbit.amplitude,
-                                  orbit.a**r, orbit.b**r))
+    outside = f"per-wrap period T/k outside attained range [{lo}, {hi}]"
+    past_curve = ("per-wrap period T/k inside the closed-form band but past the end of "
+                  f"the period curve [{lo}, {hi}]")
+    failures: list[tuple[float, int, str]] = []
+    for T_j, k_j, tau_j, hit_j in zip(T_pair[missed].tolist(), k_pair[missed].tolist(),
+                                      tau_pair[missed].tolist(), hit[missed].tolist()):
+        if not hit_j:
+            why = past_curve if closed[0] < tau_j < closed[1] else outside
         elif abs(tau_j / T0 - 1.0) <= 1e-9:
-            failures.append((T_j, k_j, f"per-wrap period {tau_j} is T0, the branch point "
-                                       f"of wrap {k_j}: only the constant warp has it"))
+            why = (f"per-wrap period {tau_j} is T0, the branch point of wrap {k_j}: "
+                   "only the constant warp has it")
         else:
-            failures.append((T_j, k_j, f"per-wrap period {tau_j} inside the attained range "
-                                       "but past the end of the period curve"))
+            why = (f"per-wrap period {tau_j} inside the attained range but past the end "
+                   "of the period curve")
+        failures.append((T_j, k_j, why))
 
     wraps = sorted({row.k for row in rows if row.k * T0 <= T_max})
     return BifurcationDiagram(

@@ -37,7 +37,13 @@ from .errors import (
 )
 from .geometry import conformal_field_check, curvature_audit
 from .model import ModelParams, derive_constants
-from .period import energy_grid, period_curve, period_quadrature, period_scan
+from .period import (
+    MAX_SCAN_POINTS,
+    energy_grid,
+    period_curve,
+    period_quadrature,
+    period_scan,
+)
 from .solver import SAMPLE_COLUMNS, SolutionProfile, audit_profile, solve_period
 
 __all__ = ["main"]
@@ -214,6 +220,8 @@ def cmd_period(args) -> int:
     if args.band is not None:
         if size < 1:
             raise DomainError(f"--scan must be >= 1 with --band, got {size}")
+        if size > MAX_SCAN_POINTS:
+            raise DomainError(f"--scan {size} is above the limit of {MAX_SCAN_POINTS}; lower it")
         lo, hi = args.band
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"band must be lo < hi, got {lo}, {hi}")
@@ -357,16 +365,23 @@ def _band(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _rtol(text: str) -> float:
-    """A quadrature tolerance: a finite float above 0.  Text that is no
-    float gets argparse's own message for type=float."""
-    try:
-        value = float(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from err
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"rtol must be positive and finite, got {text!r}")
-    return value
+def _positive(name: str):
+    """An argparse type for a tolerance: a finite float above 0.  Text
+    that is no float gets argparse's own message for type=float."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from err
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(f"{name} must be positive and finite, got {text!r}")
+        return value
+
+    return parse
+
+
+_rtol, _tol = _positive("rtol"), _positive("tol")
 
 
 @functools.lru_cache(maxsize=1)
@@ -417,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="recheck a stored profile document")
     p_ver.add_argument("--in", dest="infile", required=True, help="profile JSON file")
-    p_ver.add_argument("--tol", type=float, default=CURVATURE_TOL,
+    p_ver.add_argument("--tol", type=_tol, default=CURVATURE_TOL,
                        help="curvature tolerance relative to Rt")
     _add_out(p_ver)
     p_ver.set_defaults(handler=cmd_verify)

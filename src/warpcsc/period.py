@@ -16,7 +16,11 @@ Newton solve, g = m + r sin(theta) removes both endpoint singularities,
 `_node` writes each node against its nearest turning point through half
 angles and the anchored difference `_rise`, and a tanh-sinh rule
 (Takahasi-Mori) on fixed nodes per level takes its error estimate from
-the change between two levels.
+the change between two levels.  The pass stacks the two halves of the
+orbits, the rows seen from v over those seen from u, into one `_node`
+call and adds them back row by row; `_ts_level` caches each level's
+sin(half)^2 and weights, and `_rise` builds only the forms its
+elements take.
 `_orbit_samples` samples a profile from the same integrand: it fits
 dt/dtheta in Chebyshev nodes, integrates the fit to t(theta) and
 inverts that at the sample times with `_ChebSeries.root`, the curve's
@@ -42,8 +46,9 @@ settle, or whose orbit the kernel cannot certify, fails alone.
 `turning_points(c)` is the solve of one energy followed by
 `_outer_root`, and `period_quadrature(c)` is the scan of one energy.
 Scans and `orbits` give one record, an `OrbitSpec` keyed by its u, from
-which `solver` samples.  Nothing here calls a bracketing root finder;
-`integrator` keeps `_brent` for its crossing refinement.
+which `solver` samples; `bifurcation` reads the same fields as columns.
+Nothing here calls a bracketing root finder; `integrator` keeps `_brent`
+for its crossing refinement.
 """
 
 from __future__ import annotations
@@ -100,6 +105,8 @@ FEW_POINTS = 16
 # a confirmed orbit whose period misses the request by more than
 # LANDING_FACTOR * rtol is refused
 LANDING_FACTOR = 10.0
+# energies an energy grid may hold, bounded before any is placed
+MAX_SCAN_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -243,15 +250,21 @@ def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     bottom the linear terms of its two expm1 cancel; there, with
     t^2 = 1 + (t^2 - 1), the rest is summed as its series in L from L^2
     on, which SERIES_TERMS terms take to roundoff for n |L| < SERIES_SPAN.
+    Each form is built only when some element takes it.
     """
     L = np.log1p(d / t)
     e_n = np.expm1(n * L)
-    series = 0.0
-    for coeff in _series_coeffs(n):
-        series = series * L + coeff
-    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
-    far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
-    return t ** (n - 2.0) * np.where(np.abs(n * L) < SERIES_SPAN, near, far)
+    near = np.abs(n * L) < SERIES_SPAN
+    rise = None
+    if near.any():
+        series = 0.0
+        for coeff in _series_coeffs(n):
+            series = series * L + coeff
+        rise = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
+    if rise is None or not near.all():
+        far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
+        rise = far if rise is None else np.where(near, rise, far)
+    return t ** (n - 2.0) * rise
 
 
 def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
@@ -283,17 +296,20 @@ def _unsettled(u: float, n: int) -> QuadratureNonConvergence:
         f"for n = {n} at u = {u}")
 
 
-def _node(turn, other, half, n: int):
+def _node(turn, other, sin2, n: int):
     """g = m + r sin(theta) at half = pi/4 - |theta|/2 from its nearer
-    turning point turn, as turn + (other - turn) sin(half)^2, and the gap
-    w(u) - w(g) as the anchored difference -_rise, exactly 0 at half = 0."""
-    d = (other - turn) * np.sin(half) ** 2
+    turning point turn, as turn + (other - turn) sin2 with sin2 =
+    sin(half)^2, and the gap w(u) - w(g) as the anchored difference
+    -_rise, exactly 0 at half = 0."""
+    d = (other - turn) * sin2
     return turn + d, -_rise(turn, d, n)
 
 
 @lru_cache(maxsize=16)
 def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half angles and weights of the tanh-sinh nodes new at this level.
+    """The tanh-sinh nodes new at this level: sin(half)^2 of their half
+    angles, and their weights times cos(theta) = 2 sin(half) cos(half),
+    the factor dg/dtheta = r cos(theta) brings to the integrand.
 
     theta = (pi/2) tanh((pi/2) sinh t) for t >= 0; the half angle
     pi/4 - theta/2 = (pi/2) / (1 + exp(pi sinh t)) keeps its relative
@@ -310,7 +326,7 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     weight = math.pi**2 * np.cosh(t) * e / (1.0 + e) ** 2
     if level == TS_FIRST_LEVEL:
         weight[0] *= 0.5
-    return half, weight
+    return np.sin(half) ** 2, 2.0 * np.sin(half) * np.cos(half) * weight
 
 
 class _Periods(NamedTuple):
@@ -325,10 +341,11 @@ class _Periods(NamedTuple):
 def _period_kernel(u, n: int, rtol: float) -> _Periods:
     """Periods of the orbits whose warp dips to f_min = u * f_star.
 
-    One numpy pass per tanh-sinh level over the orbits still pending;
-    each orbit is accepted at the first level whose change from the
-    level before, plus one rounding of the sum, is at most rtol of its
-    period, and drops out of the later levels.  Its nodes are summed row
+    One numpy pass per tanh-sinh level over the orbits still pending,
+    with both halves of each orbit stacked in one array; each orbit is
+    accepted at the first level whose change from the level before,
+    plus one rounding of the sum, is at most rtol of its period, and
+    drops out of the later levels.  Its nodes are summed row
     by row, so an orbit's result does not depend on the batch it comes
     in.  An orbit still unaccepted past the finest level keeps
     nodes == 0 and ratio 0, and so does one whose f_max is NaN: it is
@@ -345,16 +362,17 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     for level in range(TS_FIRST_LEVEL, TS_LAST_LEVEL + 1):
         if not live.size:
             break
-        half, weight = _ts_level(level)
-        evaluations += 2 * half.size
-        at, to = v[live, None], u[live, None]
-        values = 0.0
-        for turn, other in ((at, to), (to, at)):
-            g, gap = _node(turn, other, half, n)
-            # roundoff can graze zero at the outermost nodes
-            ok = gap > 0.0
-            values = values + np.where(ok, g ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
-        total[live] += (values * (2.0 * np.sin(half) * np.cos(half) * weight)).sum(axis=1)
+        sin2, weight = _ts_level(level)
+        evaluations += 2 * sin2.size
+        # both halves of every pending orbit in one pass: the rows from v,
+        # then the rows from u
+        m, lower, upper = live.size, u[live], v[live]
+        g, gap = _node(np.concatenate([upper, lower])[:, None],
+                       np.concatenate([lower, upper])[:, None], sin2, n)
+        # roundoff can graze zero at the outermost nodes
+        ok = gap > 0.0
+        both = np.where(ok, g ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
+        total[live] += ((both[:m] + both[m:]) * weight).sum(axis=1)
         estimate = scale[live] * 2.0**-level * total[live]
         if previous is not None:
             change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
@@ -447,10 +465,14 @@ def energy_grid(
     mode "log" spaces s logarithmically from the well bottom up, which
     resolves the small-amplitude end; "symlog" splits the points between
     a log approach to the bottom and a log approach to the contact
-    energy, resolving both edges at once.
+    energy, resolving both edges at once.  A size above MAX_SCAN_POINTS
+    raises DomainError before any point is placed.
     """
     if size < 2:
         raise DomainError(f"grid size must be >= 2, got {size}")
+    if size > MAX_SCAN_POINTS:
+        raise DomainError(f"grid size {size} (--scan) is above the limit of "
+                          f"{MAX_SCAN_POINTS}; lower it")
     if not (0.0 < s_lo < 0.5 and 0.0 < s_hi < 0.5):
         raise DomainError("clamps must lie in (0, 0.5)")
     consts = derive_constants(params)
@@ -574,7 +596,7 @@ def _arc(x, u: float, v: float, n: int):
     """`_node` at x = theta/(pi/2), and the half angle."""
     half = 0.25 * math.pi * (1.0 - np.abs(x))
     upper = x >= 0.0
-    g, gap = _node(np.where(upper, v, u), np.where(upper, u, v), half, n)
+    g, gap = _node(np.where(upper, v, u), np.where(upper, u, v), np.sin(half) ** 2, n)
     return g, gap, half
 
 
@@ -675,11 +697,21 @@ class PeriodCurve:
         alone, so an orbit's result does not depend on the batch it comes
         in.  Each orbit carries the u its T came from.
         """
+        inside, *columns = self._columns(taus, params)
+        by_index = dict(zip(inside, map(OrbitSpec, *columns)))
+        return tuple(by_index.get(j) for j in range(len(taus)))
+
+    def _columns(self, taus, params: ModelParams) -> tuple[list, ...]:
+        """`orbits` as columns: the indices of the in-band taus, then the
+        OrbitSpec fields c, a, b, T, nodes, err_est and u of their orbits,
+        each a list in that order."""
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
         consts = derive_constants(params)
         target = np.asarray(taus, dtype=float) / consts.T0
         inside = np.flatnonzero((self.band[0] <= target) & (target <= self.band[1]))
+        if not inside.size:
+            return ([],) * 8
         target = target[inside]
         # a one-piece curve hands over at u_lo, so no target is on the contact side
         split = self.pieces[-1].lo
@@ -691,8 +723,6 @@ class PeriodCurve:
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
             u[mine] = np.clip(piece.y_of(x), lo, hi)
 
-        if not u.size:
-            return (None,) * len(taus)
         ratio, f_max, err_est, nodes = _certified(u, self.n, self.rtol)
         gap = np.abs(target - ratio)
         missed = np.flatnonzero(gap > LANDING_FACTOR * self.rtol * target)
@@ -704,10 +734,8 @@ class PeriodCurve:
                 f"rtol = {self.rtol}; loosen --rtol"
             )
         a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
-        found = map(OrbitSpec, potential(a, params).tolist(), a.tolist(), b.tolist(),
-                    (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist(), u.tolist())
-        by_index = dict(zip(inside.tolist(), found))
-        return tuple(by_index.get(j) for j in range(len(taus)))
+        return (inside.tolist(), potential(a, params).tolist(), a.tolist(), b.tolist(),
+                (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist(), u.tolist())
 
 
 def period_curve(n: int, rtol: float = 1e-10) -> PeriodCurve:

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 SAMPLE_COLUMNS = ("t", "x", "v", "f", "fp", "fpp")
+# samples a profile may hold, bounded before any is placed
+MAX_SAMPLES = 2**20
 # audit_profile's thresholds: the first two relative to R, the size of
 # the residual's terms; the energy absolute, the solver's own control
 CHAIN_TOL = 1e-8
@@ -152,10 +154,18 @@ def profile_from_energy(c: float, params: ModelParams, n_samples: int = 512) -> 
     samples start at its inner turning point, fixing the time origin at a
     minimum of the warp; see `_sampled`.
     """
-    if n_samples < 16:
-        raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
+    _check_samples(n_samples)
     orbit = period_quadrature(c, params)
     return _sampled(orbit, orbit.T, params, n_samples, 1e-10)
+
+
+def _check_samples(n_samples: int) -> None:
+    """Refuse fewer than 16 samples, and more than MAX_SAMPLES."""
+    if n_samples < 16:
+        raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise DomainError(f"n_samples = {n_samples} (--samples) is above the limit of "
+                          f"{MAX_SAMPLES}; lower it")
 
 
 def _sampled(
@@ -221,8 +231,7 @@ def solve_period(
             f"requested period {T} does not exceed the threshold T0 = {consts.T0}; "
             "only the constant solution exists at or below it"
         )
-    if n_samples < 16:
-        raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
+    _check_samples(n_samples)
     curve = period_curve(params.n, quad_rtol)
     orbit = curve.orbits([T], params)[0]
     if orbit is None:

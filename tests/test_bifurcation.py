@@ -326,7 +326,7 @@ def _per_period_scan(T_max, params, grid_size):
                 where = ("inside the closed-form band but past the end of the "
                          "period curve" if closed[0] < tau < closed[1]
                          else "outside attained range")
-                wanted.append((T, k, tau, f"per-wrap period {tau} {where} [{band[0]}, {band[1]}]"))
+                wanted.append((T, k, tau, f"per-wrap period T/k {where} [{band[0]}, {band[1]}]"))
     found = iter(curve.orbits([tau for _, _, tau, why in wanted if why is None], params))
     rows, failures = [], []
     r = 2.0 / params.n
@@ -362,6 +362,29 @@ def test_scan_assembly_matches_the_per_period_loop(triple, tmax_T0, grid):
     assert all(type(row.T) is float and type(row.k) is int and type(row.tau) is float
                for row in diagram.rows)
     assert all(type(T) is float and type(k) is int for T, k, _ in diagram.failures)
+
+
+@pytest.mark.parametrize("triple, tmax_T0, grid", [
+    ((3, 2.0, 2.0), 3.5, 400), ((6, 1.0, 3.0), 3.5, 400), ((12, 2.0, 2.0), 9.0, 200),
+], ids=["n3", "n6", "n12"])
+def test_misses_of_one_kind_share_one_reason(triple, tmax_T0, grid):
+    """A miss is (T, k, reason) with tau = T/k; the two kinds a scan has
+    many of carry one reason string each, which names the band."""
+    params = ModelParams(*triple)
+    diagram = scan_branches(tmax_T0 * derive_constants(params).T0, params, grid)
+    lo, hi = diagram.band
+    reasons = (f"per-wrap period T/k outside attained range [{lo}, {hi}]",
+               "per-wrap period T/k inside the closed-form band but past the end of the "
+               f"period curve [{lo}, {hi}]")
+    misses = [(T / k, why) for T, k, why in diagram.failures
+              if why.startswith("per-wrap period T/k")]
+    assert [why for _, why in misses if why not in reasons] == []
+    for reason in reasons:
+        shared = [why for _, why in misses if why == reason]
+        assert all(why is shared[0] for why in shared)
+    assert any(why == reasons[0] for _, why in misses)
+    for tau, _ in misses:
+        assert not lo * (1.0 - 1e-9) <= tau <= hi * (1.0 + 1e-9)
 
 
 def _count_by_every_wrap(T, params):

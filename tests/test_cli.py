@@ -568,6 +568,48 @@ def test_bifurcate_refuses_a_scan_too_large_to_list(capsys, tmax, grid):
     assert peak < 50e6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("period", "--n", "3", "--R", "2", "--Rt", "2", "--scan", "2000000000"),
+     "error: grid size 2000000000 (--scan) is above the limit of 1000000; lower it\n"),
+    (("period", "--n", "3", "--R", "2", "--Rt", "2", "--scan", "2000000000", "--band=-0.3,-0.1"),
+     "error: --scan 2000000000 is above the limit of 1000000; lower it\n"),
+    (("solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", "9.5", "--samples", "2000000000"),
+     "error: n_samples = 2000000000 (--samples) is above the limit of 1048576; lower it\n"),
+], ids=["scan", "band-scan", "samples"])
+def test_scan_and_sample_sizes_are_bounded_before_allocation(capsys, argv, message):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", message)
+    assert peak < 50e6
+
+
+def test_library_size_bounds_sit_at_their_floors():
+    from warpcsc.solver import MAX_SAMPLES, profile_from_energy
+
+    assert period_mod.MAX_SCAN_POINTS >= 10**6 and MAX_SAMPLES >= 2**20
+    params = ModelParams(3, 2.0, 2.0)
+    with pytest.raises(DomainError, match="--scan"):
+        period_mod.energy_grid(params, period_mod.MAX_SCAN_POINTS + 1)
+    with pytest.raises(DomainError, match="--samples"):
+        profile_from_energy(-0.225, params, MAX_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_a_bad_tol_before_checking(tmp_path, capsys, tol):
+    """A tolerance that is not positive and finite is a usage error, not
+    a failed or passed verification."""
+    out_file = tmp_path / "profile.json"
+    run_cli(capsys, "solve", "--n", "5", "--R", "2", "--Rt", "2",
+            "--period", repr(1.05 * T0_N5), "--out", str(out_file))
+    code, out, err = run_cli(capsys, "verify", "--in", str(out_file), f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert f"argument --tol: tol must be positive and finite, got '{tol}'" in err
+
+
 def test_exit_code_2_on_usage_errors(capsys):
     assert run_cli(capsys, "threshold", "--n", "3")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2

@@ -752,8 +752,9 @@ def test_rise_series_coefficients_are_the_inline_expression(n):
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
     """A batch across the band whose orbits accept at different levels:
-    each level evaluates the nodes of the orbits not yet accepted, and
-    every orbit gets the arrays a call of its own gives it."""
+    each level evaluates the nodes of the orbits not yet accepted, both
+    halves of each in one `_node` call of 2 * pending rows, and every
+    orbit gets the arrays a call of its own gives it."""
     rtol = 1e-10
     curve = period_curve(n, rtol)
     u = np.geomspace(curve.u_lo, curve.u_hi, 60)
@@ -774,9 +775,118 @@ def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
         through += 2 * period_mod._ts_level(level)[0].size
         if through > batch.nodes.max():
             break
-        pending += 2 * [int(np.count_nonzero(batch.nodes >= through))]
+        pending.append(2 * int(np.count_nonzero(batch.nodes >= through)))
     assert rows == pending
     for j in range(u.size):
         single = period_mod._period_kernel(u[j:j + 1], n, rtol)
         for got, want in zip(batch, single):
             assert got[j] == want[0]
+
+
+def _rise_by_both_forms(t, d, n):
+    """`_rise` as it was written before it built only the forms in use:
+    both forms everywhere, one picked per element."""
+    L = np.log1p(d / t)
+    e_n = np.expm1(n * L)
+    series = 0.0
+    for coeff in period_mod._series_coeffs(n):
+        series = series * L + coeff
+    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
+    far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
+    return t ** (n - 2.0) * np.where(np.abs(n * L) < period_mod.SERIES_SPAN, near, far)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 20])
+@pytest.mark.parametrize("kind", ["near", "far", "mixed"])
+def test_rise_builds_only_the_forms_in_use_bit_for_bit(n, kind):
+    """Steps d/t whose n |L| lies all below SERIES_SPAN, all above it, or
+    on both sides, at scalar anchors and at a column of anchors, as the
+    kernel passes them."""
+    rng = np.random.default_rng(n)
+    span = period_mod.SERIES_SPAN / n
+    near = np.concatenate([[0.0], span * rng.uniform(-0.9, 0.9, 40)])
+    far = np.concatenate([-span * np.geomspace(1.1, 0.6 / span, 20),
+                          span * np.geomspace(1.1, 0.4 / span, 20)])
+    rel = {"near": near, "far": far, "mixed": np.concatenate([near, far])}[kind]
+    L = np.log1p(rel)
+    small = np.abs(n * L) < period_mod.SERIES_SPAN
+    # (some near, all near)
+    assert (small.any(), small.all()) == {"near": (True, True), "far": (False, False),
+                                          "mixed": (True, False)}[kind]
+    for t in (1.0, 0.999, 0.6, 1.2):
+        assert np.array_equal(period_mod._rise(t, t * rel, n), _rise_by_both_forms(t, t * rel, n))
+    column = rng.uniform(0.05, 1.3, (7, 1))
+    assert np.array_equal(period_mod._rise(column, column * rel, n),
+                          _rise_by_both_forms(column, column * rel, n))
+
+
+def _kernel_by_half_orbits(u, n, rtol):
+    """`_period_kernel` as it was written before the two halves of a
+    level shared one pass: `_node` and the integrand once per half orbit,
+    and the level's sines recomputed on every call."""
+
+    def ts_level(level):
+        h = 2.0**-level
+        k = np.arange(int(period_mod.TS_SPAN / h) + 1)
+        if level > period_mod.TS_FIRST_LEVEL:
+            k = k[1::2]
+        t = k * h
+        e = np.exp(-math.pi * np.sinh(t))
+        half = 0.5 * math.pi * e / (1.0 + e)
+        weight = math.pi**2 * np.cosh(t) * e / (1.0 + e) ** 2
+        if level == period_mod.TS_FIRST_LEVEL:
+            weight[0] *= 0.5
+        return half, weight
+
+    def node(turn, other, half):
+        d = (other - turn) * np.sin(half) ** 2
+        return turn + d, -_rise_by_both_forms(turn, d, n)
+
+    u = np.asarray(u, dtype=float)
+    v = period_mod._outer_root(u, n)
+    live = np.flatnonzero(~np.isnan(v))
+    scale = math.sqrt(n - 2.0) / math.pi * (0.5 * (v - u))
+    total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    nodes = np.zeros(u.shape, dtype=int)
+    previous = None
+    evaluations = 0
+    for level in range(period_mod.TS_FIRST_LEVEL, period_mod.TS_LAST_LEVEL + 1):
+        if not live.size:
+            break
+        half, weight = ts_level(level)
+        evaluations += 2 * half.size
+        at, to = v[live, None], u[live, None]
+        values = 0.0
+        for turn, other in ((at, to), (to, at)):
+            g, gap = node(turn, other, half)
+            ok = gap > 0.0
+            values = values + np.where(ok, g ** (0.5 * n - 1.0)
+                                       / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
+        total[live] += (values * (2.0 * np.sin(half) * np.cos(half) * weight)).sum(axis=1)
+        estimate = scale[live] * 2.0**-level * total[live]
+        if previous is not None:
+            change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
+            accept = change <= rtol * estimate
+            done = live[accept]
+            ratio[done] = estimate[accept]
+            err_est[done] = change[accept] / estimate[accept]
+            nodes[done] = evaluations
+            live, estimate = live[~accept], estimate[~accept]
+        previous = estimate
+    return ratio, v, err_est, nodes
+
+
+def test_kernel_matches_the_per_half_orbit_loop_bit_for_bit():
+    """Random batches of 1 to 300 orbits, log-uniform in u over the band:
+    all four arrays equal the per-half-orbit loop's, bit for bit."""
+    rng = np.random.default_rng(24)
+    for n in (3, 5, 6, 8, 12, 20):
+        curve = period_curve(n, 1e-10)
+        for rtol in (1e-9, 1e-10, 1e-12):
+            for size in (1, int(rng.integers(2, 40)), int(rng.integers(40, 301))):
+                u = np.exp(rng.uniform(math.log(curve.u_lo), math.log(curve.u_hi), size))
+                got = period_mod._period_kernel(u, n, rtol)
+                want = _kernel_by_half_orbits(u, n, rtol)
+                for name, a, b in zip(got._fields, got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), (
+                        n, rtol, size, name)
