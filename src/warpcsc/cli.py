@@ -38,7 +38,7 @@ from .errors import (
 from .geometry import conformal_field_check, curvature_audit
 from .model import ModelParams, derive_constants
 from .period import (
-    MAX_SCAN_POINTS,
+    _check_scan_size,
     energy_grid,
     period_curve,
     period_quadrature,
@@ -220,8 +220,7 @@ def cmd_period(args) -> int:
     if args.band is not None:
         if size < 1:
             raise DomainError(f"--scan must be >= 1 with --band, got {size}")
-        if size > MAX_SCAN_POINTS:
-            raise DomainError(f"--scan {size} is above the limit of {MAX_SCAN_POINTS}; lower it")
+        _check_scan_size(size)
         lo, hi = args.band
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"band must be lo < hi, got {lo}, {hi}")

@@ -18,9 +18,8 @@ angles and the anchored difference `_rise`, and a tanh-sinh rule
 (Takahasi-Mori) on fixed nodes per level takes its error estimate from
 the change between two levels.  The pass stacks the two halves of the
 orbits, the rows seen from v over those seen from u, into one `_node`
-call and adds them back row by row; `_ts_level` caches each level's
-sin(half)^2 and weights, and `_rise` builds only the forms its
-elements take.
+call of at most KERNEL_ORBITS orbits and adds them back row by row;
+`_ts_level` caches each level's sin(half)^2 and weights.
 `_orbit_samples` samples a profile from the same integrand: it fits
 dt/dtheta in Chebyshev nodes, integrates the fit to t(theta) and
 inverts that at the sample times with `_ChebSeries.root`, the curve's
@@ -107,6 +106,9 @@ FEW_POINTS = 16
 LANDING_FACTOR = 10.0
 # energies an energy grid may hold, bounded before any is placed
 MAX_SCAN_POINTS = 10**6
+# orbits the kernel evaluates in one pass of a level, which bounds its
+# arrays at a few tens of MB whatever the batch
+KERNEL_ORBITS = 1024
 
 
 @dataclass(frozen=True)
@@ -250,21 +252,15 @@ def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     bottom the linear terms of its two expm1 cancel; there, with
     t^2 = 1 + (t^2 - 1), the rest is summed as its series in L from L^2
     on, which SERIES_TERMS terms take to roundoff for n |L| < SERIES_SPAN.
-    Each form is built only when some element takes it.
     """
     L = np.log1p(d / t)
     e_n = np.expm1(n * L)
-    near = np.abs(n * L) < SERIES_SPAN
-    rise = None
-    if near.any():
-        series = 0.0
-        for coeff in _series_coeffs(n):
-            series = series * L + coeff
-        rise = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
-    if rise is None or not near.all():
-        far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
-        rise = far if rise is None else np.where(near, rise, far)
-    return t ** (n - 2.0) * rise
+    series = 0.0
+    for coeff in _series_coeffs(n):
+        series = series * L + coeff
+    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
+    far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
+    return t ** (n - 2.0) * np.where(np.abs(n * L) < SERIES_SPAN, near, far)
 
 
 def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
@@ -342,7 +338,9 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     """Periods of the orbits whose warp dips to f_min = u * f_star.
 
     One numpy pass per tanh-sinh level over the orbits still pending,
-    with both halves of each orbit stacked in one array; each orbit is
+    with both halves of each orbit stacked in one array, KERNEL_ORBITS
+    orbits at a time, so that memory stays bounded whatever the batch;
+    each orbit is
     accepted at the first level whose change from the level before,
     plus one rounding of the sum, is at most rtol of its period, and
     drops out of the later levels.  Its nodes are summed row
@@ -364,15 +362,17 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
             break
         sin2, weight = _ts_level(level)
         evaluations += 2 * sin2.size
-        # both halves of every pending orbit in one pass: the rows from v,
-        # then the rows from u
-        m, lower, upper = live.size, u[live], v[live]
-        g, gap = _node(np.concatenate([upper, lower])[:, None],
-                       np.concatenate([lower, upper])[:, None], sin2, n)
-        # roundoff can graze zero at the outermost nodes
-        ok = gap > 0.0
-        both = np.where(ok, g ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
-        total[live] += ((both[:m] + both[m:]) * weight).sum(axis=1)
+        # both halves of up to KERNEL_ORBITS pending orbits in each pass:
+        # the rows from v, then the rows from u
+        for start in range(0, live.size, KERNEL_ORBITS):
+            rows = live[start:start + KERNEL_ORBITS]
+            lower, upper = u[rows], v[rows]
+            g, gap = _node(np.concatenate([upper, lower])[:, None],
+                           np.concatenate([lower, upper])[:, None], sin2, n)
+            # roundoff can graze zero at the outermost nodes
+            ok = gap > 0.0
+            both = np.where(ok, g ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
+            total[rows] += ((both[:rows.size] + both[rows.size:]) * weight).sum(axis=1)
         estimate = scale[live] * 2.0**-level * total[live]
         if previous is not None:
             change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
@@ -470,9 +470,7 @@ def energy_grid(
     """
     if size < 2:
         raise DomainError(f"grid size must be >= 2, got {size}")
-    if size > MAX_SCAN_POINTS:
-        raise DomainError(f"grid size {size} (--scan) is above the limit of "
-                          f"{MAX_SCAN_POINTS}; lower it")
+    _check_scan_size(size)
     if not (0.0 < s_lo < 0.5 and 0.0 < s_hi < 0.5):
         raise DomainError("clamps must lie in (0, 0.5)")
     consts = derive_constants(params)
@@ -488,6 +486,13 @@ def energy_grid(
     else:
         raise DomainError(f"unknown grid mode {mode!r}")
     return consts.c_min + s * depth
+
+
+def _check_scan_size(size: int) -> None:
+    """Refuse a grid of more than MAX_SCAN_POINTS energies."""
+    if size > MAX_SCAN_POINTS:
+        raise DomainError(f"grid size {size} (--scan) is above the limit of "
+                          f"{MAX_SCAN_POINTS}; lower it")
 
 
 def _clenshaw(c: list[float], x: float) -> float:

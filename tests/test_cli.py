@@ -572,7 +572,7 @@ def test_bifurcate_refuses_a_scan_too_large_to_list(capsys, tmax, grid):
     (("period", "--n", "3", "--R", "2", "--Rt", "2", "--scan", "2000000000"),
      "error: grid size 2000000000 (--scan) is above the limit of 1000000; lower it\n"),
     (("period", "--n", "3", "--R", "2", "--Rt", "2", "--scan", "2000000000", "--band=-0.3,-0.1"),
-     "error: --scan 2000000000 is above the limit of 1000000; lower it\n"),
+     "error: grid size 2000000000 (--scan) is above the limit of 1000000; lower it\n"),
     (("solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", "9.5", "--samples", "2000000000"),
      "error: n_samples = 2000000000 (--samples) is above the limit of 1048576; lower it\n"),
 ], ids=["scan", "band-scan", "samples"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -783,43 +784,6 @@ def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
             assert got[j] == want[0]
 
 
-def _rise_by_both_forms(t, d, n):
-    """`_rise` as it was written before it built only the forms in use:
-    both forms everywhere, one picked per element."""
-    L = np.log1p(d / t)
-    e_n = np.expm1(n * L)
-    series = 0.0
-    for coeff in period_mod._series_coeffs(n):
-        series = series * L + coeff
-    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
-    far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
-    return t ** (n - 2.0) * np.where(np.abs(n * L) < period_mod.SERIES_SPAN, near, far)
-
-
-@pytest.mark.parametrize("n", [3, 5, 8, 20])
-@pytest.mark.parametrize("kind", ["near", "far", "mixed"])
-def test_rise_builds_only_the_forms_in_use_bit_for_bit(n, kind):
-    """Steps d/t whose n |L| lies all below SERIES_SPAN, all above it, or
-    on both sides, at scalar anchors and at a column of anchors, as the
-    kernel passes them."""
-    rng = np.random.default_rng(n)
-    span = period_mod.SERIES_SPAN / n
-    near = np.concatenate([[0.0], span * rng.uniform(-0.9, 0.9, 40)])
-    far = np.concatenate([-span * np.geomspace(1.1, 0.6 / span, 20),
-                          span * np.geomspace(1.1, 0.4 / span, 20)])
-    rel = {"near": near, "far": far, "mixed": np.concatenate([near, far])}[kind]
-    L = np.log1p(rel)
-    small = np.abs(n * L) < period_mod.SERIES_SPAN
-    # (some near, all near)
-    assert (small.any(), small.all()) == {"near": (True, True), "far": (False, False),
-                                          "mixed": (True, False)}[kind]
-    for t in (1.0, 0.999, 0.6, 1.2):
-        assert np.array_equal(period_mod._rise(t, t * rel, n), _rise_by_both_forms(t, t * rel, n))
-    column = rng.uniform(0.05, 1.3, (7, 1))
-    assert np.array_equal(period_mod._rise(column, column * rel, n),
-                          _rise_by_both_forms(column, column * rel, n))
-
-
 def _kernel_by_half_orbits(u, n, rtol):
     """`_period_kernel` as it was written before the two halves of a
     level shared one pass: `_node` and the integrand once per half orbit,
@@ -840,7 +804,7 @@ def _kernel_by_half_orbits(u, n, rtol):
 
     def node(turn, other, half):
         d = (other - turn) * np.sin(half) ** 2
-        return turn + d, -_rise_by_both_forms(turn, d, n)
+        return turn + d, -period_mod._rise(turn, d, n)
 
     u = np.asarray(u, dtype=float)
     v = period_mod._outer_root(u, n)
@@ -890,3 +854,31 @@ def test_kernel_matches_the_per_half_orbit_loop_bit_for_bit():
                 for name, a, b in zip(got._fields, got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), (
                         n, rtol, size, name)
+
+
+def test_kernel_chunks_keep_every_bit(monkeypatch):
+    """A batch split into passes of KERNEL_ORBITS orbits gives the bits of one pass."""
+    rng = np.random.default_rng(7)
+    for n in (3, 8):
+        curve = period_curve(n, 1e-10)
+        u = np.exp(rng.uniform(math.log(curve.u_lo), math.log(curve.u_hi), 300))
+        whole = period_mod._period_kernel(u, n, 1e-10)
+        monkeypatch.setattr(period_mod, "KERNEL_ORBITS", 7)
+        for a, b in zip(period_mod._period_kernel(u, n, 1e-10), whole):
+            assert np.array_equal(a, b, equal_nan=True)
+        monkeypatch.undo()
+
+
+def test_scan_memory_is_bounded_by_the_kernel_chunk():
+    """4e4 energies peak near 16 MB, the OrbitSpecs and one kernel pass of
+    KERNEL_ORBITS orbits; in one pass the kernel alone took about 110 MB."""
+    params = ModelParams(3, 2.0, 2.0)
+    grid = period_mod.energy_grid(params, 40000)
+    tracemalloc.start()
+    try:
+        scan = period_mod.period_scan(grid, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not scan.failures
+    assert peak < 40e6
