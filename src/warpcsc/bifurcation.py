@@ -12,14 +12,12 @@ count and runs no quadrature.
 
 The diagram scan lists the (T, k) pairs worth trying over a grid of
 circle periods in one array pass, a grid-by-wraps table bounded by
-MAX_CANDIDATES before it is allocated, and asks the period curve of the
-dimension (`period.period_curve`, one build per n for every R and Rt)
-for all the per-wrap periods at once: one batch inversion, confirmed by
-one kernel call, gives one row per realized (T, k, energy) combination,
-built from the curve's orbit columns.  Every other pair is a miss
-(T, k, reason) with per-wrap period tau = T/k; the band its reason
-quotes is the diagram's `band`, and the two common kinds share one
-reason string per scan.
+MAX_CANDIDATES before it is allocated, and hands every listed per-wrap
+period to the period curve of the dimension (`period.period_curve`, one
+build per n for every R and Rt), which alone decides which land: one
+batch inversion, confirmed by one kernel call, gives one row per landed
+(T, k, energy) combination, built from the curve's orbit columns.  Every
+other listed pair is a miss (T, k, reason); see `BifurcationDiagram`.
 
 Branch k leaves the constant solution where its per-wrap period meets
 the small-amplitude limit T0, at circle period k * T0; the diagram
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, derive_constants
+from .model import PERIOD_SLACK, ModelParams, derive_constants
 from .period import period_curve
 
 __all__ = [
@@ -55,6 +53,8 @@ __all__ = [
 QUAD_RTOL = 1e-9
 # (T, k) pairs a scan may try, bounded before any is listed
 MAX_CANDIDATES = 10**6
+# circle periods a scan takes above T0 unless told otherwise
+GRID_SIZE = 400
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,10 @@ class BifurcationDiagram:
     band        the attained per-wrap periods (lo, hi), the period curve's
                 range times T0
     failures    the misses, (T, k, reason) in scan order, with per-wrap
-                period tau = T/k; a miss outside the band has the reason
-                "per-wrap period T/k outside attained range [lo, hi]" or,
-                inside the closed-form band, "per-wrap period T/k inside
-                the closed-form band but past the end of the period curve
-                [lo, hi]", one string per kind and scan
+                period tau = T/k; on the comb T = k * T0 the reason names
+                tau and branch point k, elsewhere it is one of two strings
+                per scan, "outside attained range" or, inside the closed-form
+                band, "past the end of the period curve", quoting the band
     """
 
     params: ModelParams
@@ -112,28 +111,24 @@ class BifurcationDiagram:
 def scan_branches(
     T_max: float,
     params: ModelParams,
-    grid_size: int = 400,
+    grid_size: int = GRID_SIZE,
     *,
     quad_rtol: float = QUAD_RTOL,
 ) -> BifurcationDiagram:
     """Scan circle periods in (T0, T_max] and assemble the branch diagram.
 
-    Rows come from the period curve of params.n with nodes at quad_rtol;
-    the band is the curve's range.  Each wrap k with rows has its
-    branch point at k * T0 when that lies within T_max.  Per-pair
-    misses (a wrap count whose per-wrap period tau = T/k is not
-    attained) are recorded as (T, k, reason), never fatal; the two
-    kinds outside `band` share one reason string each, which quotes
-    the band.  A grid point on the comb, T = k * T0, asks wrap k for
-    the per-wrap period T0, which only the constant warp has, and its
-    reason names tau and that branch point.
-    Isochronous parameter sets short-circuit to the degenerate flag.
-    A scan that may try more than MAX_CANDIDATES (T, k) pairs raises
-    DomainError before it lists any.
+    A grid period T lists the wraps k with T/k above T0 or in the band
+    widened by PERIOD_SLACK; the period curve of params.n, with nodes at
+    quad_rtol, alone decides which land, and they are the rows.  Each
+    wrap k with rows has its branch point at k * T0 when that lies within
+    T_max.  Every other listed pair is a miss (T, k, reason), never fatal;
+    see BifurcationDiagram.failures.  Isochronous parameter sets
+    short-circuit to the degenerate flag.  A scan that may try more than
+    MAX_CANDIDATES (T, k) pairs raises DomainError before it lists any.
     """
     consts = derive_constants(params)
     T0 = consts.T0
-    if not (math.isfinite(T_max) and T_max > T0 * (1.0 + 1e-9)):
+    if not (math.isfinite(T_max) and T_max > T0 * (1.0 + PERIOD_SLACK)):
         raise DomainError(f"T_max must exceed the threshold T0 = {T0}, got {T_max}")
     if grid_size < 16:
         raise DomainError(f"grid_size must be >= 16, got {grid_size}")
@@ -151,7 +146,7 @@ def scan_branches(
     T = T0 + np.arange(1, grid_size + 1) * ((T_max - T0) / grid_size)
     t_grid = tuple(T.tolist())
 
-    if band[1] - band[0] <= 1e-9 * T0:
+    if band[1] - band[0] <= PERIOD_SLACK * T0:
         # isochronous: the period map is flat and cannot parametrize branches
         return BifurcationDiagram(
             params=params, T0=T0, t_grid=t_grid, rows=(),
@@ -161,48 +156,39 @@ def scan_branches(
 
     # every (T, k) pair in one array, T down the rows and k along them:
     # the wraps with T/k above the threshold T0, and those with T/k in the
-    # attained range, which can sit below T0 (it does for n = 3)
+    # widened band, which can sit below T0 (it does for n = 3)
     lo, hi = band
-    n_classical = (T / (T0 * (1.0 + 1e-9))).astype(int)[:, None]
-    k_min, k_max = np.ones_like(n_classical), np.zeros_like(n_classical)
-    if lo > 0.0:
-        k_min = np.maximum(1.0, np.ceil(T / (hi * (1.0 + 1e-9))))[:, None]
-        k_max = (T / (lo * (1.0 - 1e-9))).astype(int)[:, None]
-    k = np.arange(1, max(n_classical[-1, 0], k_max[-1, 0]) + 1)
+    floor = T0 * (1.0 + PERIOD_SLACK)
+    low, high = lo * (1.0 - PERIOD_SLACK), hi * (1.0 + PERIOD_SLACK)
+    k = np.arange(1, int(T[-1] / min(floor, low)) + 1)
     tau = T[:, None] / k
-    classical = k <= n_classical
-    inband = ((classical | ((k_min <= k) & (k <= k_max)))
-              & (lo * (1.0 - 1e-9) <= tau) & (tau <= hi * (1.0 + 1e-9)))
-    # in scan order: T first, then k ascending; a classical miss is recorded
-    at, wrap = np.nonzero(inband | classical)
-    T_pair, k_pair, tau_pair, hit = T[at], k[wrap], tau[at, wrap], inband[at, wrap]
+    listed = (k <= (T / floor).astype(int)[:, None]) | ((low <= tau) & (tau <= high))
+    # in scan order: T first, then k ascending
+    at, wrap = np.nonzero(listed)
+    T_pair, k_pair, tau_pair = T[at], k[wrap], tau[at, wrap]
 
-    # the orbits of the in-band pairs, as columns; landed indexes the pairs
-    found, c, a, b = curve._columns(tau[inband], params)[:4]
-    landed = np.flatnonzero(hit)[found]
+    # the curve alone decides which pairs land; found indexes them
+    found, c, a, b = curve._columns(tau_pair, params)[:4]
     r = 2.0 / params.n
-    rows = list(map(BranchRow, T_pair[landed].tolist(), k_pair[landed].tolist(),
-                    tau_pair[landed].tolist(), c, [b_j - a_j for a_j, b_j in zip(a, b)],
+    rows = list(map(BranchRow, T_pair[found].tolist(), k_pair[found].tolist(),
+                    tau_pair[found].tolist(), c, [b_j - a_j for a_j, b_j in zip(a, b)],
                     [a_j**r for a_j in a], [b_j**r for b_j in b]))
 
     # every other pair is a miss; the per-wrap period is T/k of its tuple
     missed = np.ones(at.size, dtype=bool)
-    missed[landed] = False
+    missed[found] = False
     closed = sorted((T0, math.sqrt(params.n) / 2.0 * T0))
     outside = f"per-wrap period T/k outside attained range [{lo}, {hi}]"
     past_curve = ("per-wrap period T/k inside the closed-form band but past the end of "
                   f"the period curve [{lo}, {hi}]")
     failures: list[tuple[float, int, str]] = []
-    for T_j, k_j, tau_j, hit_j in zip(T_pair[missed].tolist(), k_pair[missed].tolist(),
-                                      tau_pair[missed].tolist(), hit[missed].tolist()):
-        if not hit_j:
-            why = past_curve if closed[0] < tau_j < closed[1] else outside
-        elif abs(tau_j / T0 - 1.0) <= 1e-9:
+    for T_j, k_j, tau_j in zip(T_pair[missed].tolist(), k_pair[missed].tolist(),
+                               tau_pair[missed].tolist()):
+        if abs(tau_j / T0 - 1.0) <= PERIOD_SLACK:
             why = (f"per-wrap period {tau_j} is T0, the branch point of wrap {k_j}: "
                    "only the constant warp has it")
         else:
-            why = (f"per-wrap period {tau_j} inside the attained range but past the end "
-                   "of the period curve")
+            why = past_curve if closed[0] < tau_j < closed[1] else outside
         failures.append((T_j, k_j, why))
 
     wraps = sorted({row.k for row in rows if row.k * T0 <= T_max})
@@ -232,10 +218,10 @@ def count_solutions(T: float, params: ModelParams) -> int:
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")
     consts = derive_constants(params)
-    if T <= consts.T0 * (1.0 + 1e-9):
+    if T <= consts.T0 * (1.0 + PERIOD_SLACK):
         return 0
     contact = math.sqrt(params.n) / 2.0 * consts.T0
-    wraps = int(T / (consts.T0 * (1.0 + 1e-9)))
+    wraps = int(T / (consts.T0 * (1.0 + PERIOD_SLACK)))
     # the first k in [1, wraps + 1) with T/k below contact; wraps + 1 if none
     first, past = 1, wraps + 1
     while first < past:

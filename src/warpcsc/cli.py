@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .bifurcation import scan_branches
+from .bifurcation import GRID_SIZE, QUAD_RTOL, scan_branches
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -35,21 +35,19 @@ from .errors import (
     ThresholdViolation,
     TooFewSamples,
 )
-from .geometry import conformal_field_check, curvature_audit
+from .geometry import CURVATURE_TOL, conformal_field_check, curvature_audit
 from .model import ModelParams, derive_constants
 from .period import (
+    KERNEL_RTOL,
     _check_scan_size,
     energy_grid,
     period_curve,
     period_quadrature,
     period_scan,
 )
-from .solver import SAMPLE_COLUMNS, SolutionProfile, audit_profile, solve_period
+from .solver import PROFILE_SAMPLES, SAMPLE_COLUMNS, SolutionProfile, audit_profile, solve_period
 
 __all__ = ["main"]
-
-# curvature tolerance of verify, relative to Rt; solve refuses what fails it
-CURVATURE_TOL = 1e-4
 
 
 def _scalar(v) -> str:
@@ -62,25 +60,21 @@ def _scalar(v) -> str:
 
 
 def _floats(obj: list, level: int) -> str | None:
-    """`_render(obj, level)` for a list of floats, or of equal-length rows
-    of floats, in one %-formatting pass; None for any other list.
+    """`_render(obj, level)` for a list of equal-length rows of floats,
+    such as a profile's samples, in one %-formatting pass; None for any
+    other list.
 
     '%.17g' % x is format(x, ".17g").  Only inf and nan put an "n" in the
     text; None then leaves them to the element rule, whose DomainError
     names the value.
     """
-    kinds = set(map(type, obj))
-    if kinds == {float}:
-        values, template = tuple(obj), "[" + ", ".join(["%.17g"] * len(obj)) + "]"
-    elif kinds == {list} and len(set(map(len, obj))) == 1:
-        values = tuple(itertools.chain.from_iterable(obj))
-        if set(map(type, values)) != {float}:
-            return None
-        row = "  " * (level + 1) + "[" + ", ".join(["%.17g"] * len(obj[0])) + "]"
-        template = "[\n" + ",\n".join([row] * len(obj)) + "\n" + "  " * level + "]"
-    else:
+    if set(map(type, obj)) != {list} or len(set(map(len, obj))) != 1:
         return None
-    text = template % values
+    values = tuple(itertools.chain.from_iterable(obj))
+    if set(map(type, values)) != {float}:
+        return None
+    row = "  " * (level + 1) + "[" + ", ".join(["%.17g"] * len(obj[0])) + "]"
+    text = ("[\n" + ",\n".join([row] * len(obj)) + "\n" + "  " * level + "]") % values
     return None if "n" in text else text
 
 
@@ -117,8 +111,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise DomainError(f"cannot write {out_path}: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -158,6 +155,9 @@ def profile_to_doc(profile: SolutionProfile) -> dict:
 
 
 def doc_to_profile(doc: dict) -> SolutionProfile:
+    """The profile of a document; the inverse of profile_to_doc.  A
+    malformed document, one with a non-finite number included, raises
+    DomainError naming the field."""
     try:
         raw = doc["params"]
         params = ModelParams(n=raw["n"], R=raw["R"], Rt=raw["Rt"])
@@ -170,15 +170,20 @@ def doc_to_profile(doc: dict) -> SolutionProfile:
         columns = doc.get("columns")
         if columns is not None and list(columns) != list(SAMPLE_COLUMNS):
             raise DomainError(f"unexpected column layout {columns}")
-        return SolutionProfile(
-            params=params,
-            T=float(doc["T"]),
-            c=float(doc["c"]),
-            samples=samples,
-            residual_sup=float(doc.get("residual_sup", 0.0)),
-            closure_error=float(doc.get("closure_error", 0.0)),
-            root_count=int(doc.get("root_count", 1)),
-        )
+        scalars = {"T": float(doc["T"]), "c": float(doc["c"]),
+                   "residual_sup": float(doc.get("residual_sup", 0.0)),
+                   "closure_error": float(doc.get("closure_error", 0.0))}
+        for name, value in scalars.items():
+            if not math.isfinite(value):
+                raise DomainError(f"malformed profile document: {name} is {value}, "
+                                  "not a finite number")
+        bad = np.argwhere(~np.isfinite(samples))
+        if bad.size:
+            row, col = bad[0].tolist()
+            raise DomainError(f"malformed profile document: samples row {row} holds "
+                              f"{samples[row, col]} in column {SAMPLE_COLUMNS[col]}")
+        return SolutionProfile(params=params, samples=samples,
+                               root_count=int(doc.get("root_count", 1)), **scalars)
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, DomainError):
             raise
@@ -406,24 +411,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scan N energies (default spacing: log across the band)")
     p_per.add_argument("--band", type=_band, default=None, metavar="LO,HI",
                        help="with --scan: scan this energy interval linearly instead")
-    p_per.add_argument("--rtol", type=_rtol, default=1e-10, help="quadrature relative tolerance")
+    p_per.add_argument("--rtol", type=_rtol, default=KERNEL_RTOL,
+                       help="quadrature relative tolerance")
     _add_out(p_per)
     p_per.set_defaults(handler=cmd_period)
 
     p_sol = sub.add_parser("solve", help="solve for a profile with the prescribed period")
     _add_params(p_sol)
     p_sol.add_argument("--period", type=float, required=True, help="target circle period T")
-    p_sol.add_argument("--samples", type=int, default=512,
+    p_sol.add_argument("--samples", type=int, default=PROFILE_SAMPLES,
                        help="samples per period; verify needs at least 64")
-    p_sol.add_argument("--rtol", type=_rtol, default=1e-10, help="quadrature relative tolerance")
+    p_sol.add_argument("--rtol", type=_rtol, default=KERNEL_RTOL,
+                       help="quadrature relative tolerance")
     _add_out(p_sol)
     p_sol.set_defaults(handler=cmd_solve)
 
     p_bif = sub.add_parser("bifurcate", help="branch diagram over circle periods")
     _add_params(p_bif)
     p_bif.add_argument("--tmax", type=float, required=True, help="largest circle period scanned")
-    p_bif.add_argument("--grid", type=int, default=400, help="number of grid points above T0")
-    p_bif.add_argument("--rtol", type=_rtol, default=1e-9, help="quadrature relative tolerance")
+    p_bif.add_argument("--grid", type=int, default=GRID_SIZE, help="number of grid points above T0")
+    p_bif.add_argument("--rtol", type=_rtol, default=QUAD_RTOL,
+                       help="quadrature relative tolerance")
     p_bif.add_argument("--points", default=None, metavar="FILE",
                        help="also write the branch points k*T0 as CSV to FILE")
     _add_out(p_bif)

@@ -26,6 +26,8 @@ __all__ = [
 
 # conformal_field_check's threshold, relative to ConformalCheck.reference
 CONFORMAL_TOL = 1e-6
+# curvature_audit's and verify's default tolerance, relative to Rt
+CURVATURE_TOL = 1e-4
 
 
 def periodic_fd_derivatives(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +86,7 @@ class CurvatureReport:
     passed: bool
 
 
-def curvature_audit(profile, rel_tol: float = 1e-4) -> CurvatureReport:
+def curvature_audit(profile, rel_tol: float = CURVATURE_TOL) -> CurvatureReport:
     """Recompute the scalar curvature from the warp samples alone.
 
     Solving the defining relation for the product curvature gives

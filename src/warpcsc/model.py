@@ -53,6 +53,9 @@ __all__ = [
     "curvature_residual",
 ]
 
+# relative slack of a period compared with the threshold T0 and the band
+PERIOD_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class ModelParams:

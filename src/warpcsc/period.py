@@ -78,6 +78,8 @@ __all__ = [
 
 # clamp keeping solves away from the band edges, relative to |c_min|
 BAND_CLAMP = 1e-9
+# kernel tolerance of periods, scans, curves, solves and profiles by default
+KERNEL_RTOL = 1e-10
 # tanh-sinh rule: nodes t = k h with |t| <= TS_SPAN, h = 2^-level for
 # levels TS_FIRST_LEVEL to TS_LAST_LEVEL
 TS_SPAN = 3.2
@@ -405,7 +407,7 @@ def _certified(u: np.ndarray, n: int, rtol: float) -> _Periods:
     return periods
 
 
-def period_quadrature(c: float, params: ModelParams, *, rtol: float = 1e-10) -> OrbitSpec:
+def period_quadrature(c: float, params: ModelParams, *, rtol: float = KERNEL_RTOL) -> OrbitSpec:
     """Period of the orbit at energy c: `period_scan` of the one energy.
 
     Energies outside the clamped band raise EnergyOutOfBand, and a
@@ -418,7 +420,7 @@ def period_quadrature(c: float, params: ModelParams, *, rtol: float = 1e-10) -> 
     return scan.entries[0]
 
 
-def period_scan(c_grid, params: ModelParams, *, rtol: float = 1e-10) -> PeriodScan:
+def period_scan(c_grid, params: ModelParams, *, rtol: float = KERNEL_RTOL) -> PeriodScan:
     """Periods of the orbits at a grid of energies, in grid order.
 
     `_inner_root` solves the grid for u in one batch, and one kernel call
@@ -743,7 +745,7 @@ class PeriodCurve:
                 (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist(), u.tolist())
 
 
-def period_curve(n: int, rtol: float = 1e-10) -> PeriodCurve:
+def period_curve(n: int, rtol: float = KERNEL_RTOL) -> PeriodCurve:
     """The period curve of dimension n, its nodes taken at kernel rtol.
 
     Built once per process for each (n, rtol) on the canonical parameters

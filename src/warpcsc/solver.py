@@ -37,13 +37,14 @@ from .errors import (
 )
 from .geometry import periodic_fd_derivatives, uniform_closed_count
 from .model import (
+    PERIOD_SLACK,
     ModelParams,
     curvature_residual,
     derive_constants,
     potential,
     to_warp_coords,
 )
-from .period import OrbitSpec, _orbit_samples, period_curve, period_quadrature
+from .period import KERNEL_RTOL, OrbitSpec, _orbit_samples, period_curve, period_quadrature
 
 __all__ = [
     "SolutionProfile",
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 SAMPLE_COLUMNS = ("t", "x", "v", "f", "fp", "fpp")
+# samples a profile holds by default
+PROFILE_SAMPLES = 512
 # samples a profile may hold, bounded before any is placed
 MAX_SAMPLES = 2**20
 # audit_profile's thresholds: the first two relative to R, the size of
@@ -147,16 +150,18 @@ class ProfileAudit:
         return not self.breaches
 
 
-def profile_from_energy(c: float, params: ModelParams, n_samples: int = 512) -> SolutionProfile:
+def profile_from_energy(
+    c: float, params: ModelParams, n_samples: int = PROFILE_SAMPLES
+) -> SolutionProfile:
     """Sample the closed orbit at energy c uniformly over one period.
 
-    The orbit is `period_quadrature`'s at its default rtol, 1e-10, and the
-    samples start at its inner turning point, fixing the time origin at a
-    minimum of the warp; see `_sampled`.
+    The orbit is `period_quadrature`'s at its default rtol, KERNEL_RTOL,
+    and the samples start at its inner turning point, fixing the time
+    origin at a minimum of the warp; see `_sampled`.
     """
     _check_samples(n_samples)
     orbit = period_quadrature(c, params)
-    return _sampled(orbit, orbit.T, params, n_samples, 1e-10)
+    return _sampled(orbit, orbit.T, params, n_samples, KERNEL_RTOL)
 
 
 def _check_samples(n_samples: int) -> None:
@@ -204,9 +209,9 @@ def _sampled(
 def solve_period(
     T: float,
     params: ModelParams,
-    n_samples: int = 512,
+    n_samples: int = PROFILE_SAMPLES,
     *,
-    quad_rtol: float = 1e-10,
+    quad_rtol: float = KERNEL_RTOL,
 ) -> SolutionProfile:
     """Profile of a non-constant solution with the prescribed period T.
 
@@ -226,7 +231,7 @@ def solve_period(
     if not math.isfinite(T):
         raise DomainError(f"period must be finite, got {T}")
     consts = derive_constants(params)
-    if not (T > consts.T0 * (1.0 + 1e-9)):
+    if not (T > consts.T0 * (1.0 + PERIOD_SLACK)):
         raise ThresholdViolation(
             f"requested period {T} does not exceed the threshold T0 = {consts.T0}; "
             "only the constant solution exists at or below it"

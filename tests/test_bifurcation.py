@@ -320,27 +320,27 @@ def _per_period_scan(T_max, params, grid_size):
             attain = set(range(k_min, int(T / (band[0] * (1.0 - 1e-9))) + 1))
         for k in sorted(classical | attain):
             tau = T / k
-            if band[0] * (1.0 - 1e-9) <= tau <= band[1] * (1.0 + 1e-9):
-                wanted.append((T, k, tau, None))
-            elif k in classical:
-                where = ("inside the closed-form band but past the end of the "
-                         "period curve" if closed[0] < tau < closed[1]
-                         else "outside attained range")
-                wanted.append((T, k, tau, f"per-wrap period T/k {where} [{band[0]}, {band[1]}]"))
-    found = iter(curve.orbits([tau for _, _, tau, why in wanted if why is None], params))
+            inband = band[0] * (1.0 - 1e-9) <= tau <= band[1] * (1.0 + 1e-9)
+            if inband or k in classical:
+                wanted.append((T, k, tau, inband))
+    found = iter(curve.orbits([tau for _, _, tau, inband in wanted if inband], params))
     rows, failures = [], []
     r = 2.0 / params.n
-    for T, k, tau, why in wanted:
-        orbit = None if why else next(found)
+    for T, k, tau, inband in wanted:
+        orbit = next(found) if inband else None
         if orbit is not None:
             rows.append(bifurcation.BranchRow(T, k, tau, orbit.c, orbit.amplitude,
                                               orbit.a**r, orbit.b**r))
             continue
-        if why is None and abs(tau / T0 - 1.0) <= 1e-9:
+        if abs(tau / T0 - 1.0) <= 1e-9:
             why = (f"per-wrap period {tau} is T0, the branch point of wrap {k}: "
                    "only the constant warp has it")
-        failures.append((T, k, why or f"per-wrap period {tau} inside the attained range "
-                                      "but past the end of the period curve"))
+        else:
+            where = ("inside the closed-form band but past the end of the "
+                     "period curve" if closed[0] < tau < closed[1]
+                     else "outside attained range")
+            why = f"per-wrap period T/k {where} [{band[0]}, {band[1]}]"
+        failures.append((T, k, why))
     wraps = sorted({row.k for row in rows if row.k * T0 <= T_max})
     return bifurcation.BifurcationDiagram(
         params, T0, t_grid, tuple(rows), tuple(BranchPoint(k, k * T0) for k in wraps),
@@ -385,6 +385,54 @@ def test_misses_of_one_kind_share_one_reason(triple, tmax_T0, grid):
     assert any(why == reasons[0] for _, why in misses)
     for tau, _ in misses:
         assert not lo * (1.0 - 1e-9) <= tau <= hi * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("n, tmax_T0, grid, kinds", [
+    (3, 3.5, 120, {"comb", "outside"}), (5, 6.0, 100, {"comb", "outside"}),
+    (6, 3.5, 120, {"comb", "outside"}), (12, 9.0, 60, {"comb", "outside", "past the curve"}),
+])
+def test_the_period_curve_alone_decides_which_pairs_land(n, tmax_T0, grid, kinds):
+    """A grid period T lists the wraps k with T/k above T0 (1 + 1e-9) and
+    those with T/k in the band widened by 1e-9; the rows are exactly the
+    listed pairs the curve gives an orbit for, asked one at a time, and
+    the misses all the others: one on the comb T = k * T0 names its branch
+    point, and every other one has the shared reason of its side of the
+    closed-form band."""
+    params = ModelParams(n, 2.0, 2.0)
+    T0 = derive_constants(params).T0
+    diagram = scan_branches(tmax_T0 * T0, params, grid)
+    lo, hi = diagram.band
+    curve = period_curve(n, QUAD_RTOL)
+    landed, missed = [], []
+    for T in diagram.t_grid:
+        k = 1
+        while T / k >= min(T0, lo) * (1.0 - 1e-9):
+            tau = T / k
+            if k <= int(T / (T0 * (1.0 + 1e-9))) or lo * (1.0 - 1e-9) <= tau <= hi * (1.0 + 1e-9):
+                orbit = curve.orbits([tau], params)[0]
+                (missed if orbit is None else landed).append((T, k, orbit))
+            k += 1
+    assert [(row.T, row.k) for row in diagram.rows] == [(T, k) for T, k, _ in landed]
+    assert [row.c for row in diagram.rows] == [orbit.c for *_, orbit in landed]
+    assert [(T, k) for T, k, _ in diagram.failures] == [(T, k) for T, k, _ in missed]
+    outside = f"per-wrap period T/k outside attained range [{lo}, {hi}]"
+    past_curve = ("per-wrap period T/k inside the closed-form band but past the end of the "
+                  f"period curve [{lo}, {hi}]")
+    closed = sorted((T0, math.sqrt(n) / 2.0 * T0))
+    seen = set()
+    for T, k, why in diagram.failures:
+        tau = T / k
+        if abs(tau / T0 - 1.0) <= 1e-9:
+            seen.add("comb")
+            assert why == (f"per-wrap period {tau} is T0, the branch point of wrap {k}: "
+                           "only the constant warp has it")
+        elif closed[0] < tau < closed[1]:
+            seen.add("past the curve")
+            assert why == past_curve
+        else:
+            seen.add("outside")
+            assert why == outside
+    assert seen == kinds
 
 
 def _count_by_every_wrap(T, params):

@@ -25,6 +25,8 @@ from warpcsc.cli import (
     main,
     profile_to_doc,
 )
+from warpcsc import cli
+from warpcsc import errors as errors_mod
 from warpcsc.errors import DomainError
 from warpcsc.period import period_curve
 
@@ -676,6 +678,110 @@ def test_unreachable_rtol_still_exits_4(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv, "--rtol", "1e-16", "--out", str(out_file))
         assert code == 4 and out == "" and not out_file.exists(), argv
         assert "did not meet rtol = 1e-16" in err and orbit in err, argv
+
+
+PARAMS_ARGV = ("--n", "5", "--R", "2", "--Rt", "2")
+# every output file a subcommand writes, as (argv before the path, option);
+# the bifurcate rows go to stdout when the points file cannot be written
+OUTPUTS = [
+    (("threshold", *PARAMS_ARGV), "--out"),
+    (("period", *PARAMS_ARGV, "--energy", "-0.1"), "--out"),
+    (("period", *PARAMS_ARGV, "--scan", "8"), "--out"),
+    (("solve", *PARAMS_ARGV, "--period", repr(1.05 * T0_N5)), "--out"),
+    (("bifurcate", *PARAMS_ARGV, "--tmax", repr(2.0 * T0_N5), "--grid", "16"), "--out"),
+    (("bifurcate", *PARAMS_ARGV, "--tmax", repr(2.0 * T0_N5), "--grid", "16"), "--points"),
+    (("verify", "--in", "PROFILE"), "--out"),
+]
+
+
+@pytest.mark.parametrize("argv, option", OUTPUTS,
+                         ids=["threshold", "period-energy", "period-scan", "solve",
+                              "bifurcate", "bifurcate-points", "verify"])
+def test_an_unwritable_output_is_a_domain_error(tmp_path, capsys, profile5, argv, option):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(profile_to_doc(profile5)))
+    argv = [str(profile) if arg == "PROFILE" else arg for arg in argv]
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, option, str(target))
+    assert code == 2
+    assert f"error: cannot write {target}: " in err
+    assert "No such file or directory" in err
+    if option == "--points":
+        assert out.startswith("T,k,tau,c,amplitude,f_min,f_max\n")
+    else:
+        assert out == ""
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("T", math.nan), ("T", math.inf), ("c", math.nan), ("c", -math.inf),
+    ("residual_sup", math.nan), ("closure_error", math.inf),
+    ("samples", math.nan), ("samples", math.inf),
+])
+def test_a_non_finite_number_makes_a_document_malformed(tmp_path, capsys, profile5, field,
+                                                        value):
+    doc = profile_to_doc(profile5)
+    if field == "samples":
+        doc["samples"][7][4] = value
+        message = f"malformed profile document: samples row 7 holds {value} in column fp"
+    else:
+        doc[field] = value
+        message = f"malformed profile document: {field} is {value}, not a finite number"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        doc_to_profile(doc)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# the exit code cli.main documents for each typed error
+DOCUMENTED_EXIT = {
+    "DomainError": 2, "EnergyOutOfBand": 2, "TooFewSamples": 2, "NonPositiveWarp": 2,
+    "ThresholdViolation": 3,
+    "NoBracket": 4, "QuadratureNonConvergence": 4, "BudgetExceeded": 4,
+    "PositivityViolation": 4,
+}
+HANDLERS = {
+    "cmd_threshold": ("threshold", *PARAMS_ARGV),
+    "cmd_period": ("period", *PARAMS_ARGV, "--energy", "-0.1"),
+    "cmd_solve": ("solve", *PARAMS_ARGV, "--period", "9.0"),
+    "cmd_bifurcate": ("bifurcate", *PARAMS_ARGV, "--tmax", "20"),
+    "cmd_verify": ("verify", "--in", "profile.json"),
+}
+
+
+@pytest.fixture
+def fresh_parser():
+    """A parser built in the test, with the handlers bound at that time."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("handler", sorted(HANDLERS))
+@pytest.mark.parametrize("error", [*sorted(set(errors_mod.__all__) - {"ToolkitError"}),
+                                   "unwritable"])
+def test_main_maps_every_failure_to_its_exit_code(monkeypatch, capsys, tmp_path, fresh_parser,
+                                                  handler, error):
+    """Every typed error but the base class, raised by any handler, and an
+    output file that cannot be written, exit 2, 3 or 4 as documented,
+    never 1 by a traceback; a typed error with no documented code fails."""
+    target = tmp_path / "missing" / "out.txt"
+    if error == "unwritable":
+        expected, message = 2, f"cannot write {target}"
+
+        def raiser(args):
+            cli._emit("text", str(target))
+    else:
+        expected, message = DOCUMENTED_EXIT[error], f"raised {error} on purpose"
+
+        def raiser(args):
+            raise getattr(errors_mod, error)(message)
+    monkeypatch.setattr(cli, handler, raiser)
+    code, out, err = run_cli(capsys, *HANDLERS[handler])
+    assert code == expected
+    assert out == "" and err.startswith(f"error: {message}")
 
 
 def test_exit_code_3_below_threshold(capsys):
