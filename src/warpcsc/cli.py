@@ -107,17 +107,27 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise DomainError(f"cannot write {out_path}: {err}") from err
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out_path: str | None, *more: tuple[str, str | None]) -> None:
+    """Write text to out_path, or to stdout when it is None, and each
+    further (text, path) pair to its file, if path is not None.  Every
+    file is opened before any text is written, and stdout last, so a
+    file that cannot be opened leaves no text written anywhere."""
+    files = []
+    try:
+        for body, path in ((text, out_path), *more):
+            if path:
+                files.append((body, open(path, "w", encoding="utf-8", newline="")))
+        for body, fh in files:
+            path = fh.name
+            with fh:
+                fh.write(body if body.endswith("\n") else body + "\n")
+    except OSError as err:
+        raise DomainError(f"cannot write {path}: {err}") from err
+    finally:
+        for _, fh in files:
+            fh.close()
+    if not out_path:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _params(args) -> ModelParams:
@@ -288,9 +298,9 @@ def cmd_bifurcate(args) -> int:
     rows = [
         (r.T, r.k, r.tau, r.c, r.amplitude, r.f_min, r.f_max) for r in diagram.rows
     ]
-    _emit(_csv(["T", "k", "tau", "c", "amplitude", "f_min", "f_max"], rows), args.out)
-    if args.points:
-        _emit(_csv(["k", "T"], [(bp.k, bp.T) for bp in diagram.branch_points]), args.points)
+    points = [(bp.k, bp.T) for bp in diagram.branch_points]
+    _emit(_csv(["T", "k", "tau", "c", "amplitude", "f_min", "f_max"], rows), args.out,
+          (_csv(["k", "T"], points), args.points))
     lo, hi = diagram.band
     curve = period_curve(params.n, args.rtol)
     print(

@@ -49,9 +49,9 @@ class ThresholdViolation(ToolkitError):
 
 
 class NoBracket(ToolkitError):
-    """No sign change found: the attainable period range misses the target.
+    """The requested period lies outside the period curve's band.
 
-    Carries the scanned period range so callers can report how far off
+    Carries the band's period range so callers can report how far off
     the request was.
     """
 

@@ -14,12 +14,11 @@ numerical orbit is thus a mirror image about v = 0: the times from the
 rest point to the two turning points sum to half its period, and expand
 in even powers of dt, so Richardson's step still removes the dt^2 term.
 
-Turning points (v = 0 crossings) are refined below grid resolution by root
-finding on the substep map, with the package's Brent solver
-(`_brent.brentq`): a partial step of size tau from the stored
-pre-crossing state gives
+Turning points (v = 0 crossings) are refined below grid resolution by
+bracketed Newton steps on the substep map: a partial step of size tau
+from the stored pre-crossing state gives
 
-    v(tau) = v0 + tau/2 * (a(x0) + a(x0 + tau v0 + tau^2/2 a(x0))),
+    v(tau) = v0 + tau/2 * (a(x0) + a(xm)),  xm = x0 + tau v0 + tau^2/2 a(x0),
 
 which matches the full step at tau = dt exactly, so the refined time is
 consistent with the trajectory actually computed.  Only that time is
@@ -47,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._brent import brentq
 from .errors import BudgetExceeded, DomainError, EnergyOutOfBand, PositivityViolation
 from .model import (
     ModelParams,
@@ -71,6 +69,8 @@ STEPS_PER_PERIOD = 4096
 MAX_RETRIES = 6
 # phase advance per substep at the stiffest point: 48 substeps per local cycle
 _WALL_PHASE = 2.0 * math.pi / 48.0
+# Newton or bisection steps a crossing refinement may take
+_REFINE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -104,21 +104,43 @@ def leapfrog_step(state: PhaseState, dt: float, params: ModelParams) -> PhaseSta
 
 
 def _refine_crossing(x0: float, v0: float, dt: float, params: ModelParams) -> float:
-    """The time tau in [0, dt] where the step from (x0, v0), v0 != 0, reaches v = 0."""
+    """The time tau in [0, dt] where the step from (x0, v0), v0 != 0, reaches v = 0.
+
+    Newton steps on v(tau) from the secant point, kept in the bracket of
+    the sign change: a step that leaves it, or a zero slope, bisects.  A
+    step of at most 4 eps tau ends the solve.
+    """
     k1, k2, e = _force_coeffs(params)
     a0 = k2 * x0**e - k1 * x0
 
-    def v_of(tau: float) -> float:
+    def v_and_slope(tau: float) -> tuple[float, float]:
         xm = x0 + tau * (v0 + 0.5 * tau * a0)
         if xm <= 0.0:
             raise PositivityViolation("crossing refinement left the positive half-line")
-        return v0 + 0.5 * tau * (a0 + (k2 * xm**e - k1 * xm))
+        am = k2 * xm**e - k1 * xm
+        # 1/2 (a0 + a(xm)) + tau/2 a'(xm) dxm/dtau
+        slope = 0.5 * (a0 + am) + 0.5 * tau * (e * k2 * xm ** (e - 1.0) - k1) * (v0 + tau * a0)
+        return v0 + 0.5 * tau * (a0 + am), slope
 
-    v_end = v_of(dt)
+    v_end = v_and_slope(dt)[0]
     if v0 * v_end > 0.0:
         # roundoff put the sign change outside [0, dt]; take the endpoint
         return dt if abs(v_end) < abs(v0) else 0.0
-    return brentq(v_of, 0.0, dt, xtol=1e-300, rtol=8.9e-16)
+    lo, hi, tau = 0.0, dt, dt * v0 / (v0 - v_end)
+    for _ in range(_REFINE_STEPS):
+        v, slope = v_and_slope(tau)
+        if v == 0.0:
+            return tau
+        # v(lo) has v0's sign
+        lo, hi = (tau, hi) if (v > 0.0) == (v0 > 0.0) else (lo, tau)
+        nxt = tau - v / slope if slope != 0.0 else math.inf
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - tau) <= 4.0 * math.ulp(1.0) * tau:
+            return nxt
+        tau = nxt
+    raise BudgetExceeded(f"crossing refinement did not settle within {_REFINE_STEPS} steps "
+                         f"of size {dt}: bracket [{lo!r}, {hi!r}]")
 
 
 def _rough_inner_turning(e_above_min: float, params: ModelParams) -> float:

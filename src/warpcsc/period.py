@@ -46,8 +46,7 @@ settle, or whose orbit the kernel cannot certify, fails alone.
 `_outer_root`, and `period_quadrature(c)` is the scan of one energy.
 Scans and `orbits` give one record, an `OrbitSpec` keyed by its u, from
 which `solver` samples; `bifurcation` reads the same fields as columns.
-Nothing here calls a bracketing root finder; `integrator` keeps `_brent`
-for its crossing refinement.
+Nothing here calls a bracketing root finder.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebint, chebval
 
-# not called here: benchmark/tracing.py's Tracer.install wraps period.brentq
-from ._brent import brentq
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
 from .model import DerivedConstants, ModelParams, derive_constants, potential
 
@@ -75,6 +72,9 @@ __all__ = [
     "PeriodCurve",
     "period_curve",
 ]
+
+# no root finder; benchmark/tracing.py rebinds this name, so it stays until that file drops it
+brentq = None
 
 # clamp keeping solves away from the band edges, relative to |c_min|
 BAND_CLAMP = 1e-9

@@ -191,7 +191,7 @@ def _sampled(
     samples = np.column_stack([ts, xs, vs, f, fp, fpp])
     residual_sup = float(np.max(np.abs(curvature_residual(f, fp, fpp, params))))
     closure = abs(2.0 * float(series.value(1.0)) - consts.omega * T) / (consts.omega * T)
-    if residual_sup > 1e-8 * params.R:
+    if residual_sup > CHAIN_TOL * params.R:
         raise BudgetExceeded(
             f"profile residual {residual_sup} exceeded 1e-8 * R; "
             "this indicates corrupted arithmetic, not a modeling failure"

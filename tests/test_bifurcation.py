@@ -52,6 +52,12 @@ def test_count_solutions_matches_contract_reference(n):
         assert got == expected, f"n={n}, T={ratio}*T0: {got} != {expected}"
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+def test_count_solutions_refuses_a_period_that_is_not_finite(p5, T):
+    with pytest.raises(DomainError, match=f"^period must be finite, got {T}$"):
+        count_solutions(T, p5)
+
+
 def test_count_zero_at_or_below_threshold(p3, p5, k3, k5):
     for params, consts in ((p3, k3), (p5, k5)):
         assert count_solutions(0.5 * consts.T0, params) == 0

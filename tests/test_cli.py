@@ -632,6 +632,50 @@ def test_band_scan_below_one_point_is_a_domain_error(capsys, size):
     assert err == f"error: --scan must be >= 1 with --band, got {size}\n"
 
 
+@pytest.mark.parametrize("document, message", [
+    (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("{bad", "{path} is not valid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+    ("rows of 5", "samples must be rows of 6 numbers, got shape (512, 5)"),
+    ("columns", "unexpected column layout ['t', 'f', 'x', 'v', 'fp', 'fpp']"),
+    ("[1, 2]", "malformed profile document: "),
+], ids=["missing", "not-json", "rows-of-5", "columns", "list"])
+def test_verify_refuses_a_document_it_cannot_read(tmp_path, capsys, profile5, document,
+                                                   message):
+    path = tmp_path / "profile.json"
+    doc = profile_to_doc(profile5)
+    if document == "rows of 5":
+        doc["samples"] = [row[:5] for row in doc["samples"]]
+    elif document == "columns":
+        doc["columns"] = ["t", "f", "x", "v", "fp", "fpp"]
+    if document in ("rows of 5", "columns"):
+        path.write_text(json.dumps(doc))
+    elif document is not None:
+        path.write_text(document)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=path))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--scan", "4", "--band", "0.2,0.1"), "error: band must be lo < hi, got 0.2, 0.1\n"),
+    (("--scan", "4", "--band", "x"), "argument --band: band must be 'lo,hi', got 'x'"),
+    (("--energy", "-0.225", "--rtol", "abc"), "argument --rtol: invalid float value: 'abc'"),
+], ids=["band-order", "band-text", "rtol-text"])
+def test_period_refuses_a_bad_band_or_rtol(capsys, argv, message):
+    code, out, err = run_cli(capsys, "period", "--n", "3", "--R", "2", "--Rt", "2", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_a_scan_whose_every_point_fails_exits_4(capsys):
+    code, out, err = run_cli(capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
+                             "--scan", "5", "--band", "0.1,0.2")
+    assert (code, out) == (4, "")
+    assert err.count("failed: energy ") == 5
+    assert err.endswith("error: every point of the period scan failed\n")
+
+
 @pytest.mark.parametrize("rtol", ["-1", "0", "nan", "inf"])
 def test_period_rejects_a_bad_rtol(capsys, rtol):
     code, out, err = run_cli(
@@ -681,8 +725,7 @@ def test_unreachable_rtol_still_exits_4(capsys, tmp_path):
 
 
 PARAMS_ARGV = ("--n", "5", "--R", "2", "--Rt", "2")
-# every output file a subcommand writes, as (argv before the path, option);
-# the bifurcate rows go to stdout when the points file cannot be written
+# every output file a subcommand writes, as (argv before the path, option)
 OUTPUTS = [
     (("threshold", *PARAMS_ARGV), "--out"),
     (("period", *PARAMS_ARGV, "--energy", "-0.1"), "--out"),
@@ -706,11 +749,19 @@ def test_an_unwritable_output_is_a_domain_error(tmp_path, capsys, profile5, argv
     assert code == 2
     assert f"error: cannot write {target}: " in err
     assert "No such file or directory" in err
-    if option == "--points":
-        assert out.startswith("T,k,tau,c,amplitude,f_min,f_max\n")
-    else:
-        assert out == ""
+    assert out == ""
     assert not target.parent.exists()
+
+
+def test_bifurcate_writes_no_rows_when_its_points_file_fails(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("stale\n")
+    target = tmp_path / "missing" / "points.csv"
+    code, out, err = run_cli(capsys, "bifurcate", *PARAMS_ARGV, "--tmax", repr(2.0 * T0_N5),
+                             "--grid", "16", "--out", str(rows), "--points", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert rows.read_text() == ""
 
 
 @pytest.mark.parametrize("field, value", [

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import warpcsc.integrator as integrator
 import warpcsc.model as model
@@ -225,6 +228,90 @@ def _turn_reference(x0, v0, dt, params, budget):
         if step % 1024 == 0:
             wander = max(wander, abs(energy_of(state.x, state.v) - e0))
     raise AssertionError("reference run found no turning point")
+
+
+def _substep_v(x0, v0, params):
+    """v(tau) of the partial step from (x0, v0), as the refinement solves it."""
+    k1, k2, e = _force_coeffs(params)
+    a0 = k2 * x0**e - k1 * x0
+
+    def v_of(tau):
+        xm = x0 + tau * (v0 + 0.5 * tau * a0)
+        return v0 + 0.5 * tau * (a0 + (k2 * xm**e - k1 * xm))
+
+    return v_of
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5, 6, 8, 12]),
+    x_rel=st.floats(0.2, 3.0),
+    decade=st.floats(2.5, 6.0),
+    frac=st.floats(1e-9, 1.2),
+)
+def test_refined_crossing_matches_a_scipy_brentq_oracle(n, x_rel, decade, frac):
+    """The Newton solve lands within 4 ulps of scipy's brentq, run at the
+    tolerances the package's Brent port once used, anywhere in the step."""
+    assume(abs(x_rel - 1.0) > 0.02)
+    params = ModelParams(n, 2.0, 2.0)
+    pair = _crossing_and_brentq(x_rel, frac, derive_constants(params).T0 * 10.0**-decade,
+                                params)
+    assume(pair is not None)
+    tau, ref = pair
+    assert abs(tau - ref) <= 4.0 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("n, x0, frac, dt", [
+    (3, 1.94, 0.082, 2.03), (5, 0.4, 0.153, 3.19), (6, 1.45, 0.083, 3.16),
+    (12, 0.65, 0.221, 5.7),
+])
+def test_refined_crossing_bisects_where_a_newton_step_leaves_the_bracket(n, x0, frac, dt):
+    """Steps of about a third of T0 bend v(tau) so far that Newton steps
+    left unguarded leave [0, dt] and end on another root or not at all."""
+    tau, ref = _crossing_and_brentq(x0, frac, dt, ModelParams(n, 2.0, 2.0))
+    assert abs(tau - ref) <= 4.0 * math.ulp(ref)
+
+
+def _crossing_and_brentq(x0, frac, dt, params):
+    """The refined crossing of a step from x0 heading against the force,
+    so that v reaches 0 near frac * dt, and scipy's root of the same map;
+    None when v keeps its sign over the step."""
+    k1, k2, e = _force_coeffs(params)
+    a0 = k2 * x0**e - k1 * x0
+    v0 = -math.copysign(frac * abs(a0) * dt, a0)
+    v_of = _substep_v(x0, v0, params)
+    if v0 * v_of(dt) > 0.0:
+        return None
+    tau = integrator._refine_crossing(x0, v0, dt, params)
+    assert 0.0 <= tau <= dt
+    return tau, brentq(v_of, 0.0, dt, xtol=1e-300, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12])
+def test_refined_crossing_takes_the_endpoint_when_roundoff_moves_the_sign_change(n):
+    params = ModelParams(n, 2.0, 2.0)
+    k1, k2, e = _force_coeffs(params)
+    x0, dt = 0.7, derive_constants(params).T0 / 4096
+    a0 = k2 * x0**e - k1 * x0
+    # v0 by bisection to the float where v(dt) changes sign, on its side
+    lo, hi = 0.0, 2.0 * a0 * dt
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _substep_v(x0, -mid, params)(dt) < 0.0 else (mid, hi)
+    v_end = _substep_v(x0, -hi, params)(dt)
+    assert v_end < 0.0 and abs(v_end) < 1e-12 * hi
+    assert integrator._refine_crossing(x0, -hi, dt, params) == dt
+    # a rest state rounded to the far side of v = 0 crosses at the start
+    assert integrator._refine_crossing(x0, 1e-300, dt, params) == 0.0
+
+
+def test_refined_crossing_errors_are_typed(p5, monkeypatch):
+    with pytest.raises(PositivityViolation,
+                       match="^crossing refinement left the positive half-line$"):
+        integrator._refine_crossing(0.01, -10.0, 1.0, p5)
+    monkeypatch.setattr(integrator, "_REFINE_STEPS", 1)
+    with pytest.raises(BudgetExceeded, match="^crossing refinement did not settle within 1 "):
+        integrator._refine_crossing(0.7, -0.01, 0.1, p5)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -138,6 +138,12 @@ def test_solve_rejects_periods_at_or_below_threshold(p3, p5, k3, k5):
                 solve_period(T, params, 64)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_solve_refuses_a_period_that_is_not_finite(p3, T):
+    with pytest.raises(DomainError, match=f"^period must be finite, got {T}$"):
+        solve_period(T, p3, 64)
+
+
 def test_solve_reports_unattainable_band_for_n3(p3, k3):
     """Above the threshold, single-wrap periods for n=3 do not exist.
 
