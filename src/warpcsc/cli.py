@@ -19,6 +19,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
     ThresholdViolation,
     TooFewSamples,
 )
-from .geometry import CURVATURE_TOL, conformal_field_check, curvature_audit
+from .geometry import CURVATURE_TOL, _check_positive, _conformal, _curvature, _fd_loop
 from .model import ModelParams, derive_constants
 from .period import (
     KERNEL_RTOL,
@@ -45,7 +47,7 @@ from .period import (
     period_quadrature,
     period_scan,
 )
-from .solver import PROFILE_SAMPLES, SAMPLE_COLUMNS, SolutionProfile, audit_profile, solve_period
+from .solver import PROFILE_SAMPLES, SAMPLE_COLUMNS, SolutionProfile, _audit, solve_period
 
 __all__ = ["main"]
 
@@ -110,16 +112,20 @@ def _csv(header: list[str], rows) -> str:
 def _emit(text: str, out_path: str | None, *more: tuple[str, str | None]) -> None:
     """Write text to out_path, or to stdout when it is None, and each
     further (text, path) pair to its file, if path is not None.  Every
-    file is opened before any text is written, and stdout last, so a
-    file that cannot be opened leaves no text written anywhere."""
+    file is opened without truncating it before any is truncated or
+    written, and stdout last, so a file that cannot be opened leaves no
+    text written anywhere and every existing file as it was.  Only a
+    regular file is truncated: a device such as /dev/null cannot be."""
     files = []
     try:
         for body, path in ((text, out_path), *more):
             if path:
-                files.append((body, open(path, "w", encoding="utf-8", newline="")))
+                files.append((body, open(path, "a", encoding="utf-8", newline="")))
         for body, fh in files:
             path = fh.name
             with fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 fh.write(body if body.endswith("\n") else body + "\n")
     except OSError as err:
         raise DomainError(f"cannot write {path}: {err}") from err
@@ -137,13 +143,18 @@ def _params(args) -> ModelParams:
 def _verdict(profile: SolutionProfile, tol: float):
     """Judge a profile by verify's checks, in verify's order.
 
-    Returns the curvature, conformal and audit reports and the names of
-    the failed checks: "curvature", "conformal" and the audit's breaches.
-    Errors the checks raise, such as TooFewSamples, propagate.
+    Returns the reports of `curvature_audit`, `conformal_field_check`
+    and `audit_profile` and the names of the failed checks: "curvature",
+    "conformal" and the audit's breaches.  Positivity and the sample
+    layout are checked once, in the public checks' order (NonPositiveWarp
+    first, then at least 64 samples), and f is differenced once: that one
+    loop serves all three checks.  Their errors propagate.
     """
-    curvature = curvature_audit(profile, rel_tol=tol)
-    conformal = conformal_field_check(profile)
-    audit = audit_profile(profile)
+    _check_positive(profile)
+    loop = _fd_loop(profile, 64)
+    curvature = _curvature(profile, loop, tol)
+    conformal = _conformal(profile, loop)
+    audit = _audit(profile, loop)
     failed = [] if curvature.passed else ["curvature"]
     if not conformal.squared_convention_ok:
         failed.append("conformal")
@@ -169,7 +180,13 @@ def doc_to_profile(doc: dict) -> SolutionProfile:
     malformed document, one with a non-finite number included, raises
     DomainError naming the field."""
     try:
+        if not isinstance(doc, dict):
+            raise DomainError("malformed profile document: the top level must be a JSON "
+                              f"object, got {type(doc).__name__}")
         raw = doc["params"]
+        if not isinstance(raw, dict):
+            raise DomainError("malformed profile document: params must be a JSON object, "
+                              f"got {type(raw).__name__}")
         params = ModelParams(n=raw["n"], R=raw["R"], Rt=raw["Rt"])
         samples = np.asarray(doc["samples"], dtype=float)
         if samples.ndim != 2 or samples.shape[1] != len(SAMPLE_COLUMNS):

@@ -6,11 +6,18 @@ define really has the advertised constant scalar curvature.  The
 routines here therefore recompute all derivatives by 4th-order periodic
 central differences from the f column and nothing else, making them an
 independent route rather than an echo of the solver's own arithmetic.
+
+Each public check validates its profile and differences f on its own.
+A caller that runs several checks on one profile, as `verify` does,
+checks positivity and the layout and differences f once (`_fd_loop`),
+and hands that one `_Loop` to `_curvature`, `_conformal` and
+`solver._audit`, the bodies of the public checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,17 +42,16 @@ def periodic_fd_derivatives(values: np.ndarray, h: float) -> tuple[np.ndarray, n
 
     values holds one period without the repeated endpoint; h is the
     uniform spacing.  Stencils are the standard 4th-order central ones,
-    wrapped cyclically.
+    wrapped cyclically: the neighbours are slices of one copy of the
+    loop with two samples wrapped onto each end.
     """
     g = np.asarray(values, dtype=float)
     if g.ndim != 1 or g.shape[0] < 5:
         raise DomainError("periodic differences need a 1-d loop of at least 5 samples")
     if not (h > 0.0 and np.isfinite(h)):
         raise DomainError(f"spacing must be positive, got {h}")
-    p1 = np.roll(g, -1)
-    p2 = np.roll(g, -2)
-    m1 = np.roll(g, 1)
-    m2 = np.roll(g, 2)
+    wrapped = np.concatenate([g[-2:], g, g[:2]])
+    m2, m1, p1, p2 = wrapped[:-4], wrapped[1:-3], wrapped[3:-1], wrapped[4:]
     d1 = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
     d2 = (-p2 + 16.0 * p1 - 30.0 * g + 16.0 * m1 - m2) / (12.0 * h * h)
     return d1, d2
@@ -68,6 +74,31 @@ def uniform_closed_count(t: np.ndarray, T: float, min_samples: int) -> int:
     if abs(t[0]) > 1e-9 * T or abs(t[-1] - T) > 1e-9 * T:
         raise DomainError("samples must span exactly [0, T] endpoint included")
     return m - 1
+
+
+class _Loop(NamedTuple):
+    """One period of a profile's f samples without the repeated endpoint,
+    their spacing h, and f' and f'' by `periodic_fd_derivatives`."""
+
+    f: np.ndarray
+    h: float
+    d1: np.ndarray
+    d2: np.ndarray
+
+
+def _check_positive(profile) -> None:
+    """Refuse a profile with a warp value f <= 0."""
+    if np.any(np.asarray(profile.f, dtype=float) <= 0.0):
+        raise NonPositiveWarp("profile contains warp values f <= 0")
+
+
+def _fd_loop(profile, min_samples: int) -> _Loop:
+    """The profile's loop, its layout checked by `uniform_closed_count`
+    with at least min_samples samples, and f differenced once."""
+    unique = uniform_closed_count(profile.t, profile.T, min_samples)
+    f = np.asarray(profile.f, dtype=float)[:unique]
+    h = profile.T / unique
+    return _Loop(f, h, *periodic_fd_derivatives(f, h))
 
 
 @dataclass(frozen=True)
@@ -97,14 +128,13 @@ def curvature_audit(profile, rel_tol: float = CURVATURE_TOL) -> CurvatureReport:
     column.  A profile passes when the recovered curvature stays within
     rel_tol * Rt of the constant target everywhere.
     """
-    params = profile.params
-    f_all = np.asarray(profile.f, dtype=float)
-    if np.any(f_all <= 0.0):
-        raise NonPositiveWarp("profile contains warp values f <= 0")
-    unique = uniform_closed_count(profile.t, profile.T, 64)
-    f = f_all[:unique]
-    h = profile.T / unique
-    d1, d2 = periodic_fd_derivatives(f, h)
+    _check_positive(profile)
+    return _curvature(profile, _fd_loop(profile, 64), rel_tol)
+
+
+def _curvature(profile, loop: _Loop, rel_tol: float) -> CurvatureReport:
+    """`curvature_audit` on the profile's loop, already checked and differenced."""
+    params, f, d1, d2 = profile.params, loop.f, loop.d1, loop.d2
     n = params.n
     rt = (params.R - 2.0 * (n - 1.0) * f * d2 - (n - 1.0) * (n - 2.0) * d1**2) / f**2
     rt_full = np.concatenate([rt, rt[:1]])
@@ -152,15 +182,16 @@ def conformal_field_check(profile) -> ConformalCheck:
     at the level of differencing noise.  The linear convention can only
     pass when f is constant, since its residual is f fp pointwise.
     """
-    f_all = np.asarray(profile.f, dtype=float)
-    if np.any(f_all <= 0.0):
-        raise NonPositiveWarp("profile contains warp values f <= 0")
-    unique = uniform_closed_count(profile.t, profile.T, 16)
-    f = f_all[:unique]
-    fp = np.asarray(profile.fp, dtype=float)[:unique]
-    h = profile.T / unique
-    d_f, _ = periodic_fd_derivatives(f, h)
-    d_f2, _ = periodic_fd_derivatives(f**2, h)
+    _check_positive(profile)
+    return _conformal(profile, _fd_loop(profile, 16))
+
+
+def _conformal(profile, loop: _Loop) -> ConformalCheck:
+    """`conformal_field_check` on the profile's loop, already checked and
+    differenced; only f^2 is differenced here."""
+    f, d_f = loop.f, loop.d1
+    fp = np.asarray(profile.fp, dtype=float)[:f.size]
+    d_f2, _ = periodic_fd_derivatives(f**2, loop.h)
     tt = np.abs(2.0 * d_f - 2.0 * fp)
     fiber_sq = np.abs(f * d_f2 - 2.0 * fp * f**2)
     fiber_lin = np.abs(f * d_f - 2.0 * fp * f)

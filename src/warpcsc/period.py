@@ -20,19 +20,21 @@ the change between two levels.  The pass stacks the two halves of the
 orbits, the rows seen from v over those seen from u, into one `_node`
 call of at most KERNEL_ORBITS orbits and adds them back row by row;
 `_ts_level` caches each level's sin(half)^2 and weights.
-`_orbit_samples` samples a profile from the same integrand: it fits
-dt/dtheta in Chebyshev nodes, integrates the fit to t(theta) and
-inverts that at the sample times with `_ChebSeries.root`, the curve's
-own inversion.
+`_orbit_samples` samples a profile from the same integrand, between the
+turning points u and v the kernel confirmed, so no turning point is
+solved again: it fits dt/dtheta in Chebyshev nodes, integrates the fit
+to t(theta) and inverts that at the sample times with
+`_ChebSeries.root`, the curve's own inversion.
 
 `period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
 once per process for each (n, rtol), from one kernel call.  Its
 `orbits(taus, params)` is the package's one period inversion: it inverts
 a batch of periods on the fit and confirms every orbit in one kernel
-call.  The period map is monotone in u (Chicone, J. Differential
-Equations 69, 1987), so that is the whole path: nothing is polished,
-and an orbit whose confirmed period misses the request by more than
-LANDING_FACTOR * rtol raises.  `bifurcation.scan_branches` asks it
+call.  A piece no period lands on is not inverted at all.  The period
+map is monotone in u (Chicone, J. Differential Equations 69, 1987), so
+that is the whole path: nothing is polished, and an orbit whose
+confirmed period misses the request by more than LANDING_FACTOR * rtol
+raises.  `bifurcation.scan_branches` asks it
 once for all its rows, and `solver.solve_period` for its one orbit.
 Counting solutions needs no inversion (see `bifurcation`).
 
@@ -44,8 +46,9 @@ takes every orbit from there; a, b = x_star (u, f_max)^(n/2), as in
 settle, or whose orbit the kernel cannot certify, fails alone.
 `turning_points(c)` is the solve of one energy followed by
 `_outer_root`, and `period_quadrature(c)` is the scan of one energy.
-Scans and `orbits` give one record, an `OrbitSpec` keyed by its u, from
-which `solver` samples; `bifurcation` reads the same fields as columns.
+Scans and `orbits` give one record, an `OrbitSpec` keyed by its u and
+carrying the kernel's v, from which `solver` samples; `bifurcation`
+reads the same fields as columns.
 Nothing here calls a bracketing root finder.
 """
 
@@ -120,6 +123,8 @@ class OrbitSpec:
     nodes is the number of kernel integrand evaluations behind T;
     err_est is T's relative error estimate.  u = f_min/f_star is the
     orbit's key in warp coordinates: the kernel gives T from it alone.
+    v = f_max/f_star is the outer turning point the kernel solved on the
+    way, which the profile sampler reads rather than solving it again.
     """
 
     c: float
@@ -129,6 +134,7 @@ class OrbitSpec:
     nodes: int
     err_est: float
     u: float
+    v: float
 
     @property
     def amplitude(self) -> float:
@@ -446,7 +452,7 @@ def period_scan(c_grid, params: ModelParams, *, rtol: float = KERNEL_RTOL) -> Pe
                 results[idx] = OrbitSpec(grid[idx], float(a[j]), float(b[j]),
                                          float(periods.ratio[j]) * consts.T0,
                                          int(periods.nodes[j]), float(periods.err_est[j]),
-                                         float(u[j]))
+                                         float(u[j]), float(periods.f_max[j]))
             else:
                 failures.append((idx, _failure(u[j], periods.f_max[j], n, rtol)))
     failures.sort(key=lambda failure: failure[0])
@@ -607,10 +613,12 @@ def _arc(x, u: float, v: float, n: int):
     return g, gap, half
 
 
-def _orbit_samples(u: float, n: int, times: np.ndarray, period: float, rtol: float):
-    """x/x_star and v/(omega x_star) of the orbit dipping to u at times in
-    [0, period], in units of 1/omega, the series t(theta) placing them,
-    and the relative change of its half period at the last doubling.
+def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float, rtol: float):
+    """x/x_star and dx/dt/(omega x_star) of the orbit between the turning
+    points u and v = f_max/f_star at times in [0, period], in units of
+    1/omega, the series t(theta) placing them, and the relative change of
+    its half period at the last doubling.  v is the kernel's, read from
+    the confirmed orbit, not solved again.
 
     The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) r
     cos(theta) / sqrt(w(u) - w(g)), is smooth on [-pi/2, pi/2].  Its fit
@@ -619,11 +627,8 @@ def _orbit_samples(u: float, n: int, times: np.ndarray, period: float, rtol: flo
     past MAX_PROFILE_NODES it raises QuadratureNonConvergence.  `chebint`
     gives t(theta) from the inner turning point, and `_ChebSeries.root`
     inverts min(t, period - t) for every time at once; the second half
-    of the orbit mirrors the first with v negated.
+    of the orbit mirrors the first with the velocity negated.
     """
-    v = float(_outer_root(np.array([u]), n)[0])
-    if math.isnan(v):
-        raise _unsettled(u, n)
     r = 0.5 * (v - u)
     size, previous = PROFILE_NODES, None
     while True:
@@ -646,8 +651,8 @@ def _orbit_samples(u: float, n: int, times: np.ndarray, period: float, rtol: flo
                                  -1.0, 1.0), u, v, n)
     # the energy gives v from the gap
     speed = 0.5 * n * np.sqrt(gap / (n - 2.0))
-    x, v = g ** (0.5 * n), np.where(times <= 0.5 * period, speed, -speed)
-    return x, v, series, change / half_period
+    velocity = np.where(times <= 0.5 * period, speed, -speed)
+    return g ** (0.5 * n), velocity, series, change / half_period
 
 
 @dataclass(frozen=True, eq=False)
@@ -695,14 +700,15 @@ class PeriodCurve:
         """The orbits of params with periods taus; None for a tau outside the band.
 
         Every in-band tau is inverted on the piece whose range holds it,
-        and one kernel call at the resulting u gives each orbit its T,
-        f_max, nodes and err_est; a batch with no in-band tau calls no
-        kernel.  The curve is monotone, so one inversion is the whole
-        path: nothing is polished, and an orbit whose T misses tau by more
-        than LANDING_FACTOR * rtol raises QuadratureNonConvergence, which
-        names tau/T0, the miss and rtol.  The kernel treats each orbit
-        alone, so an orbit's result does not depend on the batch it comes
-        in.  Each orbit carries the u its T came from.
+        a piece that holds none is not touched, and one kernel call at the
+        resulting u gives each orbit its T, f_max, nodes and err_est; a
+        batch with no in-band tau calls no kernel.  The curve is monotone,
+        so one inversion is the whole path: nothing is polished, and an
+        orbit whose T misses tau by more than LANDING_FACTOR * rtol raises
+        QuadratureNonConvergence, which names tau/T0, the miss and rtol.
+        The kernel treats each orbit alone, so an orbit's result does not
+        depend on the batch it comes in.  Each orbit carries the u its T
+        came from and the kernel's v.
         """
         inside, *columns = self._columns(taus, params)
         by_index = dict(zip(inside, map(OrbitSpec, *columns)))
@@ -710,15 +716,15 @@ class PeriodCurve:
 
     def _columns(self, taus, params: ModelParams) -> tuple[list, ...]:
         """`orbits` as columns: the indices of the in-band taus, then the
-        OrbitSpec fields c, a, b, T, nodes, err_est and u of their orbits,
-        each a list in that order."""
+        OrbitSpec fields c, a, b, T, nodes, err_est, u and v of their
+        orbits, each a list in that order."""
         if params.n != self.n:
             raise DomainError(f"period curve of n = {self.n} asked for n = {params.n}")
         consts = derive_constants(params)
         target = np.asarray(taus, dtype=float) / consts.T0
         inside = np.flatnonzero((self.band[0] <= target) & (target <= self.band[1]))
         if not inside.size:
-            return ([],) * 8
+            return ([],) * 9
         target = target[inside]
         # a one-piece curve hands over at u_lo, so no target is on the contact side
         split = self.pieces[-1].lo
@@ -727,6 +733,8 @@ class PeriodCurve:
         u = np.empty_like(target)
         for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, split, contact),
                                     (self.pieces[-1], split, self.u_hi, ~contact)):
+            if not mine.any():
+                continue
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
             u[mine] = np.clip(piece.y_of(x), lo, hi)
 
@@ -742,7 +750,8 @@ class PeriodCurve:
             )
         a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
         return (inside.tolist(), potential(a, params).tolist(), a.tolist(), b.tolist(),
-                (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist(), u.tolist())
+                (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist(), u.tolist(),
+                f_max.tolist())
 
 
 def period_curve(n: int, rtol: float = KERNEL_RTOL) -> PeriodCurve:

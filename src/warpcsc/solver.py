@@ -5,13 +5,15 @@ The solver inverts the period map on the period curve of the dimension
 gives the orbit whose period equals the request, confirmed by the period
 kernel.  `profile_from_energy` takes its orbit from `period_quadrature`
 instead.  Either way the orbit is an `OrbitSpec`, keyed by its
-u = f_min/f_star, and `_sampled` samples it by quadrature: the period
-kernel's integrand, fitted in theta and integrated to t(theta), is
-inverted at the sample times (`period._orbit_samples`), and the samples
-are pushed back to warp coordinates.  No ODE is stepped.  A profile is
-stored as a closed loop of samples (t, x, v, f, f', f'') with the
-endpoint repeated at t = T so consumers can treat it as one period of a
-periodic function without bookkeeping.
+u = f_min/f_star and carrying the v = f_max/f_star the kernel confirmed,
+and `_sampled` samples it by quadrature between those turning points:
+the period kernel's integrand, fitted in theta and integrated to
+t(theta), is inverted at the sample times (`period._orbit_samples`), and
+the samples are pushed back to warp coordinates.  No turning point is
+solved twice, and no ODE is stepped.  A profile is stored as a closed
+loop of samples (t, x, v, f, f', f'') with the endpoint repeated at
+t = T so consumers can treat it as one period of a periodic function
+without bookkeeping.
 
 `audit_profile` rechecks a profile three independent ways: the pointwise
 curvature identity in warp coordinates, the same identity with the
@@ -19,6 +21,9 @@ derivatives of f recomputed by periodic finite differences from the f
 samples alone, and conservation of the reduced energy.  The first route
 is an algebraic identity of the coordinate change and flags corrupted
 data; the other two actually test that the samples trace a solution.
+Its body, `_audit`, reads the finite-difference route from a loop that
+`geometry._fd_loop` checked and differenced, so `verify`'s verdict
+hands it the one loop its curvature and fiber checks use too.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
     ThresholdViolation,
     TooFewSamples,
 )
-from .geometry import periodic_fd_derivatives, uniform_closed_count
+from .geometry import _fd_loop, _Loop
 from .model import (
     PERIOD_SLACK,
     ModelParams,
@@ -176,15 +181,17 @@ def _check_samples(n_samples: int) -> None:
 def _sampled(
     orbit: OrbitSpec, T: float, params: ModelParams, n_samples: int, rtol: float
 ) -> SolutionProfile:
-    """The profile of orbit, which dips to orbit.u * f_star, over the period T.
+    """The profile of orbit, which runs from orbit.u * f_star to
+    orbit.v * f_star, over the period T.
 
-    `period._orbit_samples` places the samples by quadrature, to rtol.
+    `period._orbit_samples` places the samples by quadrature, to rtol,
+    between the orbit's own turning points.
     closure_error is |2 t(pi/2) - T| / T; above 1e-8, T does not belong to
     the orbit and BudgetExceeded is raised, as for a residual above 1e-8 R.
     """
     consts = derive_constants(params)
     ts = np.arange(n_samples, dtype=float) * (T / (n_samples - 1))
-    x, v, series, err_est = _orbit_samples(orbit.u, params.n, consts.omega * ts,
+    x, v, series, err_est = _orbit_samples(orbit.u, orbit.v, params.n, consts.omega * ts,
                                            consts.omega * T, rtol)
     xs, vs = consts.x_star * x, consts.omega * consts.x_star * v
     f, fp, fpp = to_warp_coords(xs, vs, params)
@@ -255,9 +262,13 @@ def audit_profile(profile: SolutionProfile) -> ProfileAudit:
 
     The thresholds are CHAIN_TOL * R, FD_TOL * R and ENERGY_TOL.
     """
-    unique = uniform_closed_count(profile.t, profile.T, 16)
+    return _audit(profile, _fd_loop(profile, 16))
+
+
+def _audit(profile: SolutionProfile, loop: _Loop) -> ProfileAudit:
+    """`audit_profile` on the profile's loop, already checked and
+    differenced (`geometry._fd_loop`)."""
     params = profile.params
-    h = profile.T / unique
 
     chain = np.abs(
         curvature_residual(profile.f, profile.fp, profile.fpp, params)
@@ -265,9 +276,7 @@ def audit_profile(profile: SolutionProfile) -> ProfileAudit:
     chain_at = int(np.argmax(chain))
     chain_sup = float(chain[chain_at])
 
-    f_loop = profile.f[:unique]
-    d1, d2 = periodic_fd_derivatives(f_loop, h)
-    fd = np.abs(curvature_residual(f_loop, d1, d2, params))
+    fd = np.abs(curvature_residual(loop.f, loop.d1, loop.d2, params))
     fd_at = int(np.argmax(fd))
     fd_sup = float(fd[fd_at])
 

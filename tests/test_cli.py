@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,7 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcsc import ModelParams, derive_constants
+from warpcsc import (
+    ModelParams,
+    NonPositiveWarp,
+    TooFewSamples,
+    audit_profile,
+    conformal_field_check,
+    curvature_audit,
+    derive_constants,
+    profile_from_energy,
+    solve_period,
+)
+from warpcsc import geometry, solver
 from warpcsc import period as period_mod
 from warpcsc.cli import (
     CURVATURE_TOL,
@@ -503,6 +516,73 @@ def test_solve_in_the_band_writes_what_passes_verify_or_exits_typed(n, where):
     assert _verdict(profile, CURVATURE_TOL)[3] == ()
 
 
+def _verdict_case(case, profile3, profile5):
+    """A profile for the verdict tests: solved for n = 3, 5, 6 or 12, or
+    profile5 with one f sample scaled, negated, or at 63 samples."""
+    if case == "n3":
+        return profile3
+    if case == "n5":
+        return profile5
+    if case == "n6":
+        params = ModelParams(6, 1.0, 3.0)
+        return solve_period(1.07 * derive_constants(params).T0, params)
+    if case == "n12":
+        params = ModelParams(12, 2.0, 2.0)
+        return solve_period(1.2 * derive_constants(params).T0, params)
+    profile = solve_period(1.05 * T0_N5, profile5.params, 63) if "63" in case else profile5
+    samples = profile.samples.copy()
+    if "corrupted" in case:
+        samples[37, 3] *= 1.001
+    if "f <= 0" in case:
+        samples[5, 3] = -samples[5, 3]
+    return dataclasses.replace(profile, samples=samples)
+
+
+def _assert_same_fields(report, public):
+    for field in dataclasses.fields(public):
+        got, want = getattr(report, field.name), getattr(public, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+        else:
+            assert type(got) is type(want) and repr(got) == repr(want), field.name
+
+
+@pytest.mark.parametrize("case", ["n3", "n5", "n6", "n12", "corrupted"])
+def test_the_verdict_differences_once_and_matches_the_public_checks(monkeypatch, profile3,
+                                                                   profile5, case):
+    profile = _verdict_case(case, profile3, profile5)
+    lengths = []
+    real_fd = geometry.periodic_fd_derivatives
+
+    def counting_fd(values, h):
+        lengths.append(len(values))
+        return real_fd(values, h)
+
+    for module in (geometry, solver):
+        monkeypatch.setattr(module, "periodic_fd_derivatives", counting_fd, raising=False)
+    curvature, conformal, audit, failed = _verdict(profile, CURVATURE_TOL)
+    # once for f and once for f^2, over the loop without its repeated endpoint
+    assert lengths == [profile.samples.shape[0] - 1] * 2
+    monkeypatch.undo()
+    _assert_same_fields(curvature, curvature_audit(profile, rel_tol=CURVATURE_TOL))
+    _assert_same_fields(conformal, conformal_field_check(profile))
+    _assert_same_fields(audit, audit_profile(profile))
+    assert bool(failed) == (case == "corrupted")
+
+
+@pytest.mark.parametrize("case, error", [
+    ("f <= 0", NonPositiveWarp), ("63 samples", TooFewSamples),
+    ("63 samples, f <= 0", NonPositiveWarp),
+])
+def test_the_verdict_raises_what_the_first_public_check_raises(profile3, profile5, case,
+                                                              error):
+    profile = _verdict_case(case, profile3, profile5)
+    with pytest.raises(error) as public:
+        curvature_audit(profile, rel_tol=CURVATURE_TOL)
+    with pytest.raises(error, match=re.escape(str(public.value))):
+        _verdict(profile, CURVATURE_TOL)
+
+
 def test_profile_doc_round_trip(profile3):
     doc = profile_to_doc(profile3)
     back = doc_to_profile(doc)
@@ -638,8 +718,9 @@ def test_band_scan_below_one_point_is_a_domain_error(capsys, size):
              "line 1 column 2 (char 1)"),
     ("rows of 5", "samples must be rows of 6 numbers, got shape (512, 5)"),
     ("columns", "unexpected column layout ['t', 'f', 'x', 'v', 'fp', 'fpp']"),
-    ("[1, 2]", "malformed profile document: "),
-], ids=["missing", "not-json", "rows-of-5", "columns", "list"])
+    ("[1, 2]", "malformed profile document: the top level must be a JSON object, got list"),
+    ("params list", "malformed profile document: params must be a JSON object, got list"),
+], ids=["missing", "not-json", "rows-of-5", "columns", "list", "params-list"])
 def test_verify_refuses_a_document_it_cannot_read(tmp_path, capsys, profile5, document,
                                                    message):
     path = tmp_path / "profile.json"
@@ -648,13 +729,15 @@ def test_verify_refuses_a_document_it_cannot_read(tmp_path, capsys, profile5, do
         doc["samples"] = [row[:5] for row in doc["samples"]]
     elif document == "columns":
         doc["columns"] = ["t", "f", "x", "v", "fp", "fpp"]
-    if document in ("rows of 5", "columns"):
+    elif document == "params list":
+        doc["params"] = [5, 2.0, 2.0]
+    if document in ("rows of 5", "columns", "params list"):
         path.write_text(json.dumps(doc))
     elif document is not None:
         path.write_text(document)
     code, out, err = run_cli(capsys, "verify", "--in", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: " + message.format(path=path))
+    assert err == "error: " + message.format(path=path) + "\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -761,7 +844,17 @@ def test_bifurcate_writes_no_rows_when_its_points_file_fails(tmp_path, capsys):
                              "--grid", "16", "--out", str(rows), "--points", str(target))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ")
-    assert rows.read_text() == ""
+    # the rows file was opened first, but is left as it was
+    assert rows.read_text() == "stale\n"
+
+
+def test_an_output_file_is_replaced_and_a_device_is_not_truncated(tmp_path, capsys):
+    expected = run_cli(capsys, "threshold", *PARAMS_ARGV)[1]
+    out_file = tmp_path / "constants.txt"
+    out_file.write_text("a stale text longer than the constants " * 40)
+    assert run_cli(capsys, "threshold", *PARAMS_ARGV, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == expected
+    assert run_cli(capsys, "threshold", *PARAMS_ARGV, "--out", os.devnull) == (0, "", "")
 
 
 @pytest.mark.parametrize("field, value", [

@@ -6,6 +6,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpcsc import (
     DomainError,
@@ -74,6 +76,24 @@ def test_fd_derivatives_validation():
         periodic_fd_derivatives(np.ones(4), 0.1)
     with pytest.raises(DomainError):
         periodic_fd_derivatives(np.ones(16), -1.0)
+
+
+def _rolled_fd_derivatives(values, h):
+    """The stencils on four np.roll copies of the loop: the reference formula."""
+    g = np.asarray(values, dtype=float)
+    p1, p2, m1, m2 = np.roll(g, -1), np.roll(g, -2), np.roll(g, 1), np.roll(g, 2)
+    d1 = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+    d2 = (-p2 + 16.0 * p1 - 30.0 * g + 16.0 * m1 - m2) / (12.0 * h * h)
+    return d1, d2
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(5, 600), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-6, 1e6), h=st.floats(1e-4, 10.0))
+def test_fd_derivatives_match_the_rolled_stencils_bit_for_bit(m, seed, scale, h):
+    values = scale * (1.0 + np.random.default_rng(seed).standard_normal(m))
+    for got, want in zip(periodic_fd_derivatives(values, h), _rolled_fd_derivatives(values, h)):
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_uniform_closed_count_accepts_closed_loop():

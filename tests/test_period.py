@@ -529,6 +529,29 @@ def test_period_curve_is_built_once_per_key(monkeypatch, kernel_calls):
     assert kernel_calls == [80]
 
 
+@pytest.mark.parametrize("side", ["contact", "upper"])
+def test_a_period_inverts_on_its_own_piece_only(monkeypatch, side):
+    # a fresh two-piece curve, built outside the per-process cache
+    curve = period_mod._cached_curve.__wrapped__(ModelParams(5, 4.0, 4.0), 1e-10)
+    contact, upper = curve.pieces
+    mine = contact if side == "contact" else upper
+    u = 0.01 if side == "contact" else 0.5
+    entered = []
+    real_root = period_mod._ChebSeries.root
+
+    def recording_root(self, target, a, b):
+        entered.append(self)
+        return real_root(self, target, a, b)
+
+    monkeypatch.setattr(period_mod._ChebSeries, "root", recording_root)
+    orbit = curve.orbits([float(curve.ratio(u)) * 2.0 * math.pi], ModelParams(5, 4.0, 4.0))[0]
+    assert entered == [mine]
+    # the other piece built no inversion table either
+    other = upper if mine is contact else contact
+    assert "table" in vars(mine) and "table" not in vars(other)
+    assert orbit.u == pytest.approx(u, rel=1e-8)
+
+
 def test_period_curve_refuses_non_monotone_nodes(monkeypatch):
     def wobbly_kernel(u, n, rtol):
         # T/T0 of the old stub, 1 + 0.1 sin(40 a), with a = u^(n/2)

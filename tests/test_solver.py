@@ -250,3 +250,26 @@ def test_isochronous_profile_is_the_closed_form_cosine(R, Rt, s):
     phase = k.omega * prof.t
     assert np.max(np.abs(prof.x - (k.x_star + (a - k.x_star) * np.cos(phase)))) <= 1e-13 * k.x_star
     assert np.max(np.abs(prof.v + k.omega * (a - k.x_star) * np.sin(phase))) <= 1e-13 * k.x_star
+
+
+@pytest.mark.parametrize("route", ["solve_period", "profile_from_energy"])
+def test_a_profile_solves_its_outer_turning_point_once(monkeypatch, p5, k5, route):
+    # the sampler reads v from the confirmed orbit; the kernel's solve is the only one
+    orbit = period_mod.period_curve(5).orbits([1.04 * k5.T0], p5)[0]
+    calls = []
+    real_outer_root = period_mod._outer_root
+
+    def counting_outer_root(u, n):
+        calls.append(np.size(u))
+        return real_outer_root(u, n)
+
+    monkeypatch.setattr(period_mod, "_outer_root", counting_outer_root)
+    if route == "solve_period":
+        profile = solve_period(1.04 * k5.T0, p5, 129)
+    else:
+        profile = profile_from_energy(orbit.c, p5, 129)
+    assert calls == [1]
+    # the orbit's v carries the bits a solve of its own would give
+    assert orbit.v == real_outer_root(np.array([orbit.u]), 5)[0]
+    # sample 64 of 129 sits at half the period, on the outer turning point
+    assert profile.x[64] == pytest.approx(orbit.b, rel=1e-9)
