@@ -114,13 +114,26 @@ def _emit(text: str, out_path: str | None, *more: tuple[str, str | None]) -> Non
     further (text, path) pair to its file, if path is not None.  Every
     file is opened without truncating it before any is truncated or
     written, and stdout last, so a file that cannot be opened leaves no
-    text written anywhere and every existing file as it was.  Only a
-    regular file is truncated: a device such as /dev/null cannot be."""
-    files = []
+    text written anywhere, every existing file as it was, and no file
+    this call created.  Only a regular file is truncated: a device such
+    as /dev/null cannot be."""
+    files, created = [], []
     try:
         for body, path in ((text, out_path), *more):
             if path:
-                files.append((body, open(path, "a", encoding="utf-8", newline="")))
+                try:
+                    fh = open(path, "x", encoding="utf-8", newline="")
+                    created.append(path)
+                except FileExistsError:
+                    fh = open(path, "a", encoding="utf-8", newline="")
+                files.append((body, fh))
+    except OSError as err:
+        for _, fh in files:
+            fh.close()
+        for new in created:
+            os.remove(new)
+        raise DomainError(f"cannot write {path}: {err}") from err
+    try:
         for body, fh in files:
             path = fh.name
             with fh:

@@ -24,7 +24,11 @@ call of at most KERNEL_ORBITS orbits and adds them back row by row;
 turning points u and v the kernel confirmed, so no turning point is
 solved again: it fits dt/dtheta in Chebyshev nodes, integrates the fit
 to t(theta) and inverts that at the sample times with
-`_ChebSeries.root`, the curve's own inversion.
+`_ChebSeries.root`, the curve's own inversion.  `root` starts each
+target from a cubic Hermite inverse of the series' values and slopes at
+Chebyshev points, which are plain cosine and sine sums, and takes its
+Newton steps on the series less its trailing coefficients below
+roundoff.
 
 `period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
 once per process for each (n, rtol), from one kernel call.  Its
@@ -60,7 +64,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebint, chebval
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
 from .model import DerivedConstants, ModelParams, derive_constants, potential
@@ -547,18 +551,23 @@ class _ChebSeries:
 
     @cached_property
     def value_and_slope_coeffs(self) -> np.ndarray:
-        """The series and its x-derivative as columns, for one Clenshaw pass."""
-        slope = chebder(self.coeffs)
-        return np.stack([self.coeffs, np.pad(slope, (0, self.coeffs.size - slope.size))], axis=1)
+        """The series and its x-derivative as columns, for one Clenshaw
+        pass, without the trailing coefficients below eps * sum |c|: they
+        move no sum by more than its roundoff."""
+        c = self.coeffs
+        size = np.flatnonzero(np.abs(c) >= np.finfo(float).eps * np.abs(c).sum())[-1] + 1
+        slope = chebder(c[:size])
+        return np.stack([c[:size], np.pad(slope, (0, size - slope.size))], axis=1)
 
     @cached_property
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The series sampled at 4N + 1 points of [-1, 1], as (values
-        ascending, x), from which `root` interpolates its first x."""
-        x = np.linspace(-1.0, 1.0, 4 * self.coeffs.size + 1)
-        values = _chebval(x, self.coeffs)
-        order = np.argsort(values)
-        return values[order], x[order]
+    def table(self) -> np.ndarray:
+        """The series and its x-derivative at the 2N first-kind Chebyshev
+        points inside (-1, 1), as rows (x, value, slope) in ascending x,
+        from which `root` seeds its Newton steps.  At x = cos(phi) they
+        are sums of cos(k phi) and k sin(k phi) / sin(phi), one product
+        each with `_seed_matrices`, with no Clenshaw pass."""
+        x, cos, sin = _seed_matrices(self.coeffs.size)
+        return np.column_stack([x, cos @ self.coeffs, sin @ self.coeffs])
 
     def x_of(self, y):
         return (2.0 * (np.log(y) if self.log else y) - self.lo - self.hi) / (self.hi - self.lo)
@@ -574,15 +583,33 @@ class _ChebSeries:
         """The x in [a, b] where the series takes each target.
 
         The series is monotone on [a, b] and every target lies in its
-        range.  `_bracketed_newton` steps from `table`; an element stops
-        once its step is at most 4 eps or its residual is down to the
-        series' roundoff, where a flat slope leaves x unresolved.
+        range.  Each target starts from the cubic Hermite inverse of the
+        (x, value, slope) nodes of `table` inside (a, b) and of a and b
+        themselves, on the two nodes whose values hold it; each node's
+        slope is clamped to between 0 and 3 times that of the chord, so
+        the cubic stays monotone (Fritsch and Carlson) and the start
+        between the two nodes.  `_bracketed_newton` steps from there on
+        `value_and_slope_coeffs`; an element stops once its step is at
+        most 4 eps or its residual is down to the series' roundoff, where
+        a flat slope leaves x unresolved.  The start and every step are
+        elementwise, so a target's x does not depend on its batch.
         """
-        pa, pb = _chebval(np.array([a, b]), self.coeffs)
+        (pa, pb), (sa, sb) = _chebval(np.array([a, b]), self.value_and_slope_coeffs)
         if pa == pb:  # a flat series: every x attains its one value
             return np.full_like(target, a)
+        x = self.table[:, 0]
+        nodes = np.vstack([(a, pa, sa), self.table[(a < x) & (x < b)], (b, pb, sb)])
+        # values ascending, for the search
+        xs, ys, ps = (nodes if pb > pa else nodes[::-1]).T
+        i = np.clip(np.searchsorted(ys, target) - 1, 0, ys.size - 2)
+        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # fmax takes the nan of a flat chord to 0
+            t = np.fmin(np.fmax((target - ys[i]) / dy, 0.0), 1.0)
+            r0, r1 = (np.fmin(np.fmax(dy / dx / p, 0.0), 3.0) for p in (ps[i], ps[i + 1]))
+        s = 1.0 - t
+        x = xs[i] + dx * (t * t * (3.0 - 2.0 * t) + t * s * (r0 * s - r1 * t))
         floor = 4.0 * np.finfo(float).eps * np.abs(self.coeffs).sum()
-        x = np.clip(np.interp(target, *self.table), a, b)
         x, stuck = _bracketed_newton(lambda x: _chebval(x, self.value_and_slope_coeffs), target,
                                      x, lo=a, hi=b, rising=pb > pa, floor=floor, scale=1.0)
         if stuck.size:
@@ -592,17 +619,62 @@ class _ChebSeries:
         return x
 
 
+@lru_cache(maxsize=16)
+def _seed_matrices(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x_j = cos(phi_j) at the 2 size first-kind Chebyshev angles phi_j
+    of `_cheb_angles`, in ascending x, and T_k(x_j) = cos(k phi_j) and
+    T_k'(x_j) = k sin(k phi_j) / sin(phi_j) for k < size, as read-only
+    arrays (x, cos, sin)."""
+    phi = _cheb_angles(2 * size)[::-1]
+    k = np.arange(size)
+    angle = np.outer(phi, k)
+    arrays = (np.cos(phi), np.cos(angle), k * np.sin(angle) / np.sin(phi)[:, None])
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _cheb_angles(size: int) -> np.ndarray:
     """The angles phi of the size first-kind Chebyshev nodes x = cos(phi)."""
     return math.pi * (np.arange(size) + 0.5) / size
 
 
-def _cheb_coeffs(angles: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The series through values at the nodes cos(angles), by the cosine transform."""
-    size = angles.size
-    coeffs = (2.0 / size) * np.cos(np.outer(np.arange(size), angles)) @ values
+@lru_cache(maxsize=16)
+def _fit_matrix(size: int) -> np.ndarray:
+    """(2/size) cos(k phi_j) for the size angles phi_j of `_cheb_angles`:
+    the cosine transform that `_cheb_coeffs` applies, read-only."""
+    matrix = (2.0 / size) * np.cos(np.outer(np.arange(size), _cheb_angles(size)))
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """The series through values at the first-kind Chebyshev nodes
+    cos(_cheb_angles(values.size)), by the cosine transform, whose matrix
+    is built once per node count."""
+    coeffs = _fit_matrix(values.size) @ values
     coeffs[0] *= 0.5
     return coeffs
+
+
+def _integral(c: np.ndarray) -> np.ndarray:
+    """chebint(c, lbnd=-1) bit for bit, in a few array operations where
+    numpy loops over the coefficients (numpy leaves the one-term zero
+    series unintegrated; this integrates it).
+
+    Coefficient j >= 2 of the integral is c[j-1] / 2j less c[j+1] / 2j,
+    coefficient 1 is c[0] less c[2] / 2, and coefficient 0 makes the
+    integral vanish at -1.  Each coefficient takes numpy's operations in
+    numpy's order, and coefficient 0 numpy's Clenshaw steps (`_clenshaw`).
+    """
+    size = c.size
+    out = np.empty(size + 1)
+    out[0] = c[0] * 0.0
+    out[1] = c[0]
+    out[2:] = c[1:] / (2.0 * np.arange(2, size + 1))
+    out[1:size - 1] -= c[2:] / (2.0 * np.arange(1, size - 1))
+    out[0] += 0.0 - _clenshaw(out.tolist(), -1.0)
+    return out
 
 
 def _arc(x, u: float, v: float, n: int):
@@ -624,10 +696,15 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
     cos(theta) / sqrt(w(u) - w(g)), is smooth on [-pi/2, pi/2].  Its fit
     on first-kind Chebyshev nodes doubles from PROFILE_NODES nodes until
     the half period t(pi/2) changes by at most rtol, plus one rounding;
-    past MAX_PROFILE_NODES it raises QuadratureNonConvergence.  `chebint`
-    gives t(theta) from the inner turning point, and `_ChebSeries.root`
-    inverts min(t, period - t) for every time at once; the second half
-    of the orbit mirrors the first with the velocity negated.
+    past MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit
+    is `_cheb_coeffs`, whose cosine transform is built once per node
+    count, and `_integral`, numpy's chebint without its loop; both give
+    numpy's bits.  The integral is t(theta) from the inner turning point,
+    and `_ChebSeries.root` inverts min(t, period - t) for every time at
+    once; the second half of the orbit mirrors the first with the
+    velocity negated.  The series returned is the whole fit, one
+    coefficient per node and one more, whatever `root` drops from its
+    own sums.
     """
     r = 0.5 * (v - u)
     size, previous = PROFILE_NODES, None
@@ -635,7 +712,7 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
         angles = _cheb_angles(size)
         g, gap, half = _arc(np.cos(angles), u, v, n)
         rate = math.sqrt(n - 2.0) * r * g ** (0.5 * n - 1.0) * np.sin(2.0 * half) / np.sqrt(gap)
-        coeffs = 0.5 * math.pi * chebint(_cheb_coeffs(angles, rate), lbnd=-1)
+        coeffs = 0.5 * math.pi * _integral(_cheb_coeffs(rate))
         half_period = float(_chebval(1.0, coeffs))
         if previous is not None:
             change = abs(half_period - previous) + np.finfo(float).eps * half_period
@@ -798,6 +875,6 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
             "strictly monotone in f_min"
         )
     values = np.split(periods.ratio, np.cumsum([theta.size for theta in angles])[:-1])
-    pieces = tuple(_ChebSeries(lo, hi, log, _cheb_coeffs(theta, vals))
-                   for (lo, hi, log, _), theta, vals in zip(layout, angles, values))
+    pieces = tuple(_ChebSeries(lo, hi, log, _cheb_coeffs(vals))
+                   for (lo, hi, log, _), vals in zip(layout, values))
     return PeriodCurve(n, rtol, u_lo, u_hi, pieces, us.size, int(periods.nodes.sum()))

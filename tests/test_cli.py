@@ -816,17 +816,21 @@ OUTPUTS = [
     (("solve", *PARAMS_ARGV, "--period", repr(1.05 * T0_N5)), "--out"),
     (("bifurcate", *PARAMS_ARGV, "--tmax", repr(2.0 * T0_N5), "--grid", "16"), "--out"),
     (("bifurcate", *PARAMS_ARGV, "--tmax", repr(2.0 * T0_N5), "--grid", "16"), "--points"),
+    # --out names a file that does not exist yet, and is opened first
+    (("bifurcate", *PARAMS_ARGV, "--tmax", repr(2.0 * T0_N5), "--grid", "16", "--out", "NEW"),
+     "--points"),
     (("verify", "--in", "PROFILE"), "--out"),
 ]
 
 
 @pytest.mark.parametrize("argv, option", OUTPUTS,
                          ids=["threshold", "period-energy", "period-scan", "solve",
-                              "bifurcate", "bifurcate-points", "verify"])
+                              "bifurcate", "bifurcate-points", "bifurcate-new-out", "verify"])
 def test_an_unwritable_output_is_a_domain_error(tmp_path, capsys, profile5, argv, option):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(profile_to_doc(profile5)))
-    argv = [str(profile) if arg == "PROFILE" else arg for arg in argv]
+    new = tmp_path / "new.csv"
+    argv = [{"PROFILE": str(profile), "NEW": str(new)}.get(arg, arg) for arg in argv]
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli(capsys, *argv, option, str(target))
     assert code == 2
@@ -834,6 +838,8 @@ def test_an_unwritable_output_is_a_domain_error(tmp_path, capsys, profile5, argv
     assert "No such file or directory" in err
     assert out == ""
     assert not target.parent.exists()
+    # a file the command created before the failing open is gone again
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["profile.json"]
 
 
 def test_bifurcate_writes_no_rows_when_its_points_file_fails(tmp_path, capsys):

@@ -8,6 +8,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebint
 from scipy.optimize import brentq
 from scipy.special import elliprf, elliprj
 
@@ -748,6 +751,71 @@ def test_few_point_sums_run_in_python_floats(monkeypatch):
     assert calls == []
     period_mod._chebval(np.linspace(-1.0, 1.0, few + 1), coeffs)
     assert calls == [few + 1]
+
+
+def _root_series(name):
+    """A series to invert and its [a, b]: the flat n = 4 curve, a falling
+    2-coefficient series on [-1, 1] and on part of it, both pieces of the
+    n = 5 curve on their own spans, and a profile's t(theta)."""
+    curve = period_curve(4 if name == "flat-n4" else 5)
+    if name == "flat-n4":
+        return curve.pieces[0], -1.0, 1.0
+    if name.startswith("line"):
+        line = period_mod._ChebSeries(-1.0, 1.0, False, np.array([0.3, -1.7]))
+        return (line, -1.0, 1.0) if name == "line" else (line, -0.4, 0.75)
+    if name == "profile":
+        orbit = curve.orbits([1.05 * derive_constants(ModelParams(5, 2.0, 2.0)).T0],
+                             ModelParams(5, 2.0, 2.0))[0]
+        series = period_mod._orbit_samples(orbit.u, orbit.v, 5, np.zeros(1), 1.0, 1e-10)[2]
+        return series, -1.0, 1.0
+    contact, upper = curve.pieces
+    lo, hi = (curve.u_lo, upper.lo) if name == "contact" else (upper.lo, curve.u_hi)
+    piece = contact if name == "contact" else upper
+    return piece, piece.x_of(lo), piece.x_of(hi)
+
+
+@pytest.mark.parametrize("name", ["flat-n4", "line", "line-part", "contact", "upper",
+                                  "profile"])
+def test_series_roots_do_not_depend_on_their_batch(name):
+    """The values at a and at b and 14 between, each inverted alone and in
+    batches of sizes either side of FEW_POINTS and of 512: the same bits,
+    every root in [a, b] and on its target to the series' roundoff."""
+    series, a, b = _root_series(name)
+    rng = np.random.default_rng(28)
+    targets = period_mod._chebval(np.linspace(a, b, 16), series.coeffs)
+    alone = np.array([series.root(targets[j:j + 1], a, b)[0] for j in range(16)])
+    assert np.all((a <= alone) & (alone <= b))
+    roundoff = 8.0 * np.finfo(float).eps * np.abs(series.coeffs).sum()
+    assert np.all(np.abs(period_mod._chebval(alone, series.coeffs) - targets) <= roundoff)
+    if name == "flat-n4":
+        assert np.all(alone == a)
+    few = period_mod.FEW_POINTS
+    for size in (few, few + 1, 512):
+        extra = period_mod._chebval(rng.uniform(a, b, size - 16), series.coeffs)
+        order = rng.permutation(size)
+        got = np.empty(size)
+        got[order] = series.root(np.concatenate([targets, extra])[order], a, b)
+        assert got[:16].tobytes() == alone.tobytes(), size
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+       decay=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+def test_the_integral_is_numpys_chebint_bit_for_bit(size, seed, decay):
+    # random coefficients, or ones decaying like a smooth fit's
+    c = np.random.default_rng(seed).standard_normal(size) * np.exp(-decay * np.arange(size))
+    got = period_mod._integral(c)
+    assert np.array_equal(got, chebint(c, lbnd=-1))
+
+
+@pytest.mark.parametrize("size", [1, 2, 33, 65])
+def test_cached_trig_matrices_are_read_only(size):
+    # one matrix serves every series of its size, so no caller may write to it
+    for matrix in (period_mod._fit_matrix(size), *period_mod._seed_matrices(size)):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0] = 1.0
+    assert period_mod._fit_matrix(size) is period_mod._fit_matrix(size)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20, 30])

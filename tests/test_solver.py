@@ -273,3 +273,21 @@ def test_a_profile_solves_its_outer_turning_point_once(monkeypatch, p5, k5, rout
     assert orbit.v == real_outer_root(np.array([orbit.u]), 5)[0]
     # sample 64 of 129 sits at half the period, on the outer turning point
     assert profile.x[64] == pytest.approx(orbit.b, rel=1e-9)
+
+
+def test_a_solve_makes_two_numpy_chebyshev_passes(monkeypatch, p5, k5):
+    """The Clenshaw work of one solve on a fresh curve, counted as numpy
+    chebval calls and their points x coefficients x columns: the seeds
+    come from trig sums, and the Newton passes skip the roundoff tail."""
+    monkeypatch.setattr(period_mod, "_cached_curve", period_mod._cached_curve.__wrapped__)
+    work = []
+    real_chebval = period_mod.chebval
+
+    def counting_chebval(x, c):
+        work.append(np.size(x) * np.size(c))
+        return real_chebval(x, c)
+
+    monkeypatch.setattr(period_mod, "chebval", counting_chebval)
+    profile = solve_period(1.05 * k5.T0, p5)
+    assert profile.degree == 64
+    assert len(work) <= 2 and sum(work) <= 70_000, work
