@@ -597,8 +597,9 @@ class _ChebSeries:
         (pa, pb), (sa, sb) = _chebval(np.array([a, b]), self.value_and_slope_coeffs)
         if pa == pb:  # a flat series: every x attains its one value
             return np.full_like(target, a)
-        x = self.table[:, 0]
-        nodes = np.vstack([(a, pa, sa), self.table[(a < x) & (x < b)], (b, pb, sb)])
+        table = self.table
+        inside = table[(a < table[:, 0]) & (table[:, 0] < b)]
+        nodes = np.vstack([(a, pa, sa), inside, (b, pb, sb)])
         # values ascending, for the search
         xs, ys, ps = (nodes if pb > pa else nodes[::-1]).T
         i = np.clip(np.searchsorted(ys, target) - 1, 0, ys.size - 2)
