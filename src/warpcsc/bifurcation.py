@@ -14,10 +14,11 @@ The diagram scan lists the (T, k) pairs worth trying over a grid of
 circle periods in one array pass, a grid-by-wraps table bounded by
 MAX_CANDIDATES before it is allocated, and hands every listed per-wrap
 period to the period curve of the dimension (`period.period_curve`, one
-build per n for every R and Rt), which alone decides which land: one
-batch inversion, confirmed by one kernel call, gives one row per landed
-(T, k, energy) combination, built from the curve's orbit columns.  Every
-other listed pair is a miss (T, k, reason); see `BifurcationDiagram`.
+per n, shared by every R and Rt and by `solver.solve_period`), which
+alone decides which land: one batch inversion, confirmed by one kernel
+call, gives one row per landed (T, k, energy) combination, built from
+the curve's orbit columns.  Every other listed pair is a miss
+(T, k, reason); see `BifurcationDiagram`.
 
 Branch k leaves the constant solution where its per-wrap period meets
 the small-amplitude limit T0, at circle period k * T0; the diagram
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import PERIOD_SLACK, ModelParams, derive_constants
-from .period import period_curve
+from .period import KERNEL_RTOL, period_curve
 
 __all__ = [
     "BranchRow",
@@ -49,8 +50,6 @@ __all__ = [
     "count_solutions",
 ]
 
-# kernel tolerance of the period curve and its confirmations
-QUAD_RTOL = 1e-9
 # (T, k) pairs a scan may try, bounded before any is listed
 MAX_CANDIDATES = 10**6
 # circle periods a scan takes above T0 unless told otherwise
@@ -113,7 +112,7 @@ def scan_branches(
     params: ModelParams,
     grid_size: int = GRID_SIZE,
     *,
-    quad_rtol: float = QUAD_RTOL,
+    quad_rtol: float = KERNEL_RTOL,
 ) -> BifurcationDiagram:
     """Scan circle periods in (T0, T_max] and assemble the branch diagram.
 

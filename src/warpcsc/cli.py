@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .bifurcation import GRID_SIZE, QUAD_RTOL, scan_branches
+from .bifurcation import GRID_SIZE, scan_branches
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -115,8 +115,9 @@ def _emit(text: str, out_path: str | None, *more: tuple[str, str | None]) -> Non
     file is opened without truncating it before any is truncated or
     written, and stdout last, so a file that cannot be opened leaves no
     text written anywhere, every existing file as it was, and no file
-    this call created.  Only a regular file is truncated: a device such
-    as /dev/null cannot be."""
+    this call created.  Two paths to one regular file, by name or through
+    a link, fail the same way.  Only a regular file is truncated: a
+    device such as /dev/null cannot be."""
     files, created = [], []
     try:
         for body, path in ((text, out_path), *more):
@@ -126,24 +127,28 @@ def _emit(text: str, out_path: str | None, *more: tuple[str, str | None]) -> Non
                     created.append(path)
                 except FileExistsError:
                     fh = open(path, "a", encoding="utf-8", newline="")
-                files.append((body, fh))
+                st = os.fstat(fh.fileno())
+                same = any(os.path.samestat(st, other) for *_, other in files)
+                files.append((body, fh, st))
+                if same and stat.S_ISREG(st.st_mode):
+                    raise OSError("another output of this command is the same file")
     except OSError as err:
-        for _, fh in files:
+        for _, fh, _ in files:
             fh.close()
         for new in created:
             os.remove(new)
         raise DomainError(f"cannot write {path}: {err}") from err
     try:
-        for body, fh in files:
+        for body, fh, st in files:
             path = fh.name
             with fh:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                if stat.S_ISREG(st.st_mode):
                     fh.truncate(0)
                 fh.write(body if body.endswith("\n") else body + "\n")
     except OSError as err:
         raise DomainError(f"cannot write {path}: {err}") from err
     finally:
-        for _, fh in files:
+        for _, fh, _ in files:
             fh.close()
     if not out_path:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -190,8 +195,9 @@ def profile_to_doc(profile: SolutionProfile) -> dict:
 
 def doc_to_profile(doc: dict) -> SolutionProfile:
     """The profile of a document; the inverse of profile_to_doc.  A
-    malformed document, one with a non-finite number included, raises
-    DomainError naming the field."""
+    malformed document, one with a non-finite number or a root_count
+    that is not a whole number >= 1 included, raises DomainError naming
+    the field."""
     try:
         if not isinstance(doc, dict):
             raise DomainError("malformed profile document: the top level must be a JSON "
@@ -217,14 +223,18 @@ def doc_to_profile(doc: dict) -> SolutionProfile:
             if not math.isfinite(value):
                 raise DomainError(f"malformed profile document: {name} is {value}, "
                                   "not a finite number")
+        root_count = float(doc.get("root_count", 1))
+        if not (root_count >= 1.0 and root_count.is_integer()):
+            raise DomainError(f"malformed profile document: root_count is {root_count}, "
+                              "not a finite whole number >= 1")
         bad = np.argwhere(~np.isfinite(samples))
         if bad.size:
             row, col = bad[0].tolist()
             raise DomainError(f"malformed profile document: samples row {row} holds "
                               f"{samples[row, col]} in column {SAMPLE_COLUMNS[col]}")
         return SolutionProfile(params=params, samples=samples,
-                               root_count=int(doc.get("root_count", 1)), **scalars)
-    except (KeyError, TypeError, ValueError) as err:
+                               root_count=int(root_count), **scalars)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         if isinstance(err, DomainError):
             raise
         raise DomainError(f"malformed profile document: {err}") from err
@@ -286,12 +296,7 @@ def cmd_period(args) -> int:
 
 def cmd_solve(args) -> int:
     params = _params(args)
-    profile = solve_period(
-        args.period,
-        params,
-        args.samples,
-        quad_rtol=args.rtol,
-    )
+    profile = solve_period(args.period, params, args.samples, quad_rtol=args.rtol)
     curvature, conformal, audit, failed = _verdict(profile, CURVATURE_TOL)
     if "finite_difference" in failed:
         raise TooFewSamples(
@@ -319,12 +324,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bifurcate(args) -> int:
     params = _params(args)
-    diagram = scan_branches(
-        args.tmax,
-        params,
-        args.grid,
-        quad_rtol=args.rtol,
-    )
+    diagram = scan_branches(args.tmax, params, args.grid, quad_rtol=args.rtol)
     rows = [
         (r.T, r.k, r.tau, r.c, r.amplitude, r.f_min, r.f_max) for r in diagram.rows
     ]
@@ -436,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constant-scalar-curvature warped metrics on the circle",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rtol = dict(type=_rtol, default=KERNEL_RTOL, help="quadrature relative tolerance")
 
     p_thr = sub.add_parser("threshold", help="closed-form constants and the period threshold")
     _add_params(p_thr)
@@ -451,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scan N energies (default spacing: log across the band)")
     p_per.add_argument("--band", type=_band, default=None, metavar="LO,HI",
                        help="with --scan: scan this energy interval linearly instead")
-    p_per.add_argument("--rtol", type=_rtol, default=KERNEL_RTOL,
-                       help="quadrature relative tolerance")
+    p_per.add_argument("--rtol", **rtol)
     _add_out(p_per)
     p_per.set_defaults(handler=cmd_period)
 
@@ -461,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--period", type=float, required=True, help="target circle period T")
     p_sol.add_argument("--samples", type=int, default=PROFILE_SAMPLES,
                        help="samples per period; verify needs at least 64")
-    p_sol.add_argument("--rtol", type=_rtol, default=KERNEL_RTOL,
-                       help="quadrature relative tolerance")
+    p_sol.add_argument("--rtol", **rtol)
     _add_out(p_sol)
     p_sol.set_defaults(handler=cmd_solve)
 
@@ -470,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_bif)
     p_bif.add_argument("--tmax", type=float, required=True, help="largest circle period scanned")
     p_bif.add_argument("--grid", type=int, default=GRID_SIZE, help="number of grid points above T0")
-    p_bif.add_argument("--rtol", type=_rtol, default=QUAD_RTOL,
-                       help="quadrature relative tolerance")
+    p_bif.add_argument("--rtol", **rtol)
     p_bif.add_argument("--points", default=None, metavar="FILE",
                        help="also write the branch points k*T0 as CSV to FILE")
     _add_out(p_bif)

@@ -1,7 +1,7 @@
 """Solving for periodic warp profiles of a prescribed period.
 
 The solver inverts the period map on the period curve of the dimension
-(`period.period_curve`, one per n, shared by every R and Rt), which
+(`period.period_curve`, one per n for all R, Rt and diagrams), which
 gives the orbit whose period equals the request, confirmed by the period
 kernel.  `profile_from_energy` takes its orbit from `period_quadrature`
 instead.  Either way the orbit is an `OrbitSpec`, keyed by its

@@ -19,8 +19,8 @@ from warpcsc import (
     period_curve,
     period_quadrature,
     scan_branches,
+    solve_period,
 )
-from warpcsc.bifurcation import QUAD_RTOL
 
 # Counts under the documented contract: wrap k is counted only when
 # T/k exceeds the threshold T0 AND the scan brackets a root there.  For
@@ -142,7 +142,7 @@ def test_isochronous_diagram_is_flagged_degenerate(p4, k4):
 def test_branches_never_cross(p5, k5):
     """Two wrap families alive at one T keep strictly ordered energies."""
     T = 10.03 * k5.T0
-    curve = period_curve(5, QUAD_RTOL)
+    curve = period_curve(5)
     orbit9, orbit10 = curve.orbits([T / 9.0, T / 10.0], p5)
     assert orbit9 is not None and orbit10 is not None
     # T(c) increases with c here, so the slower wrap sits higher in energy
@@ -178,7 +178,7 @@ def test_scan_validation(p3, k3):
 def test_rescaled_scan_reuses_the_period_curve(p3, k3, kernel_calls):
     first = scan_branches(3.5 * k3.T0, p3, 400)
     # a rebuild would send every node of the curve to the kernel in one batch
-    build = {period_curve(3, QUAD_RTOL).quadratures}
+    build = {period_curve(3).quadratures}
     kernel_calls.clear()
     p = ModelParams(3, 8.0, 8.0)
     k = derive_constants(p)
@@ -198,7 +198,7 @@ def test_rescaled_scan_reuses_the_period_curve(p3, k3, kernel_calls):
 def test_warm_scan_confirms_every_row_in_one_kernel_call(kernel_calls):
     params = ModelParams(6, 1.0, 3.0)
     T_max = 3.5 * derive_constants(params).T0
-    period_curve(6, QUAD_RTOL)  # warm
+    period_curve(6)  # warm
     kernel_calls.clear()
     diagram = scan_branches(T_max, params, 400)
     assert kernel_calls == [len(diagram.rows)]
@@ -233,8 +233,8 @@ def test_diagram_rows_pinned(triple, rows, wraps):
     assert len(diagram.rows) == rows
     assert [bp.k for bp in diagram.branch_points] == wraps
     for row in diagram.rows[::10]:
-        T = period_quadrature(row.c, params, rtol=QUAD_RTOL).T
-        assert abs(T / row.tau - 1.0) <= 10.0 * QUAD_RTOL
+        T = period_quadrature(row.c, params).T
+        assert abs(T / row.tau - 1.0) <= 10.0 * period_mod.KERNEL_RTOL
 
 
 def test_count_solutions_needs_no_quadrature_past_the_curve(monkeypatch):
@@ -309,7 +309,7 @@ def _per_period_scan(T_max, params, grid_size):
     """The diagram from a plain loop per grid period and per wrap count,
     as `scan_branches` assembled it before the pairs were listed in arrays."""
     T0 = derive_constants(params).T0
-    curve = period_curve(params.n, QUAD_RTOL)
+    curve = period_curve(params.n)
     band = (curve.band[0] * T0, curve.band[1] * T0)
     step = (T_max - T0) / grid_size
     t_grid = tuple(T0 + (j + 1) * step for j in range(grid_size))
@@ -408,7 +408,7 @@ def test_the_period_curve_alone_decides_which_pairs_land(n, tmax_T0, grid, kinds
     T0 = derive_constants(params).T0
     diagram = scan_branches(tmax_T0 * T0, params, grid)
     lo, hi = diagram.band
-    curve = period_curve(n, QUAD_RTOL)
+    curve = period_curve(n)
     landed, missed = [], []
     for T in diagram.t_grid:
         k = 1
@@ -439,6 +439,21 @@ def test_the_period_curve_alone_decides_which_pairs_land(n, tmax_T0, grid, kinds
             seen.add("outside")
             assert why == outside
     assert seen == kinds
+
+
+@pytest.mark.parametrize("n", [5, 6, 12])
+def test_diagram_rows_carry_the_bits_of_a_solve(n):
+    """Diagrams and solves share one period curve per n: every row's
+    energy is, bit for bit, the curve's inversion of its tau alone and,
+    for k = 1, the energy `solve_period` finds at its T."""
+    params = ModelParams(n, 2.0, 2.0)
+    diagram = scan_branches(3.5 * derive_constants(params).T0, params, 400)
+    curve = period_curve(n)
+    assert [row.c for row in diagram.rows] == [curve.orbits([row.tau], params)[0].c
+                                               for row in diagram.rows]
+    single = [row for row in diagram.rows if row.k == 1]
+    assert single
+    assert [row.c for row in single] == [solve_period(row.T, params).c for row in single]
 
 
 def _count_by_every_wrap(T, params):

@@ -854,6 +854,29 @@ def test_bifurcate_writes_no_rows_when_its_points_file_fails(tmp_path, capsys):
     assert rows.read_text() == "stale\n"
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_two_outputs_that_are_one_file_are_refused(tmp_path, capsys, link):
+    rows = tmp_path / "rows.csv"
+    points = tmp_path / "points.csv" if link else rows
+    if link:
+        points.symlink_to(rows)
+    argv = ("bifurcate", *PARAMS_ARGV, "--tmax", repr(2.0 * T0_N5), "--grid", "16")
+    message = f"error: cannot write {points}: another output of this command is the same file\n"
+    # a file the command created is removed again
+    code, out, err = run_cli(capsys, *argv, "--out", str(rows), "--points", str(points))
+    assert (code, out, err) == (2, "", message)
+    assert not rows.exists()
+    # an existing file keeps its bytes
+    rows.write_text("stale\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(rows), "--points", str(points))
+    assert (code, out, err) == (2, "", message)
+    assert rows.read_text() == "stale\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted({rows.name, points.name})
+    # a device is no regular file: two writes to it are allowed
+    code, out, _ = run_cli(capsys, *argv, "--out", os.devnull, "--points", os.devnull)
+    assert (code, out) == (0, "")
+
+
 def test_an_output_file_is_replaced_and_a_device_is_not_truncated(tmp_path, capsys):
     expected = run_cli(capsys, "threshold", *PARAMS_ARGV)[1]
     out_file = tmp_path / "constants.txt"
@@ -867,6 +890,7 @@ def test_an_output_file_is_replaced_and_a_device_is_not_truncated(tmp_path, caps
     ("T", math.nan), ("T", math.inf), ("c", math.nan), ("c", -math.inf),
     ("residual_sup", math.nan), ("closure_error", math.inf),
     ("samples", math.nan), ("samples", math.inf),
+    ("root_count", math.inf), ("root_count", 2.5),
 ])
 def test_a_non_finite_number_makes_a_document_malformed(tmp_path, capsys, profile5, field,
                                                         value):
@@ -874,6 +898,10 @@ def test_a_non_finite_number_makes_a_document_malformed(tmp_path, capsys, profil
     if field == "samples":
         doc["samples"][7][4] = value
         message = f"malformed profile document: samples row 7 holds {value} in column fp"
+    elif field == "root_count":
+        doc[field] = value
+        message = (f"malformed profile document: root_count is {value}, "
+                   "not a finite whole number >= 1")
     else:
         doc[field] = value
         message = f"malformed profile document: {field} is {value}, not a finite number"

@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 from scipy.special import elliprf, elliprj
 
 import warpcsc.period as period_mod
-from warpcsc.bifurcation import QUAD_RTOL
 from warpcsc import (
     DomainError,
     EnergyOutOfBand,
@@ -449,13 +448,13 @@ def _quadrature_ratio(n, u, rtol):
 
 @pytest.mark.parametrize("n", [3, 5, 6, 8, 12, 20])
 def test_period_curve_matches_quadrature(n):
-    curve = period_curve(n, QUAD_RTOL)
+    curve = period_curve(n)
     # both pieces' nodes below n = 10, where the clamp admits contact
     # orbits under CONTACT_SPLIT; the upper piece's alone from there
     assert curve.quadratures == (80 if n < 10 else 48)
     for u in _held_out(curve):
         ref = _quadrature_ratio(n, u, 1e-11)
-        assert abs(curve.ratio(u) / ref - 1.0) <= QUAD_RTOL, f"u = {u}"
+        assert abs(curve.ratio(u) / ref - 1.0) <= period_mod.KERNEL_RTOL, f"u = {u}"
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])

@@ -6,11 +6,15 @@ A name removed from a module but left in its `__all__`, a `brentq` name
 that is gone from `period`, or a rebinding that `uninstall` does not
 undo breaks a traced benchmark run; these tests catch it in the suite.
 The package republishes exactly the modules' names, each as the
-module's own object, and importing it loads no scipy.
+module's own object, and importing it loads no scipy.  Every default
+kernel tolerance, of a published function or of the command line, is
+`period.KERNEL_RTOL`.
 """
 
+import argparse
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -19,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import warpcsc
+from warpcsc.cli import build_parser
+from warpcsc.period import KERNEL_RTOL
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "benchmark" / "tracing.py"
@@ -91,3 +97,27 @@ def test_package_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_every_default_tolerance_is_the_kernel_rtol():
+    """A second default would build a second period curve per n, whose
+    orbits differ from the first's in their last bits."""
+    defaults = {}
+    for name in warpcsc.__all__:
+        function = getattr(warpcsc, name)
+        if inspect.isfunction(function):
+            for param in inspect.signature(function).parameters.values():
+                if param.name in ("rtol", "quad_rtol") and param.default is not param.empty:
+                    defaults[f"{name}({param.name}=)"] = param.default
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if "--rtol" in action.option_strings:
+                defaults[f"{command} --rtol"] = action.default
+    assert sorted(defaults) == [
+        "bifurcate --rtol", "period --rtol", "period_curve(rtol=)", "period_quadrature(rtol=)",
+        "period_scan(rtol=)", "scan_branches(quad_rtol=)", "solve --rtol",
+        "solve_period(quad_rtol=)",
+    ]
+    assert [key for key, value in defaults.items() if value is not KERNEL_RTOL] == []
