@@ -115,9 +115,10 @@ def _emit(text: str, out_path: str | None, *more: tuple[str, str | None]) -> Non
     file is opened without truncating it before any is truncated or
     written, and stdout last, so a file that cannot be opened leaves no
     text written anywhere, every existing file as it was, and no file
-    this call created.  Two paths to one regular file, by name or through
-    a link, fail the same way.  Only a regular file is truncated: a
-    device such as /dev/null cannot be."""
+    this call created, a dangling link's target included.  Two paths to
+    one regular file, by name or through a link, fail the same way.
+    Only a regular file is truncated: a device such as /dev/null cannot
+    be."""
     files, created = [], []
     try:
         for body, path in ((text, out_path), *more):
@@ -126,7 +127,11 @@ def _emit(text: str, out_path: str | None, *more: tuple[str, str | None]) -> Non
                     fh = open(path, "x", encoding="utf-8", newline="")
                     created.append(path)
                 except FileExistsError:
+                    # "a" through a dangling link creates the link's target
+                    dangling = not os.path.exists(path)
                     fh = open(path, "a", encoding="utf-8", newline="")
+                    if dangling:
+                        created.append(os.path.realpath(path))
                 st = os.fstat(fh.fileno())
                 same = any(os.path.samestat(st, other) for *_, other in files)
                 files.append((body, fh, st))
@@ -193,11 +198,20 @@ def profile_to_doc(profile: SolutionProfile) -> dict:
     }
 
 
+def _number(name: str, value) -> float:
+    """float(value), naming the field when a JSON integer overflows it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"malformed profile document: {name} is an integer too large "
+                          "for a float") from None
+
+
 def doc_to_profile(doc: dict) -> SolutionProfile:
     """The profile of a document; the inverse of profile_to_doc.  A
-    malformed document, one with a non-finite number or a root_count
-    that is not a whole number >= 1 included, raises DomainError naming
-    the field."""
+    malformed document, one with a non-finite number, an integer too
+    large for a float or a root_count that is not a whole number >= 1
+    included, raises DomainError naming the field."""
     try:
         if not isinstance(doc, dict):
             raise DomainError("malformed profile document: the top level must be a JSON "
@@ -207,7 +221,16 @@ def doc_to_profile(doc: dict) -> SolutionProfile:
             raise DomainError("malformed profile document: params must be a JSON object, "
                               f"got {type(raw).__name__}")
         params = ModelParams(n=raw["n"], R=raw["R"], Rt=raw["Rt"])
-        samples = np.asarray(doc["samples"], dtype=float)
+        try:
+            samples = np.asarray(doc["samples"], dtype=float)
+        except OverflowError:
+            # only the error path searches for the sample to name
+            for row, values in enumerate(doc["samples"]):
+                if isinstance(values, list):
+                    for column, value in zip(SAMPLE_COLUMNS, values):
+                        _number(f"samples row {row} column {column}", value)
+            raise DomainError("malformed profile document: samples hold an integer too "
+                              "large for a float") from None
         if samples.ndim != 2 or samples.shape[1] != len(SAMPLE_COLUMNS):
             raise DomainError(
                 f"samples must be rows of {len(SAMPLE_COLUMNS)} numbers, "
@@ -216,14 +239,14 @@ def doc_to_profile(doc: dict) -> SolutionProfile:
         columns = doc.get("columns")
         if columns is not None and list(columns) != list(SAMPLE_COLUMNS):
             raise DomainError(f"unexpected column layout {columns}")
-        scalars = {"T": float(doc["T"]), "c": float(doc["c"]),
-                   "residual_sup": float(doc.get("residual_sup", 0.0)),
-                   "closure_error": float(doc.get("closure_error", 0.0))}
+        scalars = {"T": _number("T", doc["T"]), "c": _number("c", doc["c"]),
+                   "residual_sup": _number("residual_sup", doc.get("residual_sup", 0.0)),
+                   "closure_error": _number("closure_error", doc.get("closure_error", 0.0))}
         for name, value in scalars.items():
             if not math.isfinite(value):
                 raise DomainError(f"malformed profile document: {name} is {value}, "
                                   "not a finite number")
-        root_count = float(doc.get("root_count", 1))
+        root_count = _number("root_count", doc.get("root_count", 1))
         if not (root_count >= 1.0 and root_count.is_integer()):
             raise DomainError(f"malformed profile document: root_count is {root_count}, "
                               "not a finite whole number >= 1")

@@ -28,10 +28,14 @@ kept: a half orbit ends at its crossing, and it never starts at rest.
 acceleration line and the positivity check.  The two hot runs, a half
 orbit of the return map (`_time_to_turn`) and the drift run, write the
 same step out in flat loops, since a call per step costs about as much
-as the arithmetic.  Tests pin both loops to `leapfrog_step` bit for bit,
-so the copies of the step cannot drift apart.  All of them stay second
-order on purpose, since they measure the leapfrog itself: the return
-map always takes a Richardson step, which assumes an error in dt^2.
+as the arithmetic.  A step's closing half kick is the next step's
+opening one, so the loops carry it over instead of computing it twice,
+and they count no steps: they iterate `itertools.repeat`, and a half
+orbit reads its crossing step from what is left of its block.  Tests
+pin both loops to `leapfrog_step` bit for bit, so the copies of the
+step cannot drift apart.  All of them stay second order on purpose,
+since they measure the leapfrog itself: the return map always takes a
+Richardson step, which assumes an error in dt^2.
 Tests pin the return map by tolerance and, at eleven frozen energies,
 bit for bit.  A return-map run takes the smaller of T0 / STEPS_PER_PERIOD
 and a step resolving the local oscillation at its inner turning point,
@@ -43,7 +47,9 @@ integrand.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DomainError, EnergyOutOfBand, PositivityViolation
@@ -190,8 +196,10 @@ def _time_to_turn(
     """Time from (x0, v0) to the first v = 0 crossing, and the energy wander.
 
     The step is `leapfrog_step`'s, written out in a flat loop so that no
-    call is made per step.  The wander is read after the first
-    step and then after every block of 1024 steps, and at the crossing.
+    call is made per step; it carries its half kick to the next step and
+    keeps no step counter, since only the crossing needs its index.  The
+    wander is read after the first step and then after every block of
+    1024 steps, and at the crossing.
     """
     k1, k2, e = _force_coeffs(params)
     A, Bq, q = _potential_coeffs(params)
@@ -199,20 +207,23 @@ def _time_to_turn(
     x, v = x0, v0
     e0 = 0.5 * v0 * v0 + A * x0 * x0 - Bq * x0**q
     wander = 0.0
-    acc = k2 * x**e - k1 * x
+    kick = half * (k2 * x**e - k1 * x)
     start, stop = 0, 1
     while True:
         stop = min(stop, budget)
-        for step in range(start, stop):
-            vh = v + half * acc
+        steps = itertools.repeat(None, stop - start)
+        for _ in steps:
+            vh = v + kick
             x1 = x + dt * vh
             if x1 <= 0.0:
                 raise PositivityViolation(
                     f"step of size {dt} reached x = {x1} <= 0; reduce dt"
                 )
-            acc = k2 * x1**e - k1 * x1
-            v1 = vh + half * acc
+            kick = half * (k2 * x1**e - k1 * x1)
+            v1 = vh + kick
             if v * v1 <= 0.0:
+                # the block's steps not yet taken give this step's index
+                step = stop - 1 - operator.length_hint(steps)
                 tau = _refine_crossing(x, v, dt, params)
                 e1 = 0.5 * v1 * v1 + A * x1 * x1 - Bq * x1**q
                 return step * dt + tau, max(wander, abs(e1 - e0))
@@ -278,7 +289,9 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
     secular_rel compares the mean energy of the second half of the run
     against the first half; both are relative to the well depth.  For a
     symplectic scheme max_rel saturates while secular_rel stays near
-    roundoff no matter how long the run.
+    roundoff no matter how long the run.  The loop is `leapfrog_step`'s
+    step without a call or a step counter, and its half kick carries
+    from each step to the next, across the two halves too.
     """
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
@@ -296,7 +309,7 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
     x = consts.x_star
     v = math.sqrt(2.0 * e_above)
     e0 = 0.5 * v * v + A * x * x - Bq * x**q
-    acc = k2 * x**e - k1 * x
+    kick = half * (k2 * x**e - k1 * x)
     halfway = n_steps // 2
     # rounded subtraction is monotone and odd, so the worst |ei - e0|
     # is reached at the highest or the lowest ei
@@ -304,15 +317,15 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
     sums = []
     for count in (halfway, n_steps - halfway):
         total = 0.0
-        for _ in range(count):
-            vh = v + half * acc
+        for _ in itertools.repeat(None, count):
+            vh = v + kick
             x = x + dt * vh
             if x <= 0.0:
                 raise PositivityViolation(
                     f"step of size {dt} reached x = {x} <= 0; reduce dt"
                 )
-            acc = k2 * x**e - k1 * x
-            v = vh + half * acc
+            kick = half * (k2 * x**e - k1 * x)
+            v = vh + kick
             ei = 0.5 * v * v + A * x * x - Bq * x**q
             if ei > hi:
                 hi = ei

@@ -81,7 +81,11 @@ class ModelParams:
             raise DomainError(f"dimension n must be an integer >= 3, got {self.n!r}")
         object.__setattr__(self, "n", n)
         for name in ("R", "Rt"):
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:
+                raise DomainError(f"{name} must be a positive finite number, got an "
+                                  "integer too large for a float") from None
             if not math.isfinite(value) or value <= 0.0:
                 raise DomainError(f"{name} must be a positive finite number, got {value}")
             object.__setattr__(self, name, value)

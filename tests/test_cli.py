@@ -877,6 +877,27 @@ def test_two_outputs_that_are_one_file_are_refused(tmp_path, capsys, link):
     assert (code, out) == (0, "")
 
 
+@pytest.mark.parametrize("points_ok", [False, True], ids=["points-fail", "points-written"])
+def test_an_output_through_a_dangling_link_creates_its_target(tmp_path, capsys, points_ok):
+    """Writing through a dangling link creates the link's target, which
+    counts as a file the command created: a later failing output removes
+    it again."""
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    points = tmp_path / "points.csv" if points_ok else tmp_path / "missing" / "points.csv"
+    argv = ("bifurcate", *PARAMS_ARGV, "--tmax", "20", "--grid", "16")
+    code, out, err = run_cli(capsys, *argv, "--out", str(link), "--points", str(points))
+    assert link.is_symlink()
+    if points_ok:
+        assert (code, out) == (0, "")
+        rows = run_cli(capsys, *argv, "--points", str(tmp_path / "again.csv"))[1]
+        assert rows.count("\n") > 1 and target.read_text() == rows
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {points}: ")
+        assert not target.exists()
+
+
 def test_an_output_file_is_replaced_and_a_device_is_not_truncated(tmp_path, capsys):
     expected = run_cli(capsys, "threshold", *PARAMS_ARGV)[1]
     out_file = tmp_path / "constants.txt"
@@ -907,6 +928,29 @@ def test_a_non_finite_number_makes_a_document_malformed(tmp_path, capsys, profil
         message = f"malformed profile document: {field} is {value}, not a finite number"
     with pytest.raises(DomainError, match=re.escape(message)):
         doc_to_profile(doc)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field", ["T", "c", "root_count", "residual_sup", "samples",
+                                   "params.R"])
+def test_an_integer_too_large_for_a_float_makes_a_document_malformed(tmp_path, capsys,
+                                                                     profile5, field):
+    doc = profile_to_doc(profile5)
+    # a 401-digit JSON integer, which Python reads but no float holds
+    big = 10**400
+    if field == "samples":
+        doc["samples"][7][4] = big
+        message = ("malformed profile document: samples row 7 column fp is an integer "
+                   "too large for a float")
+    elif field == "params.R":
+        doc["params"]["R"] = big
+        message = "R must be a positive finite number, got an integer too large for a float"
+    else:
+        doc[field] = big
+        message = f"malformed profile document: {field} is an integer too large for a float"
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", "--in", str(path))

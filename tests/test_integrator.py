@@ -334,6 +334,29 @@ def test_time_to_turn_matches_stepwise_reference_bit_for_bit(n, x_rel, v_rel):
     assert t > 2048 * dt
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("j", [0, 1, 1023, 1024, 1025, 2048])
+def test_time_to_turn_keeps_the_crossing_step_at_block_edges(n, sign, j):
+    """A crossing in the first step, at either end of a 1024-step block or
+    at the end of a budget keeps its step index, and the budget counts
+    the crossing step as taken."""
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    x0, v0 = k.x_star, sign * math.sqrt(0.2 * abs(k.c_min))
+    t_fine = _turn_reference(x0, v0, k.T0 / 8192, params, 10**6)[0]
+    # the crossing falls mid-step j; a first step must outrun the turn
+    dt = t_fine / max(j + 0.5, 1.0)
+    ref = _turn_reference(x0, v0, dt, params, j + 1)
+    assert int(ref[0] // dt) == j
+    for budget in (j + 1, 10**6):
+        assert integrator._time_to_turn(x0, v0, dt, params, budget) == ref
+    if j >= 1:
+        with pytest.raises(BudgetExceeded) as info:
+            integrator._time_to_turn(x0, v0, dt, params, j)
+        assert str(info.value) == f"no turning point within {j} steps of size {dt}"
+
+
 @pytest.mark.parametrize("budget", [1, 1024, 1025, 2049])
 def test_time_to_turn_budget_error_keeps_its_text(p3, k3, budget):
     dt = k3.T0 / 8192

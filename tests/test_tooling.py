@@ -8,7 +8,7 @@ undo breaks a traced benchmark run; these tests catch it in the suite.
 The package republishes exactly the modules' names, each as the
 module's own object, and importing it loads no scipy.  Every default
 kernel tolerance, of a published function or of the command line, is
-`period.KERNEL_RTOL`.
+`period.KERNEL_RTOL`.  Every package name README quotes resolves.
 """
 
 import argparse
@@ -16,6 +16,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,3 +122,32 @@ def test_every_default_tolerance_is_the_kernel_rtol():
         "solve_period(quad_rtol=)",
     ]
     assert [key for key, value in defaults.items() if value is not KERNEL_RTOL] == []
+
+
+MODULES = (*PUBLIC_MODULES, "cli")
+
+
+def _resolves(module: str, dotted: str) -> bool:
+    obj = importlib.import_module(f"warpcsc.{module}")
+    for attr in dotted.split("."):
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_names_resolve():
+    """Every `module.name` README quotes, with module one of the package's
+    modules, and every bare `_private` name is still in the package, so
+    README names no helper that has gone."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    pattern = re.compile(rf"\b({'|'.join(MODULES)})\.(\w+(?:\.\w+)*)")
+    dotted = {match.groups() for span in spans for match in pattern.finditer(span)}
+    private = {span for span in spans if re.fullmatch(r"_\w+(?:\.\w+)*", span)}
+    assert dotted and private
+    missing = [f"{module}.{name}" for module, name in sorted(dotted)
+               if not _resolves(module, name)]
+    missing += [name for name in sorted(private)
+                if not any(_resolves(module, name) for module in MODULES)]
+    assert missing == []
