@@ -374,7 +374,9 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
     except OSError as err:
         raise DomainError(f"cannot read {args.infile}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # JSONDecodeError, bytes that are not UTF-8, or an integer past
+        # Python's limit for converting digits
         raise DomainError(f"{args.infile} is not valid JSON: {err}") from err
     profile = doc_to_profile(doc)
     curvature, conformal, audit, failed = _verdict(profile, args.tol)

@@ -30,6 +30,7 @@ overhead.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,6 +80,9 @@ class ModelParams:
             n = int(n)
         if not isinstance(n, int) or isinstance(n, bool) or n < 3:
             raise DomainError(f"dimension n must be an integer >= 3, got {self.n!r}")
+        if n > sys.float_info.max:
+            raise DomainError("dimension n must be an integer >= 3, got an integer too large "
+                              "for a float")
         object.__setattr__(self, "n", n)
         for name in ("R", "Rt"):
             try:
@@ -243,7 +247,7 @@ def potential_above_min(x, params: ModelParams):
     in the offset d = x - x_star keeps it accurate to roundoff on the
     whole positive axis.  The period quadrature and the turning-point
     solves do not call it: they work in u = f_min/f_star with
-    `period._rise`.  Inside the package only its scalar form,
+    `period._rise` and `period._gap_factor`.  Inside the package only its scalar form,
     `_forms(params).offset`, is used, to size the return map's steps
     (`integrator._rough_inner_turning`).
     """

@@ -2,58 +2,50 @@
 
 Scaling removes R and Rt from the reduced equation, so in units of
 f_star and T0 an orbit is fixed by u = f_min/f_star.  With x = f^(n/2),
+w(g) = ((n-2)/n) g^n - g^(n-2) and g = f/f_star between the turning
+points u and v > 1, w(u) = w(v), so the gap factors as
+w(u) - w(g) = (g - u)(v - g) p(g), with p = w[u, v, g] a polynomial of
+degree n - 2, positive on [u, v].  With g = m + r sin(theta) the first
+two factors cancel dg = r cos(theta) dtheta, and
 
-    T/T0 = (sqrt(n-2)/pi) * integral_u^v g^(n/2-1) dg / sqrt(w(u) - w(g)),
-    w(g) = ((n-2)/n) g^n - g^(n-2),
+    T/T0 = (sqrt(n-2)/pi) * integral_{-pi/2}^{pi/2} g^(n/2-1) / sqrt(p(g)) dtheta,
 
-where g = f/f_star runs between the turning points u and v > 1.  The
-integrand stays regular down to contact, where the orbit approaches the
-spherical suspension that crosses f = 0 with nonzero slope.
+whose integrand is regular at both ends, down to contact, where the
+orbit approaches the spherical suspension that crosses f = 0 with
+nonzero slope, and takes no difference of two large terms at a node.
+`_gap_factor` builds p's coefficients, the one place that handles their
+cancellation near contact, and sums them by Horner's rule: n - 2 steps
+a node, so the kernel refuses n above MAX_KERNEL_DIMENSION.
 
-`_period_kernel` evaluates this for a batch of orbits in one numpy pass
-per level over the orbits not yet accepted: v comes from a vectorized
-Newton solve, g = m + r sin(theta) removes both endpoint singularities,
-`_node` writes each node against its nearest turning point through half
-angles and the anchored difference `_rise`, and a tanh-sinh rule
-(Takahasi-Mori) on fixed nodes per level takes its error estimate from
-the change between two levels.  The pass stacks the two halves of the
-orbits, the rows seen from v over those seen from u, into one `_node`
-call of at most KERNEL_ORBITS orbits and adds them back row by row;
-`_ts_level` caches each level's sin(half)^2 and weights.
-`_orbit_samples` samples a profile from the same integrand, between the
-turning points u and v the kernel confirmed, so no turning point is
-solved again: it fits dt/dtheta in Chebyshev nodes, integrates the fit
-to t(theta) and inverts that at the sample times with
-`_ChebSeries.root`, the curve's own inversion.  `root` starts each
-target from a cubic Hermite inverse of the series' values and slopes at
-Chebyshev points, which are plain cosine and sine sums, and takes its
-Newton steps on the series less its trailing coefficients below
-roundoff.
+`_period_kernel` evaluates this for a batch of orbits, one numpy pass per
+tanh-sinh level (Takahasi-Mori) over the orbits not yet accepted, its
+error estimate the change between two levels: v comes from a vectorized
+Newton solve, each node's g is written from its nearer turning point
+through half angles, and both halves of at most KERNEL_ORBITS orbits go
+to one `_integrand` call and are added back row by row.
+`_orbit_samples` samples a profile from the same integrand between the
+turning points the kernel confirmed: it fits dt/dtheta in Chebyshev
+nodes, integrates the fit to t(theta) and inverts that at the sample
+times with `_ChebSeries.root`, the curve's own inversion.
 
 `period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
 once per process for each (n, rtol), from one kernel call.  Its
 `orbits(taus, params)` is the package's one period inversion: it inverts
 a batch of periods on the fit and confirms every orbit in one kernel
-call.  A piece no period lands on is not inverted at all.  The period
-map is monotone in u (Chicone, J. Differential Equations 69, 1987), so
-that is the whole path: nothing is polished, and an orbit whose
-confirmed period misses the request by more than LANDING_FACTOR * rtol
-raises.  `bifurcation.scan_branches` asks it
-once for all its rows, and `solver.solve_period` for its one orbit.
-Counting solutions needs no inversion (see `bifurcation`).
+call.  The period map is monotone in u (Chicone, J. Differential
+Equations 69, 1987), so nothing is polished; an orbit whose confirmed
+period misses the request by more than LANDING_FACTOR * rtol raises.
+`bifurcation.scan_branches` and `solver.solve_period` invert through it;
+counting solutions needs no inversion (see `bifurcation`).
 
-`period_scan(c_grid)` keeps the energy interface.  `_inner_root` takes
-every in-band energy of the grid to its u in one batch of bracketed
-Newton steps, each energy stopping on its own, and one kernel call
-takes every orbit from there; a, b = x_star (u, f_max)^(n/2), as in
-`orbits`.  An energy whose inner or outer turning point does not
-settle, or whose orbit the kernel cannot certify, fails alone.
-`turning_points(c)` is the solve of one energy followed by
-`_outer_root`, and `period_quadrature(c)` is the scan of one energy.
-Scans and `orbits` give one record, an `OrbitSpec` keyed by its u and
-carrying the kernel's v, from which `solver` samples; `bifurcation`
-reads the same fields as columns.
-Nothing here calls a bracketing root finder.
+`period_scan(c_grid)` keeps the energy interface: `_inner_root` takes
+every in-band energy to its u in one batch of bracketed Newton steps,
+and one kernel call takes every orbit from there; an energy whose
+turning points do not settle, or whose orbit the kernel cannot certify,
+fails alone.  `turning_points(c)` and `period_quadrature(c)` are the
+solve and the scan of one energy.  Scans and `orbits` give one record,
+an `OrbitSpec` keyed by its u and carrying the kernel's v.  Nothing here
+calls a bracketing root finder.
 """
 
 from __future__ import annotations
@@ -92,7 +84,7 @@ KERNEL_RTOL = 1e-10
 TS_SPAN = 3.2
 TS_FIRST_LEVEL = 2
 TS_LAST_LEVEL = 7
-# the anchored difference sums SERIES_TERMS terms of its series in L
+# the rise from the well bottom sums SERIES_TERMS terms of its series in L
 # where n |L| is below SERIES_SPAN
 SERIES_SPAN = 0.02
 SERIES_TERMS = 9
@@ -118,6 +110,9 @@ MAX_SCAN_POINTS = 10**6
 # orbits the kernel evaluates in one pass of a level, which bounds its
 # arrays at a few tens of MB whatever the batch
 KERNEL_ORBITS = 1024
+# largest n the kernel takes: p = w[u, v, g] costs n - 2 Horner steps per
+# node, and a curve build at this n takes a few seconds
+MAX_KERNEL_DIMENSION = 10**5
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
         lambda g: (g ** (n - 2.0) * ((n - 2.0) / n * g * g - 1.0), _w_slope(g, n)), level,
         np.abs(level) ** (1.0 / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
     u[lower], stuck_lower = _bracketed_newton(
-        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), lift,
+        lambda g: (_rise(g - 1.0, n), _w_slope(g, n)), lift,
         1.0 - np.sqrt(lift / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
     stuck = np.concatenate([upper[stuck_upper], lower[stuck_lower]])
     band = f"[{consts.c_min * (1.0 - BAND_CLAMP)}, {-BAND_CLAMP * depth}]"
@@ -257,22 +252,20 @@ def _series_coeffs(n: int) -> tuple[float, ...]:
                  for k in range(SERIES_TERMS + 1, 1, -1))
 
 
-def _rise(t: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
-    """w(t + d) - w(t) for w(g) = ((n-2)/n) g^n - g^(n-2), anchored at t.
+def _rise(d: np.ndarray, n: int) -> np.ndarray:
+    """w(1 + d) - w(1) for w(g) = ((n-2)/n) g^n - g^(n-2): the rise from
+    the well bottom, which keeps its digits.
 
-    The anchored difference vanishes exactly at d = 0.  Near the well
-    bottom the linear terms of its two expm1 cancel; there, with
-    t^2 = 1 + (t^2 - 1), the rest is summed as its series in L from L^2
-    on, which SERIES_TERMS terms take to roundoff for n |L| < SERIES_SPAN.
+    Near the bottom the linear terms of its two expm1 cancel; there the
+    rest is summed as its series in L = log1p(d) from L^2 on, which
+    SERIES_TERMS terms take to roundoff for n |L| < SERIES_SPAN.
     """
-    L = np.log1p(d / t)
-    e_n = np.expm1(n * L)
+    L = np.log1p(d)
     series = 0.0
     for coeff in _series_coeffs(n):
         series = series * L + coeff
-    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
-    far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
-    return t ** (n - 2.0) * np.where(np.abs(n * L) < SERIES_SPAN, near, far)
+    far = (n - 2.0) / n * np.expm1(n * L) - np.expm1((n - 2.0) * L)
+    return np.where(np.abs(n * L) < SERIES_SPAN, series * L * L, far)
 
 
 def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
@@ -292,7 +285,7 @@ def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     """
     start = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
     v, stuck = _bracketed_newton(
-        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), _rise(1.0, u - 1.0, n),
+        lambda g: (_rise(g - 1.0, n), _w_slope(g, n)), _rise(u - 1.0, n),
         start.copy(), lo=1.0, hi=start, rising=True, floor=0.0, scale=0.0)
     v[stuck] = np.nan
     return v
@@ -304,20 +297,43 @@ def _unsettled(u: float, n: int) -> QuadratureNonConvergence:
         f"for n = {n} at u = {u}")
 
 
-def _node(turn, other, sin2, n: int):
-    """g = m + r sin(theta) at half = pi/4 - |theta|/2 from its nearer
-    turning point turn, as turn + (other - turn) sin2 with sin2 =
-    sin(half)^2, and the gap w(u) - w(g) as the anchored difference
-    -_rise, exactly 0 at half = 0."""
-    d = (other - turn) * sin2
-    return turn + d, -_rise(turn, d, n)
+def _integrand(g, u, v, n: int):
+    """g^(n/2-1) / sqrt(p(g)) at points g of the orbits with turning points
+    u and v, each broadcasting against g."""
+    return g ** (0.5 * n - 1.0) / np.sqrt(_gap_factor(g, u, v, n))
+
+
+def _gap_factor(g, u, v, n: int):
+    """p(g) = (w(u) - w(g)) / ((g - u)(v - g)) by Horner's rule, for the
+    orbits with turning points u < v, each broadcasting against g.
+
+    With a = (n-2)/n and h_m the complete homogeneous polynomial of
+    degree m in (u, v), p's coefficient of g^j is a h_(m+2) - h_m for
+    m = n - 4 - j, whose terms cancel near contact, where a v^2 - 1 tends
+    to 0.  w(u) = w(v) gives a v^2 - 1 = delta = (u/v)^(n-2) (a u^2 - 1),
+    and delta h_m + a u^(m+1) (u + v) keeps its digits.  Each coefficient
+    is built as its Horner step needs it, so a large n holds none.
+    """
+    a = (n - 2.0) / n
+    s = u + v
+    delta = (u / v) ** (n - 2.0) * (a * u * u - 1.0)
+    p = a * g + a * s
+    h, power = 1.0, u
+    for _ in range(n - 3):
+        p = p * g + (delta * h + a * power * s)
+        h, power = v * h + power, power * u
+    return p
+
+
+def _out_of_range(u, n: int):
+    """Where u^(n-3), and with it p(u), is below the smallest normal float."""
+    return np.asarray(u) ** (n - 3.0) < np.finfo(float).tiny
 
 
 @lru_cache(maxsize=16)
 def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     """The tanh-sinh nodes new at this level: sin(half)^2 of their half
-    angles, and their weights times cos(theta) = 2 sin(half) cos(half),
-    the factor dg/dtheta = r cos(theta) brings to the integrand.
+    angles, and their weights dtheta/dt.
 
     theta = (pi/2) tanh((pi/2) sinh t) for t >= 0; the half angle
     pi/4 - theta/2 = (pi/2) / (1 + exp(pi sinh t)) keeps its relative
@@ -334,7 +350,7 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     weight = math.pi**2 * np.cosh(t) * e / (1.0 + e) ** 2
     if level == TS_FIRST_LEVEL:
         weight[0] *= 0.5
-    return np.sin(half) ** 2, 2.0 * np.sin(half) * np.cos(half) * weight
+    return np.sin(half) ** 2, weight
 
 
 class _Periods(NamedTuple):
@@ -352,19 +368,18 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     One numpy pass per tanh-sinh level over the orbits still pending,
     with both halves of each orbit stacked in one array, KERNEL_ORBITS
     orbits at a time, so that memory stays bounded whatever the batch;
-    each orbit is
-    accepted at the first level whose change from the level before,
-    plus one rounding of the sum, is at most rtol of its period, and
-    drops out of the later levels.  Its nodes are summed row
-    by row, so an orbit's result does not depend on the batch it comes
-    in.  An orbit still unaccepted past the finest level keeps
-    nodes == 0 and ratio 0, and so does one whose f_max is NaN: it is
-    never pending.  `_failure` names either.
+    each orbit is accepted at the first level whose change from the level
+    before, plus one rounding of the sum, is at most rtol of its period,
+    and drops out of the later levels.  Its nodes are summed row by row,
+    so an orbit's result does not depend on its batch.  An orbit still
+    unaccepted past the finest level keeps nodes == 0 and ratio 0, and so
+    does one never pending: its f_max is NaN, its u `_out_of_range` or n
+    above MAX_KERNEL_DIMENSION.  `_failure` names each.
     """
     u = np.asarray(u, dtype=float)
     v = _outer_root(u, n)
-    live = np.flatnonzero(~np.isnan(v))
-    scale = math.sqrt(n - 2.0) / math.pi * (0.5 * (v - u))
+    live = np.flatnonzero(~np.isnan(v) & ~_out_of_range(u, n) & (n <= MAX_KERNEL_DIMENSION))
+    scale = math.sqrt(n - 2.0) / math.pi
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
     nodes = np.zeros(u.shape, dtype=int)
     previous = None
@@ -378,14 +393,11 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
         # the rows from v, then the rows from u
         for start in range(0, live.size, KERNEL_ORBITS):
             rows = live[start:start + KERNEL_ORBITS]
-            lower, upper = u[rows], v[rows]
-            g, gap = _node(np.concatenate([upper, lower])[:, None],
-                           np.concatenate([lower, upper])[:, None], sin2, n)
-            # roundoff can graze zero at the outermost nodes
-            ok = gap > 0.0
-            both = np.where(ok, g ** (0.5 * n - 1.0) / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
-            total[rows] += ((both[:rows.size] + both[rows.size:]) * weight).sum(axis=1)
-        estimate = scale[live] * 2.0**-level * total[live]
+            lower, upper = u[rows, None], v[rows, None]
+            d = (upper - lower) * sin2
+            both = _integrand(np.stack([upper - d, lower + d]), lower, upper, n)
+            total[rows] += ((both[0] + both[1]) * weight).sum(axis=1)
+        estimate = scale * 2.0**-level * total[live]
         if previous is not None:
             change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
             accept = change <= rtol * estimate
@@ -402,10 +414,15 @@ def _failure(u: float, f_max: float, n: int, rtol: float) -> QuadratureNonConver
     """Why the kernel left the orbit at u unaccepted."""
     if math.isnan(f_max):
         return _unsettled(u, n)
-    return QuadratureNonConvergence(
-        f"period kernel for n = {n} at u = {u} did not meet rtol = {rtol} "
-        f"by its finest level, h = 2^-{TS_LAST_LEVEL}"
-    )
+    if n > MAX_KERNEL_DIMENSION:
+        why = (f": p takes n - 2 Horner steps per node, and n is above the kernel's limit "
+               f"of {MAX_KERNEL_DIMENSION} dimensions")
+    elif _out_of_range(u, n):
+        why = (f" at u = {u}: u^(n-3) is below the smallest normal float, so the integrand "
+               "leaves the float range")
+    else:
+        why = f" at u = {u} did not meet rtol = {rtol} by its finest level, h = 2^-{TS_LAST_LEVEL}"
+    return QuadratureNonConvergence(f"period kernel for n = {n}{why}")
 
 
 def _certified(u: np.ndarray, n: int, rtol: float) -> _Periods:
@@ -678,12 +695,14 @@ def _integral(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _arc(x, u: float, v: float, n: int):
-    """`_node` at x = theta/(pi/2), and the half angle."""
+def _arc(x, u: float, v: float):
+    """g = m + r sin(theta) at x = theta/(pi/2), written from its nearer
+    turning point through the half angle pi/4 - |theta|/2 as the kernel's
+    nodes are, and that half angle."""
     half = 0.25 * math.pi * (1.0 - np.abs(x))
     upper = x >= 0.0
-    g, gap = _node(np.where(upper, v, u), np.where(upper, u, v), np.sin(half) ** 2, n)
-    return g, gap, half
+    turn = np.where(upper, v, u)
+    return turn + (np.where(upper, u, v) - turn) * np.sin(half) ** 2, half
 
 
 def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float, rtol: float):
@@ -693,26 +712,22 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
     its half period at the last doubling.  v is the kernel's, read from
     the confirmed orbit, not solved again.
 
-    The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) r
-    cos(theta) / sqrt(w(u) - w(g)), is smooth on [-pi/2, pi/2].  Its fit
-    on first-kind Chebyshev nodes doubles from PROFILE_NODES nodes until
-    the half period t(pi/2) changes by at most rtol, plus one rounding;
-    past MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit
-    is `_cheb_coeffs`, whose cosine transform is built once per node
-    count, and `_integral`, numpy's chebint without its loop; both give
-    numpy's bits.  The integral is t(theta) from the inner turning point,
-    and `_ChebSeries.root` inverts min(t, period - t) for every time at
-    once; the second half of the orbit mirrors the first with the
-    velocity negated.  The series returned is the whole fit, one
-    coefficient per node and one more, whatever `root` drops from its
-    own sums.
+    The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) /
+    sqrt(p(g)), is smooth on [-pi/2, pi/2].  Its fit on first-kind
+    Chebyshev nodes doubles from PROFILE_NODES nodes until the half period
+    t(pi/2) changes by at most rtol, plus one rounding; past
+    MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit is
+    `_cheb_coeffs` and `_integral`, numpy's chebint without its loop, both
+    with numpy's bits.  `_ChebSeries.root` inverts min(t, period - t) for
+    every time at once; the second half of the orbit mirrors the first
+    with the velocity negated, and the energy gives each speed from the
+    gap w(u) - w(g) = (r sin(2 half))^2 p(g).  The series returned is the
+    whole fit, whatever `root` drops from its own sums.
     """
-    r = 0.5 * (v - u)
     size, previous = PROFILE_NODES, None
     while True:
-        angles = _cheb_angles(size)
-        g, gap, half = _arc(np.cos(angles), u, v, n)
-        rate = math.sqrt(n - 2.0) * r * g ** (0.5 * n - 1.0) * np.sin(2.0 * half) / np.sqrt(gap)
+        g, _ = _arc(np.cos(_cheb_angles(size)), u, v)
+        rate = math.sqrt(n - 2.0) * _integrand(g, u, v, n)
         coeffs = 0.5 * math.pi * _integral(_cheb_coeffs(rate))
         half_period = float(_chebval(1.0, coeffs))
         if previous is not None:
@@ -725,9 +740,9 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
                 f"rtol = {rtol} by {MAX_PROFILE_NODES} Chebyshev nodes")
         previous, size = half_period, 2 * size
     series = _ChebSeries(-1.0, 1.0, False, coeffs)
-    g, gap, _ = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0, half_period),
-                                 -1.0, 1.0), u, v, n)
-    # the energy gives v from the gap
+    g, half = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0, half_period),
+                               -1.0, 1.0), u, v)
+    gap = (0.5 * (v - u) * np.sin(2.0 * half)) ** 2 * _gap_factor(g, u, v, n)
     speed = 0.5 * n * np.sqrt(gap / (n - 2.0))
     velocity = np.where(times <= 0.5 * period, speed, -speed)
     return g ** (0.5 * n), velocity, series, change / half_period

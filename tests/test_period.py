@@ -713,6 +713,116 @@ def test_every_orbit_carries_the_u_its_period_came_from(n):
 
 
 
+def _mp_digits(u, n):
+    """Digits for `_mp_gap_factor` that absorb the cancellation of its
+    difference near contact, where p(u) ~ u^(n-3) and its terms ~ 1."""
+    return 30 + math.ceil((n - 3) * max(0.0, -math.log10(u)))
+
+
+def _mp_gap_factor(u, n, fractions):
+    """v of the orbit at u and p = w[u, v, g] at g = u + (v - u) s for each
+    s of fractions, in mpmath at its working precision: v by bracketed
+    root finding on w(v) = w(u), p = a h_(n-2)(u, v, g) - h_(n-4)(u, v, g)
+    summed directly."""
+    a = mp.mpf(n - 2) / n
+    U = mp.mpf(u)
+    wu = a * U**n - U ** (n - 2)
+    V = mp.findroot(lambda g: a * g**n - g ** (n - 2) - wu, (mp.mpf(1), mp.sqrt(1 / a)),
+                    solver="illinois")
+    values = []
+    for s in fractions:
+        g = U + (V - U) * s
+        h2, power, h3, h = mp.mpf(0), mp.mpf(1), mp.mpf(0), []
+        for _ in range(n - 1):
+            h2, power = V * h2 + power, power * U  # h_k(u, v)
+            h3 = g * h3 + h2  # h_k(u, v, g)
+            h.append(h3)
+        values.append(a * h[n - 2] - (h[n - 4] if n >= 4 else 0))
+    return V, values
+
+
+@pytest.mark.parametrize("n, us", [(3, [1e-9, 1e-3, 0.5, 0.999999]), (4, [1e-6, 0.7]),
+                                   (5, [1e-6, 0.01, 0.6]), (8, [1e-4, 0.3]),
+                                   (12, [1e-3, 0.1, 0.9]), (20, [0.01, 0.3]),
+                                   (40, [0.2, 0.6]), (100, [0.5, 0.8, 0.999])])
+def test_gap_factor_keeps_its_digits_down_to_contact(n, us):
+    """p = w[u, v, g] from `_gap_factor`, on the kernel's v, agrees with
+    the divided difference summed at high precision within 4 n eps across
+    [u, v], its ends included; the plain coefficients a h_(m+2) - h_m
+    would lose every digit of p(u) ~ u^(n-3) at contact."""
+    fractions = [0.0, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-9, 1.0]
+    for u in us:
+        v = float(period_mod._outer_root(np.array([u]), n)[0])
+        got = period_mod._gap_factor(u + (v - u) * np.array(fractions), u, v, n)
+        with mp.workdps(_mp_digits(u, n)):
+            ref = np.array([float(x) for x in _mp_gap_factor(u, n, fractions)[1]])
+        assert np.max(np.abs(got / ref - 1.0)) <= 4.0 * n * np.finfo(float).eps, u
+
+
+def _mp_period_ratio(u, n):
+    """T/T0 of the orbit at u in mpmath, with the change of its value
+    when the rule is halved: (sqrt(n-2)/pi) times the integral of
+    g^(n/2-1)/sqrt(p(g)) over theta in [-pi/2, pi/2], g = m + r sin(theta),
+    a function of sin(theta) and so half a periodic integral, by the
+    trapezoid rule on 256 points of the circle, against 128."""
+    half = 128
+    with mp.workdps(_mp_digits(u, n)):
+        fractions = [(1 + mp.sin(mp.pi * (mp.mpf(k) / half - 0.5))) / 2
+                     for k in range(half + 1)]
+        V, p = _mp_gap_factor(u, n, fractions)
+        U = mp.mpf(u)
+        values = [(U + (V - U) * s) ** (mp.mpf(n) / 2 - 1) / mp.sqrt(q)
+                  for s, q in zip(fractions, p)]
+        fine = mp.pi / half * (sum(values) - (values[0] + values[-1]) / 2)
+        coarse = 2 * mp.pi / half * (sum(values[::2]) - (values[0] + values[-1]) / 2)
+        return float(mp.sqrt(n - 2) / mp.pi * fine), float(abs(fine / coarse - 1))
+
+
+@pytest.mark.parametrize("n, extra", [(20, []), (30, []), (40, [0.2]), (60, []),
+                                      (100, [0.5])])
+def test_kernel_matches_mpmath_beyond_n_12(n, extra):
+    """Five orbits across the curve's band, and the orbits the anchored-gap
+    kernel got wrong (n = 40 at u = 0.2: 1.3e-9 off with err_est 4.4e-11)
+    or could not accept (n = 100 at u = 0.5): at rtol 1e-8, 1e-10 and
+    1e-12 every period lies within rtol of the high-precision one, and
+    err_est understates its error by at most 10 times."""
+    curve = period_curve(n)
+    for u in [*np.geomspace(curve.u_lo, curve.u_hi, 5).tolist(), *extra]:
+        ref, halving = _mp_period_ratio(u, n)
+        assert halving <= 1e-12, u  # the reference itself has settled
+        for rtol in (1e-8, 1e-10, 1e-12):
+            periods = period_mod._period_kernel(np.array([u]), n, rtol)
+            error = abs(periods.ratio[0] / ref - 1.0)
+            assert periods.nodes[0] and error <= rtol, (u, rtol)
+            assert error <= 10.0 * periods.err_est[0], (u, rtol)
+
+
+def test_an_integrand_below_the_float_range_fails_typed():
+    """At n = 100 and u = 1e-8, u^(n-3) underflows: the orbit fails with
+    an error naming n, u and the float range, its batch-mate keeps the
+    bits it has alone, and no NaN reaches the period."""
+    periods = period_mod._period_kernel(np.array([1e-8, 0.5]), 100, 1e-10)
+    alone = period_mod._period_kernel(np.array([0.5]), 100, 1e-10)
+    assert periods.nodes[0] == 0 and periods.ratio[0] == 0.0
+    assert [a[1] for a in periods] == [a[0] for a in alone]
+    with pytest.raises(QuadratureNonConvergence,
+                       match=r"n = 100 at u = 1e-08: u\^\(n-3\) is below the smallest normal "
+                             r"float, so the integrand leaves the float range"):
+        period_mod._certified(np.array([0.5, 1e-8]), 100, 1e-10)
+
+
+def test_the_kernel_refuses_a_dimension_above_its_limit(monkeypatch):
+    """p costs n - 2 Horner steps per node, so past MAX_KERNEL_DIMENSION the
+    kernel refuses at once, naming n and the limit, rather than run for
+    minutes; at the limit it still builds a curve."""
+    monkeypatch.setattr(period_mod, "MAX_KERNEL_DIMENSION", 30)
+    assert period_mod._period_kernel(np.array([0.9]), 30, 1e-10).nodes[0] > 0
+    with pytest.raises(QuadratureNonConvergence,
+                       match=r"^period kernel for n = 31: p takes n - 2 Horner steps per node, "
+                             r"and n is above the kernel's limit of 30 dimensions$"):
+        period_curve(31, 1e-9)
+
+
 def _sum_cases():
     """1, 2, 3, 33 and 65 coefficients, as (N,) and (N, 2), and points x:
     scalars, 1 to 4 points with the ends, and sizes either side of FEW_POINTS."""
@@ -834,29 +944,31 @@ def test_rise_series_coefficients_are_the_inline_expression(n):
         far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
         return t ** (n - 2.0) * np.where(np.abs(n * L) < period_mod.SERIES_SPAN, near, far)
 
-    # d/t from -0.63 to 0.32, through both branches and d = 0
+    # d from -0.63 to 0.32, through both branches and d = 0; the rise is
+    # anchored at the well bottom t = 1, where the reference's general-t
+    # form gives the same bits
     rel = np.concatenate([-np.logspace(-12, -0.2, 40), [0.0], np.logspace(-12, -0.5, 40)])
-    for t in (1.0, 0.999, 0.6, 1.2):
-        assert np.array_equal(period_mod._rise(t, t * rel, n), reference(t, t * rel))
+    assert np.array_equal(period_mod._rise(rel, n), reference(1.0, rel))
 
 
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
     """A batch across the band whose orbits accept at different levels:
     each level evaluates the nodes of the orbits not yet accepted, both
-    halves of each in one `_node` call of 2 * pending rows, and every
+    halves of each in one `_integrand` call of 2 * pending rows, and every
     orbit gets the arrays a call of its own gives it."""
     rtol = 1e-10
     curve = period_curve(n, rtol)
     u = np.geomspace(curve.u_lo, curve.u_hi, 60)
     rows = []
-    real_node = period_mod._node
+    real_integrand = period_mod._integrand
 
-    def recording_node(turn, *args):
-        rows.append(np.shape(turn)[0])
-        return real_node(turn, *args)
+    def recording_integrand(g, *args):
+        halves, orbits = np.shape(g)[:2]
+        rows.append(halves * orbits)
+        return real_integrand(g, *args)
 
-    monkeypatch.setattr(period_mod, "_node", recording_node)
+    monkeypatch.setattr(period_mod, "_integrand", recording_integrand)
     batch = period_mod._period_kernel(u, n, rtol)
     assert batch.nodes.all()
     assert len(set(batch.nodes.tolist()) & {52, 104, 206}) >= 2
@@ -875,9 +987,10 @@ def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
 
 
 def _kernel_by_half_orbits(u, n, rtol):
-    """`_period_kernel` as it was written before the two halves of a
-    level shared one pass: `_node` and the integrand once per half orbit,
-    and the level's sines recomputed on every call."""
+    """`_period_kernel` written one half orbit at a time: each half's
+    nodes from its own turning point, p's coefficients built and summed
+    by Horner's rule inline, and the level's sines recomputed on every
+    call."""
 
     def ts_level(level):
         h = 2.0**-level
@@ -892,14 +1005,24 @@ def _kernel_by_half_orbits(u, n, rtol):
             weight[0] *= 0.5
         return half, weight
 
-    def node(turn, other, half):
-        d = (other - turn) * np.sin(half) ** 2
-        return turn + d, -period_mod._rise(turn, d, n)
+    def integrand(turn, other, half, lower, upper):
+        g = turn + (other - turn) * np.sin(half) ** 2
+        a, s = (n - 2.0) / n, lower + upper
+        delta = (lower / upper) ** (n - 2.0) * (a * lower * lower - 1.0)
+        # c_j = delta h_m + a u^(m+1) (u + v), m = n - 4 - j, from j = n - 2 down
+        coeffs = [a, a * s]
+        h, power = 1.0, lower
+        for _ in range(n - 3):
+            coeffs.append(delta * h + a * power * s)
+            h, power = upper * h + power, power * lower
+        p = coeffs[0]
+        for c in coeffs[1:]:
+            p = p * g + c
+        return g ** (0.5 * n - 1.0) / np.sqrt(p)
 
     u = np.asarray(u, dtype=float)
     v = period_mod._outer_root(u, n)
     live = np.flatnonzero(~np.isnan(v))
-    scale = math.sqrt(n - 2.0) / math.pi * (0.5 * (v - u))
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
     nodes = np.zeros(u.shape, dtype=int)
     previous = None
@@ -912,12 +1035,9 @@ def _kernel_by_half_orbits(u, n, rtol):
         at, to = v[live, None], u[live, None]
         values = 0.0
         for turn, other in ((at, to), (to, at)):
-            g, gap = node(turn, other, half)
-            ok = gap > 0.0
-            values = values + np.where(ok, g ** (0.5 * n - 1.0)
-                                       / np.sqrt(np.where(ok, gap, 1.0)), 0.0)
-        total[live] += (values * (2.0 * np.sin(half) * np.cos(half) * weight)).sum(axis=1)
-        estimate = scale[live] * 2.0**-level * total[live]
+            values = values + integrand(turn, other, half, to, at)
+        total[live] += (values * weight).sum(axis=1)
+        estimate = math.sqrt(n - 2.0) / math.pi * 2.0**-level * total[live]
         if previous is not None:
             change = np.abs(estimate - previous) + np.finfo(float).eps * estimate
             accept = change <= rtol * estimate
