@@ -247,9 +247,9 @@ def potential_above_min(x, params: ModelParams):
     in the offset d = x - x_star keeps it accurate to roundoff on the
     whole positive axis.  The period quadrature and the turning-point
     solves do not call it: they work in u = f_min/f_star with
-    `period._rise` and `period._gap_factor`.  Inside the package only its scalar form,
-    `_forms(params).offset`, is used, to size the return map's steps
-    (`integrator._rough_inner_turning`).
+    `period._rise` and `period._gap_factor`.  Inside the package only
+    its scalar form, `_forms(params).offset`, is used, to size the
+    return map's steps (`integrator._rough_inner_turning`).
     """
     return _evaluate(_forms(params).offset, x, "potential_above_min")
 

@@ -84,7 +84,7 @@ KERNEL_RTOL = 1e-10
 TS_SPAN = 3.2
 TS_FIRST_LEVEL = 2
 TS_LAST_LEVEL = 7
-# the rise from the well bottom sums SERIES_TERMS terms of its series in L
+# the anchored difference sums SERIES_TERMS terms of its series in L
 # where n |L| is below SERIES_SPAN
 SERIES_SPAN = 0.02
 SERIES_TERMS = 9
@@ -110,9 +110,10 @@ MAX_SCAN_POINTS = 10**6
 # orbits the kernel evaluates in one pass of a level, which bounds its
 # arrays at a few tens of MB whatever the batch
 KERNEL_ORBITS = 1024
-# largest n the kernel takes: p = w[u, v, g] costs n - 2 Horner steps per
-# node, and a curve build at this n takes a few seconds
-MAX_KERNEL_DIMENSION = 10**5
+# largest n whose p = w[u, v, g] is summed by Horner's rule, n - 2 steps a
+# node; above it p comes from the gap anchored at a turning point, whose
+# cost does not grow with n
+HORNER_DIMENSION = 20
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
         lambda g: (g ** (n - 2.0) * ((n - 2.0) / n * g * g - 1.0), _w_slope(g, n)), level,
         np.abs(level) ** (1.0 / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
     u[lower], stuck_lower = _bracketed_newton(
-        lambda g: (_rise(g - 1.0, n), _w_slope(g, n)), lift,
+        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), lift,
         1.0 - np.sqrt(lift / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
     stuck = np.concatenate([upper[stuck_upper], lower[stuck_lower]])
     band = f"[{consts.c_min * (1.0 - BAND_CLAMP)}, {-BAND_CLAMP * depth}]"
@@ -252,20 +253,34 @@ def _series_coeffs(n: int) -> tuple[float, ...]:
                  for k in range(SERIES_TERMS + 1, 1, -1))
 
 
-def _rise(d: np.ndarray, n: int) -> np.ndarray:
-    """w(1 + d) - w(1) for w(g) = ((n-2)/n) g^n - g^(n-2): the rise from
-    the well bottom, which keeps its digits.
+def _rise(t: np.ndarray, d: np.ndarray, n: int, excess: np.ndarray | None = None) -> np.ndarray:
+    """w(t + d) - w(t) for w(g) = ((n-2)/n) g^n - g^(n-2), anchored at t.
 
-    Near the bottom the linear terms of its two expm1 cancel; there the
-    rest is summed as its series in L = log1p(d) from L^2 on, which
-    SERIES_TERMS terms take to roundoff for n |L| < SERIES_SPAN.
+    The anchored difference vanishes exactly at d = 0.  Near the well
+    bottom the linear terms of its two expm1 cancel; there, with
+    t^2 = 1 + (t^2 - 1), the rest is summed as its series in L from L^2
+    on, which SERIES_TERMS terms take to roundoff for n |L| < SERIES_SPAN.
+    Elsewhere it is a t^2 expm1(n L) - expm1((n-2) L), a = (n-2)/n, whose
+    terms cancel from an outer turning point t = v near contact, where
+    a v^2 tends to 1.  Given excess = a t^2 - 1 to full precision, it is
+    written e^((n-2) L) (a t^2 expm1(2 L) + excess) - excess instead, with
+    expm1(2 L) = q (2 + q) for q = d/t, which keeps its digits from
+    either turning point.
     """
-    L = np.log1p(d)
+    q = d / t
+    L = np.log1p(q)
+    nL = n * L
+    e_n = np.expm1(nL)
     series = 0.0
     for coeff in _series_coeffs(n):
         series = series * L + coeff
-    far = (n - 2.0) / n * np.expm1(n * L) - np.expm1((n - 2.0) * L)
-    return np.where(np.abs(n * L) < SERIES_SPAN, series * L * L, far)
+    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
+    if excess is None:
+        far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
+    else:
+        # a t^2 expm1(2 L) + excess = a t^2 (1 + q)^2 - 1
+        far = np.exp((n - 2.0) * L) * ((n - 2.0) / n * t * t * (q * (2.0 + q)) + excess) - excess
+    return t ** (n - 2.0) * np.where(np.abs(nL) < SERIES_SPAN, near, far)
 
 
 def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
@@ -285,7 +300,7 @@ def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     """
     start = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
     v, stuck = _bracketed_newton(
-        lambda g: (_rise(g - 1.0, n), _w_slope(g, n)), _rise(u - 1.0, n),
+        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), _rise(1.0, u - 1.0, n),
         start.copy(), lo=1.0, hi=start, rising=True, floor=0.0, scale=0.0)
     v[stuck] = np.nan
     return v
@@ -297,37 +312,54 @@ def _unsettled(u: float, n: int) -> QuadratureNonConvergence:
         f"for n = {n} at u = {u}")
 
 
-def _integrand(g, u, v, n: int):
-    """g^(n/2-1) / sqrt(p(g)) at points g of the orbits with turning points
-    u and v, each broadcasting against g."""
-    return g ** (0.5 * n - 1.0) / np.sqrt(_gap_factor(g, u, v, n))
+def _integrand(turn, other, sin2, n: int):
+    """g^(n/2-1) / sqrt(p(g)) at the points `_gap_factor` places."""
+    g, p = _gap_factor(turn, other, sin2, n)
+    return g ** (0.5 * n - 1.0) / np.sqrt(p)
 
 
-def _gap_factor(g, u, v, n: int):
-    """p(g) = (w(u) - w(g)) / ((g - u)(v - g)) by Horner's rule, for the
-    orbits with turning points u < v, each broadcasting against g.
+def _gap_factor(turn, other, sin2, n: int):
+    """g = turn + (other - turn) sin2 on the orbits with turning points
+    turn and other, the nearer one first, and p(g) = (w(u) - w(g)) /
+    ((g - u)(v - g)) there, with u < v the two; all broadcast together.
 
-    With a = (n-2)/n and h_m the complete homogeneous polynomial of
-    degree m in (u, v), p's coefficient of g^j is a h_(m+2) - h_m for
+    Up to HORNER_DIMENSION, p is summed by Horner's rule.  With
+    a = (n-2)/n and h_m the complete homogeneous polynomial of degree m
+    in (u, v), its coefficient of g^j is a h_(m+2) - h_m for
     m = n - 4 - j, whose terms cancel near contact, where a v^2 - 1 tends
     to 0.  w(u) = w(v) gives a v^2 - 1 = delta = (u/v)^(n-2) (a u^2 - 1),
-    and delta h_m + a u^(m+1) (u + v) keeps its digits.  Each coefficient
-    is built as its Horner step needs it, so a large n holds none.
+    and delta h_m + a u^(m+1) (u + v) keeps its digits.  Above it, p is
+    the gap `_rise` anchors at turn, given delta, over
+    (g - u)(v - g) = (v - u)^2 sin2 (1 - sin2), and -w'(t)/(other - t)
+    at a turning point t itself.
     """
+    d = (other - turn) * sin2
+    g = turn + d
+    u, v = np.minimum(turn, other), np.maximum(turn, other)
     a = (n - 2.0) / n
-    s = u + v
     delta = (u / v) ** (n - 2.0) * (a * u * u - 1.0)
+    if n > HORNER_DIMENSION:
+        excess = np.where(turn > other, delta, a * u * u - 1.0)
+        end = sin2 == 0.0
+        p = _rise(turn, d, n, excess) / (-(other - turn) ** 2
+                                         * np.where(end, 1.0, sin2 * (1.0 - sin2)))
+        if np.any(end):
+            end = np.broadcast_to(end, p.shape)
+            p[end] = np.broadcast_to(_w_slope(turn, n) / (turn - other), p.shape)[end]
+        return g, p
+    s = u + v
     p = a * g + a * s
     h, power = 1.0, u
     for _ in range(n - 3):
         p = p * g + (delta * h + a * power * s)
         h, power = v * h + power, power * u
-    return p
+    return g, p
 
 
 def _out_of_range(u, n: int):
-    """Where u^(n-3), and with it p(u), is below the smallest normal float."""
-    return np.asarray(u) ** (n - 3.0) < np.finfo(float).tiny
+    """Where u^n is below the smallest normal float: p(u) and the anchored
+    gap's exponentials leave the float range."""
+    return np.asarray(u) ** n < np.finfo(float).tiny
 
 
 @lru_cache(maxsize=16)
@@ -368,17 +400,18 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     One numpy pass per tanh-sinh level over the orbits still pending,
     with both halves of each orbit stacked in one array, KERNEL_ORBITS
     orbits at a time, so that memory stays bounded whatever the batch;
-    each orbit is accepted at the first level whose change from the level
-    before, plus one rounding of the sum, is at most rtol of its period,
-    and drops out of the later levels.  Its nodes are summed row by row,
-    so an orbit's result does not depend on its batch.  An orbit still
-    unaccepted past the finest level keeps nodes == 0 and ratio 0, and so
-    does one never pending: its f_max is NaN, its u `_out_of_range` or n
-    above MAX_KERNEL_DIMENSION.  `_failure` names each.
+    each orbit is
+    accepted at the first level whose change from the level before,
+    plus one rounding of the sum, is at most rtol of its period, and
+    drops out of the later levels.  Its nodes are summed row
+    by row, so an orbit's result does not depend on the batch it comes
+    in.  An orbit still unaccepted past the finest level keeps
+    nodes == 0 and ratio 0, and so does one whose f_max is NaN or whose
+    u is `_out_of_range`: it is never pending.  `_failure` names each.
     """
     u = np.asarray(u, dtype=float)
     v = _outer_root(u, n)
-    live = np.flatnonzero(~np.isnan(v) & ~_out_of_range(u, n) & (n <= MAX_KERNEL_DIMENSION))
+    live = np.flatnonzero(~np.isnan(v) & ~_out_of_range(u, n))
     scale = math.sqrt(n - 2.0) / math.pi
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
     nodes = np.zeros(u.shape, dtype=int)
@@ -394,8 +427,7 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
         for start in range(0, live.size, KERNEL_ORBITS):
             rows = live[start:start + KERNEL_ORBITS]
             lower, upper = u[rows, None], v[rows, None]
-            d = (upper - lower) * sin2
-            both = _integrand(np.stack([upper - d, lower + d]), lower, upper, n)
+            both = _integrand(np.stack([upper, lower]), np.stack([lower, upper]), sin2, n)
             total[rows] += ((both[0] + both[1]) * weight).sum(axis=1)
         estimate = scale * 2.0**-level * total[live]
         if previous is not None:
@@ -414,15 +446,11 @@ def _failure(u: float, f_max: float, n: int, rtol: float) -> QuadratureNonConver
     """Why the kernel left the orbit at u unaccepted."""
     if math.isnan(f_max):
         return _unsettled(u, n)
-    if n > MAX_KERNEL_DIMENSION:
-        why = (f": p takes n - 2 Horner steps per node, and n is above the kernel's limit "
-               f"of {MAX_KERNEL_DIMENSION} dimensions")
-    elif _out_of_range(u, n):
-        why = (f" at u = {u}: u^(n-3) is below the smallest normal float, so the integrand "
-               "leaves the float range")
+    if _out_of_range(u, n):
+        why = ": u^n is below the smallest normal float, so the integrand leaves the float range"
     else:
-        why = f" at u = {u} did not meet rtol = {rtol} by its finest level, h = 2^-{TS_LAST_LEVEL}"
-    return QuadratureNonConvergence(f"period kernel for n = {n}{why}")
+        why = f" did not meet rtol = {rtol} by its finest level, h = 2^-{TS_LAST_LEVEL}"
+    return QuadratureNonConvergence(f"period kernel for n = {n} at u = {u}{why}")
 
 
 def _certified(u: np.ndarray, n: int, rtol: float) -> _Periods:
@@ -696,13 +724,11 @@ def _integral(c: np.ndarray) -> np.ndarray:
 
 
 def _arc(x, u: float, v: float):
-    """g = m + r sin(theta) at x = theta/(pi/2), written from its nearer
-    turning point through the half angle pi/4 - |theta|/2 as the kernel's
-    nodes are, and that half angle."""
-    half = 0.25 * math.pi * (1.0 - np.abs(x))
+    """The nearer turning point of g = m + r sin(theta) at
+    x = theta/(pi/2), the other, and the half angle pi/4 - |theta|/2 from
+    which the kernel's nodes are written."""
     upper = x >= 0.0
-    turn = np.where(upper, v, u)
-    return turn + (np.where(upper, u, v) - turn) * np.sin(half) ** 2, half
+    return np.where(upper, v, u), np.where(upper, u, v), 0.25 * math.pi * (1.0 - np.abs(x))
 
 
 def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float, rtol: float):
@@ -713,21 +739,24 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
     the confirmed orbit, not solved again.
 
     The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) /
-    sqrt(p(g)), is smooth on [-pi/2, pi/2].  Its fit on first-kind
-    Chebyshev nodes doubles from PROFILE_NODES nodes until the half period
-    t(pi/2) changes by at most rtol, plus one rounding; past
-    MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit is
-    `_cheb_coeffs` and `_integral`, numpy's chebint without its loop, both
-    with numpy's bits.  `_ChebSeries.root` inverts min(t, period - t) for
-    every time at once; the second half of the orbit mirrors the first
-    with the velocity negated, and the energy gives each speed from the
-    gap w(u) - w(g) = (r sin(2 half))^2 p(g).  The series returned is the
-    whole fit, whatever `root` drops from its own sums.
+    sqrt(p(g)), is smooth on [-pi/2, pi/2].  Its fit
+    on first-kind Chebyshev nodes doubles from PROFILE_NODES nodes until
+    the half period t(pi/2) changes by at most rtol, plus one rounding;
+    past MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit
+    is `_cheb_coeffs`, whose cosine transform is built once per node
+    count, and `_integral`, numpy's chebint without its loop; both give
+    numpy's bits.  The integral is t(theta) from the inner turning point,
+    and `_ChebSeries.root` inverts min(t, period - t) for every time at
+    once; the second half of the orbit mirrors the first with the
+    velocity negated, and the energy gives each speed from the gap
+    w(u) - w(g) = (r sin(2 half))^2 p(g).  The series returned is the
+    whole fit, one coefficient per node and one more, whatever `root`
+    drops from its own sums.
     """
     size, previous = PROFILE_NODES, None
     while True:
-        g, _ = _arc(np.cos(_cheb_angles(size)), u, v)
-        rate = math.sqrt(n - 2.0) * _integrand(g, u, v, n)
+        turn, other, half = _arc(np.cos(_cheb_angles(size)), u, v)
+        rate = math.sqrt(n - 2.0) * _integrand(turn, other, np.sin(half) ** 2, n)
         coeffs = 0.5 * math.pi * _integral(_cheb_coeffs(rate))
         half_period = float(_chebval(1.0, coeffs))
         if previous is not None:
@@ -740,9 +769,10 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
                 f"rtol = {rtol} by {MAX_PROFILE_NODES} Chebyshev nodes")
         previous, size = half_period, 2 * size
     series = _ChebSeries(-1.0, 1.0, False, coeffs)
-    g, half = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0, half_period),
-                               -1.0, 1.0), u, v)
-    gap = (0.5 * (v - u) * np.sin(2.0 * half)) ** 2 * _gap_factor(g, u, v, n)
+    turn, other, half = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0,
+                                                half_period), -1.0, 1.0), u, v)
+    g, p = _gap_factor(turn, other, np.sin(half) ** 2, n)
+    gap = (0.5 * (v - u) * np.sin(2.0 * half)) ** 2 * p
     speed = 0.5 * n * np.sqrt(gap / (n - 2.0))
     velocity = np.where(times <= 0.5 * period, speed, -speed)
     return g ** (0.5 * n), velocity, series, change / half_period

@@ -743,20 +743,33 @@ def _mp_gap_factor(u, n, fractions):
 
 @pytest.mark.parametrize("n, us", [(3, [1e-9, 1e-3, 0.5, 0.999999]), (4, [1e-6, 0.7]),
                                    (5, [1e-6, 0.01, 0.6]), (8, [1e-4, 0.3]),
-                                   (12, [1e-3, 0.1, 0.9]), (20, [0.01, 0.3]),
-                                   (40, [0.2, 0.6]), (100, [0.5, 0.8, 0.999])])
+                                   (12, [1e-3, 0.1, 0.9]), (20, [0.01, 0.3, 0.9999]),
+                                   (21, [1e-6, 0.3, 0.9999]), (40, [0.2, 0.6, 0.99999]),
+                                   (100, [1e-3, 0.5, 0.8, 0.999]), (1000, [0.5, 0.99])])
 def test_gap_factor_keeps_its_digits_down_to_contact(n, us):
     """p = w[u, v, g] from `_gap_factor`, on the kernel's v, agrees with
-    the divided difference summed at high precision within 4 n eps across
-    [u, v], its ends included; the plain coefficients a h_(m+2) - h_m
-    would lose every digit of p(u) ~ u^(n-3) at contact."""
+    the divided difference summed at high precision across [u, v], its
+    ends included.  Horner's sum, up to HORNER_DIMENSION, is within
+    4 n eps; the plain coefficients a h_(m+2) - h_m would lose every digit
+    of p(u) ~ u^(n-3) at contact.  The anchored gap above it is within
+    4 (n (1 + |log u|) + 1/(v - u)) eps: its exponentials carry n log(g/u)
+    and its two anchors, each exact for its own turning point, differ by
+    the rounding of v, which weighs 1/(v - u) near the well bottom."""
     fractions = [0.0, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-9, 1.0]
+    # past the middle, g is written from v with sin2 = 1 - s, exact in floats
+    s = np.array(fractions)
+    upper = s > 0.5
     for u in us:
         v = float(period_mod._outer_root(np.array([u]), n)[0])
-        got = period_mod._gap_factor(u + (v - u) * np.array(fractions), u, v, n)
+        got = period_mod._gap_factor(np.where(upper, v, u), np.where(upper, u, v),
+                                     np.where(upper, 1.0 - s, s), n)[1]
         with mp.workdps(_mp_digits(u, n)):
             ref = np.array([float(x) for x in _mp_gap_factor(u, n, fractions)[1]])
-        assert np.max(np.abs(got / ref - 1.0)) <= 4.0 * n * np.finfo(float).eps, u
+        if n <= period_mod.HORNER_DIMENSION:
+            bound = 4.0 * n
+        else:
+            bound = 4.0 * (n * (1.0 - math.log(u)) + 1.0 / (v - u))
+        assert np.max(np.abs(got / ref - 1.0)) <= bound * np.finfo(float).eps, u
 
 
 def _mp_period_ratio(u, n):
@@ -781,9 +794,11 @@ def _mp_period_ratio(u, n):
 @pytest.mark.parametrize("n, extra", [(20, []), (30, []), (40, [0.2]), (60, []),
                                       (100, [0.5])])
 def test_kernel_matches_mpmath_beyond_n_12(n, extra):
-    """Five orbits across the curve's band, and the orbits the anchored-gap
-    kernel got wrong (n = 40 at u = 0.2: 1.3e-9 off with err_est 4.4e-11)
-    or could not accept (n = 100 at u = 0.5): at rtol 1e-8, 1e-10 and
+    """Five orbits across the curve's band, and two where the plain
+    anchored difference from v, a v^2 expm1(n L) - expm1((n-2) L), cancels
+    near contact, which put a kernel built on it 1.3e-9 off at n = 40,
+    u = 0.2 (err_est 4.4e-11) and left n = 100, u = 0.5 unaccepted: at
+    rtol 1e-8, 1e-10 and
     1e-12 every period lies within rtol of the high-precision one, and
     err_est understates its error by at most 10 times."""
     curve = period_curve(n)
@@ -798,7 +813,7 @@ def test_kernel_matches_mpmath_beyond_n_12(n, extra):
 
 
 def test_an_integrand_below_the_float_range_fails_typed():
-    """At n = 100 and u = 1e-8, u^(n-3) underflows: the orbit fails with
+    """At n = 100 and u = 1e-8, u^n underflows: the orbit fails with
     an error naming n, u and the float range, its batch-mate keeps the
     bits it has alone, and no NaN reaches the period."""
     periods = period_mod._period_kernel(np.array([1e-8, 0.5]), 100, 1e-10)
@@ -806,21 +821,37 @@ def test_an_integrand_below_the_float_range_fails_typed():
     assert periods.nodes[0] == 0 and periods.ratio[0] == 0.0
     assert [a[1] for a in periods] == [a[0] for a in alone]
     with pytest.raises(QuadratureNonConvergence,
-                       match=r"n = 100 at u = 1e-08: u\^\(n-3\) is below the smallest normal "
+                       match=r"n = 100 at u = 1e-08: u\^n is below the smallest normal "
                              r"float, so the integrand leaves the float range"):
         period_mod._certified(np.array([0.5, 1e-8]), 100, 1e-10)
 
 
-def test_the_kernel_refuses_a_dimension_above_its_limit(monkeypatch):
-    """p costs n - 2 Horner steps per node, so past MAX_KERNEL_DIMENSION the
-    kernel refuses at once, naming n and the limit, rather than run for
-    minutes; at the limit it still builds a curve."""
-    monkeypatch.setattr(period_mod, "MAX_KERNEL_DIMENSION", 30)
-    assert period_mod._period_kernel(np.array([0.9]), 30, 1e-10).nodes[0] > 0
-    with pytest.raises(QuadratureNonConvergence,
-                       match=r"^period kernel for n = 31: p takes n - 2 Horner steps per node, "
-                             r"and n is above the kernel's limit of 30 dimensions$"):
-        period_curve(31, 1e-9)
+@pytest.mark.parametrize("n", [21, 100, 1000])
+def test_the_anchored_gap_matches_horners_sum(monkeypatch, n):
+    """Above HORNER_DIMENSION the kernel takes p from the anchored gap;
+    Horner's sum, forced on the same orbits across the band, gives the
+    same periods within 20 n eps, and the same node counts."""
+    curve = period_curve(n)
+    u = np.geomspace(curve.u_lo, curve.u_hi, 9)
+    anchored = period_mod._period_kernel(u, n, 1e-12)
+    monkeypatch.setattr(period_mod, "HORNER_DIMENSION", n)
+    horner = period_mod._period_kernel(u, n, 1e-12)
+    assert anchored.nodes.all() and np.array_equal(anchored.nodes, horner.nodes)
+    assert np.max(np.abs(anchored.ratio / horner.ratio - 1.0)) <= 20 * n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n, rtol", [(10**5, 1e-10), (10**6, 1e-10), (10**8, 1e-6)])
+def test_a_large_dimension_builds_its_curve(n, rtol):
+    """A node costs the same whatever n above HORNER_DIMENSION, so a
+    dimension in the millions builds its period curve like a small one.
+    Its band runs from T0, within rtol, at the well bottom to the contact
+    end, which settles near 2.3139 T0 as n grows (2.3139 at n = 10^5,
+    2.31394 at 10^8); both ends are certified by the kernel."""
+    curve = period_curve(n, rtol)
+    lo, hi = curve.band
+    assert abs(lo - 1.0) <= 10 * rtol and 2.3138 < hi < 2.3140
+    ends = period_mod._certified(np.array([curve.u_lo, curve.u_hi]), n, rtol)
+    assert np.allclose(ends.ratio, [hi, lo], rtol=10 * rtol, atol=0.0)
 
 
 def _sum_cases():
@@ -944,11 +975,10 @@ def test_rise_series_coefficients_are_the_inline_expression(n):
         far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
         return t ** (n - 2.0) * np.where(np.abs(n * L) < period_mod.SERIES_SPAN, near, far)
 
-    # d from -0.63 to 0.32, through both branches and d = 0; the rise is
-    # anchored at the well bottom t = 1, where the reference's general-t
-    # form gives the same bits
+    # d/t from -0.63 to 0.32, through both branches and d = 0
     rel = np.concatenate([-np.logspace(-12, -0.2, 40), [0.0], np.logspace(-12, -0.5, 40)])
-    assert np.array_equal(period_mod._rise(rel, n), reference(1.0, rel))
+    for t in (1.0, 0.999, 0.6, 1.2):
+        assert np.array_equal(period_mod._rise(t, t * rel, n), reference(t, t * rel))
 
 
 @pytest.mark.parametrize("n", [5, 6, 8])
@@ -963,10 +993,10 @@ def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
     rows = []
     real_integrand = period_mod._integrand
 
-    def recording_integrand(g, *args):
-        halves, orbits = np.shape(g)[:2]
+    def recording_integrand(turn, *args):
+        halves, orbits = np.shape(turn)[:2]
         rows.append(halves * orbits)
-        return real_integrand(g, *args)
+        return real_integrand(turn, *args)
 
     monkeypatch.setattr(period_mod, "_integrand", recording_integrand)
     batch = period_mod._period_kernel(u, n, rtol)
@@ -988,9 +1018,11 @@ def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
 
 def _kernel_by_half_orbits(u, n, rtol):
     """`_period_kernel` written one half orbit at a time: each half's
-    nodes from its own turning point, p's coefficients built and summed
-    by Horner's rule inline, and the level's sines recomputed on every
-    call."""
+    nodes from its own turning point, and the level's sines recomputed on
+    every call.  It takes the integrand from `_integrand` itself, so it
+    checks the stacking, chunking and summing of the kernel only; p is
+    checked against mpmath by `test_gap_factor_keeps_its_digits_down_to_contact`
+    and the periods by `test_kernel_matches_mpmath_beyond_n_12`."""
 
     def ts_level(level):
         h = 2.0**-level
@@ -1004,21 +1036,6 @@ def _kernel_by_half_orbits(u, n, rtol):
         if level == period_mod.TS_FIRST_LEVEL:
             weight[0] *= 0.5
         return half, weight
-
-    def integrand(turn, other, half, lower, upper):
-        g = turn + (other - turn) * np.sin(half) ** 2
-        a, s = (n - 2.0) / n, lower + upper
-        delta = (lower / upper) ** (n - 2.0) * (a * lower * lower - 1.0)
-        # c_j = delta h_m + a u^(m+1) (u + v), m = n - 4 - j, from j = n - 2 down
-        coeffs = [a, a * s]
-        h, power = 1.0, lower
-        for _ in range(n - 3):
-            coeffs.append(delta * h + a * power * s)
-            h, power = upper * h + power, power * lower
-        p = coeffs[0]
-        for c in coeffs[1:]:
-            p = p * g + c
-        return g ** (0.5 * n - 1.0) / np.sqrt(p)
 
     u = np.asarray(u, dtype=float)
     v = period_mod._outer_root(u, n)
@@ -1035,7 +1052,7 @@ def _kernel_by_half_orbits(u, n, rtol):
         at, to = v[live, None], u[live, None]
         values = 0.0
         for turn, other in ((at, to), (to, at)):
-            values = values + integrand(turn, other, half, to, at)
+            values = values + period_mod._integrand(turn, other, np.sin(half) ** 2, n)
         total[live] += (values * weight).sum(axis=1)
         estimate = math.sqrt(n - 2.0) / math.pi * 2.0**-level * total[live]
         if previous is not None:
@@ -1054,7 +1071,7 @@ def test_kernel_matches_the_per_half_orbit_loop_bit_for_bit():
     """Random batches of 1 to 300 orbits, log-uniform in u over the band:
     all four arrays equal the per-half-orbit loop's, bit for bit."""
     rng = np.random.default_rng(24)
-    for n in (3, 5, 6, 8, 12, 20):
+    for n in (3, 5, 6, 8, 12, 20, 30):
         curve = period_curve(n, 1e-10)
         for rtol in (1e-9, 1e-10, 1e-12):
             for size in (1, int(rng.integers(2, 40)), int(rng.integers(40, 301))):
