@@ -65,7 +65,8 @@ class ModelParams:
     n is the total dimension (fiber dimension n - 1), R the fiber scalar
     curvature, Rt the target scalar curvature of the product.  Both
     curvatures must be positive; nothing here covers the flat or negative
-    cases.
+    cases.  x_star^2 = (R/Rt)^(n/2), the scale of every energy, must be a
+    normal float, so a large n needs R/Rt near 1.
     """
 
     n: int
@@ -93,6 +94,15 @@ class ModelParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise DomainError(f"{name} must be a positive finite number, got {value}")
             object.__setattr__(self, name, value)
+        # every energy scales with x_star^2, so it must be a normal float
+        ratio = self.R / self.Rt
+        try:
+            x_star_sq = ratio ** (n / 2.0)
+        except OverflowError:
+            x_star_sq = math.inf
+        if not sys.float_info.min <= x_star_sq < math.inf:
+            raise DomainError(f"x_star^2 = (R/Rt)^(n/2) leaves the float range for n = {n}, "
+                              f"R = {self.R}, Rt = {self.Rt}; bring R/Rt closer to 1 or lower n")
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,15 @@ two factors cancel dg = r cos(theta) dtheta, and
 whose integrand is regular at both ends, down to contact, where the
 orbit approaches the spherical suspension that crosses f = 0 with
 nonzero slope, and takes no difference of two large terms at a node.
-`_gap_factor` builds p's coefficients, the one place that handles their
-cancellation near contact, and sums them by Horner's rule: n - 2 steps
-a node, so the kernel refuses n above MAX_KERNEL_DIMENSION.
+`_gap_factor` evaluates p, the one place that handles its cancellation
+near contact: by Horner's rule, n - 2 steps a node, up to
+HORNER_DIMENSION, and above it from the gap anchored at a turning point,
+whose cost does not grow with n.
 
 `_period_kernel` evaluates this for a batch of orbits, one numpy pass per
 tanh-sinh level (Takahasi-Mori) over the orbits not yet accepted, its
 error estimate the change between two levels: v comes from a vectorized
-Newton solve, each node's g is written from its nearer turning point
+Halley solve, each node's g is written from its nearer turning point
 through half angles, and both halves of at most KERNEL_ORBITS orbits go
 to one `_integrand` call and are added back row by row.
 `_orbit_samples` samples a profile from the same integrand between the
@@ -28,8 +29,9 @@ turning points the kernel confirmed: it fits dt/dtheta in Chebyshev
 nodes, integrates the fit to t(theta) and inverts that at the sample
 times with `_ChebSeries.root`, the curve's own inversion.
 
-`period_curve(n, rtol)` fits T/T0 against u with two Chebyshev pieces,
-once per process for each (n, rtol), from one kernel call.  Its
+`period_curve(n, rtol)` fits T/T0 against u with one Chebyshev piece in
+sqrt u, and for n = 3 a second one in log u at contact, once per process
+for each (n, rtol), from one kernel call.  Its
 `orbits(taus, params)` is the package's one period inversion: it inverts
 a batch of periods on the fit and confirms every orbit in one kernel
 call.  The period map is monotone in u (Chicone, J. Differential
@@ -39,7 +41,7 @@ period misses the request by more than LANDING_FACTOR * rtol raises.
 counting solutions needs no inversion (see `bifurcation`).
 
 `period_scan(c_grid)` keeps the energy interface: `_inner_root` takes
-every in-band energy to its u in one batch of bracketed Newton steps,
+every in-band energy to its u in one batch of bracketed Halley steps,
 and one kernel call takes every orbit from there; an energy whose
 turning points do not settle, or whose orbit the kernel cannot certify,
 fails alone.  `turning_points(c)` and `period_quadrature(c)` are the
@@ -88,11 +90,13 @@ TS_LAST_LEVEL = 7
 # where n |L| is below SERIES_SPAN
 SERIES_SPAN = 0.02
 SERIES_TERMS = 9
-# Newton steps a turning point and a curve inversion may take
+# root steps (Halley's, which add a curvature term to Newton's) a turning
+# point and a curve inversion may take
 NEWTON_STEPS = 100
-# Chebyshev nodes of a period curve: the upper piece in u, the contact
-# piece in log u, handing over at u = CONTACT_SPLIT
-CURVE_NODES = 48
+# Chebyshev nodes of a period curve: the upper piece in sqrt u, which is
+# the whole curve for n >= 5, and for n = 3 the contact piece in log u,
+# which holds its u log u term, handing over at u = CONTACT_SPLIT
+CURVE_NODES = 56
 CONTACT_NODES = 32
 CONTACT_SPLIT = 0.05
 # Chebyshev nodes of a profile's time fit: PROFILE_NODES first, doubling
@@ -182,7 +186,7 @@ def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
     (c > c_min/2) solves w(u) = (2/n) c/|c_min|, and one on the lower half
     the anchored form w(u) - w(1) = (2/n)(c - c_min)/|c_min|, in which
     c - c_min is exact: each half keeps the digits of c that the other
-    form would round away.  Bracketed Newton steps in (0, 1) start from
+    form would round away.  Bracketed Halley steps in (0, 1) start from
     the asymptotes |level|^(1/(n-2)) near contact and 1 - sqrt(lift/(n-2))
     near the well bottom.  Returns the indices solved, their u, and
     (index, error) for the rest: EnergyOutOfBand outside the clamped
@@ -199,10 +203,10 @@ def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
     lift = (2.0 / n) * (c[lower] - consts.c_min) / depth
     u = np.empty_like(c)
     u[upper], stuck_upper = _bracketed_newton(
-        lambda g: (g ** (n - 2.0) * ((n - 2.0) / n * g * g - 1.0), _w_slope(g, n)), level,
+        lambda g: (g ** (n - 2.0) * ((n - 2.0) / n * g * g - 1.0), *_w_derivatives(g, n)), level,
         np.abs(level) ** (1.0 / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
     u[lower], stuck_lower = _bracketed_newton(
-        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), lift,
+        lambda g: (_rise(1.0, g - 1.0, n), *_w_derivatives(g, n)), lift,
         1.0 - np.sqrt(lift / (n - 2.0)), lo=0.0, hi=1.0, rising=False, floor=0.0, scale=0.0)
     stuck = np.concatenate([upper[stuck_upper], lower[stuck_lower]])
     band = f"[{consts.c_min * (1.0 - BAND_CLAMP)}, {-BAND_CLAMP * depth}]"
@@ -218,14 +222,18 @@ def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
 
 def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, rising: bool,
                       floor: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve curve(x) = target elementwise by Newton steps from x, in place.
+    """Solve curve(x) = target elementwise by Halley steps from x, in place.
 
-    curve maps x to (value, slope) and is monotone on [lo, hi], rising or
-    falling, with every target in its range there.  A step that leaves
-    the bracket known so far is replaced by bisection.  An element stops
-    once its step is at most 4 eps * max(|x|, scale) or its residual is
-    at most floor, so its result does not depend on the batch.  Returns x
-    and the indices still moving after NEWTON_STEPS steps.
+    curve maps x to (value, slope, curvature) and is monotone on [lo, hi],
+    rising or falling, with every target in its range there.  A step that
+    leaves the bracket known so far is replaced by bisection.  An element
+    stops once its step is at most 4 eps * max(|x|, scale) or its
+    residual is at most floor; or once its step, inside the bracket, is
+    at most 1e-5 * max(|x|, scale) and the Newton error it corrects,
+    |f''/(2 f')| step^2, is at most (eps/2) max(|x|, scale), so that the
+    step lands to roundoff.  Each rule reads the element alone, so its
+    result does not depend on the batch.  Returns x and the indices still
+    moving after NEWTON_STEPS steps.
     """
     todo = np.arange(x.size)
     eps = np.finfo(float).eps
@@ -233,15 +241,20 @@ def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, risin
         if not todo.size:
             break
         xt = x[todo]
-        value, slope = curve(xt)
+        value, slope, curvature = curve(xt)
         res = value - target[todo]
         past = (res > 0.0) == rising
         lo, hi = np.where(past, lo, xt), np.where(past, xt, hi)
-        new = xt - res / slope
-        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        newton = -res / slope
+        bend = 0.5 * curvature / slope
+        new = xt + newton / (1.0 + bend * newton)
+        inside = (lo <= new) & (new <= hi)
+        new = np.where(inside, new, 0.5 * (lo + hi))
         x[todo] = new
-        step_tol = 4.0 * eps * np.maximum(np.abs(xt), scale)
-        more = (np.abs(res) > floor) & (np.abs(new - xt) > step_tol)
+        size = np.maximum(np.abs(xt), scale)
+        step = np.abs(new - xt)
+        landed = inside & (step <= 1e-5 * size) & (np.abs(bend) * step * step <= 0.5 * eps * size)
+        more = (np.abs(res) > floor) & (step > 4.0 * eps * size) & ~landed
         todo, lo, hi = todo[more], lo[more], hi[more]
     return x, todo
 
@@ -288,10 +301,15 @@ def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
     return (n - 2.0) * g ** (n - 3.0) * (g - 1.0) * (g + 1.0)
 
 
+def _w_derivatives(g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """w'(g) and w''(g) = (n-2) g^(n-4) ((n-1) g^2 - (n-3)) for w as in `_rise`."""
+    return _w_slope(g, n), (n - 2.0) * g ** (n - 4.0) * ((n - 1.0) * g * g - (n - 3.0))
+
+
 def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     """f_max/f_star of the orbits dipping to u: the root v > 1 of w(v) = w(u).
 
-    Bracketed Newton steps on (1, min(2 - u, sqrt(n/(n-2)))], whose right
+    Bracketed Halley steps on (1, min(2 - u, sqrt(n/(n-2)))], whose right
     end lies right of the root, solve w(v) - w(1) = w(u) - w(1).  Both
     sides are rises from the well bottom, which keep their digits; a
     difference anchored at u would cancel two large exponentials and
@@ -300,7 +318,7 @@ def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     """
     start = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
     v, stuck = _bracketed_newton(
-        lambda g: (_rise(1.0, g - 1.0, n), _w_slope(g, n)), _rise(1.0, u - 1.0, n),
+        lambda g: (_rise(1.0, g - 1.0, n), *_w_derivatives(g, n)), _rise(1.0, u - 1.0, n),
         start.copy(), lo=1.0, hi=start, rising=True, floor=0.0, scale=0.0)
     v[stuck] = np.nan
     return v
@@ -583,43 +601,55 @@ def _chebval(x, c: np.ndarray):
     return sums if c.ndim == 2 else sums[0]
 
 
+# the maps of a `_ChebSeries` argument y onto its series variable, each
+# with its inverse
+_MAPS = {"linear": (lambda y: y, lambda v: v), "log": (np.log, np.exp),
+         "sqrt": (np.sqrt, np.square)}
+
+
 @dataclass(frozen=True, eq=False)
 class _ChebSeries:
     """Chebyshev series in x in [-1, 1], which maps onto [lo, hi] in its
-    argument y, or in log y when log: a piece of a period curve in u, or
-    a profile's time in theta."""
+    argument y, in log y or in sqrt y, as map is "linear", "log" or
+    "sqrt": a piece of a period curve in u, or a profile's time in theta."""
 
     lo: float
     hi: float
-    log: bool
+    map: str
     coeffs: np.ndarray
 
     @cached_property
-    def value_and_slope_coeffs(self) -> np.ndarray:
-        """The series and its x-derivative as columns, for one Clenshaw
-        pass, without the trailing coefficients below eps * sum |c|: they
-        move no sum by more than its roundoff."""
+    def derivative_coeffs(self) -> np.ndarray:
+        """The series and its first two x-derivatives as columns, for one
+        Clenshaw pass, without the trailing coefficients below
+        eps * sum |c|: they move no sum by more than its roundoff."""
         c = self.coeffs
         size = np.flatnonzero(np.abs(c) >= np.finfo(float).eps * np.abs(c).sum())[-1] + 1
         slope = chebder(c[:size])
-        return np.stack([c[:size], np.pad(slope, (0, size - slope.size))], axis=1)
+        curvature = chebder(slope)
+        return np.stack([c[:size], np.pad(slope, (0, size - slope.size)),
+                         np.pad(curvature, (0, size - curvature.size))], axis=1)
 
     @cached_property
     def table(self) -> np.ndarray:
         """The series and its x-derivative at the 2N first-kind Chebyshev
         points inside (-1, 1), as rows (x, value, slope) in ascending x,
-        from which `root` seeds its Newton steps.  At x = cos(phi) they
+        from which `root` seeds its Halley steps.  At x = cos(phi) they
         are sums of cos(k phi) and k sin(k phi) / sin(phi), one product
         each with `_seed_matrices`, with no Clenshaw pass."""
         x, cos, sin = _seed_matrices(self.coeffs.size)
         return np.column_stack([x, cos @ self.coeffs, sin @ self.coeffs])
 
+    @property
+    def start(self) -> float:
+        """The argument y at which the series begins, x = -1."""
+        return _MAPS[self.map][1](self.lo)
+
     def x_of(self, y):
-        return (2.0 * (np.log(y) if self.log else y) - self.lo - self.hi) / (self.hi - self.lo)
+        return (2.0 * _MAPS[self.map][0](y) - self.lo - self.hi) / (self.hi - self.lo)
 
     def y_of(self, x):
-        v = 0.5 * (self.lo + self.hi) + 0.5 * (self.hi - self.lo) * x
-        return np.exp(v) if self.log else v
+        return _MAPS[self.map][1](0.5 * (self.lo + self.hi) + 0.5 * (self.hi - self.lo) * x)
 
     def value(self, y):
         return _chebval(self.x_of(y), self.coeffs)
@@ -633,13 +663,14 @@ class _ChebSeries:
         themselves, on the two nodes whose values hold it; each node's
         slope is clamped to between 0 and 3 times that of the chord, so
         the cubic stays monotone (Fritsch and Carlson) and the start
-        between the two nodes.  `_bracketed_newton` steps from there on
-        `value_and_slope_coeffs`; an element stops once its step is at
-        most 4 eps or its residual is down to the series' roundoff, where
-        a flat slope leaves x unresolved.  The start and every step are
-        elementwise, so a target's x does not depend on its batch.
+        between the two nodes.  `_bracketed_newton` takes Halley steps
+        from there on `derivative_coeffs`; an element stops once its step
+        lands to roundoff or is at most 4 eps, or once its residual is
+        down to the series' roundoff, where a flat slope leaves x
+        unresolved.  The start and every step are elementwise, so a
+        target's x does not depend on its batch.
         """
-        (pa, pb), (sa, sb) = _chebval(np.array([a, b]), self.value_and_slope_coeffs)
+        (pa, pb), (sa, sb), _ = _chebval(np.array([a, b]), self.derivative_coeffs)
         if pa == pb:  # a flat series: every x attains its one value
             return np.full_like(target, a)
         table = self.table
@@ -656,7 +687,7 @@ class _ChebSeries:
         s = 1.0 - t
         x = xs[i] + dx * (t * t * (3.0 - 2.0 * t) + t * s * (r0 * s - r1 * t))
         floor = 4.0 * np.finfo(float).eps * np.abs(self.coeffs).sum()
-        x, stuck = _bracketed_newton(lambda x: _chebval(x, self.value_and_slope_coeffs), target,
+        x, stuck = _bracketed_newton(lambda x: _chebval(x, self.derivative_coeffs), target,
                                      x, lo=a, hi=b, rising=pb > pa, floor=floor, scale=1.0)
         if stuck.size:
             raise QuadratureNonConvergence(
@@ -768,7 +799,7 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
                 f"profile of n = {n} at u = {u}: the half period did not settle to "
                 f"rtol = {rtol} by {MAX_PROFILE_NODES} Chebyshev nodes")
         previous, size = half_period, 2 * size
-    series = _ChebSeries(-1.0, 1.0, False, coeffs)
+    series = _ChebSeries(-1.0, 1.0, "linear", coeffs)
     turn, other, half = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0,
                                                 half_period), -1.0, 1.0), u, v)
     g, p = _gap_factor(turn, other, np.sin(half) ** 2, n)
@@ -791,8 +822,10 @@ class PeriodCurve:
 
     u_lo, u_hi  the orbits BAND_CLAMP admits: contact end, well-bottom end
     band        the attained range of T/T0 over [u_lo, u_hi], ascending
-    pieces      the contact piece in log u, when there is one, then the
-                upper piece in u, which starts at the hand-over point
+    pieces      for n = 3 the contact piece in log u, then the upper piece
+                in sqrt u, which starts at the hand-over point, its
+                `start`; for every other n the one piece, which spans
+                [u_lo, u_hi] and takes every u and every period
     quadratures kernel orbits the build took: its fit nodes
     nodes       integrand evaluations the build took
 
@@ -816,8 +849,10 @@ class PeriodCurve:
     def ratio(self, u):
         """T/T0 of the orbits whose warps dip to u * f_star."""
         u = np.asarray(u, dtype=float)
-        upper = self.pieces[-1]
-        return np.where(u >= upper.lo, upper.value(u), self.pieces[0].value(u))[()]
+        *contact, upper = self.pieces
+        if not contact:
+            return upper.value(u)[()]
+        return np.where(u >= upper.start, upper.value(u), contact[0].value(u))[()]
 
     def orbits(self, taus, params: ModelParams) -> tuple[OrbitSpec | None, ...]:
         """The orbits of params with periods taus; None for a tau outside the band.
@@ -849,13 +884,16 @@ class PeriodCurve:
         if not inside.size:
             return ([],) * 9
         target = target[inside]
-        # a one-piece curve hands over at u_lo, so no target is on the contact side
-        split = self.pieces[-1].lo
-        r_split = self.pieces[-1].value(split)
-        contact = (target - r_split) * (self.pieces[0].value(self.u_lo) - r_split) > 0.0
+        # a one-piece curve sends every target to its piece
+        *contact, upper = self.pieces
+        split, near = self.u_lo, np.zeros(target.shape, dtype=bool)
+        if contact:
+            split = upper.start
+            r_split = upper.value(split)
+            near = (target - r_split) * (contact[0].value(self.u_lo) - r_split) > 0.0
         u = np.empty_like(target)
-        for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, split, contact),
-                                    (self.pieces[-1], split, self.u_hi, ~contact)):
+        for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, split, near),
+                                    (upper, split, self.u_hi, ~near)):
             if not mine.any():
                 continue
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
@@ -882,14 +920,14 @@ def period_curve(n: int, rtol: float = KERNEL_RTOL) -> PeriodCurve:
 
     Built once per process for each (n, rtol) on the canonical parameters
     ModelParams(n, n - 1, n - 1), which give x_star = 1, omega = 1 and
-    T0 = 2 pi exactly.  Two Chebyshev pieces fit T/T0: CURVE_NODES nodes
-    in u on [CONTACT_SPLIT, 1], and CONTACT_NODES nodes in log u from u_lo
-    up to CONTACT_SPLIT, where the contact end's u log u behaviour lives.
-    When BAND_CLAMP already cuts the band above CONTACT_SPLIT (n >= 10),
-    the upper piece alone spans [u_lo, 1].  The nodes of every piece go to
-    the kernel in one call, and the build refuses node values that are
-    not strictly monotone in u.  For n = 4 every orbit has period T0 and
-    the curve is the constant 1, built without the kernel.
+    T0 = 2 pi exactly.  CURVE_NODES nodes in sqrt u fit T/T0, which is
+    smooth in sqrt u down to contact for every n >= 5: one piece on
+    [u_lo, 1].  n = 3's period has a u log u term at contact, so its
+    piece in sqrt u spans [CONTACT_SPLIT, 1] and CONTACT_NODES nodes in
+    log u fit the rest, from u_lo.  The nodes of every piece go to the
+    kernel in one call, and the build refuses node values that are not
+    strictly monotone in u.  For n = 4 every orbit has period T0 and the
+    curve is the constant 1, built without the kernel.
     """
     return _cached_curve(ModelParams(n, n - 1.0, n - 1.0), float(rtol))
 
@@ -903,16 +941,17 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     u_lo, u_hi = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
                              consts, n)[1].tolist()
     if n == 4:
-        flat = _ChebSeries(u_lo, u_hi, False, np.ones(1))
+        flat = _ChebSeries(u_lo, u_hi, "linear", np.ones(1))
         return PeriodCurve(n, rtol, u_lo, u_hi, (flat,), 0, 0)
 
-    split = max(CONTACT_SPLIT, u_lo)
-    layout = [(math.log(u_lo), math.log(split), True, CONTACT_NODES)] if u_lo < split else []
-    layout.append((split, 1.0, False, CURVE_NODES))
+    # n = 3 alone has a u log u term at contact, which its log-u piece takes
+    split = CONTACT_SPLIT if n == 3 else u_lo
+    layout = [(math.log(u_lo), math.log(split), "log", CONTACT_NODES)] if n == 3 else []
+    layout.append((math.sqrt(split), 1.0, "sqrt", CURVE_NODES))
     angles = [_cheb_angles(size) for *_, size in layout]
     # placing nodes needs only a piece's map, not its coefficients
-    us = np.concatenate([_ChebSeries(lo, hi, log, np.empty(0)).y_of(np.cos(theta))
-                         for (lo, hi, log, _), theta in zip(layout, angles)])
+    us = np.concatenate([_ChebSeries(lo, hi, kind, np.empty(0)).y_of(np.cos(theta))
+                         for (lo, hi, kind, _), theta in zip(layout, angles)])
     periods = _certified(us, n, rtol)
     steps = np.diff(periods.ratio[np.argsort(us)])
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
@@ -921,6 +960,6 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
             "strictly monotone in f_min"
         )
     values = np.split(periods.ratio, np.cumsum([theta.size for theta in angles])[:-1])
-    pieces = tuple(_ChebSeries(lo, hi, log, _cheb_coeffs(vals))
-                   for (lo, hi, log, _), vals in zip(layout, values))
+    pieces = tuple(_ChebSeries(lo, hi, kind, _cheb_coeffs(vals))
+                   for (lo, hi, kind, _), vals in zip(layout, values))
     return PeriodCurve(n, rtol, u_lo, u_hi, pieces, us.size, int(periods.nodes.sum()))

@@ -612,7 +612,7 @@ def test_bifurcate_outputs_rows_and_points(tmp_path, capsys):
     assert 2 in ks
     assert "threshold T0" in err
     # the curve's counters go to stderr only
-    assert "; period curve: 80 quadratures, " in err
+    assert "; period curve: 88 quadratures, " in err
     assert err.rstrip().endswith(" nodes")
     assert "quadratures" not in out and "nodes" not in out
 
@@ -799,9 +799,9 @@ def test_unreachable_rtol_still_exits_4(capsys, tmp_path):
     """
     params = ["--n", "3", "--R", "2", "--Rt", "2"]
     for argv, orbit in [
-        (["period", *params, "--energy", "-0.225"], "at u = 0.20277939461513028 "),
+        (["period", *params, "--energy", "-0.225"], "at u = 0.20277939461513025 "),
         (["solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", "9.33"],
-         "at u = 0.049873158485045956 "),
+         "at u = 0.9996173408004115 "),
         (["bifurcate", *params, "--tmax", "20"], "at u = 0.049456921102972166 "),
     ]:
         out_file = tmp_path / f"{argv[0]}.out"
@@ -968,6 +968,15 @@ def test_a_dimension_too_large_for_a_float_is_refused(capsys):
     assert (code, out, err) == (
         2, "", "error: dimension n must be an integer >= 3, got an integer too large for a "
                "float\n")
+
+
+@pytest.mark.parametrize("R, Rt, n", [("3", "1", "10000"), ("1", "3", "100000")])
+def test_parameters_whose_energy_scale_leaves_the_float_range_are_refused(capsys, R, Rt, n):
+    # once an OverflowError traceback (exit 1), and once x_star = 0, c_min = 0 (exit 0)
+    code, out, err = run_cli(capsys, "threshold", "--n", n, "--R", R, "--Rt", Rt)
+    assert (code, out) == (2, "")
+    assert err == (f"error: x_star^2 = (R/Rt)^(n/2) leaves the float range for n = {n}, "
+                   f"R = {float(R)}, Rt = {float(Rt)}; bring R/Rt closer to 1 or lower n\n")
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -214,6 +214,21 @@ def test_invalid_parameters_rejected(bad):
         ModelParams(**bad)
 
 
+@pytest.mark.parametrize("n, R, Rt", [(10000, 3.0, 1.0), (100000, 1.0, 3.0),
+                                      (3, 1e300, 1e-300), (3, 1e-300, 1e300)])
+def test_parameters_whose_energy_scale_leaves_the_float_range_are_refused(n, R, Rt):
+    # x_star^2 = (R/Rt)^(n/2) overflows, or falls below the normal floats
+    with pytest.raises(DomainError) as raised:
+        ModelParams(n, R, Rt)
+    assert f"for n = {n}, R = {R}, Rt = {Rt}" in str(raised.value)
+
+
+@pytest.mark.parametrize("n, R, Rt", [(1000, 3.0, 1.0), (1000, 1.0, 3.0), (10**8, 2.0, 2.0)])
+def test_parameters_whose_energy_scale_is_a_normal_float_are_accepted(n, R, Rt):
+    k = derive_constants(ModelParams(n, R, Rt))
+    assert math.isfinite(k.c_min) and k.c_min < 0.0 and k.x_star > 0.0
+
+
 def test_integral_float_dimension_accepted():
     params = ModelParams(4.0, 1.0, 1.0)
     assert params.n == 4 and isinstance(params.n, int)

@@ -8,7 +8,8 @@ undo breaks a traced benchmark run; these tests catch it in the suite.
 The package republishes exactly the modules' names, each as the
 module's own object, and importing it loads no scipy.  Every default
 kernel tolerance, of a published function or of the command line, is
-`period.KERNEL_RTOL`.  Every package name README quotes resolves.
+`period.KERNEL_RTOL`.  Every package name README quotes resolves, and so
+does every constant a module docstring quotes.
 """
 
 import argparse
@@ -150,4 +151,18 @@ def test_readme_names_resolve():
                if not _resolves(module, name)]
     missing += [name for name in sorted(private)
                 if not any(_resolves(module, name) for module in MODULES)]
+    assert missing == []
+
+
+def test_module_docstring_constants_resolve():
+    """Every ALL_CAPS name with an underscore that a module docstring
+    quotes, such as BAND_CLAMP, is bound in some package module, so no
+    docstring names a constant that has gone."""
+    modules = [warpcsc, *(importlib.import_module(f"warpcsc.{module}") for module in MODULES)]
+    pattern = re.compile(r"\b[A-Z][A-Z0-9]*_[A-Z0-9_]*[A-Z0-9]\b")
+    quoted = {(module.__name__, name) for module in modules
+              for name in pattern.findall(module.__doc__ or "")}
+    assert quoted
+    missing = [f"{module}: {name}" for module, name in sorted(quoted)
+               if not any(hasattr(other, name) for other in modules)]
     assert missing == []
