@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import PERIOD_SLACK, ModelParams, derive_constants
+from .model import PERIOD_SLACK, ModelParams, _integer, derive_constants
 from .period import KERNEL_RTOL, period_curve
 
 __all__ = [
@@ -129,6 +129,7 @@ def scan_branches(
     T0 = consts.T0
     if not (math.isfinite(T_max) and T_max > T0 * (1.0 + PERIOD_SLACK)):
         raise DomainError(f"T_max must exceed the threshold T0 = {T0}, got {T_max}")
+    grid_size = _integer("grid_size", grid_size)
     if grid_size < 16:
         raise DomainError(f"grid_size must be >= 16, got {grid_size}")
 

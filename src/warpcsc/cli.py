@@ -9,7 +9,8 @@ significant digits, every other scalar as json.dumps writes it,
 newlines are always "\\n", and scan orders are fixed.  Exit codes: 0
 success, 2 usage or domain errors, 3 threshold violations and failed
 verification, 4 numerical non-convergence.  solve and verify judge a
-profile by one verdict, `_verdict`; solve writes nothing that fails it.
+profile by one verdict, `_verdict`, which calls the public checks of
+`geometry` and `solver`; solve writes nothing that fails it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     ThresholdViolation,
     TooFewSamples,
 )
-from .geometry import CURVATURE_TOL, _check_positive, _conformal, _curvature, _fd_loop
+from .geometry import CURVATURE_TOL, conformal_field_check, curvature_audit
 from .model import ModelParams, derive_constants
 from .period import (
     KERNEL_RTOL,
@@ -47,7 +48,7 @@ from .period import (
     period_quadrature,
     period_scan,
 )
-from .solver import PROFILE_SAMPLES, SAMPLE_COLUMNS, SolutionProfile, _audit, solve_period
+from .solver import PROFILE_SAMPLES, SAMPLE_COLUMNS, SolutionProfile, audit_profile, solve_period
 
 __all__ = ["main"]
 
@@ -168,16 +169,12 @@ def _verdict(profile: SolutionProfile, tol: float):
 
     Returns the reports of `curvature_audit`, `conformal_field_check`
     and `audit_profile` and the names of the failed checks: "curvature",
-    "conformal" and the audit's breaches.  Positivity and the sample
-    layout are checked once, in the public checks' order (NonPositiveWarp
-    first, then at least 64 samples), and f is differenced once: that one
-    loop serves all three checks.  Their errors propagate.
+    "conformal" and the audit's breaches.  The first check's errors, for
+    a warp value f <= 0 or fewer than 64 samples, propagate.
     """
-    _check_positive(profile)
-    loop = _fd_loop(profile, 64)
-    curvature = _curvature(profile, loop, tol)
-    conformal = _conformal(profile, loop)
-    audit = _audit(profile, loop)
+    curvature = curvature_audit(profile, tol)
+    conformal = conformal_field_check(profile)
+    audit = audit_profile(profile)
     failed = [] if curvature.passed else ["curvature"]
     if not conformal.squared_convention_ok:
         failed.append("conformal")
@@ -312,6 +309,9 @@ def cmd_period(args) -> int:
         (s.c, s.a, s.b, s.T, s.amplitude) for s in scan.entries if s is not None
     ]
     if not rows:
+        if all(isinstance(err, EnergyOutOfBand) for _, err in scan.failures):
+            raise EnergyOutOfBand("every point of the period scan failed: each energy "
+                                  "lies outside the clamped band")
         raise QuadratureNonConvergence("every point of the period scan failed")
     _emit(_csv(header, rows), args.out)
     return 0
@@ -476,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--scan", type=int, default=None, metavar="N",
                        help="scan N energies (default spacing: log across the band)")
     p_per.add_argument("--band", type=_band, default=None, metavar="LO,HI",
-                       help="with --scan: scan this energy interval linearly instead")
+                       help="with --scan: scan this energy interval linearly instead; "
+                            "energies are negative, so write --band=LO,HI")
     p_per.add_argument("--rtol", **rtol)
     _add_out(p_per)
     p_per.set_defaults(handler=cmd_period)

@@ -7,17 +7,15 @@ routines here therefore recompute all derivatives by 4th-order periodic
 central differences from the f column and nothing else, making them an
 independent route rather than an echo of the solver's own arithmetic.
 
-Each public check validates its profile and differences f on its own.
-A caller that runs several checks on one profile, as `verify` does,
-checks positivity and the layout and differences f once (`_fd_loop`),
-and hands that one `_Loop` to `_curvature`, `_conformal` and
-`solver._audit`, the bodies of the public checks.
+Each check validates its profile and differences f on its own, through
+two shared helpers: `_check_positive` refuses a warp value f <= 0, and
+`_fd_loop` checks the sample layout and differences f, for these checks
+and for `solver.audit_profile`.  `verify` calls the checks one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,21 +67,13 @@ def uniform_closed_count(t: np.ndarray, T: float, min_samples: int) -> int:
     if m < min_samples:
         raise TooFewSamples(f"need at least {min_samples} samples, got {m}")
     h = T / (m - 1)
-    if not np.allclose(np.diff(t), h, rtol=1e-6, atol=1e-9 * T):
+    # the inequality np.isclose(np.diff(t), h, rtol=1e-6, atol=1e-9 * T)
+    # tests; a NaN or inf spacing fails it
+    if not np.all(np.abs(np.diff(t) - h) <= 1e-9 * T + 1e-6 * abs(h)):
         raise DomainError("samples must be uniform in t")
     if abs(t[0]) > 1e-9 * T or abs(t[-1] - T) > 1e-9 * T:
         raise DomainError("samples must span exactly [0, T] endpoint included")
     return m - 1
-
-
-class _Loop(NamedTuple):
-    """One period of a profile's f samples without the repeated endpoint,
-    their spacing h, and f' and f'' by `periodic_fd_derivatives`."""
-
-    f: np.ndarray
-    h: float
-    d1: np.ndarray
-    d2: np.ndarray
 
 
 def _check_positive(profile) -> None:
@@ -92,13 +82,15 @@ def _check_positive(profile) -> None:
         raise NonPositiveWarp("profile contains warp values f <= 0")
 
 
-def _fd_loop(profile, min_samples: int) -> _Loop:
-    """The profile's loop, its layout checked by `uniform_closed_count`
-    with at least min_samples samples, and f differenced once."""
+def _fd_loop(profile, min_samples: int):
+    """(f, h, f', f''): one period of the profile's f samples without the
+    repeated endpoint, their spacing, and f' and f'' by
+    `periodic_fd_derivatives`; the layout is checked by
+    `uniform_closed_count` with at least min_samples samples."""
     unique = uniform_closed_count(profile.t, profile.T, min_samples)
     f = np.asarray(profile.f, dtype=float)[:unique]
     h = profile.T / unique
-    return _Loop(f, h, *periodic_fd_derivatives(f, h))
+    return (f, h, *periodic_fd_derivatives(f, h))
 
 
 @dataclass(frozen=True)
@@ -129,12 +121,8 @@ def curvature_audit(profile, rel_tol: float = CURVATURE_TOL) -> CurvatureReport:
     rel_tol * Rt of the constant target everywhere.
     """
     _check_positive(profile)
-    return _curvature(profile, _fd_loop(profile, 64), rel_tol)
-
-
-def _curvature(profile, loop: _Loop, rel_tol: float) -> CurvatureReport:
-    """`curvature_audit` on the profile's loop, already checked and differenced."""
-    params, f, d1, d2 = profile.params, loop.f, loop.d1, loop.d2
+    f, _, d1, d2 = _fd_loop(profile, 64)
+    params = profile.params
     n = params.n
     rt = (params.R - 2.0 * (n - 1.0) * f * d2 - (n - 1.0) * (n - 2.0) * d1**2) / f**2
     rt_full = np.concatenate([rt, rt[:1]])
@@ -183,30 +171,25 @@ def conformal_field_check(profile) -> ConformalCheck:
     pass when f is constant, since its residual is f fp pointwise.
     """
     _check_positive(profile)
-    return _conformal(profile, _fd_loop(profile, 16))
-
-
-def _conformal(profile, loop: _Loop) -> ConformalCheck:
-    """`conformal_field_check` on the profile's loop, already checked and
-    differenced; only f^2 is differenced here."""
-    f, d_f = loop.f, loop.d1
+    f, h, d_f, _ = _fd_loop(profile, 16)
     fp = np.asarray(profile.fp, dtype=float)[:f.size]
-    d_f2, _ = periodic_fd_derivatives(f**2, loop.h)
-    tt = np.abs(2.0 * d_f - 2.0 * fp)
-    fiber_sq = np.abs(f * d_f2 - 2.0 * fp * f**2)
-    fiber_lin = np.abs(f * d_f - 2.0 * fp * f)
+    f_sq = f * f
+    exact_sq = 2.0 * fp * f_sq
+    fd_sq = f * periodic_fd_derivatives(f_sq, h)[0]
+    sup_sq = float(np.max(np.abs(fd_sq - exact_sq)))
+    sup_lin = float(np.max(np.abs(f * d_f - 2.0 * fp * f)))
     reference = max(
-        float(np.max(np.abs(2.0 * fp * f**2))),
-        float(np.max(np.abs(f * d_f2))),
+        float(np.max(np.abs(exact_sq))),
+        float(np.max(np.abs(fd_sq))),
         float(np.finfo(float).tiny),
     )
     tol_abs = CONFORMAL_TOL * reference
     return ConformalCheck(
-        sup_tt=float(np.max(tt)),
-        sup_fiber_sq=float(np.max(fiber_sq)),
-        sup_fiber_lin=float(np.max(fiber_lin)),
+        sup_tt=float(np.max(np.abs(2.0 * d_f - 2.0 * fp))),
+        sup_fiber_sq=sup_sq,
+        sup_fiber_lin=sup_lin,
         reference=reference,
         rel_tol=CONFORMAL_TOL,
-        squared_convention_ok=float(np.max(fiber_sq)) <= tol_abs,
-        linear_convention_ok=float(np.max(fiber_lin)) <= tol_abs,
+        squared_convention_ok=sup_sq <= tol_abs,
+        linear_convention_ok=sup_lin <= tol_abs,
     )

@@ -58,6 +58,7 @@ from .model import (
     PhaseState,
     _force_coeffs,
     _forms,
+    _integer,
     _potential_coeffs,
     derive_constants,
 )
@@ -293,6 +294,7 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
     step without a call or a step counter, and its half kick carries
     from each step to the next, across the two halves too.
     """
+    n_steps = _integer("n_steps", n_steps)
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
     if not (math.isfinite(dt) and dt > 0.0):

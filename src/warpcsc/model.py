@@ -58,6 +58,17 @@ __all__ = [
 PERIOD_SLACK = 1e-9
 
 
+def _integer(name: str, value):
+    """value with an integral float, such as 400.0, made an int.  A float
+    that is not integral raises DomainError naming the argument; any
+    other value is returned as it is, for the caller's own checks."""
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise DomainError(f"{name} must be an integer, got {value}")
+        return int(value)
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimension and curvature data of the warped product.
@@ -74,11 +85,7 @@ class ModelParams:
     Rt: float
 
     def __post_init__(self) -> None:
-        n = self.n
-        if isinstance(n, float):
-            if not n.is_integer():
-                raise DomainError(f"dimension n must be an integer, got {n}")
-            n = int(n)
+        n = _integer("dimension n", self.n)
         if not isinstance(n, int) or isinstance(n, bool) or n < 3:
             raise DomainError(f"dimension n must be an integer >= 3, got {self.n!r}")
         if n > sys.float_info.max:

@@ -61,7 +61,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
-from .model import DerivedConstants, ModelParams, derive_constants, potential
+from .model import DerivedConstants, ModelParams, _integer, derive_constants, potential
 
 __all__ = [
     "OrbitSpec",
@@ -543,6 +543,7 @@ def energy_grid(
     energy, resolving both edges at once.  A size above MAX_SCAN_POINTS
     raises DomainError before any point is placed.
     """
+    size = _integer("size", size)
     if size < 2:
         raise DomainError(f"grid size must be >= 2, got {size}")
     _check_scan_size(size)

@@ -21,9 +21,9 @@ derivatives of f recomputed by periodic finite differences from the f
 samples alone, and conservation of the reduced energy.  The first route
 is an algebraic identity of the coordinate change and flags corrupted
 data; the other two actually test that the samples trace a solution.
-Its body, `_audit`, reads the finite-difference route from a loop that
-`geometry._fd_loop` checked and differenced, so `verify`'s verdict
-hands it the one loop its curvature and fiber checks use too.
+It reads the finite-difference route from `geometry._fd_loop`, which
+checks the sample layout and differences f for the curvature and fiber
+checks too.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from .errors import (
     ThresholdViolation,
     TooFewSamples,
 )
-from .geometry import _fd_loop, _Loop
+from .geometry import _fd_loop
 from .model import (
     PERIOD_SLACK,
     ModelParams,
+    _integer,
     curvature_residual,
     derive_constants,
     potential,
@@ -164,18 +165,21 @@ def profile_from_energy(
     and the samples start at its inner turning point, fixing the time
     origin at a minimum of the warp; see `_sampled`.
     """
-    _check_samples(n_samples)
+    n_samples = _check_samples(n_samples)
     orbit = period_quadrature(c, params)
     return _sampled(orbit, orbit.T, params, n_samples, KERNEL_RTOL)
 
 
-def _check_samples(n_samples: int) -> None:
-    """Refuse fewer than 16 samples, and more than MAX_SAMPLES."""
+def _check_samples(n_samples: int) -> int:
+    """n_samples as an int; refuse one that is not an integer, fewer than
+    16 samples, and more than MAX_SAMPLES."""
+    n_samples = _integer("n_samples", n_samples)
     if n_samples < 16:
         raise TooFewSamples(f"n_samples must be >= 16, got {n_samples}")
     if n_samples > MAX_SAMPLES:
         raise DomainError(f"n_samples = {n_samples} (--samples) is above the limit of "
                           f"{MAX_SAMPLES}; lower it")
+    return n_samples
 
 
 def _sampled(
@@ -243,7 +247,7 @@ def solve_period(
             f"requested period {T} does not exceed the threshold T0 = {consts.T0}; "
             "only the constant solution exists at or below it"
         )
-    _check_samples(n_samples)
+    n_samples = _check_samples(n_samples)
     curve = period_curve(params.n, quad_rtol)
     orbit = curve.orbits([T], params)[0]
     if orbit is None:
@@ -262,13 +266,8 @@ def audit_profile(profile: SolutionProfile) -> ProfileAudit:
 
     The thresholds are CHAIN_TOL * R, FD_TOL * R and ENERGY_TOL.
     """
-    return _audit(profile, _fd_loop(profile, 16))
-
-
-def _audit(profile: SolutionProfile, loop: _Loop) -> ProfileAudit:
-    """`audit_profile` on the profile's loop, already checked and
-    differenced (`geometry._fd_loop`)."""
     params = profile.params
+    loop_f, _, d1, d2 = _fd_loop(profile, 16)
 
     chain = np.abs(
         curvature_residual(profile.f, profile.fp, profile.fpp, params)
@@ -276,7 +275,7 @@ def _audit(profile: SolutionProfile, loop: _Loop) -> ProfileAudit:
     chain_at = int(np.argmax(chain))
     chain_sup = float(chain[chain_at])
 
-    fd = np.abs(curvature_residual(loop.f, loop.d1, loop.d2, params))
+    fd = np.abs(curvature_residual(loop_f, d1, d2, params))
     fd_at = int(np.argmax(fd))
     fd_sup = float(fd[fd_at])
 

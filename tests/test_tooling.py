@@ -9,7 +9,9 @@ The package republishes exactly the modules' names, each as the
 module's own object, and importing it loads no scipy.  Every default
 kernel tolerance, of a published function or of the command line, is
 `period.KERNEL_RTOL`.  Every package name README quotes resolves, and so
-does every constant a module docstring quotes.
+does every constant a module docstring quotes.  A traced solve and
+verify time each of verify's checks, and a failing hypothesis test
+fails like any other.
 """
 
 import argparse
@@ -25,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import warpcsc
+from warpcsc import cli
 from warpcsc.cli import build_parser
 from warpcsc.period import KERNEL_RTOL
 
@@ -76,6 +79,52 @@ def test_the_tracer_restores_every_name_it_rebinds():
 
 
 PUBLIC_MODULES = ("model", "integrator", "period", "solver", "geometry", "bifurcation", "errors")
+
+
+def test_a_traced_solve_and_verify_time_every_check(tmp_path, capsys):
+    """solve and verify each run the three public checks, so the
+    benchmark's per-layer metrics for them read above 0."""
+    tracing = _tracing()
+    T = 1.05 * warpcsc.derive_constants(warpcsc.ModelParams(5, 2.0, 2.0)).T0
+    doc, trace = tmp_path / "profile.json", tmp_path / "trace.npz"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = (cli.main(["solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", repr(T),
+                           "--out", str(doc)]),
+                 cli.main(["verify", "--in", str(doc)]))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == (0, 0)
+    tracer.save(str(trace))
+    table = tracing.span_table(str(trace))
+    metrics = tracing.layer_metrics(table)
+    for metric, span in (("geometry.curvature_audit.s", "geometry.curvature_audit"),
+                         ("geometry.conformal.s", "geometry.conformal_field_check"),
+                         ("solver.audit.s", "solver.audit_profile")):
+        assert metrics[metric] > 0.0, metric
+        assert table[span]["calls"] == 2.0, span
+
+
+def test_a_failing_hypothesis_test_fails_without_an_internal_error(tmp_path):
+    """With warnings as errors, hypothesis's report of a failure must
+    not turn a warning of a library it imports into an INTERNALERROR."""
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_probe(x):\n"
+        "    assert x < 5\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = done.stdout + done.stderr
+    assert "INTERNALERROR" not in output
+    assert done.returncode == 1, output
+    assert "1 failed" in output
 
 
 def test_the_package_republishes_each_modules_names_once():
