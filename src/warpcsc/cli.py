@@ -169,8 +169,9 @@ def _verdict(profile: SolutionProfile, tol: float):
 
     Returns the reports of `curvature_audit`, `conformal_field_check`
     and `audit_profile` and the names of the failed checks: "curvature",
-    "conformal" and the audit's breaches.  The first check's errors, for
-    a warp value f <= 0 or fewer than 64 samples, propagate.
+    "conformal" and the audit's breaches.  Errors propagate, so the
+    first is the curvature check's: NonPositiveWarp, then TooFewSamples
+    below 64 samples or DomainError for a layout that is not uniform.
     """
     curvature = curvature_audit(profile, tol)
     conformal = conformal_field_check(profile)
