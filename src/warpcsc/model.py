@@ -30,6 +30,7 @@ overhead.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -59,14 +60,18 @@ PERIOD_SLACK = 1e-9
 
 
 def _integer(name: str, value):
-    """value with an integral float, such as 400.0, made an int.  A float
-    that is not integral raises DomainError naming the argument; any
-    other value is returned as it is, for the caller's own checks."""
+    """value of any integer type, such as numpy's int64, or an integral
+    float, such as 400.0, made an int.  A float that is not integral
+    raises DomainError naming the argument; a bool or any other value is
+    returned as it is, for the caller's own checks."""
     if isinstance(value, float):
         if not value.is_integer():
             raise DomainError(f"{name} must be an integer, got {value}")
         return int(value)
-    return value
+    try:
+        return value if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return value
 
 
 @dataclass(frozen=True)

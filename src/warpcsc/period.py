@@ -25,9 +25,11 @@ Halley solve, each node's g is written from its nearer turning point
 through half angles, and both halves of at most KERNEL_ORBITS orbits go
 to one `_integrand` call and are added back row by row.
 `_orbit_samples` samples a profile from the same integrand between the
-turning points the kernel confirmed: it fits dt/dtheta in Chebyshev
-nodes, integrates the fit to t(theta) and inverts that at the sample
-times with `_ChebSeries.root`, the curve's own inversion.
+turning points the kernel confirmed: `_time_fit` takes dt/dtheta at
+Chebyshev nodes to the series of t(theta) in one product, and
+`_ChebSeries.root`, the curve's own inversion, inverts that at the
+sample times.  Every cached table is read-only, so no caller can spoil
+it for the rest of the process.
 
 `period_curve(n, rtol)` fits T/T0 against u with one Chebyshev piece in
 sqrt u, and for n = 3 a second one in log u at contact, once per process
@@ -58,7 +60,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder, chebint, chebval
 
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
 from .model import DerivedConstants, ModelParams, _integer, derive_constants, potential
@@ -400,7 +402,7 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     weight = math.pi**2 * np.cosh(t) * e / (1.0 + e) ** 2
     if level == TS_FIRST_LEVEL:
         weight[0] *= 0.5
-    return np.sin(half) ** 2, weight
+    return _read_only(np.sin(half) ** 2), _read_only(weight)
 
 
 class _Periods(NamedTuple):
@@ -619,6 +621,9 @@ class _ChebSeries:
     map: str
     coeffs: np.ndarray
 
+    def __post_init__(self) -> None:  # a cached curve shares its pieces process-wide
+        _read_only(self.coeffs)
+
     @cached_property
     def derivative_coeffs(self) -> np.ndarray:
         """The series and its first two x-derivatives as columns, for one
@@ -628,8 +633,8 @@ class _ChebSeries:
         size = np.flatnonzero(np.abs(c) >= np.finfo(float).eps * np.abs(c).sum())[-1] + 1
         slope = chebder(c[:size])
         curvature = chebder(slope)
-        return np.stack([c[:size], np.pad(slope, (0, size - slope.size)),
-                         np.pad(curvature, (0, size - curvature.size))], axis=1)
+        return _read_only(np.stack([c[:size], np.pad(slope, (0, size - slope.size)),
+                                    np.pad(curvature, (0, size - curvature.size))], axis=1))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -639,7 +644,7 @@ class _ChebSeries:
         are sums of cos(k phi) and k sin(k phi) / sin(phi), one product
         each with `_seed_matrices`, with no Clenshaw pass."""
         x, cos, sin = _seed_matrices(self.coeffs.size)
-        return np.column_stack([x, cos @ self.coeffs, sin @ self.coeffs])
+        return _read_only(np.column_stack([x, cos @ self.coeffs, sin @ self.coeffs]))
 
     @property
     def start(self) -> float:
@@ -706,10 +711,8 @@ def _seed_matrices(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi = _cheb_angles(2 * size)[::-1]
     k = np.arange(size)
     angle = np.outer(phi, k)
-    arrays = (np.cos(phi), np.cos(angle), k * np.sin(angle) / np.sin(phi)[:, None])
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    return (_read_only(np.cos(phi)), _read_only(np.cos(angle)),
+            _read_only(k * np.sin(angle) / np.sin(phi)[:, None]))
 
 
 def _cheb_angles(size: int) -> np.ndarray:
@@ -717,42 +720,31 @@ def _cheb_angles(size: int) -> np.ndarray:
     return math.pi * (np.arange(size) + 0.5) / size
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only, as every table shared across calls is."""
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=16)
 def _fit_matrix(size: int) -> np.ndarray:
-    """(2/size) cos(k phi_j) for the size angles phi_j of `_cheb_angles`:
-    the cosine transform that `_cheb_coeffs` applies, read-only."""
+    """The series through values at the size first-kind Chebyshev nodes
+    cos(phi_j) of `_cheb_angles` is this matrix times the values: the
+    cosine transform (2/size) cos(k phi_j), with its first row halved.
+    Read-only, one per node count."""
     matrix = (2.0 / size) * np.cos(np.outer(np.arange(size), _cheb_angles(size)))
-    matrix.flags.writeable = False
-    return matrix
+    matrix[0] *= 0.5
+    return _read_only(matrix)
 
 
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """The series through values at the first-kind Chebyshev nodes
-    cos(_cheb_angles(values.size)), by the cosine transform, whose matrix
-    is built once per node count."""
-    coeffs = _fit_matrix(values.size) @ values
-    coeffs[0] *= 0.5
-    return coeffs
-
-
-def _integral(c: np.ndarray) -> np.ndarray:
-    """chebint(c, lbnd=-1) bit for bit, in a few array operations where
-    numpy loops over the coefficients (numpy leaves the one-term zero
-    series unintegrated; this integrates it).
-
-    Coefficient j >= 2 of the integral is c[j-1] / 2j less c[j+1] / 2j,
-    coefficient 1 is c[0] less c[2] / 2, and coefficient 0 makes the
-    integral vanish at -1.  Each coefficient takes numpy's operations in
-    numpy's order, and coefficient 0 numpy's Clenshaw steps (`_clenshaw`).
-    """
-    size = c.size
-    out = np.empty(size + 1)
-    out[0] = c[0] * 0.0
-    out[1] = c[0]
-    out[2:] = c[1:] / (2.0 * np.arange(2, size + 1))
-    out[1:size - 1] -= c[2:] / (2.0 * np.arange(1, size - 1))
-    out[0] += 0.0 - _clenshaw(out.tolist(), -1.0)
-    return out
+@lru_cache(maxsize=8)
+def _time_fit(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size first-kind Chebyshev nodes x, and the map that takes
+    dt/dtheta at them to the series of t(theta), theta = (pi/2) x, from
+    t(-pi/2) = 0: (pi/2) chebint of `_fit_matrix`, one coefficient more
+    than nodes.  Both read-only, one pair per node count."""
+    x = np.cos(_cheb_angles(size))
+    return _read_only(x), _read_only(0.5 * math.pi * chebint(_fit_matrix(size), lbnd=-1))
 
 
 def _arc(x, u: float, v: float):
@@ -771,25 +763,24 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
     the confirmed orbit, not solved again.
 
     The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) /
-    sqrt(p(g)), is smooth on [-pi/2, pi/2].  Its fit
-    on first-kind Chebyshev nodes doubles from PROFILE_NODES nodes until
-    the half period t(pi/2) changes by at most rtol, plus one rounding;
-    past MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit
-    is `_cheb_coeffs`, whose cosine transform is built once per node
-    count, and `_integral`, numpy's chebint without its loop; both give
-    numpy's bits.  The integral is t(theta) from the inner turning point,
-    and `_ChebSeries.root` inverts min(t, period - t) for every time at
-    once; the second half of the orbit mirrors the first with the
-    velocity negated, and the energy gives each speed from the gap
+    sqrt(p(g)), is smooth on [-pi/2, pi/2].  Its fit on first-kind
+    Chebyshev nodes doubles from PROFILE_NODES nodes until the half
+    period t(pi/2) changes by at most rtol, plus one rounding; past
+    MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit is
+    one product of the node values with the cached map of `_time_fit`,
+    which gives t(theta) from the inner turning point, and
+    `_ChebSeries.root` inverts min(t, period - t) for every time at once;
+    the second half of the orbit mirrors the first with the velocity
+    negated, and the energy gives each speed from the gap
     w(u) - w(g) = (r sin(2 half))^2 p(g).  The series returned is the
     whole fit, one coefficient per node and one more, whatever `root`
     drops from its own sums.
     """
     size, previous = PROFILE_NODES, None
     while True:
-        turn, other, half = _arc(np.cos(_cheb_angles(size)), u, v)
-        rate = math.sqrt(n - 2.0) * _integrand(turn, other, np.sin(half) ** 2, n)
-        coeffs = 0.5 * math.pi * _integral(_cheb_coeffs(rate))
+        x, integral = _time_fit(size)
+        turn, other, half = _arc(x, u, v)
+        coeffs = integral @ (math.sqrt(n - 2.0) * _integrand(turn, other, np.sin(half) ** 2, n))
         half_period = float(_chebval(1.0, coeffs))
         if previous is not None:
             change = abs(half_period - previous) + np.finfo(float).eps * half_period
@@ -961,6 +952,6 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
             "strictly monotone in f_min"
         )
     values = np.split(periods.ratio, np.cumsum([theta.size for theta in angles])[:-1])
-    pieces = tuple(_ChebSeries(lo, hi, kind, _cheb_coeffs(vals))
+    pieces = tuple(_ChebSeries(lo, hi, kind, _fit_matrix(vals.size) @ vals)
                    for (lo, hi, kind, _), vals in zip(layout, values))
     return PeriodCurve(n, rtol, u_lo, u_hi, pieces, us.size, int(periods.nodes.sum()))

@@ -709,7 +709,8 @@ def test_band_scan_below_one_point_is_a_domain_error(capsys, size):
     ("columns", "unexpected column layout ['t', 'f', 'x', 'v', 'fp', 'fpp']"),
     ("[1, 2]", "malformed profile document: the top level must be a JSON object, got list"),
     ("params list", "malformed profile document: params must be a JSON object, got list"),
-], ids=["missing", "not-json", "rows-of-5", "columns", "list", "params-list"])
+    ("no T", "malformed profile document: 'T'"),
+], ids=["missing", "not-json", "rows-of-5", "columns", "list", "params-list", "no-T"])
 def test_verify_refuses_a_document_it_cannot_read(tmp_path, capsys, profile5, document,
                                                    message):
     path = tmp_path / "profile.json"
@@ -720,7 +721,9 @@ def test_verify_refuses_a_document_it_cannot_read(tmp_path, capsys, profile5, do
         doc["columns"] = ["t", "f", "x", "v", "fp", "fpp"]
     elif document == "params list":
         doc["params"] = [5, 2.0, 2.0]
-    if document in ("rows of 5", "columns", "params list"):
+    elif document == "no T":
+        del doc["T"]
+    if document in ("rows of 5", "columns", "params list", "no T"):
         path.write_text(json.dumps(doc))
     elif document is not None:
         path.write_text(document)
@@ -840,6 +843,15 @@ def test_an_unwritable_output_is_a_domain_error(tmp_path, capsys, profile5, argv
     assert not target.parent.exists()
     # a file the command created before the failing open is gone again
     assert sorted(path.name for path in tmp_path.iterdir()) == ["profile.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_write_that_fails_after_its_open_is_a_domain_error(capsys):
+    """/dev/full opens, and every write to it fails."""
+    code, out, err = run_cli(capsys, "threshold", "--n", "3", "--R", "2", "--Rt", "2",
+                             "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
 
 
 def test_bifurcate_writes_no_rows_when_its_points_file_fails(tmp_path, capsys):

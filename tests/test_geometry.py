@@ -112,6 +112,15 @@ def test_uniform_closed_count_rejects_bad_layouts():
         uniform_closed_count(jitter, 1.0, 16)
 
 
+def test_curvature_audit_refuses_samples_shifted_off_zero():
+    # uniform, one period long, but starting at T/1000 rather than at 0
+    loop = _harmonic_loop(0.1)
+    loop.t = loop.t + 1e-3 * loop.T
+    with pytest.raises(DomainError, match=r"^samples must span exactly \[0, T\] endpoint "
+                                          r"included$"):
+        curvature_audit(loop)
+
+
 def test_curvature_audit_on_exact_harmonic_profile():
     loop = _harmonic_loop(0.3)
     report = curvature_audit(loop)

@@ -62,6 +62,12 @@ def test_single_step_matches_hand_kdk(p3):
     assert out.v == pytest.approx(v1, rel=1e-15)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_a_step_of_non_finite_size_is_refused(p3, dt):
+    with pytest.raises(DomainError, match=f"^dt must be finite, got {dt}$"):
+        leapfrog_step(PhaseState(t=0.0, x=1.2, v=0.3), dt, p3)
+
+
 def test_step_is_time_reversible(p5):
     state = PhaseState(t=0.0, x=1.4, v=-0.2)
     fwd = leapfrog_step(state, 0.01, p5)

@@ -234,6 +234,42 @@ def test_integral_float_dimension_accepted():
     assert params.n == 4 and isinstance(params.n, int)
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+def test_a_numpy_integer_dimension_is_a_python_int(integer):
+    # a caller looping over np.arange dimensions passes numpy integers;
+    # the stored int keeps json.dumps of a profile document working
+    params = ModelParams(integer(5), 2, 2)
+    assert params == ModelParams(5, 2, 2)
+    assert type(params.n) is int
+
+
+@pytest.mark.parametrize("n", [np.True_, True, np.float64(5.5)])
+def test_a_bool_or_a_fractional_numpy_dimension_is_refused(n):
+    with pytest.raises(DomainError, match="must be an integer"):
+        ModelParams(n, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("evaluate", [force, potential])
+@pytest.mark.parametrize("x", [0.0, -1.0, np.array([1.0, 0.0])])
+def test_evaluators_refuse_a_nonpositive_x(p3, evaluate, x):
+    with pytest.raises(DomainError, match=f"^{evaluate.__name__} requires x > 0$"):
+        evaluate(x, p3)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, np.array([1.0, 0.0])])
+def test_to_warp_coords_refuses_a_nonpositive_x(p3, x):
+    with pytest.raises(DomainError, match="^to_warp_coords requires x > 0$"):
+        to_warp_coords(x, 0.0, p3)
+
+
+@pytest.mark.parametrize("field", ["t", "x", "v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phase_state_refuses_a_non_finite_field(field, value):
+    values = {"t": 0.0, "x": 1.0, "v": 0.0, field: value}
+    with pytest.raises(DomainError, match=f"^{field} must be finite, got {value}$"):
+        PhaseState(**values)
+
+
 def test_phase_state_requires_positive_reduced_variable():
     with pytest.raises(DomainError):
         PhaseState(t=0.0, x=0.0, v=1.0)

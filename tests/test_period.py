@@ -10,7 +10,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebint
+from numpy.polynomial.chebyshev import chebint, chebval
 from scipy.optimize import brentq
 from scipy.special import elliprf, elliprj
 
@@ -186,6 +186,21 @@ def test_an_outer_turning_point_that_cannot_settle_fails_alone(monkeypatch, n):
                     period_quadrature(grid[idx], params)
                 assert str(single.value) == str(err)
     assert outer
+
+
+def test_turning_points_name_an_outer_turning_point_that_cannot_settle(monkeypatch, p5):
+    # two Halley steps leave some outer turning points of the grid moving
+    grid = energy_grid(p5, 41, mode="symlog", s_lo=1e-9, s_hi=1e-9)
+    monkeypatch.setattr(period_mod, "NEWTON_STEPS", 2)
+    outer = [(idx, str(err)) for idx, err in period_scan(grid, p5).failures
+             if str(err).startswith("outer")]
+    assert outer
+    for idx, message in outer:
+        with pytest.raises(QuadratureNonConvergence) as raised:
+            turning_points(grid[idx], p5)
+        assert str(raised.value) == message
+        assert re.fullmatch(r"outer turning point did not settle in 2 Newton steps for "
+                            r"n = 5 at u = 0\.\d+(e-\d+)?", message), message
 
 
 def test_small_amplitude_period_approaches_threshold(p3, k3):
@@ -966,24 +981,59 @@ def test_series_roots_do_not_depend_on_their_batch(name):
         assert got[:16].tobytes() == alone.tobytes(), size
 
 
-@settings(max_examples=300, deadline=None)
-@given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
-       decay=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
-def test_the_integral_is_numpys_chebint_bit_for_bit(size, seed, decay):
-    # random coefficients, or ones decaying like a smooth fit's
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(32, 512), seed=st.integers(0, 2**32 - 1), decay=st.floats(1e-2, 2.0))
+def test_the_time_map_is_the_integral_of_the_fit(size, seed, decay):
+    """At the nodes of a series whose coefficients decay like a smooth
+    fit's, the cached map gives (pi/2) chebint of the fit to a few eps of
+    its size, and the integral vanishes at -1 to roundoff."""
     c = np.random.default_rng(seed).standard_normal(size) * np.exp(-decay * np.arange(size))
-    got = period_mod._integral(c)
-    assert np.array_equal(got, chebint(c, lbnd=-1))
+    x, integral = period_mod._time_fit(size)
+    values = chebval(x, c)
+    got = integral @ values
+    want = 0.5 * math.pi * chebint(period_mod._fit_matrix(size) @ values, lbnd=-1)
+    roundoff = 8.0 * np.finfo(float).eps * np.abs(want).sum()
+    assert got.shape == (size + 1,)
+    assert np.abs(got - want).max() <= roundoff
+    assert abs(chebval(-1.0, got)) <= roundoff
 
 
 @pytest.mark.parametrize("size", [1, 2, 33, 65])
 def test_cached_trig_matrices_are_read_only(size):
-    # one matrix serves every series of its size, so no caller may write to it
-    for matrix in (period_mod._fit_matrix(size), *period_mod._seed_matrices(size)):
+    # one table serves every caller of its cache, so no caller may write to it
+    pieces = period_curve(3).pieces + (
+        period_mod._ChebSeries(-1.0, 1.0, "linear", np.linspace(1.0, 0.0, size)),)
+    tables = [period_mod._fit_matrix(size), *period_mod._seed_matrices(size),
+              *period_mod._time_fit(size),
+              *period_mod._ts_level(period_mod.TS_FIRST_LEVEL),
+              *period_mod._ts_level(period_mod.TS_LAST_LEVEL)]
+    tables += [array for piece in pieces
+               for array in (piece.coeffs, piece.derivative_coeffs, piece.table)]
+    for matrix in tables:
         assert not matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             matrix[0] = 1.0
     assert period_mod._fit_matrix(size) is period_mod._fit_matrix(size)
+    assert period_mod._time_fit(size) is period_mod._time_fit(size)
+
+
+def test_an_empty_energy_grid_is_refused(p5):
+    with pytest.raises(DomainError, match="^energy grid must be non-empty$"):
+        period_scan([], p5)
+
+
+def test_a_period_curve_refuses_parameters_of_another_dimension(k5):
+    with pytest.raises(DomainError, match="^period curve of n = 5 asked for n = 6$"):
+        period_curve(5).orbits([1.05 * k5.T0], ModelParams(6, 2.0, 2.0))
+
+
+def test_a_series_inversion_that_cannot_settle_raises(monkeypatch):
+    piece = period_curve(5).pieces[0]
+    target = period_mod._chebval(np.array([0.25]), piece.coeffs)
+    monkeypatch.setattr(period_mod, "NEWTON_STEPS", 0)
+    with pytest.raises(QuadratureNonConvergence,
+                       match="^Chebyshev series inversion did not settle in 0 Newton steps$"):
+        piece.root(target, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20, 30])

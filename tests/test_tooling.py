@@ -9,12 +9,14 @@ The package republishes exactly the modules' names, each as the
 module's own object, and importing it loads no scipy.  Every default
 kernel tolerance, of a published function or of the command line, is
 `period.KERNEL_RTOL`.  Every package name README quotes resolves, and so
-does every constant a module docstring quotes.  A traced solve and
+does every constant a module docstring quotes and every name any
+docstring quotes in backticks.  A traced solve and
 verify time each of verify's checks, and a failing hypothesis test
 fails like any other.
 """
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -214,4 +216,36 @@ def test_module_docstring_constants_resolve():
     assert quoted
     missing = [f"{module}: {name}" for module, name in sorted(quoted)
                if not any(hasattr(other, name) for other in modules)]
+    assert missing == []
+
+
+def _quoted_names(text: str) -> set[str]:
+    """The `module.name` and bare `_private` names text quotes in
+    backticks, module being one of the package's modules, each written
+    as module.name or as the bare name."""
+    spans = re.findall(r"`([^`]+)`", text)
+    pattern = re.compile(rf"\b({'|'.join(MODULES)})\.(\w+(?:\.\w+)*)")
+    names = {".".join(match.groups()) for span in spans for match in pattern.finditer(span)}
+    return names | {span for span in spans if re.fullmatch(r"_\w+(?:\.\w+)*", span)}
+
+
+def test_docstring_names_resolve():
+    """Every name a module, class or function docstring quotes in
+    backticks, `period._fit_matrix` or `_ChebSeries.root`, is still in
+    the package, so no docstring names a helper that has gone."""
+    quoted = set()
+    for path in sorted((ROOT / "src" / "warpcsc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                quoted |= {(path.stem, name)
+                           for name in _quoted_names(ast.get_docstring(node) or "")}
+    assert quoted
+    missing = []
+    for where, name in sorted(quoted):
+        head, _, rest = name.partition(".")
+        if head in MODULES and rest and _resolves(head, rest):
+            continue
+        if not any(_resolves(module, name) for module in MODULES):
+            missing.append(f"{where}: {name}")
     assert missing == []
