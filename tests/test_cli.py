@@ -947,7 +947,7 @@ def test_a_non_finite_number_makes_a_document_malformed(tmp_path, capsys, profil
 
 
 @pytest.mark.parametrize("field", ["T", "c", "root_count", "residual_sup", "samples",
-                                   "params.R", "params.n"])
+                                   "samples-seventh-column", "params.R", "params.n"])
 def test_an_integer_too_large_for_a_float_makes_a_document_malformed(tmp_path, capsys,
                                                                      profile5, field):
     doc = profile_to_doc(profile5)
@@ -957,6 +957,11 @@ def test_an_integer_too_large_for_a_float_makes_a_document_malformed(tmp_path, c
         doc["samples"][7][4] = big
         message = ("malformed profile document: samples row 7 column fp is an integer "
                    "too large for a float")
+    elif field == "samples-seventh-column":
+        # no named column holds it, so the search names no sample
+        doc["samples"] = [row + [0.0] for row in doc["samples"]]
+        doc["samples"][7][6] = big
+        message = "malformed profile document: samples hold an integer too large for a float"
     elif field == "params.R":
         doc["params"]["R"] = big
         message = "R must be a positive finite number, got an integer too large for a float"

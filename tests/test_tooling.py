@@ -188,21 +188,34 @@ def _resolves(module: str, dotted: str) -> bool:
     return True
 
 
+def _quoted_names(text: str) -> set[str]:
+    """The names text quotes in backticks: each `module.name`, module
+    being one of the package's modules, and each bare `_private` name."""
+    spans = re.findall(r"`([^`]+)`", text)
+    pattern = re.compile(rf"\b({'|'.join(MODULES)})\.(\w+(?:\.\w+)*)")
+    names = {".".join(match.groups()) for span in spans for match in pattern.finditer(span)}
+    return names | {span for span in spans if re.fullmatch(r"_\w+(?:\.\w+)*", span)}
+
+
+def _unresolved(names) -> list[str]:
+    """The names the package no longer binds: module.name in its module,
+    a bare name in any module."""
+    def bound(name):
+        head, _, rest = name.partition(".")
+        if head in MODULES and rest:
+            return _resolves(head, rest)
+        return any(_resolves(module, name) for module in MODULES)
+    return [name for name in sorted(names) if not bound(name)]
+
+
 def test_readme_names_resolve():
     """Every `module.name` README quotes, with module one of the package's
     modules, and every bare `_private` name is still in the package, so
     README names no helper that has gone."""
     text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
-    spans = re.findall(r"`([^`]+)`", text)
-    pattern = re.compile(rf"\b({'|'.join(MODULES)})\.(\w+(?:\.\w+)*)")
-    dotted = {match.groups() for span in spans for match in pattern.finditer(span)}
-    private = {span for span in spans if re.fullmatch(r"_\w+(?:\.\w+)*", span)}
-    assert dotted and private
-    missing = [f"{module}.{name}" for module, name in sorted(dotted)
-               if not _resolves(module, name)]
-    missing += [name for name in sorted(private)
-                if not any(_resolves(module, name) for module in MODULES)]
-    assert missing == []
+    names = _quoted_names(text)
+    assert {name.startswith("_") for name in names} == {True, False}
+    assert _unresolved(names) == []
 
 
 def test_module_docstring_constants_resolve():
@@ -219,16 +232,6 @@ def test_module_docstring_constants_resolve():
     assert missing == []
 
 
-def _quoted_names(text: str) -> set[str]:
-    """The `module.name` and bare `_private` names text quotes in
-    backticks, module being one of the package's modules, each written
-    as module.name or as the bare name."""
-    spans = re.findall(r"`([^`]+)`", text)
-    pattern = re.compile(rf"\b({'|'.join(MODULES)})\.(\w+(?:\.\w+)*)")
-    names = {".".join(match.groups()) for span in spans for match in pattern.finditer(span)}
-    return names | {span for span in spans if re.fullmatch(r"_\w+(?:\.\w+)*", span)}
-
-
 def test_docstring_names_resolve():
     """Every name a module, class or function docstring quotes in
     backticks, `period._fit_matrix` or `_ChebSeries.root`, is still in
@@ -241,11 +244,6 @@ def test_docstring_names_resolve():
                 quoted |= {(path.stem, name)
                            for name in _quoted_names(ast.get_docstring(node) or "")}
     assert quoted
-    missing = []
-    for where, name in sorted(quoted):
-        head, _, rest = name.partition(".")
-        if head in MODULES and rest and _resolves(head, rest):
-            continue
-        if not any(_resolves(module, name) for module in MODULES):
-            missing.append(f"{where}: {name}")
+    missing = [f"{where}: {name}" for where, name in sorted(quoted)
+               if _unresolved([name])]
     assert missing == []
