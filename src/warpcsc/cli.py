@@ -205,6 +205,13 @@ def _number(name: str, value) -> float:
                           "for a float") from None
 
 
+def _check_sample_shape(shape: tuple[int, ...]) -> None:
+    """Refuse samples that are not rows of one number per sample column."""
+    if len(shape) != 2 or shape[1] != len(SAMPLE_COLUMNS):
+        raise DomainError(f"samples must be rows of {len(SAMPLE_COLUMNS)} numbers, "
+                          f"got shape {shape}")
+
+
 def doc_to_profile(doc: dict) -> SolutionProfile:
     """The profile of a document; the inverse of profile_to_doc.  A
     malformed document, one with a non-finite number, an integer too
@@ -222,18 +229,16 @@ def doc_to_profile(doc: dict) -> SolutionProfile:
         try:
             samples = np.asarray(doc["samples"], dtype=float)
         except OverflowError:
-            # only the error path searches for the sample to name
+            # only the error path checks the shape first and searches for
+            # the sample to name
+            _check_sample_shape(np.asarray(doc["samples"], dtype=object).shape)
             for row, values in enumerate(doc["samples"]):
                 if isinstance(values, list):
                     for column, value in zip(SAMPLE_COLUMNS, values):
                         _number(f"samples row {row} column {column}", value)
             raise DomainError("malformed profile document: samples hold an integer too "
                               "large for a float") from None
-        if samples.ndim != 2 or samples.shape[1] != len(SAMPLE_COLUMNS):
-            raise DomainError(
-                f"samples must be rows of {len(SAMPLE_COLUMNS)} numbers, "
-                f"got shape {samples.shape}"
-            )
+        _check_sample_shape(samples.shape)
         columns = doc.get("columns")
         if columns is not None and list(columns) != list(SAMPLE_COLUMNS):
             raise DomainError(f"unexpected column layout {columns}")

@@ -20,25 +20,32 @@ whose cost does not grow with n.
 
 `_period_kernel` evaluates this for a batch of orbits, one numpy pass per
 tanh-sinh level (Takahasi-Mori) over the orbits not yet accepted, its
-error estimate the change between two levels: v comes from a vectorized
-Halley solve, each node's g is written from its nearer turning point
-through half angles, and both halves of at most KERNEL_ORBITS orbits go
-to one `_integrand` call and are added back row by row.
+error estimate the change between two levels: it takes both turning
+points from its caller, each node's g is written from its nearer turning
+point through half angles, and both halves of at most KERNEL_ORBITS
+orbits go to one `_integrand` call and are added back row by row.  v is
+solved by iteration only where no closed form gives it: for n = 3 and 4
+w(u) = w(v) is a quadratic (`_outer_root`), and for every n the ratio
+r = u/v gives both turning points (`_ratio_turning_points`), so only an
+orbit known by its energy or by u alone, for n >= 5, takes the bracketed
+Halley steps of `_outer_root`.
 `_orbit_samples` samples a profile from the same integrand between the
-turning points the kernel confirmed: `_time_fit` takes dt/dtheta at
-Chebyshev nodes to the series of t(theta) in one product, and
+turning points the kernel confirmed: the weights of `_half_period_rule`
+settle its Chebyshev node count, `_time_fit` takes dt/dtheta at the nodes
+that settle to the series of t(theta) in one product, and
 `_ChebSeries.root`, the curve's own inversion, inverts that at the
 sample times.  Every cached table is read-only, so no caller can spoil
 it for the rest of the process.
 
-`period_curve(n, rtol)` fits T/T0 against u with one Chebyshev piece in
-sqrt u, and for n = 3 a second one in log u at contact, once per process
-for each (n, rtol), from one kernel call.  Its
-`orbits(taus, params)` is the package's one period inversion: it inverts
-a batch of periods on the fit and confirms every orbit in one kernel
-call.  The period map is monotone in u (Chicone, J. Differential
-Equations 69, 1987), so nothing is polished; an orbit whose confirmed
-period misses the request by more than LANDING_FACTOR * rtol raises.
+`period_curve(n, rtol)` fits T/T0 once per process for each (n, rtol),
+from one kernel call: for n >= 5 in one Chebyshev piece in sqrt r, and
+for n = 3 against u, in a piece in sqrt u and one in log u at contact.
+Its `orbits(taus, params)` is the package's one period inversion: it
+inverts a batch of periods on the fit and confirms every orbit in one
+kernel call.  The period map is monotone in u, and so in r (Chicone,
+J. Differential Equations 69, 1987), so nothing is polished; an orbit
+whose confirmed period misses the request by more than
+LANDING_FACTOR * rtol raises.
 `bifurcation.scan_branches` and `solver.solve_period` invert through it;
 counting solutions needs no inversion (see `bifurcation`).
 
@@ -60,7 +67,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebint, chebval
+from numpy.polynomial.chebyshev import chebint, chebval
 
 from .errors import DomainError, EnergyOutOfBand, QuadratureNonConvergence
 from .model import DerivedConstants, ModelParams, _integer, derive_constants, potential
@@ -95,9 +102,9 @@ SERIES_TERMS = 9
 # root steps (Halley's, which add a curvature term to Newton's) a turning
 # point and a curve inversion may take
 NEWTON_STEPS = 100
-# Chebyshev nodes of a period curve: the upper piece in sqrt u, which is
-# the whole curve for n >= 5, and for n = 3 the contact piece in log u,
-# which holds its u log u term, handing over at u = CONTACT_SPLIT
+# Chebyshev nodes of a period curve: its upper piece, in sqrt r for n >= 5,
+# where it is the whole curve, and in sqrt u for n = 3, whose contact piece
+# in log u holds its u log u term, handing over at u = CONTACT_SPLIT
 CURVE_NODES = 56
 CONTACT_NODES = 32
 CONTACT_SPLIT = 0.05
@@ -128,9 +135,9 @@ class OrbitSpec:
 
     nodes is the number of kernel integrand evaluations behind T;
     err_est is T's relative error estimate.  u = f_min/f_star is the
-    orbit's key in warp coordinates: the kernel gives T from it alone.
-    v = f_max/f_star is the outer turning point the kernel solved on the
-    way, which the profile sampler reads rather than solving it again.
+    orbit's key in warp coordinates, and v = f_max/f_star its outer
+    turning point: the kernel gives T from the two, and the profile
+    sampler reads v rather than solving it again.
     """
 
     c: float
@@ -226,16 +233,17 @@ def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, risin
                       floor: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve curve(x) = target elementwise by Halley steps from x, in place.
 
-    curve maps x to (value, slope, curvature) and is monotone on [lo, hi],
-    rising or falling, with every target in its range there.  A step that
-    leaves the bracket known so far is replaced by bisection.  An element
-    stops once its step is at most 4 eps * max(|x|, scale) or its
-    residual is at most floor; or once its step, inside the bracket, is
-    at most 1e-5 * max(|x|, scale) and the Newton error it corrects,
-    |f''/(2 f')| step^2, is at most (eps/2) max(|x|, scale), so that the
-    step lands to roundoff.  Each rule reads the element alone, so its
-    result does not depend on the batch.  Returns x and the indices still
-    moving after NEWTON_STEPS steps.
+    curve maps x to (value, slope, curvature, third derivative) and is
+    monotone on [lo, hi], rising or falling, with every target in its
+    range there.  A step that leaves the bracket known so far is replaced
+    by bisection.  An element stops once its step is at most
+    4 eps * max(|x|, scale) or its residual is at most floor; or once its
+    step, inside the bracket, is at most 1e-5 * max(|x|, scale) and the
+    error Halley's step leaves, |(f''/(2 f'))^2 - f'''/(6 f')| step^3
+    (Traub), is at most (eps/2) max(|x|, scale), so that the step lands
+    to roundoff.  Each rule reads the element alone, so its result does
+    not depend on the batch.  Returns x and the indices still moving
+    after NEWTON_STEPS steps.
     """
     todo = np.arange(x.size)
     eps = np.finfo(float).eps
@@ -243,7 +251,7 @@ def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, risin
         if not todo.size:
             break
         xt = x[todo]
-        value, slope, curvature = curve(xt)
+        value, slope, curvature, third = curve(xt)
         res = value - target[todo]
         past = (res > 0.0) == rising
         lo, hi = np.where(past, lo, xt), np.where(past, xt, hi)
@@ -255,7 +263,8 @@ def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, risin
         x[todo] = new
         size = np.maximum(np.abs(xt), scale)
         step = np.abs(new - xt)
-        landed = inside & (step <= 1e-5 * size) & (np.abs(bend) * step * step <= 0.5 * eps * size)
+        error = np.abs(bend * bend - third / (6.0 * slope)) * step**3
+        landed = inside & (step <= 1e-5 * size) & (error <= 0.5 * eps * size)
         more = (np.abs(res) > floor) & (step > 4.0 * eps * size) & ~landed
         todo, lo, hi = todo[more], lo[more], hi[more]
     return x, todo
@@ -286,16 +295,22 @@ def _rise(t: np.ndarray, d: np.ndarray, n: int, excess: np.ndarray | None = None
     L = np.log1p(q)
     nL = n * L
     e_n = np.expm1(nL)
-    series = 0.0
-    for coeff in _series_coeffs(n):
-        series = series * L + coeff
-    near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
-    if excess is None:
-        far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
-    else:
-        # a t^2 expm1(2 L) + excess = a t^2 (1 + q)^2 - 1
-        far = np.exp((n - 2.0) * L) * ((n - 2.0) / n * t * t * (q * (2.0 + q)) + excess) - excess
-    return t ** (n - 2.0) * np.where(np.abs(nL) < SERIES_SPAN, near, far)
+    close = np.abs(nL) < SERIES_SPAN
+    # a branch that no element takes is not evaluated
+    near = far = 0.0
+    if close.any():
+        series = 0.0
+        for coeff in _series_coeffs(n):
+            series = series * L + coeff
+        near = (n - 2.0) / n * (t - 1.0) * (t + 1.0) * e_n + series * L * L
+    if not close.all():
+        if excess is None:
+            far = (n - 2.0) / n * t * t * e_n - np.expm1((n - 2.0) * L)
+        else:
+            # a t^2 expm1(2 L) + excess = a t^2 (1 + q)^2 - 1
+            far = (np.exp((n - 2.0) * L) * ((n - 2.0) / n * t * t * (q * (2.0 + q)) + excess)
+                   - excess)
+    return t ** (n - 2.0) * np.where(close, near, far)
 
 
 def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
@@ -303,27 +318,52 @@ def _w_slope(g: np.ndarray, n: int) -> np.ndarray:
     return (n - 2.0) * g ** (n - 3.0) * (g - 1.0) * (g + 1.0)
 
 
-def _w_derivatives(g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """w'(g) and w''(g) = (n-2) g^(n-4) ((n-1) g^2 - (n-3)) for w as in `_rise`."""
-    return _w_slope(g, n), (n - 2.0) * g ** (n - 4.0) * ((n - 1.0) * g * g - (n - 3.0))
+def _w_derivatives(g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w'(g), w''(g) = (n-2) g^(n-4) ((n-1) g^2 - (n-3)) and
+    w'''(g) = (n-2) g^(n-5) ((n-1)(n-2) g^2 - (n-3)(n-4)) for w as in `_rise`."""
+    return (_w_slope(g, n), (n - 2.0) * g ** (n - 4.0) * ((n - 1.0) * g * g - (n - 3.0)),
+            (n - 2.0) * g ** (n - 5.0) * ((n - 1.0) * (n - 2.0) * g * g - (n - 3.0) * (n - 4.0)))
 
 
 def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     """f_max/f_star of the orbits dipping to u: the root v > 1 of w(v) = w(u).
 
-    Bracketed Halley steps on (1, min(2 - u, sqrt(n/(n-2)))], whose right
-    end lies right of the root, solve w(v) - w(1) = w(u) - w(1).  Both
-    sides are rises from the well bottom, which keep their digits; a
-    difference anchored at u would cancel two large exponentials and
-    leave v, and with it the kernel's T, noisy in u.  An orbit whose steps
-    did not settle gets v = NaN.
+    For n = 3, w(u) = w(v) is the quadratic u^2 + u v + v^2 = 3, and for
+    n = 4 the quadratic u^2 + v^2 = 2 in v^2, each solved in closed form,
+    within an ulp.  Above, bracketed Halley steps on
+    (1, min(2 - u, sqrt(n/(n-2)))], whose right end lies right of the
+    root, solve w(v) - w(1) = w(u) - w(1).  Both sides are rises from the
+    well bottom, which keep their digits; a difference anchored at u would
+    cancel two large exponentials and leave v, and with it the kernel's
+    T, noisy in u.  An orbit whose steps did not settle gets v = NaN.
     """
+    if n == 3:
+        return 0.5 * (np.sqrt(12.0 - 3.0 * u * u) - u)
+    if n == 4:
+        return np.sqrt(2.0 - u * u)
     start = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
     v, stuck = _bracketed_newton(
         lambda g: (_rise(1.0, g - 1.0, n), *_w_derivatives(g, n)), _rise(1.0, u - 1.0, n),
         start.copy(), lo=1.0, hi=start, rising=True, floor=0.0, scale=0.0)
     v[stuck] = np.nan
     return v
+
+
+def _ratio_turning_points(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and v = f_max/f_star of the orbits whose turning points have the
+    ratio r = u/v in (0, 1], in closed form.
+
+    w(r v) = w(v) gives v^2 = h_(n-3)(r) / (a h_(n-1)(r)), a = (n-2)/n and
+    h_m = 1 + r + ... + r^m, all of whose terms are positive; with
+    h_m = expm1((m+1) log r) / expm1(log r) that is
+    expm1((n-2) log r) / (a expm1(n log r)), which keeps its digits from
+    contact, v -> sqrt(n/(n-2)), to the well bottom, where r = 1 gives
+    its limit u = v = 1.
+    """
+    log_r = np.log(r)
+    top, bottom = np.expm1((n - 2.0) * log_r), (n - 2.0) / n * np.expm1(n * log_r)
+    v = np.sqrt(np.divide(top, bottom, out=np.ones_like(log_r), where=bottom != 0.0))
+    return r * v, v
 
 
 def _unsettled(u: float, n: int) -> QuadratureNonConvergence:
@@ -414,8 +454,9 @@ class _Periods(NamedTuple):
     nodes: np.ndarray  # integrand evaluations behind ratio
 
 
-def _period_kernel(u, n: int, rtol: float) -> _Periods:
-    """Periods of the orbits whose warp dips to f_min = u * f_star.
+def _period_kernel(u, n: int, rtol: float, v=None) -> _Periods:
+    """Periods of the orbits with turning points u = f_min/f_star and
+    v = f_max/f_star; a caller that has only u leaves v to `_outer_root`.
 
     One numpy pass per tanh-sinh level over the orbits still pending,
     with both halves of each orbit stacked in one array, KERNEL_ORBITS
@@ -430,7 +471,7 @@ def _period_kernel(u, n: int, rtol: float) -> _Periods:
     u is `_out_of_range`: it is never pending.  `_failure` names each.
     """
     u = np.asarray(u, dtype=float)
-    v = _outer_root(u, n)
+    v = _outer_root(u, n) if v is None else np.asarray(v, dtype=float)
     live = np.flatnonzero(~np.isnan(v) & ~_out_of_range(u, n))
     scale = math.sqrt(n - 2.0) / math.pi
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
@@ -473,9 +514,9 @@ def _failure(u: float, f_max: float, n: int, rtol: float) -> QuadratureNonConver
     return QuadratureNonConvergence(f"period kernel for n = {n} at u = {u}{why}")
 
 
-def _certified(u: np.ndarray, n: int, rtol: float) -> _Periods:
+def _certified(u: np.ndarray, n: int, rtol: float, v=None) -> _Periods:
     """The kernel's periods, once it met rtol on every orbit of the batch u."""
-    periods = _period_kernel(u, n, rtol)
+    periods = _period_kernel(u, n, rtol, v)
     if not periods.nodes.all():
         j = int(np.argmin(periods.nodes != 0))
         raise _failure(u[j], periods.f_max[j], n, rtol)
@@ -614,7 +655,8 @@ _MAPS = {"linear": (lambda y: y, lambda v: v), "log": (np.log, np.exp),
 class _ChebSeries:
     """Chebyshev series in x in [-1, 1], which maps onto [lo, hi] in its
     argument y, in log y or in sqrt y, as map is "linear", "log" or
-    "sqrt": a piece of a period curve in u, or a profile's time in theta."""
+    "sqrt": a piece of a period curve in u or in r, or a profile's time
+    in theta."""
 
     lo: float
     hi: float
@@ -626,15 +668,15 @@ class _ChebSeries:
 
     @cached_property
     def derivative_coeffs(self) -> np.ndarray:
-        """The series and its first two x-derivatives as columns, for one
+        """The series and its first three x-derivatives as columns, for one
         Clenshaw pass, without the trailing coefficients below
         eps * sum |c|: they move no sum by more than its roundoff."""
         c = self.coeffs
         size = np.flatnonzero(np.abs(c) >= np.finfo(float).eps * np.abs(c).sum())[-1] + 1
-        slope = chebder(c[:size])
-        curvature = chebder(slope)
-        return _read_only(np.stack([c[:size], np.pad(slope, (0, size - slope.size)),
-                                    np.pad(curvature, (0, size - curvature.size))], axis=1))
+        columns = [c[:size]]
+        for _ in range(3):
+            columns.append(_derivative(columns[-1]))
+        return _read_only(np.stack(columns, axis=1))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -676,7 +718,7 @@ class _ChebSeries:
         unresolved.  The start and every step are elementwise, so a
         target's x does not depend on its batch.
         """
-        (pa, pb), (sa, sb), _ = _chebval(np.array([a, b]), self.derivative_coeffs)
+        (pa, pb), (sa, sb), *_ = _chebval(np.array([a, b]), self.derivative_coeffs)
         if pa == pb:  # a flat series: every x attains its one value
             return np.full_like(target, a)
         table = self.table
@@ -700,6 +742,21 @@ class _ChebSeries:
                 f"Chebyshev series inversion did not settle in {NEWTON_STEPS} Newton steps"
             )
         return x
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """The x-derivative of the Chebyshev series c, as many coefficients as
+    c, the last zero: d_(k-1) = d_(k+1) + 2 k c_k from the top, summed as
+    two reverse cumulative sums, over odd k and over even k, with d_0
+    halved."""
+    size = c.size
+    terms = (2.0 * np.arange(size) * c)[::-1]
+    d = np.zeros(size)
+    d[1::2] = np.cumsum(terms[0::2])[:size // 2]
+    d[2::2] = np.cumsum(terms[1::2])[:(size - 1) // 2]
+    d = d[::-1]
+    d[0] *= 0.5
+    return d
 
 
 @lru_cache(maxsize=16)
@@ -738,13 +795,25 @@ def _fit_matrix(size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _half_period_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size first-kind Chebyshev nodes x, and the weights that take
+    dt/dtheta at them to the half period t(pi/2), theta = (pi/2) x:
+    pi/2 times Fejer's first rule, the integral over [-1, 1] of the series
+    `_fit_matrix` gives.  Both read-only, one pair per node count."""
+    moments = np.zeros(size)
+    moments[::2] = 2.0 / (1.0 - np.arange(0.0, size, 2.0) ** 2)
+    return (_read_only(np.cos(_cheb_angles(size))),
+            _read_only(0.5 * math.pi * (moments @ _fit_matrix(size))))
+
+
+@lru_cache(maxsize=8)
 def _time_fit(size: int) -> tuple[np.ndarray, np.ndarray]:
     """The size first-kind Chebyshev nodes x, and the map that takes
     dt/dtheta at them to the series of t(theta), theta = (pi/2) x, from
     t(-pi/2) = 0: (pi/2) chebint of `_fit_matrix`, one coefficient more
     than nodes.  Both read-only, one pair per node count."""
-    x = np.cos(_cheb_angles(size))
-    return _read_only(x), _read_only(0.5 * math.pi * chebint(_fit_matrix(size), lbnd=-1))
+    return (_half_period_rule(size)[0],
+            _read_only(0.5 * math.pi * chebint(_fit_matrix(size), lbnd=-1)))
 
 
 def _arc(x, u: float, v: float):
@@ -766,10 +835,12 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
     sqrt(p(g)), is smooth on [-pi/2, pi/2].  Its fit on first-kind
     Chebyshev nodes doubles from PROFILE_NODES nodes until the half
     period t(pi/2) changes by at most rtol, plus one rounding; past
-    MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each fit is
-    one product of the node values with the cached map of `_time_fit`,
-    which gives t(theta) from the inner turning point, and
-    `_ChebSeries.root` inverts min(t, period - t) for every time at once;
+    MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each half
+    period is one product of the node values with the weights of
+    `_half_period_rule`; the fit that settles is one product with the
+    cached map of `_time_fit`, which gives t(theta) from the inner
+    turning point, and `_ChebSeries.root` inverts min(t, period - t),
+    clipped to that series' own half period, for every time at once;
     the second half of the orbit mirrors the first with the velocity
     negated, and the energy gives each speed from the gap
     w(u) - w(g) = (r sin(2 half))^2 p(g).  The series returned is the
@@ -778,10 +849,10 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
     """
     size, previous = PROFILE_NODES, None
     while True:
-        x, integral = _time_fit(size)
+        x, weights = _half_period_rule(size)
         turn, other, half = _arc(x, u, v)
-        coeffs = integral @ (math.sqrt(n - 2.0) * _integrand(turn, other, np.sin(half) ** 2, n))
-        half_period = float(_chebval(1.0, coeffs))
+        rate = math.sqrt(n - 2.0) * _integrand(turn, other, np.sin(half) ** 2, n)
+        half_period = float(weights @ rate)
         if previous is not None:
             change = abs(half_period - previous) + np.finfo(float).eps * half_period
             if change <= rtol * half_period:
@@ -791,9 +862,10 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
                 f"profile of n = {n} at u = {u}: the half period did not settle to "
                 f"rtol = {rtol} by {MAX_PROFILE_NODES} Chebyshev nodes")
         previous, size = half_period, 2 * size
+    coeffs = _time_fit(size)[1] @ rate
     series = _ChebSeries(-1.0, 1.0, "linear", coeffs)
     turn, other, half = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0,
-                                                half_period), -1.0, 1.0), u, v)
+                                                float(_chebval(1.0, coeffs))), -1.0, 1.0), u, v)
     g, p = _gap_factor(turn, other, np.sin(half) ** 2, n)
     gap = (0.5 * (v - u) * np.sin(2.0 * half)) ** 2 * p
     speed = 0.5 * n * np.sqrt(gap / (n - 2.0))
@@ -803,7 +875,7 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
 
 @dataclass(frozen=True, eq=False)
 class PeriodCurve:
-    """T/T0 against u = f_min/f_star for one dimension n.
+    """T/T0 of the orbits of one dimension n, keyed by their turning points.
 
     Writing f = f_star * g and measuring time in units of 1/omega removes
     R and Rt from the reduced equation, so the period ratio of the orbit
@@ -812,12 +884,21 @@ class PeriodCurve:
     a = x_star * u^(n/2) and energy c = potential(a).  `orbits` is the
     one way to an orbit of a given period.
 
-    u_lo, u_hi  the orbits BAND_CLAMP admits: contact end, well-bottom end
-    band        the attained range of T/T0 over [u_lo, u_hi], ascending
+    Its pieces take a key of the orbit: u itself for n <= 4, and for
+    n >= 5 the ratio r = u/v of its turning points, from which
+    `_ratio_turning_points` gives u and v in closed form, so that neither
+    the build nor `orbits` solves for v.
+
+    u_lo, u_hi  the orbits BAND_CLAMP admits, contact end and well-bottom
+                end, each solved from its energy
+    keys        the keys of u_lo and u_hi: themselves for n <= 4, and
+                u/v for n >= 5, with v from `_outer_root`, the curve's
+                one solve for v
+    band        the attained range of T/T0 between the keys, ascending
     pieces      for n = 3 the contact piece in log u, then the upper piece
                 in sqrt u, which starts at the hand-over point, its
-                `start`; for every other n the one piece, which spans
-                [u_lo, u_hi] and takes every u and every period
+                `start`; for n >= 5 the one piece in sqrt r, which spans
+                [r_lo, 1] and takes every period; for n = 4 the constant 1
     quadratures kernel orbits the build took: its fit nodes
     nodes       integrand evaluations the build took
 
@@ -829,36 +910,43 @@ class PeriodCurve:
     rtol: float
     u_lo: float
     u_hi: float
+    keys: tuple[float, float]
     pieces: tuple[_ChebSeries, ...]
     quadratures: int
     nodes: int
 
     @cached_property
     def band(self) -> tuple[float, float]:
-        ends = (float(self.ratio(self.u_lo)), float(self.ratio(self.u_hi)))
+        ends = self._at(np.array(self.keys)).tolist()
         return min(ends), max(ends)
 
     def ratio(self, u):
         """T/T0 of the orbits whose warps dip to u * f_star."""
-        u = np.asarray(u, dtype=float)
+        key = np.asarray(u, dtype=float)
+        if self.n >= 5:
+            key = key / _outer_root(key.reshape(-1), self.n).reshape(key.shape)
+        return self._at(key)[()]
+
+    def _at(self, key):
+        """T/T0 of the orbits at these keys."""
         *contact, upper = self.pieces
         if not contact:
-            return upper.value(u)[()]
-        return np.where(u >= upper.start, upper.value(u), contact[0].value(u))[()]
+            return upper.value(key)
+        return np.where(key >= upper.start, upper.value(key), contact[0].value(key))
 
     def orbits(self, taus, params: ModelParams) -> tuple[OrbitSpec | None, ...]:
         """The orbits of params with periods taus; None for a tau outside the band.
 
         Every in-band tau is inverted on the piece whose range holds it,
         a piece that holds none is not touched, and one kernel call at the
-        resulting u gives each orbit its T, f_max, nodes and err_est; a
-        batch with no in-band tau calls no kernel.  The curve is monotone,
-        so one inversion is the whole path: nothing is polished, and an
-        orbit whose T misses tau by more than LANDING_FACTOR * rtol raises
-        QuadratureNonConvergence, which names tau/T0, the miss and rtol.
-        The kernel treats each orbit alone, so an orbit's result does not
-        depend on the batch it comes in.  Each orbit carries the u its T
-        came from and the kernel's v.
+        turning points of the resulting keys gives each orbit its T,
+        nodes and err_est; a batch with no in-band tau calls no kernel.
+        The curve is monotone, so one inversion is the whole path: nothing
+        is polished, and an orbit whose T misses tau by more than
+        LANDING_FACTOR * rtol raises QuadratureNonConvergence, which names
+        tau/T0, the miss and rtol.  The kernel treats each orbit alone, so
+        an orbit's result does not depend on the batch it comes in.  Each
+        orbit carries the u and v its T came from.
         """
         inside, *columns = self._columns(taus, params)
         by_index = dict(zip(inside, map(OrbitSpec, *columns)))
@@ -878,20 +966,22 @@ class PeriodCurve:
         target = target[inside]
         # a one-piece curve sends every target to its piece
         *contact, upper = self.pieces
-        split, near = self.u_lo, np.zeros(target.shape, dtype=bool)
+        key_lo, key_hi = self.keys
+        split, near = key_lo, np.zeros(target.shape, dtype=bool)
         if contact:
             split = upper.start
             r_split = upper.value(split)
-            near = (target - r_split) * (contact[0].value(self.u_lo) - r_split) > 0.0
-        u = np.empty_like(target)
-        for piece, lo, hi, mine in ((self.pieces[0], self.u_lo, split, near),
-                                    (upper, split, self.u_hi, ~near)):
+            near = (target - r_split) * (contact[0].value(key_lo) - r_split) > 0.0
+        key = np.empty_like(target)
+        for piece, lo, hi, mine in ((self.pieces[0], key_lo, split, near),
+                                    (upper, split, key_hi, ~near)):
             if not mine.any():
                 continue
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
-            u[mine] = np.clip(piece.y_of(x), lo, hi)
+            key[mine] = np.clip(piece.y_of(x), lo, hi)
 
-        ratio, f_max, err_est, nodes = _certified(u, self.n, self.rtol)
+        u, v = _curve_turning_points(key, self.n)
+        ratio, f_max, err_est, nodes = _certified(u, self.n, self.rtol, v)
         gap = np.abs(target - ratio)
         missed = np.flatnonzero(gap > LANDING_FACTOR * self.rtol * target)
         if missed.size:
@@ -907,19 +997,29 @@ class PeriodCurve:
                 f_max.tolist())
 
 
+def _curve_turning_points(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and v of the orbits at a period curve's keys: u and its v in
+    closed form for n <= 4, and those of r = u/v for n >= 5."""
+    if n >= 5:
+        return _ratio_turning_points(key, n)
+    return key, _outer_root(key, n)
+
+
 def period_curve(n: int, rtol: float = KERNEL_RTOL) -> PeriodCurve:
     """The period curve of dimension n, its nodes taken at kernel rtol.
 
     Built once per process for each (n, rtol) on the canonical parameters
     ModelParams(n, n - 1, n - 1), which give x_star = 1, omega = 1 and
-    T0 = 2 pi exactly.  CURVE_NODES nodes in sqrt u fit T/T0, which is
-    smooth in sqrt u down to contact for every n >= 5: one piece on
-    [u_lo, 1].  n = 3's period has a u log u term at contact, so its
-    piece in sqrt u spans [CONTACT_SPLIT, 1] and CONTACT_NODES nodes in
-    log u fit the rest, from u_lo.  The nodes of every piece go to the
-    kernel in one call, and the build refuses node values that are not
-    strictly monotone in u.  For n = 4 every orbit has period T0 and the
-    curve is the constant 1, built without the kernel.
+    T0 = 2 pi exactly.  For every n >= 5, T/T0 is smooth in sqrt r, the
+    square root of the turning points' ratio, down to contact, and
+    CURVE_NODES nodes in sqrt r fit it in one piece on [r_lo, 1].  n = 3's
+    period has a u log u term at contact, so it is keyed by u: its piece
+    in sqrt u spans [CONTACT_SPLIT, 1] and CONTACT_NODES nodes in log u
+    fit the rest, from u_lo.  The nodes of every piece go to the kernel
+    in one call, with both turning points in closed form, and the build
+    refuses node values that are not strictly monotone in u.  For n = 4
+    every orbit has period T0 and the curve is the constant 1, built
+    without the kernel.
     """
     return _cached_curve(ModelParams(n, n - 1.0, n - 1.0), float(rtol))
 
@@ -930,22 +1030,24 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     consts = derive_constants(canon)
     depth = abs(consts.c_min)
     # both ends of the clamped band are admitted
-    u_lo, u_hi = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
-                             consts, n)[1].tolist()
+    ends = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth], consts, n)[1]
+    u_lo, u_hi = ends.tolist()
     if n == 4:
         flat = _ChebSeries(u_lo, u_hi, "linear", np.ones(1))
-        return PeriodCurve(n, rtol, u_lo, u_hi, (flat,), 0, 0)
+        return PeriodCurve(n, rtol, u_lo, u_hi, (u_lo, u_hi), (flat,), 0, 0)
+    keys = (ends / _outer_root(ends, n) if n >= 5 else ends).tolist()
 
     # n = 3 alone has a u log u term at contact, which its log-u piece takes
-    split = CONTACT_SPLIT if n == 3 else u_lo
+    split = CONTACT_SPLIT if n == 3 else keys[0]
     layout = [(math.log(u_lo), math.log(split), "log", CONTACT_NODES)] if n == 3 else []
     layout.append((math.sqrt(split), 1.0, "sqrt", CURVE_NODES))
     angles = [_cheb_angles(size) for *_, size in layout]
     # placing nodes needs only a piece's map, not its coefficients
-    us = np.concatenate([_ChebSeries(lo, hi, kind, np.empty(0)).y_of(np.cos(theta))
-                         for (lo, hi, kind, _), theta in zip(layout, angles)])
-    periods = _certified(us, n, rtol)
-    steps = np.diff(periods.ratio[np.argsort(us)])
+    key = np.concatenate([_ChebSeries(lo, hi, kind, np.empty(0)).y_of(np.cos(theta))
+                          for (lo, hi, kind, _), theta in zip(layout, angles)])
+    u, v = _curve_turning_points(key, n)
+    periods = _certified(u, n, rtol, v)
+    steps = np.diff(periods.ratio[np.argsort(key)])
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise QuadratureNonConvergence(
             f"period curve for n = {n} at rtol = {rtol}: node periods are not "
@@ -954,4 +1056,5 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     values = np.split(periods.ratio, np.cumsum([theta.size for theta in angles])[:-1])
     pieces = tuple(_ChebSeries(lo, hi, kind, _fit_matrix(vals.size) @ vals)
                    for (lo, hi, kind, _), vals in zip(layout, values))
-    return PeriodCurve(n, rtol, u_lo, u_hi, pieces, us.size, int(periods.nodes.sum()))
+    return PeriodCurve(n, rtol, u_lo, u_hi, tuple(keys), pieces, key.size,
+                       int(periods.nodes.sum()))

@@ -801,7 +801,7 @@ def test_unreachable_rtol_still_exits_4(capsys, tmp_path):
     for argv, orbit in [
         (["period", *params, "--energy", "-0.225"], "at u = 0.20277939461513025 "),
         (["solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", "9.33"],
-         "at u = 0.9996173408004115 "),
+         "at u = 0.999807962875705 "),
         (["bifurcate", *params, "--tmax", "20"], "at u = 0.049456921102972166 "),
     ]:
         out_file = tmp_path / f"{argv[0]}.out"
@@ -958,10 +958,11 @@ def test_an_integer_too_large_for_a_float_makes_a_document_malformed(tmp_path, c
         message = ("malformed profile document: samples row 7 column fp is an integer "
                    "too large for a float")
     elif field == "samples-seventh-column":
-        # no named column holds it, so the search names no sample
+        # rows of seven numbers are refused for their shape, as they are
+        # with a float in that column
         doc["samples"] = [row + [0.0] for row in doc["samples"]]
         doc["samples"][7][6] = big
-        message = "malformed profile document: samples hold an integer too large for a float"
+        message = f"samples must be rows of 6 numbers, got shape ({len(doc['samples'])}, 7)"
     elif field == "params.R":
         doc["params"]["R"] = big
         message = "R must be a positive finite number, got an integer too large for a float"

@@ -8,9 +8,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebint, chebval
+from numpy.polynomial.chebyshev import chebder, chebint, chebval
 from scipy.optimize import brentq
 from scipy.special import elliprf, elliprj
 
@@ -28,6 +28,7 @@ from warpcsc import (
     period_scan,
     potential,
     potential_above_min,
+    scan_branches,
     turning_points,
 )
 
@@ -142,26 +143,146 @@ def test_inner_turning_point_keeps_the_digits_of_a_small_energy(n):
 
 
 def test_a_turning_point_solve_that_cannot_settle_fails_alone(monkeypatch, p5, k5):
-    # three Newton steps settle both turning points near the band ends,
+    # two Halley steps settle both turning points near the band ends,
     # but not the inner one in mid-band
     grid = [k5.c_min + s * abs(k5.c_min) for s in (1e-9, 0.5, 1.0 - 1e-9)]
     full = period_scan(grid, p5)
-    monkeypatch.setattr(period_mod, "NEWTON_STEPS", 3)
+    monkeypatch.setattr(period_mod, "NEWTON_STEPS", 2)
     scan = period_scan(grid, p5)
     assert scan.entries[0] == full.entries[0] and scan.entries[2] == full.entries[2]
     assert scan.entries[1] is None
     [(idx, err)] = scan.failures
     assert idx == 1 and isinstance(err, QuadratureNonConvergence)
-    assert "inner turning point did not settle in 3 Newton steps" in str(err)
-    with pytest.raises(QuadratureNonConvergence, match="did not settle in 3 Newton steps"):
+    assert "inner turning point did not settle in 2 Newton steps" in str(err)
+    with pytest.raises(QuadratureNonConvergence, match="did not settle in 2 Newton steps"):
         turning_points(grid[1], p5)
+
+
+def _halley_outer_root(u, n):
+    """v by the bracketed Halley steps `_outer_root` takes above n = 4."""
+    start = np.minimum(2.0 - u, math.sqrt(n / (n - 2.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat slope next to u = 1
+        v, stuck = period_mod._bracketed_newton(
+            lambda g: (period_mod._rise(1.0, g - 1.0, n), *period_mod._w_derivatives(g, n)),
+            period_mod._rise(1.0, u - 1.0, n), start.copy(), lo=1.0, hi=start, rising=True,
+            floor=0.0, scale=0.0)
+    assert not stuck.size
+    return v
+
+
+def _ulps(a, b):
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_quadratic_outer_turning_points_match_the_halley_solve(monkeypatch, n):
+    """n = 3 and 4 take v in closed form and run no Halley step.  Over
+    u in [1e-12, 1) it is within 1 ulp of the root in 40 digits, and
+    within 3 ulps of the Halley solve, which strays up to 2 ulps from it
+    (at u = 0.00507 for n = 3)."""
+    rng = np.random.default_rng(35)
+    u = np.concatenate([np.exp(rng.uniform(math.log(1e-12), 0.0, 20000)),
+                        1.0 - np.exp(rng.uniform(math.log(1e-16), math.log(0.5), 20000))])
+    u = u[u < 1.0]
+    want = _halley_outer_root(u, n)
+    monkeypatch.setattr(period_mod, "_bracketed_newton", None)
+    got = period_mod._outer_root(u, n)
+    assert _ulps(got, want).max() <= 3.0
+    with mp.workdps(40):
+        exact = [float((mp.sqrt(12 - 3 * mp.mpf(x) ** 2) - x) / 2 if n == 3
+                       else mp.sqrt(2 - mp.mpf(x) ** 2)) for x in u[::100]]
+    assert _ulps(got[::100], np.array(exact)).max() <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 1000), r=st.floats(1e-6, 1.0 - 1e-10))
+def test_the_turning_points_of_a_ratio_match_the_outer_root(n, r):
+    """(u, v) from r = u/v in closed form: v is `_outer_root` at u within
+    4 ulps, wherever u^n is a normal float."""
+    u, v = period_mod._ratio_turning_points(np.array([r]), n)
+    assume(u[0] ** n >= np.finfo(float).tiny)
+    assert u[0] == r * v[0]
+    assert _ulps(v, period_mod._outer_root(u, n)).max() <= 4.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 1000])
+def test_the_turning_points_of_a_ratio_reach_their_limits(n):
+    """r -> 0 is contact, v -> sqrt(n/(n-2)); r -> 1 is the well bottom,
+    where v - 1 -> (1 - r)/2, and r = 1 gives u = v = 1 exactly."""
+    u, v = period_mod._ratio_turning_points(np.array([1e-300, 1e-20, 1.0 - 1e-9, 1.0]), n)
+    assert _ulps(v[:2], math.sqrt(n / (n - 2.0))).max() <= 1.0
+    assert v[2] - 1.0 == pytest.approx(0.5e-9, rel=1e-6)
+    assert 1.0 - u[2] == pytest.approx(0.5e-9, rel=1e-6)
+    assert u[3] == 1.0 and v[3] == 1.0
+
+
+@pytest.fixture
+def root_passes(monkeypatch):
+    """Count the passes of `_bracketed_newton`, and record each
+    `_outer_root` call as (orbits, passes it took); returns ([passes], calls)."""
+    passes, calls = [0], []
+    real_newton, real_outer = period_mod._bracketed_newton, period_mod._outer_root
+
+    def counting_newton(curve, *args, **kwargs):
+        def counted(x):
+            passes[0] += 1
+            return curve(x)
+        return real_newton(counted, *args, **kwargs)
+
+    def recording_outer(u, n):
+        before = passes[0]
+        v = real_outer(u, n)
+        calls.append((np.size(u), passes[0] - before))
+        return v
+
+    monkeypatch.setattr(period_mod, "_bracketed_newton", counting_newton)
+    monkeypatch.setattr(period_mod, "_outer_root", recording_outer)
+    return passes, calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 12, 30])
+def test_a_curve_solves_v_at_its_band_ends_only(monkeypatch, root_passes, n):
+    """A fresh build runs Halley steps for v on its two band ends alone,
+    for n >= 5, and `orbits` never: every node and every inverted orbit
+    takes both turning points in closed form, from u for n <= 4 and from
+    r = u/v above."""
+    monkeypatch.setattr(period_mod, "_cached_curve", period_mod._cached_curve.__wrapped__)
+    _, calls = root_passes
+    curve = period_curve(n, 1e-10)
+    assert [orbits for orbits, passes in calls if passes] == ([2] if n >= 5 else [])
+    if n >= 5:
+        assert len(calls) == 1
+    calls.clear()
+    params = ModelParams(n, 2.0, 2.0)
+    lo, hi = curve.band
+    taus = np.linspace(lo, hi, 40) * derive_constants(params).T0
+    assert None not in curve.orbits(list(taus), params)
+    assert [orbits for orbits, passes in calls if passes] == []
+    if n >= 5:
+        assert calls == []
+
+
+@pytest.mark.parametrize("n, R, Rt, budget", [(6, 1.0, 3.0, 5), (3, 8.0, 8.0, 6)])
+def test_a_cold_diagram_takes_few_root_passes(monkeypatch, root_passes, n, R, Rt, budget):
+    """A diagram on a fresh curve, counted in passes of `_bracketed_newton`
+    over all its solves: the band ends, their v (n >= 5) and one inversion
+    of every row.  Measured 4 at (6, 1, 3) and 5 at (3, 8, 8), where
+    Halley steps stopped on Newton's error and every curve node solved v
+    took 14 and 13."""
+    monkeypatch.setattr(period_mod, "_cached_curve", period_mod._cached_curve.__wrapped__)
+    passes, _ = root_passes
+    params = ModelParams(n, R, Rt)
+    diagram = scan_branches(3.5 * derive_constants(params).T0, params, 400)
+    assert diagram.rows
+    assert passes[0] <= budget
 
 
 @pytest.mark.parametrize("n", [3, 5, 12])
 def test_an_outer_turning_point_that_cannot_settle_fails_alone(monkeypatch, n):
     params = ModelParams(n, 2.0, 2.0)
     # Halley steps settle most outer turning points in three passes: the
-    # finer grid holds energies whose inner one settles first
+    # finer grid holds energies whose inner one settles first.  n = 3
+    # takes v in closed form, so only its inner turning points can fail
     grid = energy_grid(params, 41, mode="symlog", s_lo=1e-9, s_hi=1e-9)
     full = period_scan(grid, params)
     outer = []
@@ -185,7 +306,7 @@ def test_an_outer_turning_point_that_cannot_settle_fails_alone(monkeypatch, n):
                 with pytest.raises(QuadratureNonConvergence) as single:
                     period_quadrature(grid[idx], params)
                 assert str(single.value) == str(err)
-    assert outer
+    assert bool(outer) == (n >= 5)
 
 
 def test_turning_points_name_an_outer_turning_point_that_cannot_settle(monkeypatch, p5):
@@ -446,11 +567,12 @@ def test_an_inversion_that_misses_its_period_raises(monkeypatch, p3):
 
 
 def _held_out(curve, per_piece=13):
-    """u points of every piece that are not its nodes."""
+    """u points of every piece that are not its nodes (n >= 5 keys its
+    piece by r = u/v)."""
     us = []
     for piece in curve.pieces:
-        for x in np.linspace(-1.0, 1.0, per_piece + 2)[1:-1] + 0.037:
-            us.append(float(piece.y_of(x)))
+        x = np.linspace(-1.0, 1.0, per_piece + 2)[1:-1] + 0.037
+        us += period_mod._curve_turning_points(piece.y_of(x), curve.n)[0].tolist()
     return [u for u in us if curve.u_lo <= u <= curve.u_hi]
 
 
@@ -570,7 +692,7 @@ def test_a_period_inverts_on_its_own_piece_only(monkeypatch, side):
 
 
 def test_period_curve_refuses_non_monotone_nodes(monkeypatch):
-    def wobbly_kernel(u, n, rtol):
+    def wobbly_kernel(u, n, rtol, v):
         # T/T0 of the old stub, 1 + 0.1 sin(40 a), with a = u^(n/2)
         ratio = 1.0 + 0.1 * np.sin(40.0 * u ** (n / 2.0))
         return period_mod._Periods(ratio, np.ones_like(u), np.zeros_like(u),
@@ -663,7 +785,8 @@ def test_periods_match_carlson_oracle_over_the_clamped_band(n):
     for piece in curve.pieces:
         size = len(piece.coeffs)
         for x in np.cos(math.pi * (np.arange(size) + 0.5) / size):
-            u = float(piece.y_of(x))
+            # n >= 5 keys its nodes by r = u/v
+            u = float(period_mod._curve_turning_points(np.array([piece.y_of(x)]), n)[0][0])
             a = u ** (n / 2.0)
             c = A * a**2 - B * a ** (2.0 - 4.0 / n)
             ref = _carlson_period(n, canon, canon, c) / (2.0 * math.pi)
@@ -709,7 +832,7 @@ def test_orbits_report_their_nodes_and_error_estimate(p3):
 
 @pytest.mark.parametrize("n", [3, 5, 12])
 def test_every_orbit_carries_the_u_its_period_came_from(n):
-    """The kernel at an orbit's u gives back its T bit for bit, on every route."""
+    """The kernel at an orbit's u and v gives back its T bit for bit, on every route."""
     params = ModelParams(n, 2.0, 2.0)
     k = derive_constants(params)
     rtol = 1e-10
@@ -722,7 +845,7 @@ def test_every_orbit_carries_the_u_its_period_came_from(n):
     inverted = list(curve.orbits(taus, params))
     assert len(scanned) == 8 and None not in inverted
     for spec in scanned + single + inverted:
-        periods = period_mod._period_kernel(np.array([spec.u]), n, rtol)
+        periods = period_mod._period_kernel(np.array([spec.u]), n, rtol, np.array([spec.v]))
         assert float(periods.ratio[0]) * k.T0 == spec.T
 
 
@@ -986,7 +1109,8 @@ def test_series_roots_do_not_depend_on_their_batch(name):
 def test_the_time_map_is_the_integral_of_the_fit(size, seed, decay):
     """At the nodes of a series whose coefficients decay like a smooth
     fit's, the cached map gives (pi/2) chebint of the fit to a few eps of
-    its size, and the integral vanishes at -1 to roundoff."""
+    its size, the integral vanishes at -1 to roundoff, and the half
+    period rule's weights give its value at 1, on the same nodes."""
     c = np.random.default_rng(seed).standard_normal(size) * np.exp(-decay * np.arange(size))
     x, integral = period_mod._time_fit(size)
     values = chebval(x, c)
@@ -996,6 +1120,26 @@ def test_the_time_map_is_the_integral_of_the_fit(size, seed, decay):
     assert got.shape == (size + 1,)
     assert np.abs(got - want).max() <= roundoff
     assert abs(chebval(-1.0, got)) <= roundoff
+    nodes, weights = period_mod._half_period_rule(size)
+    assert nodes is x
+    assert abs(weights @ values - chebval(1.0, want)) <= roundoff
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(8, 512), seed=st.integers(0, 2**32 - 1), decay=st.floats(1e-3, 2.0))
+def test_the_derivative_columns_are_numpys_chebder(size, seed, decay):
+    """Each derivative column matches numpy's chebder of the series, taken
+    one, two and three times, within 4 eps times the sum of its
+    magnitudes (the worst of 3000 scratch draws read 1.4)."""
+    c = np.random.default_rng(seed).standard_normal(size) * np.exp(-decay * np.arange(size))
+    columns = period_mod._ChebSeries(-1.0, 1.0, "linear", c).derivative_coeffs
+    want = columns[:, 0]
+    assert columns.shape[1] == 4 and np.array_equal(want, c[:want.size])
+    for k in (1, 2, 3):
+        want = chebder(want)
+        got = columns[:want.size, k]
+        assert np.all(columns[want.size:, k] == 0.0)
+        assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * np.abs(want).sum()
 
 
 @pytest.mark.parametrize("size", [1, 2, 33, 65])
@@ -1004,7 +1148,7 @@ def test_cached_trig_matrices_are_read_only(size):
     pieces = period_curve(3).pieces + (
         period_mod._ChebSeries(-1.0, 1.0, "linear", np.linspace(1.0, 0.0, size)),)
     tables = [period_mod._fit_matrix(size), *period_mod._seed_matrices(size),
-              *period_mod._time_fit(size),
+              *period_mod._time_fit(size), *period_mod._half_period_rule(size),
               *period_mod._ts_level(period_mod.TS_FIRST_LEVEL),
               *period_mod._ts_level(period_mod.TS_LAST_LEVEL)]
     tables += [array for piece in pieces
@@ -1015,6 +1159,7 @@ def test_cached_trig_matrices_are_read_only(size):
             matrix[0] = 1.0
     assert period_mod._fit_matrix(size) is period_mod._fit_matrix(size)
     assert period_mod._time_fit(size) is period_mod._time_fit(size)
+    assert period_mod._half_period_rule(size) is period_mod._half_period_rule(size)
 
 
 def test_an_empty_energy_grid_is_refused(p5):
