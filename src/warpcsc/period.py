@@ -38,8 +38,9 @@ sample times.  Every cached table is read-only, so no caller can spoil
 it for the rest of the process.
 
 `period_curve(n, rtol)` fits T/T0 once per process for each (n, rtol),
-from one kernel call: for n >= 5 in one Chebyshev piece in sqrt r, and
-for n = 3 against u, in a piece in sqrt u and one in log u at contact.
+from one kernel call, against the ratio r = u/v of the turning points,
+from which `_ratio_turning_points` gives both: in one Chebyshev piece in
+sqrt r, and for n = 3 in a piece in sqrt r and one in log r at contact.
 Its `orbits(taus, params)` is the package's one period inversion: it
 inverts a batch of periods on the fit and confirms every orbit in one
 kernel call.  The period map is monotone in u, and so in r (Chicone,
@@ -102,9 +103,9 @@ SERIES_TERMS = 9
 # root steps (Halley's, which add a curvature term to Newton's) a turning
 # point and a curve inversion may take
 NEWTON_STEPS = 100
-# Chebyshev nodes of a period curve: its upper piece, in sqrt r for n >= 5,
-# where it is the whole curve, and in sqrt u for n = 3, whose contact piece
-# in log u holds its u log u term, handing over at u = CONTACT_SPLIT
+# Chebyshev nodes of a period curve in r = u/v: its upper piece in sqrt r,
+# the whole curve but for n = 3, whose contact piece in log r holds its
+# r log r term, handing over at the r of the orbit u = CONTACT_SPLIT
 CURVE_NODES = 56
 CONTACT_NODES = 32
 CONTACT_SPLIT = 0.05
@@ -655,8 +656,8 @@ _MAPS = {"linear": (lambda y: y, lambda v: v), "log": (np.log, np.exp),
 class _ChebSeries:
     """Chebyshev series in x in [-1, 1], which maps onto [lo, hi] in its
     argument y, in log y or in sqrt y, as map is "linear", "log" or
-    "sqrt": a piece of a period curve in u or in r, or a profile's time
-    in theta."""
+    "sqrt": a piece of a period curve in r, or a profile's time in
+    theta."""
 
     lo: float
     hi: float
@@ -884,19 +885,18 @@ class PeriodCurve:
     a = x_star * u^(n/2) and energy c = potential(a).  `orbits` is the
     one way to an orbit of a given period.
 
-    Its pieces take a key of the orbit: u itself for n <= 4, and for
-    n >= 5 the ratio r = u/v of its turning points, from which
-    `_ratio_turning_points` gives u and v in closed form, so that neither
-    the build nor `orbits` solves for v.
+    Its pieces take the orbit's key, the ratio r = u/v of its turning
+    points, from which `_ratio_turning_points` gives u and v in closed
+    form, so that neither the build's nodes nor `orbits` solve for v.
 
     u_lo, u_hi  the orbits BAND_CLAMP admits, contact end and well-bottom
                 end, each solved from its energy
-    keys        the keys of u_lo and u_hi: themselves for n <= 4, and
-                u/v for n >= 5, with v from `_outer_root`, the curve's
-                one solve for v
+    keys        u/v of the orbits u_lo and u_hi, with v from `_outer_root`,
+                which the build calls for them alone, and for n = 3's
+                hand-over orbit
     band        the attained range of T/T0 between the keys, ascending
-    pieces      for n = 3 the contact piece in log u, then the upper piece
-                in sqrt u, which starts at the hand-over point, its
+    pieces      for n = 3 the contact piece in log r, then the upper piece
+                in sqrt r, which starts at the hand-over point, its
                 `start`; for n >= 5 the one piece in sqrt r, which spans
                 [r_lo, 1] and takes every period; for n = 4 the constant 1
     quadratures kernel orbits the build took: its fit nodes
@@ -921,11 +921,15 @@ class PeriodCurve:
         return min(ends), max(ends)
 
     def ratio(self, u):
-        """T/T0 of the orbits whose warps dip to u * f_star."""
-        key = np.asarray(u, dtype=float)
-        if self.n >= 5:
-            key = key / _outer_root(key.reshape(-1), self.n).reshape(key.shape)
-        return self._at(key)[()]
+        """T/T0 of the orbits whose warps dip to u * f_star, at their keys
+        u/v; a u outside [u_lo, u_hi], NaN included, raises DomainError
+        before any solve."""
+        u = np.asarray(u, dtype=float)
+        outside = ~((self.u_lo <= u) & (u <= self.u_hi))
+        if outside.any():
+            raise DomainError(f"u = {float(u[outside][0])} outside the period curve's band "
+                              f"[{self.u_lo}, {self.u_hi}] of n = {self.n}")
+        return self._at(u / _outer_root(u.reshape(-1), self.n).reshape(u.shape))[()]
 
     def _at(self, key):
         """T/T0 of the orbits at these keys."""
@@ -980,7 +984,7 @@ class PeriodCurve:
             x = piece.root(target[mine], piece.x_of(lo), piece.x_of(hi))
             key[mine] = np.clip(piece.y_of(x), lo, hi)
 
-        u, v = _curve_turning_points(key, self.n)
+        u, v = _ratio_turning_points(key, self.n)
         ratio, f_max, err_est, nodes = _certified(u, self.n, self.rtol, v)
         gap = np.abs(target - ratio)
         missed = np.flatnonzero(gap > LANDING_FACTOR * self.rtol * target)
@@ -997,29 +1001,21 @@ class PeriodCurve:
                 f_max.tolist())
 
 
-def _curve_turning_points(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """u and v of the orbits at a period curve's keys: u and its v in
-    closed form for n <= 4, and those of r = u/v for n >= 5."""
-    if n >= 5:
-        return _ratio_turning_points(key, n)
-    return key, _outer_root(key, n)
-
-
 def period_curve(n: int, rtol: float = KERNEL_RTOL) -> PeriodCurve:
     """The period curve of dimension n, its nodes taken at kernel rtol.
 
     Built once per process for each (n, rtol) on the canonical parameters
     ModelParams(n, n - 1, n - 1), which give x_star = 1, omega = 1 and
-    T0 = 2 pi exactly.  For every n >= 5, T/T0 is smooth in sqrt r, the
-    square root of the turning points' ratio, down to contact, and
-    CURVE_NODES nodes in sqrt r fit it in one piece on [r_lo, 1].  n = 3's
-    period has a u log u term at contact, so it is keyed by u: its piece
-    in sqrt u spans [CONTACT_SPLIT, 1] and CONTACT_NODES nodes in log u
-    fit the rest, from u_lo.  The nodes of every piece go to the kernel
-    in one call, with both turning points in closed form, and the build
-    refuses node values that are not strictly monotone in u.  For n = 4
-    every orbit has period T0 and the curve is the constant 1, built
-    without the kernel.
+    T0 = 2 pi exactly.  Every curve is keyed by r = u/v, the ratio of
+    the turning points.  For every n >= 5, T/T0 is smooth in sqrt r down
+    to contact, and CURVE_NODES nodes in sqrt r fit it in one piece on
+    [r_lo, 1].  n = 3's period has an r log r term at contact: its piece
+    in sqrt r starts at the r of the orbit u = CONTACT_SPLIT, and
+    CONTACT_NODES nodes in log r fit the rest, from r_lo.  The nodes of
+    every piece go to the kernel in one call, with both turning points in
+    closed form, and the build refuses node values that are not strictly
+    monotone in r.  For n = 4 every orbit has period T0 and the curve is
+    the constant 1, built without the kernel.
     """
     return _cached_curve(ModelParams(n, n - 1.0, n - 1.0), float(rtol))
 
@@ -1029,23 +1025,24 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     n = canon.n
     consts = derive_constants(canon)
     depth = abs(consts.c_min)
-    # both ends of the clamped band are admitted
+    # both ends of the clamped band are admitted, each keyed by its r = u/v
     ends = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth], consts, n)[1]
     u_lo, u_hi = ends.tolist()
+    keys = tuple((ends / _outer_root(ends, n)).tolist())
     if n == 4:
-        flat = _ChebSeries(u_lo, u_hi, "linear", np.ones(1))
-        return PeriodCurve(n, rtol, u_lo, u_hi, (u_lo, u_hi), (flat,), 0, 0)
-    keys = (ends / _outer_root(ends, n) if n >= 5 else ends).tolist()
+        flat = _ChebSeries(*keys, "linear", np.ones(1))
+        return PeriodCurve(n, rtol, u_lo, u_hi, keys, (flat,), 0, 0)
 
-    # n = 3 alone has a u log u term at contact, which its log-u piece takes
-    split = CONTACT_SPLIT if n == 3 else keys[0]
-    layout = [(math.log(u_lo), math.log(split), "log", CONTACT_NODES)] if n == 3 else []
+    # n = 3 alone has an r log r term at contact, which its log-r piece
+    # takes up to the r of the orbit u = CONTACT_SPLIT
+    split = float(CONTACT_SPLIT / _outer_root(CONTACT_SPLIT, n)) if n == 3 else keys[0]
+    layout = [(math.log(keys[0]), math.log(split), "log", CONTACT_NODES)] if n == 3 else []
     layout.append((math.sqrt(split), 1.0, "sqrt", CURVE_NODES))
     angles = [_cheb_angles(size) for *_, size in layout]
     # placing nodes needs only a piece's map, not its coefficients
     key = np.concatenate([_ChebSeries(lo, hi, kind, np.empty(0)).y_of(np.cos(theta))
                           for (lo, hi, kind, _), theta in zip(layout, angles)])
-    u, v = _curve_turning_points(key, n)
+    u, v = _ratio_turning_points(key, n)
     periods = _certified(u, n, rtol, v)
     steps = np.diff(periods.ratio[np.argsort(key)])
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
@@ -1056,5 +1053,5 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     values = np.split(periods.ratio, np.cumsum([theta.size for theta in angles])[:-1])
     pieces = tuple(_ChebSeries(lo, hi, kind, _fit_matrix(vals.size) @ vals)
                    for (lo, hi, kind, _), vals in zip(layout, values))
-    return PeriodCurve(n, rtol, u_lo, u_hi, tuple(keys), pieces, key.size,
+    return PeriodCurve(n, rtol, u_lo, u_hi, keys, pieces, key.size,
                        int(periods.nodes.sum()))

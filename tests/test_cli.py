@@ -802,7 +802,7 @@ def test_unreachable_rtol_still_exits_4(capsys, tmp_path):
         (["period", *params, "--energy", "-0.225"], "at u = 0.20277939461513025 "),
         (["solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", "9.33"],
          "at u = 0.999807962875705 "),
-        (["bifurcate", *params, "--tmax", "20"], "at u = 0.049456921102972166 "),
+        (["bifurcate", *params, "--tmax", "20"], "at u = 0.04946457150364484 "),
     ]:
         out_file = tmp_path / f"{argv[0]}.out"
         code, out, err = run_cli(capsys, *argv, "--rtol", "1e-16", "--out", str(out_file))

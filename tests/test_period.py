@@ -242,24 +242,37 @@ def root_passes(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 12, 30])
 def test_a_curve_solves_v_at_its_band_ends_only(monkeypatch, root_passes, n):
-    """A fresh build runs Halley steps for v on its two band ends alone,
-    for n >= 5, and `orbits` never: every node and every inverted orbit
-    takes both turning points in closed form, from u for n <= 4 and from
-    r = u/v above."""
+    """A fresh build solves v for its two band ends alone, and n = 3 for
+    its hand-over orbit too, with Halley steps only where v has no closed
+    form, n >= 5; `orbits` never solves v: every node and every inverted
+    orbit takes both turning points from its key r = u/v."""
     monkeypatch.setattr(period_mod, "_cached_curve", period_mod._cached_curve.__wrapped__)
     _, calls = root_passes
     curve = period_curve(n, 1e-10)
     assert [orbits for orbits, passes in calls if passes] == ([2] if n >= 5 else [])
-    if n >= 5:
-        assert len(calls) == 1
+    assert sum(orbits for orbits, _ in calls) == (3 if n == 3 else 2)
     calls.clear()
     params = ModelParams(n, 2.0, 2.0)
     lo, hi = curve.band
     taus = np.linspace(lo, hi, 40) * derive_constants(params).T0
     assert None not in curve.orbits(list(taus), params)
-    assert [orbits for orbits, passes in calls if passes] == []
-    if n >= 5:
-        assert calls == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 12, 30])
+def test_every_curve_is_keyed_by_the_ratio_of_its_band_ends(n):
+    """A curve's keys are u/v of the orbits at its band ends."""
+    curve = period_curve(n)
+    ends = np.array([curve.u_lo, curve.u_hi])
+    assert curve.keys == tuple((ends / period_mod._outer_root(ends, n)).tolist())
+
+
+def test_n3_hands_over_at_the_orbit_of_the_contact_split():
+    """n = 3's log-r contact piece hands over to its sqrt-r piece at the
+    orbit u = CONTACT_SPLIT, within 4 ulps."""
+    upper = period_curve(3).pieces[1]
+    u = period_mod._ratio_turning_points(np.array([upper.start]), 3)[0][0]
+    assert abs(u - period_mod.CONTACT_SPLIT) <= 4.0 * np.spacing(period_mod.CONTACT_SPLIT)
 
 
 @pytest.mark.parametrize("n, R, Rt, budget", [(6, 1.0, 3.0, 5), (3, 8.0, 8.0, 6)])
@@ -567,12 +580,12 @@ def test_an_inversion_that_misses_its_period_raises(monkeypatch, p3):
 
 
 def _held_out(curve, per_piece=13):
-    """u points of every piece that are not its nodes (n >= 5 keys its
-    piece by r = u/v)."""
+    """u points of every piece that are not its nodes (each piece is keyed
+    by r = u/v)."""
     us = []
     for piece in curve.pieces:
         x = np.linspace(-1.0, 1.0, per_piece + 2)[1:-1] + 0.037
-        us += period_mod._curve_turning_points(piece.y_of(x), curve.n)[0].tolist()
+        us += period_mod._ratio_turning_points(piece.y_of(x), curve.n)[0].tolist()
     return [u for u in us if curve.u_lo <= u <= curve.u_hi]
 
 
@@ -587,11 +600,40 @@ def _quadrature_ratio(n, u, rtol):
 @pytest.mark.parametrize("n", [3, 5, 6, 8, 12, 20])
 def test_period_curve_matches_quadrature(n):
     curve = period_curve(n)
-    # n = 3 adds its contact piece in log u to the upper piece in sqrt u
+    # n = 3 adds its contact piece in log r to the upper piece in sqrt r
     assert curve.quadratures == (88 if n == 3 else 56)
     for u in _held_out(curve):
         ref = _quadrature_ratio(n, u, 1e-11)
         assert abs(curve.ratio(u) / ref - 1.0) <= period_mod.KERNEL_RTOL, f"u = {u}"
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_a_curve_refuses_a_u_outside_its_band(monkeypatch, n):
+    """ratio(u) outside [u_lo, u_hi], NaN included, raises DomainError
+    naming u and the band, before any solve; in the band, the ends
+    included, it is the piece's value at u/v, alone or in a batch."""
+    curve = period_curve(n)
+    inside = [curve.u_lo, curve.u_hi, math.sqrt(curve.u_lo * curve.u_hi)]
+    alone = [curve.ratio(u) for u in inside]
+    assert np.array(alone).tobytes() == curve.ratio(inside).tobytes()
+    u = np.array(inside)
+    assert curve.ratio(u).tobytes() == curve._at(u / period_mod._outer_root(u, n)).tobytes()
+
+    def no_solve(u, n):
+        raise AssertionError("solved v for a u outside the band")
+
+    monkeypatch.setattr(period_mod, "_outer_root", no_solve)
+    outside = [curve.u_lo / 2.0, np.nextafter(curve.u_lo, 0.0), np.nextafter(curve.u_hi, 2.0),
+               1.2, 0.0, -0.5, math.nan]
+    if 1e-9 < curve.u_lo:
+        outside.append(1e-9)
+    band = f"[{curve.u_lo}, {curve.u_hi}]"
+    for u in outside:
+        with pytest.raises(DomainError, match=re.escape(f"u = {u} outside")) as raised:
+            curve.ratio(u)
+        assert band in str(raised.value)
+        with pytest.raises(DomainError, match=re.escape(f"u = {u} outside")):
+            curve.ratio([*inside, u])
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])
@@ -785,8 +827,8 @@ def test_periods_match_carlson_oracle_over_the_clamped_band(n):
     for piece in curve.pieces:
         size = len(piece.coeffs)
         for x in np.cos(math.pi * (np.arange(size) + 0.5) / size):
-            # n >= 5 keys its nodes by r = u/v
-            u = float(period_mod._curve_turning_points(np.array([piece.y_of(x)]), n)[0][0])
+            # every piece keys its nodes by r = u/v
+            u = float(period_mod._ratio_turning_points(np.array([piece.y_of(x)]), n)[0][0])
             a = u ** (n / 2.0)
             c = A * a**2 - B * a ** (2.0 - 4.0 / n)
             ref = _carlson_period(n, canon, canon, c) / (2.0 * math.pi)
@@ -949,6 +991,34 @@ def test_kernel_matches_mpmath_beyond_n_12(n, extra):
             assert error <= 10.0 * periods.err_est[0], (u, rtol)
 
 
+def _mp_tanh_sinh_ratio(u, n):
+    """T/T0 of the orbit at u in 40-digit mpmath: (sqrt(n-2)/pi) times the
+    integral of g^(n/2-1)/sqrt(w(u) - w(g)) over g in [u, v], by
+    tanh-sinh quadrature, with v from `findroot`."""
+    with mp.workdps(40):
+        U, N = mp.mpf(u), mp.mpf(n)
+
+        def w(g):
+            return (N - 2) / N * g**n - g ** (n - 2)
+
+        V = mp.findroot(lambda g: w(g) - w(U), mp.sqrt(N / (N - 2)))
+        integral = mp.quad(lambda g: g ** (N / 2 - 1) / mp.sqrt(w(U) - w(g)), [U, V],
+                           method="tanh-sinh")
+        return float(mp.sqrt(N - 2) / mp.pi * integral)
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_the_kernel_settles_near_contact_beyond_n_12(n):
+    """Below the clamped band, at u = 1e-6, 1e-4 and 1e-2, the kernel
+    certifies the period at rtol 1e-10 within 1e-12 of a tanh-sinh
+    reference, where once its levels stalled at changes of 1e-9 (n = 30)
+    and 1e-12 (n = 20)."""
+    u = np.array([1e-6, 1e-4, 1e-2])
+    periods = period_mod._certified(u, n, 1e-10)
+    for j, uj in enumerate(u.tolist()):
+        assert abs(periods.ratio[j] / _mp_tanh_sinh_ratio(uj, n) - 1.0) <= 1e-12, uj
+
+
 def test_an_integrand_below_the_float_range_fails_typed():
     """At n = 100 and u = 1e-8, u^n underflows: the orbit fails with
     an error naming n, u and the float range, its batch-mate keeps the
@@ -1075,7 +1145,7 @@ def _root_series(name):
         series = period_mod._orbit_samples(orbit.u, orbit.v, 5, np.zeros(1), 1.0, 1e-10)[2]
         return series, -1.0, 1.0
     contact, upper = curve.pieces
-    lo, hi = (curve.u_lo, upper.start) if name == "contact" else (upper.start, curve.u_hi)
+    lo, hi = (curve.keys[0], upper.start) if name == "contact" else (upper.start, curve.keys[1])
     piece = contact if name == "contact" else upper
     return piece, piece.x_of(lo), piece.x_of(hi)
 

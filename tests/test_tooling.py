@@ -12,7 +12,8 @@ kernel tolerance, of a published function or of the command line, is
 does every constant a module docstring quotes and every name any
 docstring quotes in backticks.  A traced solve and
 verify time each of verify's checks, and a failing hypothesis test
-fails like any other.
+fails like any other.  The `test` extra names every third-party module
+the tests import.
 """
 
 import argparse
@@ -150,6 +151,24 @@ def test_package_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_the_test_extra_names_every_module_the_tests_import():
+    """Installing the package with its `test` extra installs every
+    third-party module a test imports, not only as another's dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", spec).group()
+                for spec in [*project["dependencies"], *project["optional-dependencies"]["test"]]}
+    imported = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"warpcsc", "conftest"}
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 def test_every_default_tolerance_is_the_kernel_rtol():
