@@ -255,10 +255,11 @@ def period_return_map(c: float, params: ModelParams) -> float:
     v0 = math.sqrt(2.0 * e_above)
     dt = _step_for_energy(e_above, params)
     wander_gate = 2e-6 * e_above
-    last_err: Exception | None = None
     # period and wanders of the pair of runs at each step size h
     pairs: dict[float, tuple[float, float, float]] = {}
     for _ in range(MAX_RETRIES):
+        # the give-up error chains the last attempt's error alone
+        last_err: Exception | None = None
         try:
             periods, worst = [], 0.0
             for h in (dt, 0.5 * dt):

@@ -30,12 +30,13 @@ r = u/v gives both turning points (`_ratio_turning_points`), so only an
 orbit known by its energy or by u alone, for n >= 5, takes the bracketed
 Halley steps of `_outer_root`.
 `_orbit_samples` samples a profile from the same integrand between the
-turning points the kernel confirmed: the weights of `_half_period_rule`
-settle its Chebyshev node count, `_time_fit` takes dt/dtheta at the nodes
-that settle to the series of t(theta) in one product, and
-`_ChebSeries.root`, the curve's own inversion, inverts that at the
-sample times.  Every cached table is read-only, so no caller can spoil
-it for the rest of the process.
+turning points the kernel confirmed: each node count fits dt/dtheta at
+its Chebyshev nodes with `_fit_matrix` and integrates the fit with
+numpy's chebint to the series of t(theta), whose value at the end is the
+half period that settles the node count, and `_ChebSeries.root`, the
+curve's own inversion, inverts the series that settles at the sample
+times.  Every cached table is read-only, so no caller can spoil it for
+the rest of the process.
 
 `period_curve(n, rtol)` fits T/T0 once per process for each (n, rtol),
 from one kernel call, against the ratio r = u/v of the turning points,
@@ -182,10 +183,7 @@ def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
     _, u, failures = _inner_root([float(c)], consts, n)
     if failures:
         raise failures[0][1]
-    v = _outer_root(u, n)
-    if np.isnan(v[0]):
-        raise _unsettled(u[0], n)
-    a, b = consts.x_star * np.array([u[0], v[0]]) ** (n / 2.0)
+    a, b = consts.x_star * np.array([u[0], _settled_outer_root(u, n)[0]]) ** (n / 2.0)
     return float(a), float(b)
 
 
@@ -371,6 +369,16 @@ def _unsettled(u: float, n: int) -> QuadratureNonConvergence:
     return QuadratureNonConvergence(
         f"outer turning point did not settle in {NEWTON_STEPS} Newton steps "
         f"for n = {n} at u = {u}")
+
+
+def _settled_outer_root(u: np.ndarray, n: int) -> np.ndarray:
+    """`_outer_root` of the 1-D u, raising `_unsettled` for the first
+    orbit whose v did not settle."""
+    v = _outer_root(u, n)
+    stuck = np.flatnonzero(np.isnan(v))
+    if stuck.size:
+        raise _unsettled(float(u[stuck[0]]), n)
+    return v
 
 
 def _integrand(turn, other, sin2, n: int):
@@ -795,28 +803,6 @@ def _fit_matrix(size: int) -> np.ndarray:
     return _read_only(matrix)
 
 
-@lru_cache(maxsize=8)
-def _half_period_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size first-kind Chebyshev nodes x, and the weights that take
-    dt/dtheta at them to the half period t(pi/2), theta = (pi/2) x:
-    pi/2 times Fejer's first rule, the integral over [-1, 1] of the series
-    `_fit_matrix` gives.  Both read-only, one pair per node count."""
-    moments = np.zeros(size)
-    moments[::2] = 2.0 / (1.0 - np.arange(0.0, size, 2.0) ** 2)
-    return (_read_only(np.cos(_cheb_angles(size))),
-            _read_only(0.5 * math.pi * (moments @ _fit_matrix(size))))
-
-
-@lru_cache(maxsize=8)
-def _time_fit(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size first-kind Chebyshev nodes x, and the map that takes
-    dt/dtheta at them to the series of t(theta), theta = (pi/2) x, from
-    t(-pi/2) = 0: (pi/2) chebint of `_fit_matrix`, one coefficient more
-    than nodes.  Both read-only, one pair per node count."""
-    return (_half_period_rule(size)[0],
-            _read_only(0.5 * math.pi * chebint(_fit_matrix(size), lbnd=-1)))
-
-
 def _arc(x, u: float, v: float):
     """The nearer turning point of g = m + r sin(theta) at
     x = theta/(pi/2), the other, and the half angle pi/4 - |theta|/2 from
@@ -828,32 +814,32 @@ def _arc(x, u: float, v: float):
 def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float, rtol: float):
     """x/x_star and dx/dt/(omega x_star) of the orbit between the turning
     points u and v = f_max/f_star at times in [0, period], in units of
-    1/omega, the series t(theta) placing them, and the relative change of
-    its half period at the last doubling.  v is the kernel's, read from
-    the confirmed orbit, not solved again.
+    1/omega, the series t(theta) placing them, its half period t(pi/2),
+    and the relative change of that half period at the last doubling.
+    v is the kernel's, read from the confirmed orbit, not solved again.
 
     The kernel's integrand in theta, dt/dtheta = sqrt(n-2) g^(n/2-1) /
     sqrt(p(g)), is smooth on [-pi/2, pi/2].  Its fit on first-kind
     Chebyshev nodes doubles from PROFILE_NODES nodes until the half
-    period t(pi/2) changes by at most rtol, plus one rounding; past
-    MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each half
-    period is one product of the node values with the weights of
-    `_half_period_rule`; the fit that settles is one product with the
-    cached map of `_time_fit`, which gives t(theta) from the inner
-    turning point, and `_ChebSeries.root` inverts min(t, period - t),
-    clipped to that series' own half period, for every time at once;
-    the second half of the orbit mirrors the first with the velocity
-    negated, and the energy gives each speed from the gap
+    period changes by at most rtol, plus one rounding; past
+    MAX_PROFILE_NODES it raises QuadratureNonConvergence.  Each size fits
+    the node values with `_fit_matrix` and integrates the fit with
+    numpy's chebint from the inner turning point, times pi/2, to the
+    series of t(theta); its value at x = 1 is the half period, so the
+    size that settles has its series already.  `_ChebSeries.root`
+    inverts min(t, period - t), clipped to that half period, for every
+    time at once; the second half of the orbit mirrors the first with
+    the velocity negated, and the energy gives each speed from the gap
     w(u) - w(g) = (r sin(2 half))^2 p(g).  The series returned is the
     whole fit, one coefficient per node and one more, whatever `root`
     drops from its own sums.
     """
     size, previous = PROFILE_NODES, None
     while True:
-        x, weights = _half_period_rule(size)
-        turn, other, half = _arc(x, u, v)
+        turn, other, half = _arc(np.cos(_cheb_angles(size)), u, v)
         rate = math.sqrt(n - 2.0) * _integrand(turn, other, np.sin(half) ** 2, n)
-        half_period = float(weights @ rate)
+        coeffs = 0.5 * math.pi * chebint(_fit_matrix(size) @ rate, lbnd=-1)
+        half_period = float(_chebval(1.0, coeffs))
         if previous is not None:
             change = abs(half_period - previous) + np.finfo(float).eps * half_period
             if change <= rtol * half_period:
@@ -863,15 +849,14 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
                 f"profile of n = {n} at u = {u}: the half period did not settle to "
                 f"rtol = {rtol} by {MAX_PROFILE_NODES} Chebyshev nodes")
         previous, size = half_period, 2 * size
-    coeffs = _time_fit(size)[1] @ rate
     series = _ChebSeries(-1.0, 1.0, "linear", coeffs)
     turn, other, half = _arc(series.root(np.clip(np.minimum(times, period - times), 0.0,
-                                                float(_chebval(1.0, coeffs))), -1.0, 1.0), u, v)
+                                                half_period), -1.0, 1.0), u, v)
     g, p = _gap_factor(turn, other, np.sin(half) ** 2, n)
     gap = (0.5 * (v - u) * np.sin(2.0 * half)) ** 2 * p
     speed = 0.5 * n * np.sqrt(gap / (n - 2.0))
     velocity = np.where(times <= 0.5 * period, speed, -speed)
-    return g ** (0.5 * n), velocity, series, change / half_period
+    return g ** (0.5 * n), velocity, series, half_period, change / half_period
 
 
 @dataclass(frozen=True, eq=False)
@@ -923,13 +908,14 @@ class PeriodCurve:
     def ratio(self, u):
         """T/T0 of the orbits whose warps dip to u * f_star, at their keys
         u/v; a u outside [u_lo, u_hi], NaN included, raises DomainError
-        before any solve."""
+        before any solve, and a u whose v does not settle raises
+        QuadratureNonConvergence."""
         u = np.asarray(u, dtype=float)
         outside = ~((self.u_lo <= u) & (u <= self.u_hi))
         if outside.any():
             raise DomainError(f"u = {float(u[outside][0])} outside the period curve's band "
                               f"[{self.u_lo}, {self.u_hi}] of n = {self.n}")
-        return self._at(u / _outer_root(u.reshape(-1), self.n).reshape(u.shape))[()]
+        return self._at(u / _settled_outer_root(u.reshape(-1), self.n).reshape(u.shape))[()]
 
     def _at(self, key):
         """T/T0 of the orbits at these keys."""
@@ -1026,9 +1012,12 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     consts = derive_constants(canon)
     depth = abs(consts.c_min)
     # both ends of the clamped band are admitted, each keyed by its r = u/v
-    ends = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth], consts, n)[1]
+    _, ends, failures = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
+                                    consts, n)
+    if failures:
+        raise failures[0][1]
     u_lo, u_hi = ends.tolist()
-    keys = tuple((ends / _outer_root(ends, n)).tolist())
+    keys = tuple((ends / _settled_outer_root(ends, n)).tolist())
     if n == 4:
         flat = _ChebSeries(*keys, "linear", np.ones(1))
         return PeriodCurve(n, rtol, u_lo, u_hi, keys, (flat,), 0, 0)

@@ -190,18 +190,19 @@ def _sampled(
 
     `period._orbit_samples` places the samples by quadrature, to rtol,
     between the orbit's own turning points.
-    closure_error is |2 t(pi/2) - T| / T; above 1e-8, T does not belong to
+    closure_error is |2 t(pi/2) - T| / T, from the half period on which
+    the sampler's fit settled; above 1e-8, T does not belong to
     the orbit and BudgetExceeded is raised, as for a residual above 1e-8 R.
     """
     consts = derive_constants(params)
     ts = np.arange(n_samples, dtype=float) * (T / (n_samples - 1))
-    x, v, series, err_est = _orbit_samples(orbit.u, orbit.v, params.n, consts.omega * ts,
-                                           consts.omega * T, rtol)
+    x, v, series, half_period, err_est = _orbit_samples(
+        orbit.u, orbit.v, params.n, consts.omega * ts, consts.omega * T, rtol)
     xs, vs = consts.x_star * x, consts.omega * consts.x_star * v
     f, fp, fpp = to_warp_coords(xs, vs, params)
     samples = np.column_stack([ts, xs, vs, f, fp, fpp])
     residual_sup = float(np.max(np.abs(curvature_residual(f, fp, fpp, params))))
-    closure = abs(2.0 * float(series.value(1.0)) - consts.omega * T) / (consts.omega * T)
+    closure = abs(2.0 * half_period - consts.omega * T) / (consts.omega * T)
     if residual_sup > CHAIN_TOL * params.R:
         raise BudgetExceeded(
             f"profile residual {residual_sup} exceeded 1e-8 * R; "

@@ -1063,6 +1063,18 @@ def test_exit_code_3_below_threshold(capsys):
     assert code == 3 and "error:" in err
 
 
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_a_curve_build_that_cannot_settle_exits_4(monkeypatch, capsys, n):
+    # with no Halley steps the curve's band ends do not settle
+    monkeypatch.setattr(period_mod, "_cached_curve", period_mod._cached_curve.__wrapped__)
+    monkeypatch.setattr(period_mod, "NEWTON_STEPS", 0)
+    T0 = derive_constants(ModelParams(n, 2.0, 2.0)).T0
+    code, out, err = run_cli(capsys, "solve", "--n", str(n), "--R", "2", "--Rt", "2",
+                             "--period", repr(1.05 * T0))
+    assert code == 4 and out == ""
+    assert err.startswith("error: inner turning point did not settle in 0 Newton steps"), err
+
+
 def test_exit_code_4_when_no_bracket_exists(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--n", "3", "--R", "2", "--Rt", "2",

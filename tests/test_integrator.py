@@ -403,6 +403,25 @@ def test_return_map_budget_error_names_the_limit(p5, k5, monkeypatch):
     assert wander > 2e-6 * 0.5 * abs(k5.c_min)
 
 
+@pytest.mark.parametrize("s, first, wander, cause", [
+    (0.9999, 2.0, "unmeasured (a run reached x <= 0)", PositivityViolation),
+    (0.9, 1.5, "0.00991", None),
+])
+def test_return_map_gives_up_on_its_last_attempts_error(p3, k3, monkeypatch, s, first,
+                                                         wander, cause):
+    """Each give-up text chains the error of the last attempt alone: at
+    s = 0.9 the early runs reach x <= 0 and the last one fails the wander
+    gate, which chained the stale PositivityViolation."""
+    monkeypatch.setattr(integrator, "_step_for_energy", lambda e, p: k3.T0 / first)
+    with pytest.raises(BudgetExceeded) as info:
+        period_return_map(k3.c_min + s * abs(k3.c_min), p3)
+    assert f"energy wander {wander} against the gate" in str(info.value)
+    if cause is None:
+        assert info.value.__cause__ is None
+    else:
+        assert type(info.value.__cause__) is cause
+
+
 def test_return_map_rejects_out_of_band_energy(p3, k3):
     with pytest.raises(EnergyOutOfBand):
         period_return_map(0.1, p3)

@@ -1,5 +1,6 @@
 """Turning points, the period kernel, energy scans and the period curve."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebder, chebint, chebval
+from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.optimize import brentq
 from scipy.special import elliprf, elliprj
 
@@ -335,6 +336,33 @@ def test_turning_points_name_an_outer_turning_point_that_cannot_settle(monkeypat
         assert str(raised.value) == message
         assert re.fullmatch(r"outer turning point did not settle in 2 Newton steps for "
                             r"n = 5 at u = 0\.\d+(e-\d+)?", message), message
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_a_curve_whose_band_ends_cannot_settle_raises_typed(monkeypatch, n):
+    """With no Halley steps no band end settles, and with one n = 12's
+    contact end does not: the build raises the inner solve's own
+    QuadratureNonConvergence, where it used to unpack the short list of
+    the ends settled into a bare ValueError.  A curve built before the
+    budget shrank refuses a u whose v does not settle, where `ratio`
+    gave NaN; n = 3 takes v in closed form and keeps its value."""
+    monkeypatch.setattr(period_mod, "_cached_curve", period_mod._cached_curve.__wrapped__)
+    curve = period_curve(n)
+    settled = curve.ratio(0.5)
+    for steps in (0, 1) if n == 12 else (0,):
+        monkeypatch.setattr(period_mod, "NEWTON_STEPS", steps)
+        with pytest.raises(QuadratureNonConvergence,
+                           match=f"^inner turning point did not settle in {steps} Newton steps"):
+            period_curve(n)
+        if n == 3:
+            assert curve.ratio(0.5) == settled
+            continue
+        with pytest.raises(QuadratureNonConvergence,
+                           match=f"^outer turning point did not settle in {steps} Newton steps "
+                                 f"for n = {n} at u = 0.5$"):
+            curve.ratio(0.5)
+        with pytest.raises(QuadratureNonConvergence, match="outer turning point"):
+            curve.ratio(np.array([[curve.u_hi, 0.5]]))
 
 
 def test_small_amplitude_period_approaches_threshold(p3, k3):
@@ -1174,25 +1202,35 @@ def test_series_roots_do_not_depend_on_their_batch(name):
         assert got[:16].tobytes() == alone.tobytes(), size
 
 
-@settings(max_examples=200, deadline=None)
-@given(size=st.integers(32, 512), seed=st.integers(0, 2**32 - 1), decay=st.floats(1e-2, 2.0))
-def test_the_time_map_is_the_integral_of_the_fit(size, seed, decay):
-    """At the nodes of a series whose coefficients decay like a smooth
-    fit's, the cached map gives (pi/2) chebint of the fit to a few eps of
-    its size, the integral vanishes at -1 to roundoff, and the half
-    period rule's weights give its value at 1, on the same nodes."""
-    c = np.random.default_rng(seed).standard_normal(size) * np.exp(-decay * np.arange(size))
-    x, integral = period_mod._time_fit(size)
-    values = chebval(x, c)
-    got = integral @ values
-    want = 0.5 * math.pi * chebint(period_mod._fit_matrix(size) @ values, lbnd=-1)
-    roundoff = 8.0 * np.finfo(float).eps * np.abs(want).sum()
-    assert got.shape == (size + 1,)
-    assert np.abs(got - want).max() <= roundoff
-    assert abs(chebval(-1.0, got)) <= roundoff
-    nodes, weights = period_mod._half_period_rule(size)
-    assert nodes is x
-    assert abs(weights @ values - chebval(1.0, want)) <= roundoff
+def test_the_time_map_is_the_integral_of_the_fit():
+    """The series of t(theta) that `_orbit_samples` settles on, at n = 3, 5
+    and 12 in mid-band and at n = 3 near contact, where it takes 512
+    nodes: its x-derivative is the fit of (pi/2) dt/dtheta, to a few eps
+    of the fit's size, and reproduces it at the settled nodes to the
+    fit's own roundoff, which grows with the node count as the cosine
+    transform's angles k phi_j do (37 and 204 eps of the size at 64 and
+    512 nodes); t vanishes at the inner turning point to roundoff, and
+    the half period returned is the series' value at x = 1, bit for bit."""
+    eps = np.finfo(float).eps
+    for n, s, degree in ((3, 0.5, 64), (5, 0.5, 64), (12, 0.5, 64), (3, 1.0 - 1e-6, 512)):
+        params = ModelParams(n, 2.0, 2.0)
+        k = derive_constants(params)
+        orbit = period_quadrature(k.c_min + s * abs(k.c_min), params)
+        _, _, series, half_period, _ = period_mod._orbit_samples(
+            orbit.u, orbit.v, n, np.zeros(1), 1.0, 1e-10)
+        coeffs = series.coeffs
+        size = coeffs.size - 1
+        assert size == degree, (n, s)
+        x = np.cos(period_mod._cheb_angles(size))
+        turn, other, half = period_mod._arc(x, orbit.u, orbit.v)
+        rate = 0.5 * math.pi * math.sqrt(n - 2.0) * period_mod._integrand(
+            turn, other, np.sin(half) ** 2, n)
+        slope = chebder(coeffs)
+        fit = period_mod._fit_matrix(size) @ rate
+        assert np.abs(slope - fit).max() <= 4.0 * eps * np.abs(fit).sum(), (n, s)
+        assert np.abs(chebval(x, slope) - rate).max() <= size * eps * np.abs(slope).sum(), (n, s)
+        assert abs(chebval(-1.0, coeffs)) <= 4.0 * eps * np.abs(coeffs).sum(), (n, s)
+        assert half_period == series.value(1.0) == chebval(1.0, coeffs), (n, s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1212,24 +1250,49 @@ def test_the_derivative_columns_are_numpys_chebder(size, seed, decay):
         assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * np.abs(want).sum()
 
 
+def _arrays(value):
+    """Every ndarray a cached value holds: in tuples, in dataclass fields,
+    and in a series' cached tables."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for column in dataclasses.fields(value):
+            yield from _arrays(getattr(value, column.name))
+        if isinstance(value, period_mod._ChebSeries):
+            yield from (value.derivative_coeffs, value.table)
+
+
 @pytest.mark.parametrize("size", [1, 2, 33, 65])
 def test_cached_trig_matrices_are_read_only(size):
-    # one table serves every caller of its cache, so no caller may write to it
-    pieces = period_curve(3).pieces + (
-        period_mod._ChebSeries(-1.0, 1.0, "linear", np.linspace(1.0, 0.0, size)),)
-    tables = [period_mod._fit_matrix(size), *period_mod._seed_matrices(size),
-              *period_mod._time_fit(size), *period_mod._half_period_rule(size),
-              *period_mod._ts_level(period_mod.TS_FIRST_LEVEL),
-              *period_mod._ts_level(period_mod.TS_LAST_LEVEL)]
-    tables += [array for piece in pieces
-               for array in (piece.coeffs, piece.derivative_coeffs, piece.table)]
+    """One value serves every caller of its cache, so no caller may write
+    to it.  Every lru_cache of `period`, found by its cache_info, is called
+    here, so a cache added later fails this test until its values are
+    checked too."""
+    calls = {
+        "_fit_matrix": [(size,)],
+        "_seed_matrices": [(size,)],
+        "_ts_level": [(period_mod.TS_FIRST_LEVEL,), (period_mod.TS_LAST_LEVEL,)],
+        "_series_coeffs": [(5,), (12,)],
+        "_cached_curve": [(ModelParams(n, n - 1.0, n - 1.0), period_mod.KERNEL_RTOL)
+                          for n in (3, 4, 5)],
+    }
+    caches = {name: value for name, value in vars(period_mod).items()
+              if hasattr(value, "cache_info") and value.__module__ == period_mod.__name__}
+    assert sorted(caches) == sorted(calls)
+    line = period_mod._ChebSeries(-1.0, 1.0, "linear", np.linspace(1.0, 0.0, size))
+    tables = list(_arrays(line))
+    for name, cache in caches.items():
+        for args in calls[name]:
+            assert cache(*args) is cache(*args), name
+            tables += _arrays(cache(*args))
+    assert len(tables) > 20
     for matrix in tables:
         assert not matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             matrix[0] = 1.0
-    assert period_mod._fit_matrix(size) is period_mod._fit_matrix(size)
-    assert period_mod._time_fit(size) is period_mod._time_fit(size)
-    assert period_mod._half_period_rule(size) is period_mod._half_period_rule(size)
 
 
 def test_an_empty_energy_grid_is_refused(p5):

@@ -28,7 +28,8 @@ from warpcsc import (
     turning_points,
 )
 from warpcsc import period as period_mod
-from warpcsc.solver import _sampled
+from warpcsc import solver as solver_mod
+from warpcsc.solver import CHAIN_TOL, _sampled
 
 # mpmath (dps=40) reference period for n=3, R=Rt=2 at c = -0.225
 T_REF_N3 = 5.8985046008834841
@@ -83,6 +84,15 @@ def test_sampled_rejects_a_period_that_is_not_the_orbits(p3, k3):
     assert np.array_equal(same.samples, direct.samples)
     with pytest.raises(BudgetExceeded, match="profile failed to close up"):
         _sampled(orbit, direct.T * (1.0 + 1e-6), p3, 64, 1e-10)
+
+
+def test_sampled_rejects_a_profile_whose_residual_is_off(p3, k3, monkeypatch):
+    """The residual guard: a curvature residual above 1e-8 R raises."""
+    orbit = period_quadrature(k3.c_min + 0.5 * abs(k3.c_min), p3)
+    monkeypatch.setattr(solver_mod, "curvature_residual",
+                        lambda f, fp, fpp, params: np.full(f.shape, 2.0 * CHAIN_TOL * params.R))
+    with pytest.raises(BudgetExceeded, match=r"^profile residual 4e-08 exceeded 1e-8 \* R;"):
+        _sampled(orbit, orbit.T, p3, 64, 1e-10)
 
 
 def test_profile_rejects_rest_energy_and_tiny_sampling(p3, k3):
