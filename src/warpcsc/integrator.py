@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DomainError, EnergyOutOfBand, PositivityViolation
 from .model import (
+    DerivedConstants,
     ModelParams,
     PhaseState,
     _force_coeffs,
@@ -150,14 +151,14 @@ def _refine_crossing(x0: float, v0: float, dt: float, params: ModelParams) -> fl
                          f"of size {dt}: bracket [{lo!r}, {hi!r}]")
 
 
-def _rough_inner_turning(e_above_min: float, params: ModelParams) -> float:
-    """Crude bisection for the inner turning point, used only to size steps.
+def _rough_inner_turning(e_above_min: float, params: ModelParams, x_star: float) -> float:
+    """Crude bisection below the rest point x_star for the inner turning
+    point, used only to size steps.
 
     It evaluates the offset potential through the scalar form of
     `potential_above_min`, and takes no turning point from `period`.
     """
     offset = _forms(params).offset
-    x_star = (params.R / params.Rt) ** (params.n / 4.0)
     lo = x_star
     for _ in range(80):
         lo *= 0.5
@@ -183,7 +184,7 @@ def _step_for_energy(e_above_min: float, params: ModelParams) -> float:
     """
     consts = derive_constants(params)
     k1, k2, e = _force_coeffs(params)
-    a_rough = _rough_inner_turning(e_above_min, params)
+    a_rough = _rough_inner_turning(e_above_min, params, consts.x_star)
     # sqrt(|force'|), the frequency of small oscillations about a_rough;
     # where it vanishes it sets no limit
     local = math.sqrt(abs(k1 - e * k2 * a_rough ** (e - 1.0)))
@@ -236,6 +237,18 @@ def _time_to_turn(
         start, stop = stop, stop + 1024
 
 
+def _band_energy(c: float, params: ModelParams) -> tuple[DerivedConstants, float]:
+    """The constants of params and c - c_min, for an energy c in the
+    closed-orbit band (c_min, 0); any other c raises EnergyOutOfBand."""
+    consts = derive_constants(params)
+    e_above = c - consts.c_min
+    if not (e_above > 0.0 and c < 0.0):
+        raise EnergyOutOfBand(
+            f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
+        )
+    return consts, e_above
+
+
 def period_return_map(c: float, params: ModelParams) -> float:
     """Orbit period 2 (t_out + t_in) from two half-orbit runs of the leapfrog.
 
@@ -246,12 +259,7 @@ def period_return_map(c: float, params: ModelParams) -> float:
     Retries halve dt when a run's energy wander exceeds 2e-6 (c - c_min)
     or x <= 0; a retry reuses the pair already run at its step size.
     """
-    consts = derive_constants(params)
-    e_above = c - consts.c_min
-    if not (e_above > 0.0 and c < 0.0):
-        raise EnergyOutOfBand(
-            f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
-        )
+    consts, e_above = _band_energy(c, params)
     v0 = math.sqrt(2.0 * e_above)
     dt = _step_for_energy(e_above, params)
     wander_gate = 2e-6 * e_above
@@ -300,12 +308,7 @@ def energy_drift(c: float, params: ModelParams, dt: float, n_steps: int) -> Drif
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    consts = derive_constants(params)
-    e_above = c - consts.c_min
-    if not (e_above > 0.0 and c < 0.0):
-        raise EnergyOutOfBand(
-            f"energy {c} outside the closed-orbit band ({consts.c_min}, 0)"
-        )
+    consts, e_above = _band_energy(c, params)
     k1, k2, e = _force_coeffs(params)
     A, Bq, q = _potential_coeffs(params)
     half = 0.5 * dt

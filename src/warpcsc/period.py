@@ -20,15 +20,17 @@ whose cost does not grow with n.
 
 `_period_kernel` evaluates this for a batch of orbits, one numpy pass per
 tanh-sinh level (Takahasi-Mori) over the orbits not yet accepted, its
-error estimate the change between two levels: it takes both turning
-points from its caller, each node's g is written from its nearer turning
-point through half angles, and both halves of at most KERNEL_ORBITS
-orbits go to one `_integrand` call and are added back row by row.  v is
-solved by iteration only where no closed form gives it: for n = 3 and 4
-w(u) = w(v) is a quadratic (`_outer_root`), and for every n the ratio
-r = u/v gives both turning points (`_ratio_turning_points`), so only an
-orbit known by its energy or by u alone, for n >= 5, takes the bracketed
-Halley steps of `_outer_root`.
+error estimate the change between two levels.  Every caller hands it
+both turning points, and it solves neither: each node's g is written
+from its nearer turning point through half angles, and both halves of
+at most KERNEL_ORBITS orbits go to one `_integrand` call and are added
+back row by row.  v is solved by iteration only where no closed form
+gives it: for n = 3 and 4 w(u) = w(v) is a quadratic (`_outer_root`),
+and for every n the ratio r = u/v gives both turning points
+(`_ratio_turning_points`), so only an orbit known by its energy or by u
+alone, for n >= 5, takes the bracketed Halley steps of `_outer_root`.
+Those report their own failures: `_inner_root` fails an energy whose v
+does not settle, and `PeriodCurve.ratio` refuses such a u.
 `_orbit_samples` samples a profile from the same integrand between the
 turning points the kernel confirmed: each node count fits dt/dtheta at
 its Chebyshev nodes with `_fit_matrix` and integrates the fit with
@@ -52,13 +54,13 @@ LANDING_FACTOR * rtol raises.
 counting solutions needs no inversion (see `bifurcation`).
 
 `period_scan(c_grid)` keeps the energy interface: `_inner_root` takes
-every in-band energy to its u in one batch of bracketed Halley steps,
-and one kernel call takes every orbit from there; an energy whose
-turning points do not settle, or whose orbit the kernel cannot certify,
-fails alone.  `turning_points(c)` and `period_quadrature(c)` are the
-solve and the scan of one energy.  Scans and `orbits` give one record,
-an `OrbitSpec` keyed by its u and carrying the kernel's v.  Nothing here
-calls a bracketing root finder.
+every in-band energy to its u in one batch of bracketed Halley steps and
+each u to its v, and one kernel call takes every orbit from there; an
+energy whose turning points do not settle, or whose orbit the kernel
+cannot certify, fails alone.  `turning_points(c)` and
+`period_quadrature(c)` are the solve and the scan of one energy.  Scans
+and `orbits` give one record, an `OrbitSpec` keyed by its u and carrying
+the v the kernel took.  Nothing here calls a bracketing root finder.
 """
 
 from __future__ import annotations
@@ -174,21 +176,22 @@ def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
     """The turning points a < x_star < b of the orbit at energy c.
 
     `_inner_root` solves the one energy for u = f_min/f_star and
-    `_outer_root` takes it to v = f_max/f_star; a, b = x_star (u, v)^(n/2).
+    v = f_max/f_star; a, b = x_star (u, v)^(n/2).
     Energies within BAND_CLAMP * |c_min| of either band edge raise
     EnergyOutOfBand rather than being solved in noise, and a solve that
     does not settle raises QuadratureNonConvergence.
     """
     n, consts = params.n, derive_constants(params)
-    _, u, failures = _inner_root([float(c)], consts, n)
+    _, u, v, failures = _inner_root([float(c)], consts, n)
     if failures:
         raise failures[0][1]
-    a, b = consts.x_star * np.array([u[0], _settled_outer_root(u, n)[0]]) ** (n / 2.0)
+    a, b = consts.x_star * np.array([u[0], v[0]]) ** (n / 2.0)
     return float(a), float(b)
 
 
 def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
-    """u = f_min/f_star of the orbits at the energies of grid, in one batch.
+    """u = f_min/f_star and v = f_max/f_star of the orbits at the energies
+    of grid, in one batch.
 
     With w as in `_rise`, an energy on the upper half of the band
     (c > c_min/2) solves w(u) = (2/n) c/|c_min|, and one on the lower half
@@ -196,9 +199,11 @@ def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
     c - c_min is exact: each half keeps the digits of c that the other
     form would round away.  Bracketed Halley steps in (0, 1) start from
     the asymptotes |level|^(1/(n-2)) near contact and 1 - sqrt(lift/(n-2))
-    near the well bottom.  Returns the indices solved, their u, and
+    near the well bottom.  `_outer_root` takes each settled u to its v.
+    Returns the indices of the orbits solved, their u and v, and
     (index, error) for the rest: EnergyOutOfBand outside the clamped
-    band, QuadratureNonConvergence where the steps did not settle.
+    band, QuadratureNonConvergence where the steps for u did not settle,
+    and `_unsettled`'s QuadratureNonConvergence where those for v did not.
     """
     c, depth = np.array(grid), abs(consts.c_min)
     # the band's ends are admitted; the absolute slack keeps grid points
@@ -225,7 +230,12 @@ def _inner_root(grid: list[float], consts: DerivedConstants, n: int):
                  for i in stuck.tolist()]
     keep = ~outside
     keep[stuck] = False
-    return np.flatnonzero(keep), u[keep], failures
+    index, u = np.flatnonzero(keep), u[keep]
+    v = _outer_root(u, n)
+    settled = ~np.isnan(v)
+    failures += [(i, _unsettled(ui, n)) for i, ui in zip(index[~settled].tolist(),
+                                                         u[~settled].tolist())]
+    return index[settled], u[settled], v[settled], failures
 
 
 def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, rising: bool,
@@ -269,7 +279,6 @@ def _bracketed_newton(curve, target: np.ndarray, x: np.ndarray, *, lo, hi, risin
     return x, todo
 
 
-@lru_cache(maxsize=64)
 def _series_coeffs(n: int) -> tuple[float, ...]:
     """`_rise`'s series coefficients in L, from the L^(SERIES_TERMS+1) term down to L^2."""
     return tuple((n - 2.0) * (n ** (k - 1) - (n - 2.0) ** (k - 1)) / math.factorial(k)
@@ -334,7 +343,8 @@ def _outer_root(u: np.ndarray, n: int) -> np.ndarray:
     root, solve w(v) - w(1) = w(u) - w(1).  Both sides are rises from the
     well bottom, which keep their digits; a difference anchored at u would
     cancel two large exponentials and leave v, and with it the kernel's
-    T, noisy in u.  An orbit whose steps did not settle gets v = NaN.
+    T, noisy in u.  An orbit whose steps did not settle gets v = NaN,
+    which its caller turns into `_unsettled`'s error.
     """
     if n == 3:
         return 0.5 * (np.sqrt(12.0 - 3.0 * u * u) - u)
@@ -369,16 +379,6 @@ def _unsettled(u: float, n: int) -> QuadratureNonConvergence:
     return QuadratureNonConvergence(
         f"outer turning point did not settle in {NEWTON_STEPS} Newton steps "
         f"for n = {n} at u = {u}")
-
-
-def _settled_outer_root(u: np.ndarray, n: int) -> np.ndarray:
-    """`_outer_root` of the 1-D u, raising `_unsettled` for the first
-    orbit whose v did not settle."""
-    v = _outer_root(u, n)
-    stuck = np.flatnonzero(np.isnan(v))
-    if stuck.size:
-        raise _unsettled(float(u[stuck[0]]), n)
-    return v
 
 
 def _integrand(turn, other, sin2, n: int):
@@ -458,14 +458,13 @@ class _Periods(NamedTuple):
     """Kernel output, one entry per orbit."""
 
     ratio: np.ndarray  # T/T0
-    f_max: np.ndarray  # f_max/f_star
     err_est: np.ndarray  # relative error estimate of ratio
     nodes: np.ndarray  # integrand evaluations behind ratio
 
 
-def _period_kernel(u, n: int, rtol: float, v=None) -> _Periods:
+def _period_kernel(u, n: int, rtol: float, v) -> _Periods:
     """Periods of the orbits with turning points u = f_min/f_star and
-    v = f_max/f_star; a caller that has only u leaves v to `_outer_root`.
+    v = f_max/f_star, both from the caller: the kernel solves neither.
 
     One numpy pass per tanh-sinh level over the orbits still pending,
     with both halves of each orbit stacked in one array, KERNEL_ORBITS
@@ -476,12 +475,11 @@ def _period_kernel(u, n: int, rtol: float, v=None) -> _Periods:
     drops out of the later levels.  Its nodes are summed row
     by row, so an orbit's result does not depend on the batch it comes
     in.  An orbit still unaccepted past the finest level keeps
-    nodes == 0 and ratio 0, and so does one whose f_max is NaN or whose
-    u is `_out_of_range`: it is never pending.  `_failure` names each.
+    nodes == 0 and ratio 0, and so does one whose u is `_out_of_range`:
+    it is never pending.  `_failure` names each.
     """
-    u = np.asarray(u, dtype=float)
-    v = _outer_root(u, n) if v is None else np.asarray(v, dtype=float)
-    live = np.flatnonzero(~np.isnan(v) & ~_out_of_range(u, n))
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    live = np.flatnonzero(~_out_of_range(u, n))
     scale = math.sqrt(n - 2.0) / math.pi
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
     nodes = np.zeros(u.shape, dtype=int)
@@ -509,13 +507,13 @@ def _period_kernel(u, n: int, rtol: float, v=None) -> _Periods:
             nodes[done] = evaluations
             live, estimate = live[~accept], estimate[~accept]
         previous = estimate
-    return _Periods(ratio, v, err_est, nodes)
+    return _Periods(ratio, err_est, nodes)
 
 
-def _failure(u: float, f_max: float, n: int, rtol: float) -> QuadratureNonConvergence:
-    """Why the kernel left the orbit at u unaccepted."""
-    if math.isnan(f_max):
-        return _unsettled(u, n)
+def _failure(u: float, n: int, rtol: float) -> QuadratureNonConvergence:
+    """Why the kernel left the orbit at u unaccepted: u^n below the float
+    range, or no level that met rtol.  An orbit whose v did not settle
+    never reaches the kernel."""
     if _out_of_range(u, n):
         why = ": u^n is below the smallest normal float, so the integrand leaves the float range"
     else:
@@ -523,12 +521,14 @@ def _failure(u: float, f_max: float, n: int, rtol: float) -> QuadratureNonConver
     return QuadratureNonConvergence(f"period kernel for n = {n} at u = {u}{why}")
 
 
-def _certified(u: np.ndarray, n: int, rtol: float, v=None) -> _Periods:
-    """The kernel's periods, once it met rtol on every orbit of the batch u."""
+def _certified(u: np.ndarray, n: int, rtol: float, v: np.ndarray) -> _Periods:
+    """The kernel's periods of the orbits with turning points u and v,
+    once it met rtol on every one; the first it did not raises
+    `_failure`'s error."""
     periods = _period_kernel(u, n, rtol, v)
     if not periods.nodes.all():
         j = int(np.argmin(periods.nodes != 0))
-        raise _failure(u[j], periods.f_max[j], n, rtol)
+        raise _failure(u[j], n, rtol)
     return periods
 
 
@@ -561,19 +561,19 @@ def period_scan(c_grid, params: ModelParams, *, rtol: float = KERNEL_RTOL) -> Pe
     if not grid:
         raise DomainError("energy grid must be non-empty")
     n, consts = params.n, derive_constants(params)
-    index, u, failures = _inner_root(grid, consts, n)
+    index, u, v, failures = _inner_root(grid, consts, n)
     results: list[OrbitSpec | None] = [None] * len(grid)
     if index.size:
-        periods = _period_kernel(u, n, rtol)
-        a, b = consts.x_star * np.array([u, periods.f_max]) ** (n / 2.0)
+        periods = _period_kernel(u, n, rtol, v)
+        a, b = consts.x_star * np.array([u, v]) ** (n / 2.0)
         for j, idx in enumerate(index.tolist()):
             if periods.nodes[j]:
                 results[idx] = OrbitSpec(grid[idx], float(a[j]), float(b[j]),
                                          float(periods.ratio[j]) * consts.T0,
                                          int(periods.nodes[j]), float(periods.err_est[j]),
-                                         float(u[j]), float(periods.f_max[j]))
+                                         float(u[j]), float(v[j]))
             else:
-                failures.append((idx, _failure(u[j], periods.f_max[j], n, rtol)))
+                failures.append((idx, _failure(u[j], n, rtol)))
     failures.sort(key=lambda failure: failure[0])
     return PeriodScan(c_grid=tuple(grid), entries=tuple(results), failures=tuple(failures))
 
@@ -876,9 +876,9 @@ class PeriodCurve:
 
     u_lo, u_hi  the orbits BAND_CLAMP admits, contact end and well-bottom
                 end, each solved from its energy
-    keys        u/v of the orbits u_lo and u_hi, with v from `_outer_root`,
-                which the build calls for them alone, and for n = 3's
-                hand-over orbit
+    keys        u/v of the orbits u_lo and u_hi, with v from `_inner_root`
+                with their u; besides them the build solves v only for
+                n = 3's hand-over orbit
     band        the attained range of T/T0 between the keys, ascending
     pieces      for n = 3 the contact piece in log r, then the upper piece
                 in sqrt r, which starts at the hand-over point, its
@@ -915,7 +915,10 @@ class PeriodCurve:
         if outside.any():
             raise DomainError(f"u = {float(u[outside][0])} outside the period curve's band "
                               f"[{self.u_lo}, {self.u_hi}] of n = {self.n}")
-        return self._at(u / _settled_outer_root(u.reshape(-1), self.n).reshape(u.shape))[()]
+        v = _outer_root(u.reshape(-1), self.n).reshape(u.shape)
+        if np.isnan(v).any():
+            raise _unsettled(float(u[np.isnan(v)][0]), self.n)
+        return self._at(u / v)[()]
 
     def _at(self, key):
         """T/T0 of the orbits at these keys."""
@@ -971,7 +974,7 @@ class PeriodCurve:
             key[mine] = np.clip(piece.y_of(x), lo, hi)
 
         u, v = _ratio_turning_points(key, self.n)
-        ratio, f_max, err_est, nodes = _certified(u, self.n, self.rtol, v)
+        ratio, err_est, nodes = _certified(u, self.n, self.rtol, v)
         gap = np.abs(target - ratio)
         missed = np.flatnonzero(gap > LANDING_FACTOR * self.rtol * target)
         if missed.size:
@@ -981,10 +984,10 @@ class PeriodCurve:
                 f"by {gap[j] / target[j]:.3g}, more than {LANDING_FACTOR:g} * rtol with "
                 f"rtol = {self.rtol}; loosen --rtol"
             )
-        a, b = consts.x_star * np.array([u, f_max]) ** (self.n / 2.0)
+        a, b = consts.x_star * np.array([u, v]) ** (self.n / 2.0)
         return (inside.tolist(), potential(a, params).tolist(), a.tolist(), b.tolist(),
                 (ratio * consts.T0).tolist(), nodes.tolist(), err_est.tolist(), u.tolist(),
-                f_max.tolist())
+                v.tolist())
 
 
 def period_curve(n: int, rtol: float = KERNEL_RTOL) -> PeriodCurve:
@@ -1012,12 +1015,12 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     consts = derive_constants(canon)
     depth = abs(consts.c_min)
     # both ends of the clamped band are admitted, each keyed by its r = u/v
-    _, ends, failures = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
-                                    consts, n)
+    _, ends, v, failures = _inner_root([-BAND_CLAMP * depth, consts.c_min + BAND_CLAMP * depth],
+                                       consts, n)
     if failures:
         raise failures[0][1]
     u_lo, u_hi = ends.tolist()
-    keys = tuple((ends / _settled_outer_root(ends, n)).tolist())
+    keys = tuple((ends / v).tolist())
     if n == 4:
         flat = _ChebSeries(*keys, "linear", np.ones(1))
         return PeriodCurve(n, rtol, u_lo, u_hi, keys, (flat,), 0, 0)

@@ -1,6 +1,7 @@
 """Turning points, the period kernel, energy scans and the period curve."""
 
 import dataclasses
+import inspect
 import math
 import re
 import tracemalloc
@@ -336,6 +337,37 @@ def test_turning_points_name_an_outer_turning_point_that_cannot_settle(monkeypat
         assert str(raised.value) == message
         assert re.fullmatch(r"outer turning point did not settle in 2 Newton steps for "
                             r"n = 5 at u = 0\.\d+(e-\d+)?", message), message
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_a_scan_fails_exactly_the_orbits_whose_outer_turning_point_is_unsettled(monkeypatch, n):
+    """With `_outer_root` made to leave every third orbit's v unsettled
+    (NaN), the scan fails exactly those energies, each with the text that
+    names its u, and keeps every other entry's bits; `turning_points` and
+    `period_quadrature` raise the same text for each of them."""
+    params = ModelParams(n, 2.0, 2.0)
+    grid = energy_grid(params, 30, mode="symlog")
+    full = period_scan(grid, params)
+    assert not full.failures
+    want = {j: f"outer turning point did not settle in {period_mod.NEWTON_STEPS} Newton steps "
+               f"for n = {n} at u = {full.entries[j].u}" for j in range(0, len(grid), 3)}
+    unsettled = [full.entries[j].u for j in want]
+    real_outer_root = period_mod._outer_root
+
+    def unsettling_outer_root(u, n):
+        return np.where(np.isin(u, unsettled), np.nan, real_outer_root(u, n))
+
+    monkeypatch.setattr(period_mod, "_outer_root", unsettling_outer_root)
+    scan = period_scan(grid, params)
+    assert [j for j, _ in scan.failures] == sorted(want)
+    for j, err in scan.failures:
+        assert type(err) is QuadratureNonConvergence and str(err) == want[j]
+        for route in (turning_points, period_quadrature):
+            with pytest.raises(QuadratureNonConvergence) as raised:
+                route(grid[j], params)
+            assert str(raised.value) == want[j]
+    for j, (entry, settled) in enumerate(zip(scan.entries, full.entries)):
+        assert entry == (None if j in want else settled)
 
 
 @pytest.mark.parametrize("n", [3, 5, 12])
@@ -765,8 +797,7 @@ def test_period_curve_refuses_non_monotone_nodes(monkeypatch):
     def wobbly_kernel(u, n, rtol, v):
         # T/T0 of the old stub, 1 + 0.1 sin(40 a), with a = u^(n/2)
         ratio = 1.0 + 0.1 * np.sin(40.0 * u ** (n / 2.0))
-        return period_mod._Periods(ratio, np.ones_like(u), np.zeros_like(u),
-                                   np.ones(u.shape, dtype=int))
+        return period_mod._Periods(ratio, np.zeros_like(u), np.ones(u.shape, dtype=int))
 
     monkeypatch.setattr(period_mod, "_period_kernel", wobbly_kernel)
     with pytest.raises(QuadratureNonConvergence, match="not strictly monotone"):
@@ -881,7 +912,7 @@ def test_contact_end_approaches_the_spherical_suspension(n):
     curve = period_curve(n, 1e-10)
     us = np.geomspace(0.5, curve.u_lo, 16)
     period_gap = [abs(curve.ratio(u) * k.T0 - math.pi / beta) for u in us]
-    f_max_gap = np.abs(period_mod._period_kernel(us, n, 1e-10).f_max * k.f_star - alpha)
+    f_max_gap = np.abs(period_mod._outer_root(us, n) * k.f_star - alpha)
     assert all(g2 < g1 for g1, g2 in zip(period_gap, period_gap[1:]))
     assert all(g2 < g1 for g1, g2 in zip(f_max_gap, f_max_gap[1:]))
 
@@ -917,6 +948,35 @@ def test_every_orbit_carries_the_u_its_period_came_from(n):
     for spec in scanned + single + inverted:
         periods = period_mod._period_kernel(np.array([spec.u]), n, rtol, np.array([spec.v]))
         assert float(periods.ratio[0]) * k.T0 == spec.T
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 30])
+def test_the_kernel_takes_both_turning_points_and_solves_neither(monkeypatch, n):
+    """`_period_kernel` and `_certified` take v from their caller, with no
+    default: with `_outer_root` made to raise, both give a scan's T, nodes
+    and err_est from its orbits' u and v bit for bit, and the arrays of
+    the per-half-orbit loop."""
+    params = ModelParams(n, 2.0, 2.0)
+    k = derive_constants(params)
+    rtol = 1e-10
+    specs = period_scan(energy_grid(params, 24, mode="symlog"), params, rtol=rtol).entries
+    assert None not in specs
+    u, v = np.array([[spec.u, spec.v] for spec in specs]).T
+    want = _kernel_by_half_orbits(u, n, rtol, v)
+
+    def no_solve(u, n):
+        raise AssertionError("the kernel solved v")
+
+    monkeypatch.setattr(period_mod, "_outer_root", no_solve)
+    assert period_mod._Periods._fields == ("ratio", "err_est", "nodes")
+    for kernel in (period_mod._period_kernel, period_mod._certified):
+        assert inspect.signature(kernel).parameters["v"].default is inspect.Parameter.empty
+        got = kernel(u, n, rtol, v)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (got.ratio * k.T0).tolist() == [spec.T for spec in specs]
+        assert got.nodes.tolist() == [spec.nodes for spec in specs]
+        assert got.err_est.tolist() == [spec.err_est for spec in specs]
 
 
 
@@ -1013,7 +1073,8 @@ def test_kernel_matches_mpmath_beyond_n_12(n, extra):
         ref, halving = _mp_period_ratio(u, n)
         assert halving <= 1e-12, u  # the reference itself has settled
         for rtol in (1e-8, 1e-10, 1e-12):
-            periods = period_mod._period_kernel(np.array([u]), n, rtol)
+            periods = period_mod._period_kernel(np.array([u]), n, rtol,
+                                                period_mod._outer_root(np.array([u]), n))
             error = abs(periods.ratio[0] / ref - 1.0)
             assert periods.nodes[0] and error <= rtol, (u, rtol)
             assert error <= 10.0 * periods.err_est[0], (u, rtol)
@@ -1042,7 +1103,7 @@ def test_the_kernel_settles_near_contact_beyond_n_12(n):
     reference, where once its levels stalled at changes of 1e-9 (n = 30)
     and 1e-12 (n = 20)."""
     u = np.array([1e-6, 1e-4, 1e-2])
-    periods = period_mod._certified(u, n, 1e-10)
+    periods = period_mod._certified(u, n, 1e-10, period_mod._outer_root(u, n))
     for j, uj in enumerate(u.tolist()):
         assert abs(periods.ratio[j] / _mp_tanh_sinh_ratio(uj, n) - 1.0) <= 1e-12, uj
 
@@ -1051,14 +1112,16 @@ def test_an_integrand_below_the_float_range_fails_typed():
     """At n = 100 and u = 1e-8, u^n underflows: the orbit fails with
     an error naming n, u and the float range, its batch-mate keeps the
     bits it has alone, and no NaN reaches the period."""
-    periods = period_mod._period_kernel(np.array([1e-8, 0.5]), 100, 1e-10)
-    alone = period_mod._period_kernel(np.array([0.5]), 100, 1e-10)
+    u = np.array([1e-8, 0.5])
+    v = period_mod._outer_root(u, 100)
+    periods = period_mod._period_kernel(u, 100, 1e-10, v)
+    alone = period_mod._period_kernel(u[1:], 100, 1e-10, v[1:])
     assert periods.nodes[0] == 0 and periods.ratio[0] == 0.0
     assert [a[1] for a in periods] == [a[0] for a in alone]
     with pytest.raises(QuadratureNonConvergence,
                        match=r"n = 100 at u = 1e-08: u\^n is below the smallest normal "
                              r"float, so the integrand leaves the float range"):
-        period_mod._certified(np.array([0.5, 1e-8]), 100, 1e-10)
+        period_mod._certified(u[::-1], 100, 1e-10, v[::-1])
 
 
 @pytest.mark.parametrize("n", [21, 100, 1000])
@@ -1068,9 +1131,10 @@ def test_the_anchored_gap_matches_horners_sum(monkeypatch, n):
     same periods within 20 n eps, and the same node counts."""
     curve = period_curve(n)
     u = np.geomspace(curve.u_lo, curve.u_hi, 9)
-    anchored = period_mod._period_kernel(u, n, 1e-12)
+    v = period_mod._outer_root(u, n)
+    anchored = period_mod._period_kernel(u, n, 1e-12, v)
     monkeypatch.setattr(period_mod, "HORNER_DIMENSION", n)
-    horner = period_mod._period_kernel(u, n, 1e-12)
+    horner = period_mod._period_kernel(u, n, 1e-12, v)
     assert anchored.nodes.all() and np.array_equal(anchored.nodes, horner.nodes)
     assert np.max(np.abs(anchored.ratio / horner.ratio - 1.0)) <= 20 * n * np.finfo(float).eps
 
@@ -1085,7 +1149,8 @@ def test_a_large_dimension_builds_its_curve(n, rtol):
     curve = period_curve(n, rtol)
     lo, hi = curve.band
     assert abs(lo - 1.0) <= 10 * rtol and 2.3138 < hi < 2.3140
-    ends = period_mod._certified(np.array([curve.u_lo, curve.u_hi]), n, rtol)
+    u = np.array([curve.u_lo, curve.u_hi])
+    ends = period_mod._certified(u, n, rtol, period_mod._outer_root(u, n))
     assert np.allclose(ends.ratio, [hi, lo], rtol=10 * rtol, atol=0.0)
 
 
@@ -1099,7 +1164,7 @@ def test_the_curve_fits_the_kernel_over_its_clamped_band(n):
     root = np.linspace(math.sqrt(curve.u_lo), math.sqrt(curve.u_hi), 800)
     u = np.clip(np.concatenate([root * root, np.geomspace(curve.u_lo, curve.u_hi, 800)]),
                 curve.u_lo, curve.u_hi)
-    ref = period_mod._certified(u, n, 1e-13).ratio
+    ref = period_mod._certified(u, n, 1e-13, period_mod._outer_root(u, n)).ratio
     assert np.max(np.abs(curve.ratio(u) / ref - 1.0)) <= 1e-12
 
 
@@ -1275,7 +1340,6 @@ def test_cached_trig_matrices_are_read_only(size):
         "_fit_matrix": [(size,)],
         "_seed_matrices": [(size,)],
         "_ts_level": [(period_mod.TS_FIRST_LEVEL,), (period_mod.TS_LAST_LEVEL,)],
-        "_series_coeffs": [(5,), (12,)],
         "_cached_curve": [(ModelParams(n, n - 1.0, n - 1.0), period_mod.KERNEL_RTOL)
                           for n in (3, 4, 5)],
     }
@@ -1355,7 +1419,8 @@ def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
         return real_integrand(turn, *args)
 
     monkeypatch.setattr(period_mod, "_integrand", recording_integrand)
-    batch = period_mod._period_kernel(u, n, rtol)
+    v = period_mod._outer_root(u, n)
+    batch = period_mod._period_kernel(u, n, rtol, v)
     assert batch.nodes.all()
     assert len(set(batch.nodes.tolist()) & {52, 104, 206}) >= 2
     # an orbit accepted at N nodes is summed at every level up to N
@@ -1367,12 +1432,12 @@ def test_kernel_sums_only_the_orbits_still_pending(monkeypatch, n):
         pending.append(2 * int(np.count_nonzero(batch.nodes >= through)))
     assert rows == pending
     for j in range(u.size):
-        single = period_mod._period_kernel(u[j:j + 1], n, rtol)
+        single = period_mod._period_kernel(u[j:j + 1], n, rtol, v[j:j + 1])
         for got, want in zip(batch, single):
             assert got[j] == want[0]
 
 
-def _kernel_by_half_orbits(u, n, rtol):
+def _kernel_by_half_orbits(u, n, rtol, v):
     """`_period_kernel` written one half orbit at a time: each half's
     nodes from its own turning point, and the level's sines recomputed on
     every call.  It takes the integrand from `_integrand` itself, so it
@@ -1393,9 +1458,7 @@ def _kernel_by_half_orbits(u, n, rtol):
             weight[0] *= 0.5
         return half, weight
 
-    u = np.asarray(u, dtype=float)
-    v = period_mod._outer_root(u, n)
-    live = np.flatnonzero(~np.isnan(v))
+    live = np.arange(u.size)
     total, ratio, err_est = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
     nodes = np.zeros(u.shape, dtype=int)
     previous = None
@@ -1420,7 +1483,7 @@ def _kernel_by_half_orbits(u, n, rtol):
             nodes[done] = evaluations
             live, estimate = live[~accept], estimate[~accept]
         previous = estimate
-    return ratio, v, err_est, nodes
+    return ratio, err_est, nodes
 
 
 def test_kernel_matches_the_per_half_orbit_loop_bit_for_bit():
@@ -1432,8 +1495,9 @@ def test_kernel_matches_the_per_half_orbit_loop_bit_for_bit():
         for rtol in (1e-9, 1e-10, 1e-12):
             for size in (1, int(rng.integers(2, 40)), int(rng.integers(40, 301))):
                 u = np.exp(rng.uniform(math.log(curve.u_lo), math.log(curve.u_hi), size))
-                got = period_mod._period_kernel(u, n, rtol)
-                want = _kernel_by_half_orbits(u, n, rtol)
+                v = period_mod._outer_root(u, n)
+                got = period_mod._period_kernel(u, n, rtol, v)
+                want = _kernel_by_half_orbits(u, n, rtol, v)
                 for name, a, b in zip(got._fields, got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), (
                         n, rtol, size, name)
@@ -1445,9 +1509,10 @@ def test_kernel_chunks_keep_every_bit(monkeypatch):
     for n in (3, 8):
         curve = period_curve(n, 1e-10)
         u = np.exp(rng.uniform(math.log(curve.u_lo), math.log(curve.u_hi), 300))
-        whole = period_mod._period_kernel(u, n, 1e-10)
+        v = period_mod._outer_root(u, n)
+        whole = period_mod._period_kernel(u, n, 1e-10, v)
         monkeypatch.setattr(period_mod, "KERNEL_ORBITS", 7)
-        for a, b in zip(period_mod._period_kernel(u, n, 1e-10), whole):
+        for a, b in zip(period_mod._period_kernel(u, n, 1e-10, v), whole):
             assert np.array_equal(a, b, equal_nan=True)
         monkeypatch.undo()
 
