@@ -32,10 +32,10 @@ from .errors import (
     DomainError,
     EnergyOutOfBand,
     NoBracket,
-    NonPositiveWarp,
     PositivityViolation,
     QuadratureNonConvergence,
     ThresholdViolation,
+    ToolkitError,
     TooFewSamples,
 )
 from .geometry import CURVATURE_TOL, conformal_field_check, curvature_audit
@@ -164,6 +164,11 @@ def _params(args) -> ModelParams:
     return ModelParams(n=args.n, R=args.R, Rt=args.Rt)
 
 
+def _params_doc(params: ModelParams) -> dict:
+    """The n, R, Rt block every document opens with, in that order."""
+    return {"n": params.n, "R": params.R, "Rt": params.Rt}
+
+
 def _verdict(profile: SolutionProfile, tol: float):
     """Judge a profile by verify's checks, in verify's order.
 
@@ -185,7 +190,7 @@ def _verdict(profile: SolutionProfile, tol: float):
 def profile_to_doc(profile: SolutionProfile) -> dict:
     """JSON document for a solved profile; the inverse of doc_to_profile."""
     return {
-        "params": {"n": profile.params.n, "R": profile.params.R, "Rt": profile.params.Rt},
+        "params": _params_doc(profile.params),
         "T": profile.T,
         "c": profile.c,
         "root_count": profile.root_count,
@@ -270,9 +275,7 @@ def cmd_threshold(args) -> int:
     params = _params(args)
     consts = derive_constants(params)
     doc = {
-        "n": params.n,
-        "R": params.R,
-        "Rt": params.Rt,
+        **_params_doc(params),
         "f_star": consts.f_star,
         "x_star": consts.x_star,
         "omega": consts.omega,
@@ -387,11 +390,7 @@ def cmd_verify(args) -> int:
     profile = doc_to_profile(doc)
     curvature, conformal, audit, failed = _verdict(profile, args.tol)
     report = {
-        "params": {
-            "n": profile.params.n,
-            "R": profile.params.R,
-            "Rt": profile.params.Rt,
-        },
+        "params": _params_doc(profile.params),
         "T": profile.T,
         "c": profile.c,
         "curvature": {
@@ -517,6 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  A ToolkitError
+    prints one "error: ..." line and exits 3 for ThresholdViolation, 4
+    for a numerical failure and 2 for any other."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -524,15 +526,12 @@ def main(argv=None) -> int:
         return 0 if err.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (DomainError, EnergyOutOfBand, TooFewSamples, NonPositiveWarp) as err:
+    except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ThresholdViolation as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (NoBracket, QuadratureNonConvergence, BudgetExceeded, PositivityViolation) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
+        if isinstance(err, ThresholdViolation):
+            return 3
+        numerical = (NoBracket, QuadratureNonConvergence, BudgetExceeded, PositivityViolation)
+        return 4 if isinstance(err, numerical) else 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ central differences from the f column and nothing else, making them an
 independent route rather than an echo of the solver's own arithmetic.
 
 Each check validates its profile and differences f on its own, through
-two shared helpers: `_check_positive` refuses a warp value f <= 0, and
-`_fd_loop` checks the sample layout and differences f, for these checks
-and for `solver.audit_profile`.  `verify` calls the checks one by one.
+shared helpers: `_check_positive` refuses a warp value f <= 0,
+`_fd_loop` checks the sample layout and differences f, and `_worst`
+finds the largest deviation and its sample, for these checks and for
+`solver.audit_profile`.  `verify` calls the checks one by one.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ def _fd_loop(profile, min_samples: int):
     return (f, h, *periodic_fd_derivatives(f, h))
 
 
+def _worst(deviation: np.ndarray) -> tuple[float, int]:
+    """(sup, index): the largest |deviation| and the first sample where
+    it is attained."""
+    dev = np.abs(deviation)
+    at = int(np.argmax(dev))
+    return float(dev[at]), at
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
     """Scalar curvature recovered pointwise from the f samples.
@@ -126,9 +135,7 @@ def curvature_audit(profile, rel_tol: float = CURVATURE_TOL) -> CurvatureReport:
     n = params.n
     rt = (params.R - 2.0 * (n - 1.0) * f * d2 - (n - 1.0) * (n - 2.0) * d1**2) / f**2
     rt_full = np.concatenate([rt, rt[:1]])
-    dev = np.abs(rt_full - params.Rt)
-    at = int(np.argmax(dev))
-    max_dev = float(dev[at])
+    max_dev, at = _worst(rt_full - params.Rt)
     tol_abs = rel_tol * params.Rt
     return CurvatureReport(
         values=rt_full,

@@ -37,17 +37,18 @@ from .errors import (
     BudgetExceeded,
     DomainError,
     NoBracket,
+    QuadratureNonConvergence,
     ThresholdViolation,
     TooFewSamples,
 )
-from .geometry import _fd_loop
+from .geometry import _fd_loop, _worst
 from .model import (
     PERIOD_SLACK,
     ModelParams,
     _integer,
     curvature_residual,
     derive_constants,
-    potential,
+    energy,
     to_warp_coords,
 )
 from .period import KERNEL_RTOL, OrbitSpec, _orbit_samples, period_curve, period_quadrature
@@ -131,7 +132,8 @@ class ProfileAudit:
     chain_sup   sup of the curvature residual on the stored (f, f', f'')
     fd_sup      sup of the residual with f', f'' recomputed from f alone
                 by 4th-order periodic finite differences
-    energy_sup  sup of |v^2/2 + potential(x) - c| over the samples
+    energy_sup  sup of |energy(x, v) - c| = |v^2/2 + potential(x) - c|
+                over the samples
 
     Each sup comes with the index where it is attained, so a corrupted
     sample is pointed at directly.  breaches names the routes whose sup
@@ -189,7 +191,11 @@ def _sampled(
     orbit.v * f_star, over the period T.
 
     `period._orbit_samples` places the samples by quadrature, to rtol,
-    between the orbit's own turning points.
+    between the orbit's own turning points.  Its doubling stops when two
+    fits agree, which two fits can do by chance; so a fit whose period
+    2 t(pi/2) misses orbit.T, the period the kernel certified at the
+    same rtol, by more than rtol (plus one rounding) raises
+    QuadratureNonConvergence naming the gap.
     closure_error is |2 t(pi/2) - T| / T, from the half period on which
     the sampler's fit settled; above 1e-8, T does not belong to
     the orbit and BudgetExceeded is raised, as for a residual above 1e-8 R.
@@ -198,6 +204,12 @@ def _sampled(
     ts = np.arange(n_samples, dtype=float) * (T / (n_samples - 1))
     x, v, series, half_period, err_est = _orbit_samples(
         orbit.u, orbit.v, params.n, consts.omega * ts, consts.omega * T, rtol)
+    certified = consts.omega * orbit.T
+    gap = abs(2.0 * half_period - certified)
+    if gap + np.finfo(float).eps * certified > rtol * certified:
+        raise QuadratureNonConvergence(
+            f"profile of n = {params.n} at u = {orbit.u}: the fit's period misses the "
+            f"orbit's certified period by {gap / certified} relative, above rtol = {rtol}")
     xs, vs = consts.x_star * x, consts.omega * consts.x_star * v
     f, fp, fpp = to_warp_coords(xs, vs, params)
     samples = np.column_stack([ts, xs, vs, f, fp, fpp])
@@ -265,26 +277,15 @@ def solve_period(
 def audit_profile(profile: SolutionProfile) -> ProfileAudit:
     """Recheck a profile three independent ways; see the class docstring.
 
-    The thresholds are CHAIN_TOL * R, FD_TOL * R and ENERGY_TOL.
+    The thresholds are CHAIN_TOL * R, FD_TOL * R and ENERGY_TOL.  The
+    energy route reads `model.energy`, and each route's sup and its
+    sample come from `geometry._worst`, as the curvature check's do.
     """
     params = profile.params
     loop_f, _, d1, d2 = _fd_loop(profile, 16)
-
-    chain = np.abs(
-        curvature_residual(profile.f, profile.fp, profile.fpp, params)
-    )
-    chain_at = int(np.argmax(chain))
-    chain_sup = float(chain[chain_at])
-
-    fd = np.abs(curvature_residual(loop_f, d1, d2, params))
-    fd_at = int(np.argmax(fd))
-    fd_sup = float(fd[fd_at])
-
-    energy_dev = np.abs(
-        0.5 * profile.v**2 + potential(profile.x, params) - profile.c
-    )
-    energy_at = int(np.argmax(energy_dev))
-    energy_sup = float(energy_dev[energy_at])
+    chain_sup, chain_at = _worst(curvature_residual(profile.f, profile.fp, profile.fpp, params))
+    fd_sup, fd_at = _worst(curvature_residual(loop_f, d1, d2, params))
+    energy_sup, energy_at = _worst(energy(profile.x, profile.v, params) - profile.c)
 
     chain_abs = CHAIN_TOL * params.R
     fd_abs = FD_TOL * params.R

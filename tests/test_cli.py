@@ -550,7 +550,7 @@ def _assert_same_fields(report, public):
 
 
 @pytest.mark.parametrize("case", ["n3", "n5", "n6", "n12", "corrupted"])
-def test_the_verdict_differences_once_and_matches_the_public_checks(profile3, profile5, case):
+def test_the_verdict_reports_what_the_public_checks_report(profile3, profile5, case):
     profile = _verdict_case(case, profile3, profile5)
     curvature, conformal, audit, failed = _verdict(profile, CURVATURE_TOL)
     _assert_same_fields(curvature, curvature_audit(profile, rel_tol=CURVATURE_TOL))
@@ -1037,7 +1037,8 @@ def test_main_maps_every_failure_to_its_exit_code(monkeypatch, capsys, tmp_path,
                                                   handler, error):
     """Every typed error but the base class, raised by any handler, and an
     output file that cannot be written, exit 2, 3 or 4 as documented,
-    never 1 by a traceback; a typed error with no documented code fails."""
+    never 1 by a traceback, with one "error: <message>" line on stderr; a
+    typed error with no documented code fails."""
     target = tmp_path / "missing" / "out.txt"
     if error == "unwritable":
         expected, message = 2, f"cannot write {target}"
@@ -1053,6 +1054,21 @@ def test_main_maps_every_failure_to_its_exit_code(monkeypatch, capsys, tmp_path,
     code, out, err = run_cli(capsys, *HANDLERS[handler])
     assert code == expected
     assert out == "" and err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    if error != "unwritable":
+        assert err == f"error: {message}\n"
+
+
+def test_every_typed_error_has_a_documented_exit_code():
+    """The table above names each class of `warpcsc.errors` but the base
+    class, and no other, with the code README gives it."""
+    assert set(DOCUMENTED_EXIT) == set(errors_mod.__all__) - {"ToolkitError"}
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    by_class = re.search(r"By error class: (.*?) exit 2; (.*?) exits 3; (.*?) exit 4\.", readme)
+    assert by_class, "README lists no exit code per error class"
+    documented = {name: code for code, names in zip((2, 3, 4), by_class.groups())
+                  for name in re.findall(r"`(\w+)`", names)}
+    assert documented == DOCUMENTED_EXIT
 
 
 def test_exit_code_3_below_threshold(capsys):
@@ -1093,3 +1109,20 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["T0"] == T0_N3
     # output bytes end with exactly one newline
     assert proc.stdout.endswith("}\n") and not proc.stdout.endswith("\n\n")
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (PINNED_STDOUT[0][0], 0, PINNED_STDOUT[0][1]),
+    (("solve", "--n", "5", "--R", "2", "--Rt", "2", "--period", "1"), 3, ""),
+], ids=["threshold", "solve-below-T0"])
+def test_the_module_entry_point_exits_with_mains_code(argv, code, stdout):
+    """`python -m warpcsc.cli` runs from the source tree, as the demos do,
+    writes main's stdout and leaves the process with main's exit code."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "warpcsc.cli", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: requested period 1.0 does not exceed")
+        assert proc.stderr.count("\n") == 1

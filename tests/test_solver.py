@@ -1,6 +1,8 @@
 """Profile construction, period inversion and the three-route audit."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +268,33 @@ def test_profile_past_the_node_cap_raises(p3, k3, monkeypatch):
     monkeypatch.setattr(period_mod, "MAX_PROFILE_NODES", 256)
     with pytest.raises(QuadratureNonConvergence, match="did not settle to rtol = 1e-10 by 256"):
         profile_from_energy(c, p3)
+
+
+def test_a_fit_that_settles_by_chance_off_its_orbits_period_is_refused(p3, k3):
+    """At s = 1 - 5e-9 the doubling stops at degree 256, where two fits
+    agree to 8.5e-11, but the fit's period misses the kernel's by 1.4e-10,
+    above rtol = 1e-10; s = 1 - 1e-8 and 1 - 2e-9 refuse at the node cap."""
+    c = k3.c_min + (1.0 - 5e-9) * abs(k3.c_min)
+    with pytest.raises(QuadratureNonConvergence,
+                       match=r"^profile of n = 3 at u = \S+: the fit's period misses the orbit's "
+                             r"certified period by 1\.\d+e-10 relative, above rtol = 1e-10$"):
+        profile_from_energy(c, p3)
+
+
+@pytest.mark.parametrize("offset, refused", [(0.5e-10, False), (2e-10, True), (-2e-10, True)])
+def test_sampled_compares_the_fits_period_with_the_certified_one(p3, k3, offset, refused):
+    """The fit of the orbit at s = 0.5 lands on its period to roundoff, so
+    moving the certified period by more than rtol = 1e-10 refuses it."""
+    orbit = period_quadrature(k3.c_min + 0.5 * abs(k3.c_min), p3)
+    moved = dataclasses.replace(orbit, T=orbit.T * (1.0 + offset))
+    if not refused:
+        same = _sampled(moved, orbit.T, p3, 64, 1e-10)
+        assert np.array_equal(same.samples, _sampled(orbit, orbit.T, p3, 64, 1e-10).samples)
+        return
+    with pytest.raises(QuadratureNonConvergence, match=r"relative, above rtol = 1e-10$") as err:
+        _sampled(moved, orbit.T, p3, 64, 1e-10)
+    gap = float(re.search(r"period by (\S+) relative", str(err.value)).group(1))
+    assert gap == pytest.approx(2e-10, rel=1e-5)
 
 
 def test_profile_force_evaluations_are_pinned(p3, k3):
