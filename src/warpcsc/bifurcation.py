@@ -34,7 +34,7 @@ and reported as a flag instead of a wall of spurious rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ MAX_CANDIDATES = 10**6
 GRID_SIZE = 400
 
 
-@dataclass(frozen=True)
-class BranchRow:
+class BranchRow(NamedTuple):
     """One realized solution on the diagram.
 
     T is the circle period, k the wrap count, tau = T/k the per-wrap
@@ -75,16 +74,14 @@ class BranchRow:
     f_max: float
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     """Circle period T = k * T0 where branch k leaves the constant solution."""
 
     k: int
     T: float
 
 
-@dataclass(frozen=True)
-class BifurcationDiagram:
+class BifurcationDiagram(NamedTuple):
     """The rows, branch points and misses of one scan.
 
     t_grid      the circle periods scanned

@@ -16,7 +16,7 @@ finds the largest deviation and its sample, for these checks and for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def _worst(deviation: np.ndarray) -> tuple[float, int]:
     return float(dev[at]), at
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Scalar curvature recovered pointwise from the f samples.
 
     values[i] is the curvature the sampled metric actually has at t_i,
@@ -146,8 +145,7 @@ def curvature_audit(profile, rel_tol: float = CURVATURE_TOL) -> CurvatureReport:
     )
 
 
-@dataclass(frozen=True)
-class ConformalCheck:
+class ConformalCheck(NamedTuple):
     """Which fiber-scaling convention the sampled data is consistent with.
 
     A warp enters the product metric through the fiber factor f^2.  If

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, DomainError, EnergyOutOfBand, PositivityViolation
 from .model import (
@@ -81,8 +81,7 @@ _WALL_PHASE = 2.0 * math.pi / 48.0
 _REFINE_STEPS = 100
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     """Energy wander of a long fixed-step run, relative to the well depth."""
 
     max_rel: float

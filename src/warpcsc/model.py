@@ -33,7 +33,6 @@ import math
 import operator
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -74,69 +73,87 @@ def _integer(name: str, value):
         return value
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _ModelFields(NamedTuple):
+    n: int
+    R: float
+    Rt: float
+
+
+class ModelParams(_ModelFields):
     """Dimension and curvature data of the warped product.
 
     n is the total dimension (fiber dimension n - 1), R the fiber scalar
     curvature, Rt the target scalar curvature of the product.  Both
     curvatures must be positive; nothing here covers the flat or negative
     cases.  x_star^2 = (R/Rt)^(n/2), the scale of every energy, must be a
-    normal float, so a large n needs R/Rt near 1.
+    normal float, so a large n needs R/Rt near 1.  _make, _replace and
+    unpickling check these too: each goes through the constructor.
     """
 
-    n: int
-    R: float
-    Rt: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = _integer("dimension n", self.n)
+    def __new__(cls, n: int, R: float, Rt: float):
+        raw, n = n, _integer("dimension n", n)
         if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-            raise DomainError(f"dimension n must be an integer >= 3, got {self.n!r}")
+            raise DomainError(f"dimension n must be an integer >= 3, got {raw!r}")
         if n > sys.float_info.max:
             raise DomainError("dimension n must be an integer >= 3, got an integer too large "
                               "for a float")
-        object.__setattr__(self, "n", n)
-        for name in ("R", "Rt"):
+        curvatures = []
+        for name, value in (("R", R), ("Rt", Rt)):
             try:
-                value = float(getattr(self, name))
+                value = float(value)
             except OverflowError:
                 raise DomainError(f"{name} must be a positive finite number, got an "
                                   "integer too large for a float") from None
             if not math.isfinite(value) or value <= 0.0:
                 raise DomainError(f"{name} must be a positive finite number, got {value}")
-            object.__setattr__(self, name, value)
+            curvatures.append(value)
+        R, Rt = curvatures
         # every energy scales with x_star^2, so it must be a normal float
-        ratio = self.R / self.Rt
         try:
-            x_star_sq = ratio ** (n / 2.0)
+            x_star_sq = (R / Rt) ** (n / 2.0)
         except OverflowError:
             x_star_sq = math.inf
         if not sys.float_info.min <= x_star_sq < math.inf:
             raise DomainError(f"x_star^2 = (R/Rt)^(n/2) leaves the float range for n = {n}, "
-                              f"R = {self.R}, Rt = {self.Rt}; bring R/Rt closer to 1 or lower n")
+                              f"R = {R}, Rt = {Rt}; bring R/Rt closer to 1 or lower n")
+        return super().__new__(cls, n, R, Rt)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """A point (t, x, v) on the reduced phase cylinder, x > 0."""
-
+class _PhaseFields(NamedTuple):
     t: float
     x: float
     v: float
 
-    def __post_init__(self) -> None:
-        for name in ("t", "x", "v"):
-            value = float(getattr(self, name))
+
+class PhaseState(_PhaseFields):
+    """A point (t, x, v) on the reduced phase cylinder, x > 0, checked by
+    the constructor whichever way it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, x: float, v: float):
+        values = []
+        for name, value in (("t", t), ("x", x), ("v", v)):
+            value = float(value)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if self.x <= 0.0:
-            raise DomainError(f"reduced variable must stay positive, got x = {self.x}")
+            values.append(value)
+        if values[1] <= 0.0:
+            raise DomainError(f"reduced variable must stay positive, got x = {values[1]}")
+        return super().__new__(cls, *values)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Closed-form constants attached to one parameter set.
 
     x_star   rest point of the reduced oscillator, (R/Rt)^(n/4)

@@ -66,7 +66,6 @@ the v the kernel took.  Nothing here calls a bracketing root finder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -133,8 +132,7 @@ KERNEL_ORBITS = 1024
 HORNER_DIMENSION = 20
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
+class OrbitSpec(NamedTuple):
     """One closed orbit: energy, turning points and period.
 
     nodes is the number of kernel integrand evaluations behind T;
@@ -158,8 +156,7 @@ class OrbitSpec:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class PeriodScan:
+class PeriodScan(NamedTuple):
     """Result of scanning T(c) over an energy grid.
 
     entries[i] is the OrbitSpec for grid point i or None when that point
@@ -169,7 +166,7 @@ class PeriodScan:
 
     c_grid: tuple[float, ...]
     entries: tuple[OrbitSpec | None, ...]
-    failures: tuple[tuple[int, Exception], ...] = field(default_factory=tuple)
+    failures: tuple[tuple[int, Exception], ...] = ()
 
 
 def turning_points(c: float, params: ModelParams) -> tuple[float, float]:
@@ -660,20 +657,16 @@ _MAPS = {"linear": (lambda y: y, lambda v: v), "log": (np.log, np.exp),
          "sqrt": (np.sqrt, np.square)}
 
 
-@dataclass(frozen=True, eq=False)
 class _ChebSeries:
     """Chebyshev series in x in [-1, 1], which maps onto [lo, hi] in its
     argument y, in log y or in sqrt y, as map is "linear", "log" or
     "sqrt": a piece of a period curve in r, or a profile's time in
     theta."""
 
-    lo: float
-    hi: float
-    map: str
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:  # a cached curve shares its pieces process-wide
-        _read_only(self.coeffs)
+    def __init__(self, lo: float, hi: float, map: str, coeffs: np.ndarray) -> None:
+        self.lo, self.hi, self.map = lo, hi, map
+        # a cached curve shares its pieces process-wide
+        self.coeffs = _read_only(coeffs)
 
     @cached_property
     def derivative_coeffs(self) -> np.ndarray:
@@ -859,8 +852,7 @@ def _orbit_samples(u: float, v: float, n: int, times: np.ndarray, period: float,
     return g ** (0.5 * n), velocity, series, half_period, change / half_period
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodCurve:
+class PeriodCurve(NamedTuple):
     """T/T0 of the orbits of one dimension n, keyed by their turning points.
 
     Writing f = f_star * g and measuring time in units of 1/omega removes
@@ -896,14 +888,10 @@ class PeriodCurve:
     u_lo: float
     u_hi: float
     keys: tuple[float, float]
+    band: tuple[float, float]
     pieces: tuple[_ChebSeries, ...]
     quadratures: int
     nodes: int
-
-    @cached_property
-    def band(self) -> tuple[float, float]:
-        ends = self._at(np.array(self.keys)).tolist()
-        return min(ends), max(ends)
 
     def ratio(self, u):
         """T/T0 of the orbits whose warps dip to u * f_star, at their keys
@@ -1023,7 +1011,7 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     keys = tuple((ends / v).tolist())
     if n == 4:
         flat = _ChebSeries(*keys, "linear", np.ones(1))
-        return PeriodCurve(n, rtol, u_lo, u_hi, keys, (flat,), 0, 0)
+        return PeriodCurve(n, rtol, u_lo, u_hi, keys, (1.0, 1.0), (flat,), 0, 0)
 
     # n = 3 alone has an r log r term at contact, which its log-r piece
     # takes up to the r of the orbit u = CONTACT_SPLIT
@@ -1045,5 +1033,7 @@ def _cached_curve(canon: ModelParams, rtol: float) -> PeriodCurve:
     values = np.split(periods.ratio, np.cumsum([theta.size for theta in angles])[:-1])
     pieces = tuple(_ChebSeries(lo, hi, kind, _fit_matrix(vals.size) @ vals)
                    for (lo, hi, kind, _), vals in zip(layout, values))
-    return PeriodCurve(n, rtol, u_lo, u_hi, keys, pieces, key.size,
-                       int(periods.nodes.sum()))
+    curve = PeriodCurve(n, rtol, u_lo, u_hi, keys, None, pieces, key.size,
+                        int(periods.nodes.sum()))
+    ends = curve._at(np.array(keys)).tolist()
+    return curve._replace(band=(min(ends), max(ends)))

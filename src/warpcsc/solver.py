@@ -29,7 +29,7 @@ checks too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ FD_TOL = 1e-5
 ENERGY_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionProfile:
+class SolutionProfile(NamedTuple):
     """One period of a periodic constant-curvature warp.
 
     samples has shape (n_samples, 6) with columns t, x, v, f, f', f'';
@@ -88,6 +87,9 @@ class SolutionProfile:
     relative change of its half period from the fit on half the nodes.
     Profile documents do not carry them; a profile read back from one
     has zeros.
+
+    A profile equals only itself: comparing samples arrays by value has
+    no single truth value.
     """
 
     params: ModelParams
@@ -99,6 +101,10 @@ class SolutionProfile:
     root_count: int = 1
     degree: int = 0
     err_est: float = 0.0
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def t(self) -> np.ndarray:
@@ -125,8 +131,7 @@ class SolutionProfile:
         return self.samples[:, 5]
 
 
-@dataclass(frozen=True)
-class ProfileAudit:
+class ProfileAudit(NamedTuple):
     """Three-route recheck of a solved profile.
 
     chain_sup   sup of the curvature residual on the stored (f, f', f'')

@@ -1,6 +1,5 @@
 """End-to-end command-line behavior: schemas, determinism, exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -537,16 +536,16 @@ def _verdict_case(case, profile3, profile5):
         samples[37, 3] *= 1.001
     if "f <= 0" in case:
         samples[5, 3] = -samples[5, 3]
-    return dataclasses.replace(profile, samples=samples)
+    return profile._replace(samples=samples)
 
 
 def _assert_same_fields(report, public):
-    for field in dataclasses.fields(public):
-        got, want = getattr(report, field.name), getattr(public, field.name)
+    for field in public._fields:
+        got, want = getattr(report, field), getattr(public, field)
         if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
         else:
-            assert type(got) is type(want) and repr(got) == repr(want), field.name
+            assert type(got) is type(want) and repr(got) == repr(want), field
 
 
 @pytest.mark.parametrize("case", ["n3", "n5", "n6", "n12", "corrupted"])

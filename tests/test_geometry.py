@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -192,7 +192,7 @@ def test_conformal_check_on_a_constant_warp_gives_python_scalars():
     assert type(check.squared_convention_ok) is bool and check.squared_convention_ok
     assert type(check.linear_convention_ok) is bool and check.linear_convention_ok
     assert type(check.reference) is float
-    assert json.loads(json.dumps(asdict(check)))["reference"] == np.finfo(float).tiny
+    assert json.loads(json.dumps(check._asdict()))["reference"] == np.finfo(float).tiny
 
 
 def test_conformal_check_on_analytic_profile():

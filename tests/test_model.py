@@ -1,6 +1,7 @@
 """Constants, force, potential and the warp coordinate change."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -277,6 +278,48 @@ def test_phase_state_requires_positive_reduced_variable():
         PhaseState(t=0.0, x=-1.0, v=0.0)
     state = PhaseState(t=0.0, x=0.5, v=-0.25)
     assert (state.x, state.v) == (0.5, -0.25)
+
+
+def _refusal(make) -> str:
+    with pytest.raises(DomainError) as raised:
+        make()
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(n=2), "dimension n must be an integer >= 3, got 2"),
+    (dict(R=-1.0), "R must be a positive finite number, got -1.0"),
+], ids=["n", "R"])
+def test_replacing_a_parameter_checks_it_as_the_constructor_does(change, message):
+    fields = {"n": 5, "R": 2.0, "Rt": 2.0, **change}
+    assert _refusal(lambda: ModelParams(5, 2, 2)._replace(**change)) == message
+    assert _refusal(lambda: ModelParams._make(fields.values())) == message
+    assert _refusal(lambda: ModelParams(**fields)) == message
+
+
+def test_replacing_a_phase_coordinate_checks_it_as_the_constructor_does():
+    message = "reduced variable must stay positive, got x = -1.0"
+    assert _refusal(lambda: PhaseState(0.0, 1.0, 0.5)._replace(x=-1.0)) == message
+    assert _refusal(lambda: PhaseState(t=0.0, x=-1.0, v=0.5)) == message
+
+
+def test_replacing_and_pickling_keep_the_normalised_fields():
+    params = ModelParams(np.int64(5), 2, 3)
+    assert params._replace(R=1) == ModelParams(5, 1.0, 3.0)
+    assert type(params._replace(R=1).R) is float
+    again = pickle.loads(pickle.dumps(params))
+    assert again == params and type(again) is ModelParams and type(again.n) is int
+    state = PhaseState(1, 2, 3)
+    assert pickle.loads(pickle.dumps(state)) == state == (1.0, 2.0, 3.0)
+
+
+def test_records_print_and_unpack_as_named_tuples():
+    params = ModelParams(n=5, R=2, Rt=2.0)
+    assert repr(params) == "ModelParams(n=5, R=2.0, Rt=2.0)"
+    assert repr(PhaseState(0, 1, -0.5)) == "PhaseState(t=0.0, x=1.0, v=-0.5)"
+    n, R, Rt = params
+    assert (n, R, Rt) == (params[0], params.R, params[-1]) == (5, 2.0, 2.0)
+    assert params._asdict() == {"n": 5, "R": 2.0, "Rt": 2.0}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

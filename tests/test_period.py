@@ -1,6 +1,5 @@
 """Turning points, the period kernel, energy scans and the period curve."""
 
-import dataclasses
 import inspect
 import math
 import re
@@ -1316,18 +1315,16 @@ def test_the_derivative_columns_are_numpys_chebder(size, seed, decay):
 
 
 def _arrays(value):
-    """Every ndarray a cached value holds: in tuples, in dataclass fields,
-    and in a series' cached tables."""
+    """Every ndarray a cached value holds: in tuples, named tuples such as
+    a period curve included, and in a series' coefficients and cached
+    tables."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _arrays(item)
-    elif dataclasses.is_dataclass(value):
-        for column in dataclasses.fields(value):
-            yield from _arrays(getattr(value, column.name))
-        if isinstance(value, period_mod._ChebSeries):
-            yield from (value.derivative_coeffs, value.table)
+    elif isinstance(value, period_mod._ChebSeries):
+        yield from (value.coeffs, value.derivative_coeffs, value.table)
 
 
 @pytest.mark.parametrize("size", [1, 2, 33, 65])
@@ -1351,7 +1348,12 @@ def test_cached_trig_matrices_are_read_only(size):
     for name, cache in caches.items():
         for args in calls[name]:
             assert cache(*args) is cache(*args), name
-            tables += _arrays(cache(*args))
+            found = list(_arrays(cache(*args)))
+            tables += found
+            if name == "_cached_curve":
+                for piece in cache(*args).pieces:
+                    for array in (piece.coeffs, piece.derivative_coeffs, piece.table):
+                        assert any(array is item for item in found), args
     assert len(tables) > 20
     for matrix in tables:
         assert not matrix.flags.writeable

@@ -1,6 +1,5 @@
 """Profile construction, period inversion and the three-route audit."""
 
-import dataclasses
 import math
 import re
 
@@ -286,7 +285,7 @@ def test_sampled_compares_the_fits_period_with_the_certified_one(p3, k3, offset,
     """The fit of the orbit at s = 0.5 lands on its period to roundoff, so
     moving the certified period by more than rtol = 1e-10 refuses it."""
     orbit = period_quadrature(k3.c_min + 0.5 * abs(k3.c_min), p3)
-    moved = dataclasses.replace(orbit, T=orbit.T * (1.0 + offset))
+    moved = orbit._replace(T=orbit.T * (1.0 + offset))
     if not refused:
         same = _sampled(moved, orbit.T, p3, 64, 1e-10)
         assert np.array_equal(same.samples, _sampled(orbit, orbit.T, p3, 64, 1e-10).samples)
@@ -310,6 +309,16 @@ def test_profile_reports_its_steps(profile3):
     # the fit starts at 32 nodes and doubles; mid-band orbits settle at 64
     assert profile3.degree == 64
     assert 0.0 < profile3.err_est <= 1e-10
+
+
+def test_a_profile_equals_only_itself(profile3):
+    """Samples are an array, which has no single truth value, so profiles
+    compare and hash by identity, a copy with the same values included."""
+    copy = profile3._replace()
+    assert profile3 == profile3 and not profile3 != profile3
+    assert profile3 != copy and not profile3 == copy
+    assert len({profile3, copy, profile3}) == 2
+    assert tuple(copy)[:3] == tuple(profile3)[:3]
 
 
 @pytest.mark.parametrize("R, Rt", [(2.0, 2.0), (3.0, 1.0)])

@@ -6,7 +6,8 @@ A name removed from a module but left in its `__all__`, a `brentq` name
 that is gone from `period`, or a rebinding that `uninstall` does not
 undo breaks a traced benchmark run; these tests catch it in the suite.
 The package republishes exactly the modules' names, each as the
-module's own object, and importing it loads no scipy.  Every default
+module's own object, and importing it loads its own modules and no
+dataclasses, scipy or mpmath.  Every default
 kernel tolerance, of a published function or of the command line, is
 `period.KERNEL_RTOL`.  Every package name README quotes resolves, and so
 does every constant a module docstring quotes and every name any
@@ -140,17 +141,31 @@ def test_the_package_republishes_each_modules_names_once():
             assert getattr(warpcsc, name) is getattr(module, name), name
 
 
-def test_package_import_loads_no_scipy():
+def _loaded_by_package_import(*roots: str) -> list[str]:
+    """The modules under these top-level names that `import warpcsc,
+    warpcsc.cli` loads in a fresh interpreter, sorted."""
     probe = (
         "import sys, warpcsc, warpcsc.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"print(*sorted(m for m in sys.modules if m.partition('.')[0] in {roots!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout.split()
+
+
+def test_package_import_loads_no_scipy():
+    assert _loaded_by_package_import("scipy") == []
+
+
+def test_package_import_loads_its_modules_and_no_dataclasses():
+    """The records are named tuples, so no module builds dataclass
+    methods at import, and the import loads no scipy or mpmath either:
+    exactly the package's own modules among these names."""
+    own = sorted(["warpcsc", "warpcsc.cli", *(f"warpcsc.{m}" for m in PUBLIC_MODULES)])
+    assert _loaded_by_package_import("warpcsc", "dataclasses", "scipy", "mpmath") == own
 
 
 def test_the_test_extra_names_every_module_the_tests_import():
