@@ -144,9 +144,10 @@ class PhaseState(_PhaseFields):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
             values.append(value)
-        if values[1] <= 0.0:
-            raise DomainError(f"reduced variable must stay positive, got x = {values[1]}")
-        return super().__new__(cls, *values)
+        t, x, v = values
+        if x <= 0.0:
+            raise DomainError(f"reduced variable must stay positive, got x = {x}")
+        return super().__new__(cls, t, x, v)
 
     @classmethod
     def _make(cls, iterable):
